@@ -21,7 +21,7 @@ from rblam.harness import (
     run_properties,
     run_property,
 )
-from rblam.interp import EvalError, Stuck, evaluate, evaluate_trace, format_trace
+from rblam.interp import DEFAULT_FUEL, EvalError, Stuck, evaluate, evaluate_trace, format_trace
 from rblam.lattice import (
     LatticeError,
     LatticeInstance,
@@ -34,12 +34,18 @@ from rblam.syntax import (
     ParseError,
     parse,
     parse_literal_text,
+    pretty,
     pretty_type,
     pretty_value,
 )
 from rblam.typecheck import Context, DeltaProfile, Mode, TypingError, synthesize
 
 OK, VIOLATION, INPUT_ERROR = 0, 1, 2
+
+
+def _reject(message: str):
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(INPUT_ERROR)
 
 
 def _read_config(path: str) -> dict[str, str]:
@@ -96,9 +102,30 @@ class Session:
             if budget_text is not None
             else self.lattice.large_budget()
         )
-        self.mode = Mode(pick("mode", "mode", "sound"))
-        self.fuel = int(pick("fuel", "fuel", 10**6))
+        mode = pick("mode", "mode", "sound")
+        if mode not in [m.value for m in Mode]:
+            _reject(f"bad mode {mode!r}; expected paper or sound")
+        self.mode = Mode(mode)
+        fuel = str(pick("fuel", "fuel", DEFAULT_FUEL))
+        if not fuel.isdecimal():
+            _reject(f"bad fuel {fuel!r}; expected a non-negative integer")
+        self.fuel = int(fuel)
         self.format = pick("format", "format", "text")
+        if self.format not in ("text", "json"):
+            _reject(f"bad format {self.format!r}; expected text or json")
+
+
+def _int_at_least(lo: int):
+    """argparse type for an integer flag that must be at least `lo`."""
+
+    def parse_int(text: str) -> int:
+        value = int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be at least {lo}, got {value}")
+        return value
+
+    parse_int.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse_int
 
 
 def _session_flags(sub: argparse.ArgumentParser):
@@ -128,8 +155,7 @@ def _load_program(path: str, session: Session):
         with open(path, encoding="utf-8") as fh:
             source = fh.read()
     except OSError as exc:
-        print(f"error: cannot read {path}: {exc}", file=sys.stderr)
-        raise SystemExit(INPUT_ERROR)
+        _reject(f"cannot read {path}: {exc}")
     try:
         return parse(source, session.lattice)
     except ParseError as exc:
@@ -166,8 +192,6 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def _print_derivation(deriv, inst, indent: int = 0) -> None:
-    from rblam.syntax import pretty
-
     print("  " * indent + f"{deriv.rule} [{inst.format(deriv.bound)}] {pretty(deriv.term)}")
     for child in deriv.children:
         _print_derivation(child, inst, indent + 1)
@@ -263,11 +287,10 @@ def cmd_model(args: argparse.Namespace) -> int:
     docs = [report.to_dict()]
     ok = report.passed
     if args.interp_corpus:
-        nat_session = builtin_lattice("nat")
-        deltas = DeltaProfile.default(nat_session)
-        cfg = GenConfig(lattice=nat_session, seed=args.seed, count=args.interp_corpus, mode=Mode.SOUND)
+        cfg = GenConfig(lattice=inst, seed=args.seed, count=args.interp_corpus, mode=Mode.SOUND,
+                        deltas=session.deltas)
         corpus = [gen_typed_term(cfg, trial=i) for i in range(args.interp_corpus)]
-        cp = check_cost_preservation(corpus, DenModel(nat_session, deltas), Mode.SOUND)
+        cp = check_cost_preservation(corpus, DenModel(inst, session.deltas), Mode.SOUND)
         docs.append({"cost_preservation": cp.to_dict()})
         ok = ok and cp.ok
     if session.format == "json":
@@ -344,11 +367,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.set_defaults(handler=cmd_eval)
 
     p_fuzz = sub.add_parser("fuzz", help="run metatheory property suites")
-    p_fuzz.add_argument("--count", type=int, default=1000)
+    p_fuzz.add_argument("--count", type=_int_at_least(1), default=1000)
     p_fuzz.add_argument("--seed", type=int, default=0)
-    p_fuzz.add_argument("--depth", type=int, default=5)
+    p_fuzz.add_argument("--depth", type=_int_at_least(1), default=5)
     p_fuzz.add_argument("--props", help="comma-separated property names")
-    p_fuzz.add_argument("--workers", type=int, default=1)
+    p_fuzz.add_argument("--workers", type=_int_at_least(1), default=1)
     p_fuzz.add_argument("--fn-var-reuse", dest="fn_var_reuse", action="store_true",
                         help="allow repeated use of function-typed variables")
     p_fuzz.add_argument("--hunt", action="store_true",
@@ -357,9 +380,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuzz.set_defaults(handler=cmd_fuzz)
 
     p_model = sub.add_parser("model", help="finite-lattice semantic checks")
-    p_model.add_argument("--max-nat", type=int, default=3)
-    p_model.add_argument("--max-term-size", type=int, default=7)
-    p_model.add_argument("--interp-corpus", type=int, default=0,
+    p_model.add_argument("--max-nat", type=_int_at_least(0), default=3)
+    p_model.add_argument("--max-term-size", type=_int_at_least(0), default=7)
+    p_model.add_argument("--interp-corpus", type=_int_at_least(0), default=0,
                          help="also check cost preservation on a generated corpus")
     p_model.add_argument("--seed", type=int, default=0)
     _session_flags(p_model)
@@ -375,8 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.handler(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else INPUT_ERROR

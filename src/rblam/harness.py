@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from rblam.interp import EvalError, evaluate
-from rblam.lattice import LatticeElement, LatticeInstance
+from rblam.lattice import LatticeInstance
 from rblam.syntax import (
     App,
     Arrow,
@@ -50,6 +50,7 @@ from rblam.syntax import (
     pretty,
     pretty_type,
     rename_binders,
+    substitute,
     subterms,
     term_size,
     to_value,
@@ -504,8 +505,7 @@ def minimize(term: Term, failing_property: Callable[[Term], bool], cfg: GenConfi
     changed = True
     while changed:
         changed = False
-        for path, ctx in _paths(current):
-            u = _get(current, path)
+        for path, ctx, u in _paths(current):
             u_ty = subterm_type(ctx, u)
             if u_ty is None:
                 continue
@@ -533,8 +533,9 @@ def minimize(term: Term, failing_property: Callable[[Term], bool], cfg: GenConfi
 
 
 def _paths(t: Term, prefix: tuple[int, ...] = (), ctx: tuple[tuple[str, Type], ...] = ()):
-    """Preorder (path, binding context) pairs for every subterm position."""
-    yield prefix, ctx
+    """Preorder (path, binding context, subterm) triples for every subterm
+    position."""
+    yield prefix, ctx, t
     match t:
         case Lam(name, annot, body):
             yield from _paths(body, prefix + (0,), ctx + ((name, annot),))
@@ -549,22 +550,6 @@ def _paths(t: Term, prefix: tuple[int, ...] = (), ctx: tuple[tuple[str, Type], .
             yield from _paths(b, prefix + (2,), ctx)
         case BoxT(_, body):
             yield from _paths(body, prefix + (0,), ctx)
-
-
-def _get(t: Term, path: tuple[int, ...]) -> Term:
-    for i in path:
-        match t:
-            case Lam(_, _, body) | BoxT(_, body):
-                t = body
-            case Fst(arg) | Snd(arg) | Unbox(arg):
-                t = arg
-            case App(a, b) | Pair(a, b):
-                t = (a, b)[i]
-            case If(c, a, b):
-                t = (c, a, b)[i]
-            case _:
-                raise IndexError(path)
-    return t
 
 
 def _replace(t: Term, path: tuple[int, ...], new: Term) -> Term:
@@ -645,23 +630,19 @@ class PropertyReport:
         return f"{self.name}: {status} over {self.trials} trials"
 
 
-def _fmt(inst: LatticeInstance, el: LatticeElement) -> str:
-    return inst.format(el)
-
-
 def _observe_cost(cfg: GenConfig, term: Term) -> dict[str, str]:
     inst = cfg.lattice
     deltas = cfg.resolved_deltas()
     out: dict[str, str] = {}
     try:
         j = synthesize(Context(), term, inst.large_budget(), cfg.mode, deltas)
-        out["bound"] = _fmt(inst, j.bound)
+        out["bound"] = inst.format(j.bound)
     except TypingError as exc:
         out["type_error"] = str(exc)
         return out
     try:
         r = evaluate(term, deltas)
-        out["cost"] = _fmt(inst, r.cost)
+        out["cost"] = inst.format(r.cost)
     except EvalError as exc:
         out["eval_error"] = str(exc)
     return out
@@ -716,7 +697,7 @@ def _trial_cost_soundness(cfg: GenConfig, trial: int) -> Failure | None:
     if not inst.leq(r.cost, j.bound) or not inst.leq(j.bound, budget):
         return _fail(
             cfg, trial, term, "cost <= bound <= budget",
-            {"cost": _fmt(inst, r.cost), "bound": _fmt(inst, j.bound), "budget": _fmt(inst, budget)},
+            {"cost": inst.format(r.cost), "bound": inst.format(j.bound), "budget": inst.format(budget)},
             _cost_soundness_violation(cfg),
         )
     return None
@@ -735,11 +716,11 @@ def _trial_determinism(cfg: GenConfig, trial: int) -> Failure | None:
         return _fail(cfg, trial, term, "typed terms evaluate", {"eval_error": str(exc)})
     if r1 != r2:
         return _fail(cfg, trial, term, "evaluation is deterministic",
-                     {"cost1": _fmt(inst, r1.cost), "cost2": _fmt(inst, r2.cost)})
+                     {"cost1": inst.format(r1.cost), "cost2": inst.format(r2.cost)})
     if r1.cost != r3.cost or not alpha_eq_value(r1.value, r3.value):
         return _fail(
             cfg, trial, term, "evaluation is alpha-invariant",
-            {"cost": _fmt(inst, r1.cost), "renamed_cost": _fmt(inst, r3.cost)},
+            {"cost": inst.format(r1.cost), "renamed_cost": inst.format(r3.cost)},
         )
     return None
 
@@ -763,7 +744,7 @@ def _trial_preservation(cfg: GenConfig, trial: int) -> Failure | None:
     if not inst.leq(j2.bound, j.bound):
         return _fail(
             cfg, trial, term, "result bound below original",
-            {"bound": _fmt(inst, j.bound), "result_bound": _fmt(inst, j2.bound)},
+            {"bound": inst.format(j.bound), "result_bound": inst.format(j2.bound)},
         )
     return None
 
@@ -783,13 +764,13 @@ def _trial_budget_weakening(cfg: GenConfig, trial: int) -> Failure | None:
     if j1.bound != j2.bound:
         return _fail(
             cfg, trial, term, "bound independent of budget",
-            {"budget1": _fmt(inst, r1), "bound1": _fmt(inst, j1.bound),
-             "budget2": _fmt(inst, r2), "bound2": _fmt(inst, j2.bound)},
+            {"budget1": inst.format(r1), "bound1": inst.format(j1.bound),
+             "budget2": inst.format(r2), "bound2": inst.format(j2.bound)},
         )
     if j1.within_budget and not j2.within_budget:
         return _fail(
             cfg, trial, term, "verdict monotone in the budget",
-            {"budget1": _fmt(inst, r1), "budget2": _fmt(inst, r2)},
+            {"budget1": inst.format(r1), "budget2": inst.format(r2)},
         )
     return None
 
@@ -814,8 +795,8 @@ def _trial_box_laws(cfg: GenConfig, trial: int) -> Failure | None:
     if ju.bound != expected or not isinstance(j.type, Box) or ju.type != j.type.body:
         return _fail(
             cfg, trial, term, "counit: unbox typechecks at the body type, bound + delta_unbox",
-            {"bound": _fmt(inst, j.bound), "unbox_bound": _fmt(inst, ju.bound),
-             "expected": _fmt(inst, expected)},
+            {"bound": inst.format(j.bound), "unbox_bound": inst.format(ju.bound),
+             "expected": inst.format(expected)},
         )
 
     # grade monotone acceptance
@@ -837,7 +818,7 @@ def _trial_box_laws(cfg: GenConfig, trial: int) -> Failure | None:
         if not inst.leq(inner.cost, term.grade):
             return _fail(
                 cfg, trial, term, "boxed body cost within grade",
-                {"cost": _fmt(inst, inner.cost), "grade": _fmt(inst, term.grade)},
+                {"cost": inst.format(inner.cost), "grade": inst.format(term.grade)},
             )
 
     # no unconditional promotion
@@ -864,13 +845,11 @@ def _trial_box_laws(cfg: GenConfig, trial: int) -> Failure | None:
         return _fail(cfg, trial, candidate, "rejection is a GradeExceeded", {"error": str(exc)})
     return _fail(
         cfg, trial, candidate, "no unconditional promotion",
-        {"bound": _fmt(inst, bound), "grade": _fmt(inst, inst.bottom())},
+        {"bound": inst.format(bound), "grade": inst.format(inst.bottom())},
     )
 
 
 def _trial_substitution(cfg: GenConfig, trial: int) -> Failure | None:
-    from rblam.syntax import substitute
-
     inst = cfg.lattice
     deltas = cfg.resolved_deltas()
     budget = inst.large_budget()
@@ -900,7 +879,7 @@ def _trial_substitution(cfg: GenConfig, trial: int) -> Failure | None:
         return _fail(
             cfg, trial, closed, "substitution preserves type and bound",
             {"type": pretty_type(j_open.type), "sub_type": pretty_type(j_closed.type),
-             "bound": _fmt(inst, j_open.bound), "sub_bound": _fmt(inst, j_closed.bound)},
+             "bound": inst.format(j_open.bound), "sub_bound": inst.format(j_closed.bound)},
         )
     if cfg.mode is Mode.SOUND:
         try:
@@ -910,7 +889,7 @@ def _trial_substitution(cfg: GenConfig, trial: int) -> Failure | None:
         if not inst.leq(r.cost, j_open.bound):
             return _fail(
                 cfg, trial, closed, "substituted cost within open bound",
-                {"cost": _fmt(inst, r.cost), "bound": _fmt(inst, j_open.bound)},
+                {"cost": inst.format(r.cost), "bound": inst.format(j_open.bound)},
             )
     return None
 
@@ -926,10 +905,17 @@ PROPERTIES: dict[str, Callable[[GenConfig, int], Failure | None]] = {
 
 
 def _run_range(cfg: GenConfig, name: str, start: int, stop: int) -> list[dict]:
+    """Run trials start..stop-1. A trial that raises is recorded as a failure
+    of its own, with no term, so one misbehaving trial does not end the run."""
     prop = PROPERTIES[name]
     out = []
     for trial in range(start, stop):
-        failure = prop(cfg, trial)
+        try:
+            failure = prop(cfg, trial)
+        except Exception as exc:
+            failure = Failure(trial=trial, term="", relation="trial raises no exception",
+                              observed={"error": f"{type(exc).__name__}: {exc}"},
+                              minimized="", minimized_observed={})
         if failure is not None:
             out.append(failure.to_dict())
     return out

@@ -71,132 +71,80 @@ class EvalTrace:
 
 def evaluate(term: Term, deltas: DeltaProfile, fuel: int = DEFAULT_FUEL) -> CostedResult:
     """Evaluate a closed term, returning its value and accumulated cost."""
-    inst = deltas.instance
-    counter = [fuel]
-    value, cost = _eval(term, deltas, inst, counter)
+    value, cost, _ = _eval(term, deltas, deltas.instance, [fuel], False)
     return CostedResult(value, cost)
-
-
-def _spend(counter: list[int]):
-    counter[0] -= 1
-    if counter[0] < 0:
-        raise FuelExhausted("evaluation fuel exhausted")
-
-
-def _eval(
-    t: Term, d: DeltaProfile, inst: LatticeInstance, counter: list[int]
-) -> tuple[Value, LatticeElement]:
-    _spend(counter)
-    v = to_value(t)
-    if v is not None:
-        return v, inst.bottom()
-    match t:
-        case Pair(a, b):
-            va, ka = _eval(a, d, inst, counter)
-            vb, kb = _eval(b, d, inst, counter)
-            return VPair(va, vb), inst.combine(ka, kb)
-        case Fst(arg):
-            va, k = _eval(arg, d, inst, counter)
-            if not isinstance(va, VPair):
-                raise Stuck(f"fst of non-pair value {pretty(embed(va))}")
-            return va.fst, inst.combine(k, d.proj)
-        case Snd(arg):
-            va, k = _eval(arg, d, inst, counter)
-            if not isinstance(va, VPair):
-                raise Stuck(f"snd of non-pair value {pretty(embed(va))}")
-            return va.snd, inst.combine(k, d.proj)
-        case If(cond, then, other):
-            vc, kc = _eval(cond, d, inst, counter)
-            if isinstance(vc, VTT):
-                vb, kb = _eval(then, d, inst, counter)
-            elif isinstance(vc, VFF):
-                vb, kb = _eval(other, d, inst, counter)
-            else:
-                raise Stuck(f"if on non-boolean value {pretty(embed(vc))}")
-            return vb, inst.combine(inst.combine(kc, kb), d.iff)
-        case App(fn, arg):
-            vf, kf = _eval(fn, d, inst, counter)
-            if not isinstance(vf, VLam):
-                raise Stuck(f"application of non-function value {pretty(embed(vf))}")
-            va, ka = _eval(arg, d, inst, counter)
-            body = substitute(vf.body, vf.name, va)
-            vb, kb = _eval(body, d, inst, counter)
-            return vb, inst.combine(inst.combine(inst.combine(kf, ka), d.app), kb)
-        case BoxT(grade, body):
-            vb, k = _eval(body, d, inst, counter)
-            return VBox(grade, vb), k
-        case Unbox(arg):
-            va, k = _eval(arg, d, inst, counter)
-            if not isinstance(va, VBox):
-                raise Stuck(f"unbox of non-box value {pretty(embed(va))}")
-            return va.value, inst.combine(k, d.unbox)
-        case Var(name):
-            raise Stuck(f"unbound variable {name!r}: term is not closed")
-    raise Stuck(f"no rule applies to {pretty(t)}")
 
 
 def evaluate_trace(
     term: Term, deltas: DeltaProfile, fuel: int = DEFAULT_FUEL
 ) -> tuple[CostedResult, EvalTrace]:
     """As evaluate, but also return the derivation tree."""
-    inst = deltas.instance
-    counter = [fuel]
-    value, cost, trace = _eval_trace(term, deltas, inst, counter)
+    value, cost, trace = _eval(term, deltas, deltas.instance, [fuel], True)
     return CostedResult(value, cost), trace
 
 
-def _eval_trace(
-    t: Term, d: DeltaProfile, inst: LatticeInstance, counter: list[int]
-) -> tuple[Value, LatticeElement, EvalTrace]:
-    _spend(counter)
-    bot = inst.bottom()
+def _eval(
+    t: Term, d: DeltaProfile, inst: LatticeInstance, counter: list[int], tracing: bool
+) -> tuple[Value, LatticeElement, EvalTrace | None]:
+    """The operational rules: one call per derivation node, each spending one
+    unit of fuel. The node's EvalTrace is built only when `tracing` is set;
+    otherwise the third result is None."""
+    counter[0] -= 1
+    if counter[0] < 0:
+        raise FuelExhausted("evaluation fuel exhausted")
     v = to_value(t)
     if v is not None:
-        return v, bot, EvalTrace("Val", t, bot)
+        bot = inst.bottom()
+        return v, bot, EvalTrace("Val", t, bot) if tracing else None
     match t:
         case Pair(a, b):
-            va, ka, ta = _eval_trace(a, d, inst, counter)
-            vb, kb, tb = _eval_trace(b, d, inst, counter)
-            return VPair(va, vb), inst.combine(ka, kb), EvalTrace("Pair", t, bot, (ta, tb))
+            va, ka, ta = _eval(a, d, inst, counter, tracing)
+            vb, kb, tb = _eval(b, d, inst, counter, tracing)
+            node = EvalTrace("Pair", t, inst.bottom(), (ta, tb)) if tracing else None
+            return VPair(va, vb), inst.combine(ka, kb), node
         case Fst(arg):
-            va, k, tr = _eval_trace(arg, d, inst, counter)
+            va, k, tr = _eval(arg, d, inst, counter, tracing)
             if not isinstance(va, VPair):
                 raise Stuck(f"fst of non-pair value {pretty(embed(va))}")
-            return va.fst, inst.combine(k, d.proj), EvalTrace("Fst", t, d.proj, (tr,))
+            node = EvalTrace("Fst", t, d.proj, (tr,)) if tracing else None
+            return va.fst, inst.combine(k, d.proj), node
         case Snd(arg):
-            va, k, tr = _eval_trace(arg, d, inst, counter)
+            va, k, tr = _eval(arg, d, inst, counter, tracing)
             if not isinstance(va, VPair):
                 raise Stuck(f"snd of non-pair value {pretty(embed(va))}")
-            return va.snd, inst.combine(k, d.proj), EvalTrace("Snd", t, d.proj, (tr,))
+            node = EvalTrace("Snd", t, d.proj, (tr,)) if tracing else None
+            return va.snd, inst.combine(k, d.proj), node
         case If(cond, then, other):
-            vc, kc, tc = _eval_trace(cond, d, inst, counter)
+            vc, kc, tc = _eval(cond, d, inst, counter, tracing)
             if isinstance(vc, VTT):
                 rule = "IfT"
-                vb, kb, tb = _eval_trace(then, d, inst, counter)
+                vb, kb, tb = _eval(then, d, inst, counter, tracing)
             elif isinstance(vc, VFF):
                 rule = "IfF"
-                vb, kb, tb = _eval_trace(other, d, inst, counter)
+                vb, kb, tb = _eval(other, d, inst, counter, tracing)
             else:
                 raise Stuck(f"if on non-boolean value {pretty(embed(vc))}")
             cost = inst.combine(inst.combine(kc, kb), d.iff)
-            return vb, cost, EvalTrace(rule, t, d.iff, (tc, tb))
+            return vb, cost, EvalTrace(rule, t, d.iff, (tc, tb)) if tracing else None
         case App(fn, arg):
-            vf, kf, tf = _eval_trace(fn, d, inst, counter)
+            vf, kf, tf = _eval(fn, d, inst, counter, tracing)
             if not isinstance(vf, VLam):
                 raise Stuck(f"application of non-function value {pretty(embed(vf))}")
-            va, ka, ta = _eval_trace(arg, d, inst, counter)
+            va, ka, ta = _eval(arg, d, inst, counter, tracing)
             body = substitute(vf.body, vf.name, va)
-            vb, kb, tb = _eval_trace(body, d, inst, counter)
+            vb, kb, tb = _eval(body, d, inst, counter, tracing)
             cost = inst.combine(inst.combine(inst.combine(kf, ka), d.app), kb)
-            return vb, cost, EvalTrace("App", t, d.app, (tf, ta, tb))
+            return vb, cost, EvalTrace("App", t, d.app, (tf, ta, tb)) if tracing else None
         case BoxT(grade, body):
-            vb, k, tb = _eval_trace(body, d, inst, counter)
-            return VBox(grade, vb), k, EvalTrace("Box", t, bot, (tb,))
+            vb, k, tb = _eval(body, d, inst, counter, tracing)
+            node = EvalTrace("Box", t, inst.bottom(), (tb,)) if tracing else None
+            return VBox(grade, vb), k, node
         case Unbox(arg):
-            va, k, tr = _eval_trace(arg, d, inst, counter)
+            va, k, tr = _eval(arg, d, inst, counter, tracing)
             if not isinstance(va, VBox):
                 raise Stuck(f"unbox of non-box value {pretty(embed(va))}")
-            return va.value, inst.combine(k, d.unbox), EvalTrace("Unbox", t, d.unbox, (tr,))
+            node = EvalTrace("Unbox", t, d.unbox, (tr,)) if tracing else None
+            return va.value, inst.combine(k, d.unbox), node
         case Var(name):
             raise Stuck(f"unbound variable {name!r}: term is not closed")
     raise Stuck(f"no rule applies to {pretty(t)}")

@@ -320,11 +320,6 @@ def _synth(
     raise TypingError(f"cannot type {pretty(t)}")
 
 
-def check_against_budget(j: Judgment) -> tuple[bool, LatticeElement, LatticeElement]:
-    """The budget verdict with the (bound, budget) pair for reporting."""
-    return j.within_budget, j.bound, j.budget
-
-
 def retype_value(
     v: Value, budget: LatticeElement, mode: Mode, deltas: DeltaProfile
 ) -> Judgment:

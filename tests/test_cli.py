@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from rblam import cli
 from rblam.cli import main
 
 IF_EXAMPLE = "if tt then ff else tt\n"
@@ -166,6 +167,23 @@ class TestModel:
         assert docs[0]["passed"] is True
         assert docs[1]["cost_preservation"]["ok"] is True
 
+    def test_interp_corpus_uses_session_lattice_and_deltas(self, monkeypatch, capsys):
+        seen = []
+        real = cli.check_cost_preservation
+
+        def spy(corpus, m, mode):
+            seen.append((corpus, m))
+            return real(corpus, m, mode)
+
+        monkeypatch.setattr(cli, "check_cost_preservation", spy)
+        code = main(["model", "--lattice", "sat3", "--delta-app", "2", "--interp-corpus", "30"])
+        assert code == 0
+        [(corpus, m)] = seen
+        assert len(corpus) == 30
+        assert m.lattice.name == "sat3"
+        assert m.deltas.app == m.lattice.element(2)
+        assert m.deltas.iff == m.lattice.element(1)
+
 
 class TestLaws:
     def test_nat_range(self, capsys):
@@ -210,3 +228,38 @@ class TestConfigFile:
         cfg = tmp_path / "session.cfg"
         cfg.write_text("latticenat\n")
         assert main(["check", program(IF_EXAMPLE), "--config", str(cfg)]) == 2
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("line", ["mode = bogus", "fuel = lots", "fuel = -4", "format = xml"])
+    def test_bad_config_value(self, program, tmp_path, capsys, line):
+        cfg = tmp_path / "session.cfg"
+        cfg.write_text(line + "\n")
+        code = main(["eval", program(IF_EXAMPLE), "--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "PROG", "--fuel", "-1"],
+            ["eval", "PROG", "--fuel", "lots"],
+            ["eval", "PROG", "--mode", "bogus"],
+            ["eval", "PROG", "--format", "xml"],
+            ["fuzz", "--count", "-5"],
+            ["fuzz", "--count", "0"],
+            ["fuzz", "--depth", "0"],
+            ["fuzz", "--workers", "0"],
+            ["model", "--lattice", "sat2", "--max-nat", "-1"],
+            ["model", "--lattice", "sat2", "--max-term-size", "-1"],
+            ["model", "--lattice", "sat2", "--interp-corpus", "-1"],
+        ],
+        ids=" ".join,
+    )
+    def test_bad_flag_value(self, program, capsys, argv):
+        argv = [program(IF_EXAMPLE) if a == "PROG" else a for a in argv]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "error: " in err and "Traceback" not in err

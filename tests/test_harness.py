@@ -4,6 +4,7 @@ import pytest
 
 from rblam.harness import (
     DEFAULT_TYPE_WEIGHTS,
+    PROPERTIES,
     GenConfig,
     concretize,
     gen_typed_term,
@@ -283,6 +284,26 @@ class TestReports:
         seq = report_json([run_property(cfg, "cost_soundness", workers=1)], cfg)
         par = report_json([run_property(cfg, "cost_soundness", workers=3)], cfg)
         assert seq == par
+
+    def test_raising_trial_is_recorded_and_the_run_goes_on(self, monkeypatch):
+        real = PROPERTIES["determinism"]
+
+        def flaky(cfg, trial):
+            if trial == 3:
+                raise RuntimeError("boom")
+            return real(cfg, trial)
+
+        monkeypatch.setitem(PROPERTIES, "determinism", flaky)
+        cfg = GenConfig(lattice=NAT, seed=4, count=40, mode=Mode.SOUND)
+        seq = run_property(cfg, "determinism", workers=1)
+        # the pool's forked workers inherit the patched table
+        par = run_property(cfg, "determinism", workers=2)
+        assert report_json([seq], cfg) == report_json([par], cfg)
+        assert seq.trials == 40 and seq.failure_count == 1
+        [failure] = seq.failures
+        assert failure.trial == 3
+        assert failure.relation == "trial raises no exception"
+        assert failure.observed == {"error": "RuntimeError: boom"}
 
     def test_report_round_trips_through_json(self):
         import json

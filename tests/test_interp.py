@@ -1,7 +1,9 @@
+import textwrap
+
 import pytest
 
 from rblam.harness import GenConfig, gen_typed_term, gen_value
-from rblam.lattice import NAT
+from rblam.lattice import NAT, TRIPLE
 from rblam.syntax import (
     VFF,
     VNat,
@@ -18,6 +20,7 @@ from rblam.interp import (
     Stuck,
     evaluate,
     evaluate_trace,
+    format_trace,
     trace_cost,
 )
 from rblam.typecheck import DeltaProfile, Mode
@@ -87,6 +90,57 @@ class TestTraces:
         assert body.contribution == NAT.element(1)
         assert [c.rule for c in body.children] == ["Val", "Val"]
 
+    @pytest.mark.parametrize(
+        "src, text",
+        [
+            (
+                "(lam f : Bool -> Bool . (f tt, f tt)) (lam x : Bool . if x then ff else tt)",
+                """\
+                App +1  (lam f : Bool -> Bool . (f tt, f tt)) (lam x : Bool . if x then ff else tt)
+                  Val +0  lam f : Bool -> Bool . (f tt, f tt)
+                  Val +0  lam x : Bool . if x then ff else tt
+                  Pair +0  ((lam x : Bool . if x then ff else tt) tt, (lam x : Bool . if x then ff else tt) tt)
+                    App +1  (lam x : Bool . if x then ff else tt) tt
+                      Val +0  lam x : Bool . if x then ff else tt
+                      Val +0  tt
+                      IfT +1  if tt then ff else tt
+                        Val +0  tt
+                        Val +0  ff
+                    App +1  (lam x : Bool . if x then ff else tt) tt
+                      Val +0  lam x : Bool . if x then ff else tt
+                      Val +0  tt
+                      IfT +1  if tt then ff else tt
+                        Val +0  tt
+                        Val +0  ff""",
+            ),
+            (
+                "unbox (box[3] (fst ((if tt then tt else ff), 2)))",
+                """\
+                Unbox +1  unbox (box[3] (fst (if tt then tt else ff, 2)))
+                  Box +0  box[3] (fst (if tt then tt else ff, 2))
+                    Fst +1  fst (if tt then tt else ff, 2)
+                      Pair +0  (if tt then tt else ff, 2)
+                        IfT +1  if tt then tt else ff
+                          Val +0  tt
+                          Val +0  tt
+                        Val +0  2""",
+            ),
+            (
+                "(snd (ff, tt), if ff then 1 else 2)",
+                """\
+                Pair +0  (snd (ff, tt), if ff then 1 else 2)
+                  Snd +1  snd (ff, tt)
+                    Val +0  (ff, tt)
+                  IfF +1  if ff then 1 else 2
+                    Val +0  ff
+                    Val +0  2""",
+            ),
+        ],
+    )
+    def test_format_trace_text(self, src, text):
+        _, trace = evaluate_trace(parse(src, NAT), D)
+        assert format_trace(trace, NAT) == textwrap.dedent(text)
+
     def test_trace_fold_reproduces_cost(self):
         for src in [
             "unbox (box[3] (fst ((if tt then tt else ff), 2)))",
@@ -153,3 +207,31 @@ def test_typed_terms_never_get_stuck():
     for i in range(300):
         term = gen_typed_term(cfg, trial=i)
         evaluate(term, D)
+
+
+def _trace_nodes(trace):
+    return 1 + sum(_trace_nodes(c) for c in trace.children)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        GenConfig(lattice=NAT, seed=17, max_depth=5, mode=Mode.SOUND),
+        GenConfig(lattice=TRIPLE, seed=18, max_depth=5, mode=Mode.PAPER, allow_fn_var_reuse=True),
+    ],
+    ids=["nat-sound", "triple-paper-reuse"],
+)
+def test_traced_and_untraced_evaluation_agree(cfg):
+    # one unit of fuel per derivation node, traced or not: both succeed with
+    # exactly the trace's node count and both run out one unit below it
+    deltas = cfg.resolved_deltas()
+    for i in range(200):
+        term = gen_typed_term(cfg, trial=i)
+        result, trace = evaluate_trace(term, deltas)
+        assert evaluate(term, deltas) == result
+        nodes = _trace_nodes(trace)
+        assert evaluate(term, deltas, fuel=nodes) == result
+        assert evaluate_trace(term, deltas, fuel=nodes) == (result, trace)
+        for run in (evaluate, evaluate_trace):
+            with pytest.raises(FuelExhausted):
+                run(term, deltas, fuel=nodes - 1)

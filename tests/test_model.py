@@ -14,7 +14,6 @@ from rblam.model import (
     FnDen,
     build_downset,
     check_box_subpresheaf,
-    check_cost_naturality,
     check_cost_preservation,
     check_internal_naturality,
     check_presheaf,
@@ -22,7 +21,6 @@ from rblam.model import (
     interpret_term,
     interpret_type,
     interpret_types,
-    reify,
     reify_and_check,
     run_model_checks,
 )
@@ -149,7 +147,6 @@ class TestSectionFamilyChecks:
         for ty in [Bool(), Prod(Bool(), Bool()), Box(inst.element(2), Bool()), Arrow(Bool(), Bool(), None)]:
             rep = interpret_type(ty, inst, enum)
             assert check_presheaf(rep, enum.deltas).ok
-            assert check_cost_naturality(rep).ok
             assert reify_and_check(rep, enum.deltas).ok
 
     def test_deleted_section_flagged(self):
@@ -162,22 +159,6 @@ class TestSectionFamilyChecks:
         report = check_presheaf(rep, enum.deltas)
         assert not report.ok
         assert any("transition loses" in c for c in report.counterexamples)
-
-    def test_rewritten_transition_breaks_cost_naturality(self):
-        inst = sat(2)
-        enum = enum_for(inst)
-        rep = interpret_type(Box(inst.element(1), Bool()), inst, enum)
-        bot, top = inst.bottom(), inst.top()
-        sec = next(iter(rep.sections[bot]))
-        rep.transitions[(bot, top)][sec] = (sec[0], inst.element(1))
-        report = check_cost_naturality(rep)
-        assert not report.ok
-        assert any("cost square broken" in c for c in report.counterexamples)
-
-    def test_reify_extracts_value(self):
-        inst = sat(2)
-        section = (VBox(inst.element(1), VTT()), inst.bottom())
-        assert reify(section) == VBox(inst.element(1), VTT())
 
     def test_box_embedding(self):
         inst = sat(3)

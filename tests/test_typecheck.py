@@ -24,7 +24,6 @@ from rblam.typecheck import (
     GradeExceeded,
     Mode,
     TypingError,
-    check_against_budget,
     check_expected,
     is_subtype,
     retype_value,
@@ -74,8 +73,8 @@ class TestGoldens:
 
 class TestBudgetCheck:
     def test_accepts_within(self):
-        ok, bound, budget = check_against_budget(synth("if tt then ff else tt"))
-        assert ok and bound == NAT.element(1) and budget == BUDGET
+        j = synth("if tt then ff else tt")
+        assert j.within_budget and j.bound == NAT.element(1) and j.budget == BUDGET
 
     def test_rejects_over(self):
         j = synth("if tt then ff else tt", budget=NAT.element(0))
