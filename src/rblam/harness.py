@@ -4,6 +4,10 @@ Each property suite runs seeded, independent trials: identical configs
 produce identical reports at any worker count. Generation is type-directed
 (pick a rule whose conclusion matches the goal, generate the premises), so
 every generated term typechecks in its generation mode by construction.
+The generator builds each term's derivation as it goes, applying
+``typecheck.derive`` to the premises it already holds, so no subterm is
+typed twice. The minimizer reads every subterm's type from one derivation
+of the current term per pass.
 
 With ``allow_fn_var_reuse`` off, the generator stays inside the fragment
 where the paper-mode rules are observed cost-sound: each variable whose
@@ -19,6 +23,7 @@ import json
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Callable
 
 from rblam.interp import EvalError, evaluate
@@ -51,18 +56,18 @@ from rblam.syntax import (
     pretty_type,
     rename_binders,
     substitute,
-    subterms,
     term_size,
     to_value,
 )
 from rblam.typecheck import (
     Context,
     DeltaProfile,
+    Derivation,
     GradeExceeded,
-    Judgment,
     Mode,
     TypingError,
     check_expected,
+    derive,
     is_subtype,
     retype_value,
     synthesize,
@@ -215,7 +220,6 @@ class _GenState:
         self.rng = rng
         self.inst = cfg.lattice
         self.deltas = cfg.resolved_deltas()
-        self.budget = cfg.lattice.large_budget()
         self.uses: dict[str, int] = {}
         self.fresh = 0
 
@@ -223,8 +227,17 @@ class _GenState:
         self.fresh += 1
         return f"{base}{self.fresh}"
 
-    def synth(self, ctx: list[tuple[str, Type]], term: Term) -> Judgment:
-        return synthesize(Context(tuple(ctx)), term, self.budget, self.cfg.mode, self.deltas)
+    def derive(self, ctx: Context, term: Term, *kids: Derivation) -> Derivation:
+        """term's derivation from its kids', or an untyped node (type None)
+        where term does not typecheck. Productions fall back on those; under a
+        faulty typechecker the term still reaches the trial's own check."""
+        for k in kids:
+            if k.type is None:
+                return Derivation("untyped", term, None, None)
+        try:
+            return derive(ctx, term, self.cfg.mode, self.deltas, self.inst, kids)
+        except TypingError:
+            return Derivation("untyped", term, None, None)
 
     def var_usable(self, name: str, ty: Type) -> bool:
         if self.cfg.allow_fn_var_reuse or not type_contains_arrow(ty):
@@ -236,21 +249,21 @@ class _GenState:
             self.uses[name] = self.uses.get(name, 0) + 1
 
 
-def _gen(st: _GenState, ctx: list[tuple[str, Type]], goal: Type, depth: int) -> Term:
+def _gen(st: _GenState, ctx: Context, goal: Type, depth: int) -> Derivation:
     rng = st.rng
     inst = st.inst
     if depth <= 0:
-        return minimal_inhabitant(concretize(goal, inst, mode=st.cfg.mode))
+        return st.derive(ctx, minimal_inhabitant(concretize(goal, inst, mode=st.cfg.mode)))
 
     candidates: list[tuple[str, float]] = []
     eligible = [
         (name, ty)
-        for name, ty in ctx
+        for name, ty in ctx.bindings
         if goal_matches(ty, goal, inst) and st.var_usable(name, ty)
     ]
     heads = [
         (name, ty)
-        for name, ty in ctx
+        for name, ty in ctx.bindings
         if isinstance(ty, Arrow)
         and goal_matches(ty.cod, goal, inst)
         and st.var_usable(name, ty)
@@ -275,21 +288,21 @@ def _gen(st: _GenState, ctx: list[tuple[str, Type]], goal: Type, depth: int) -> 
     ws = [w for _, w in candidates]
     for _ in range(6):
         picked = rng.choices(names, ws)[0]
-        term = _try_production(st, ctx, goal, depth, picked, eligible, heads)
-        if term is not None:
-            return term
-    return minimal_inhabitant(concretize(goal, inst, mode=st.cfg.mode))
+        deriv = _try_production(st, ctx, goal, depth, picked, eligible, heads)
+        if deriv is not None:
+            return deriv
+    return st.derive(ctx, minimal_inhabitant(concretize(goal, inst, mode=st.cfg.mode)))
 
 
 def _try_production(
     st: _GenState,
-    ctx: list[tuple[str, Type]],
+    ctx: Context,
     goal: Type,
     depth: int,
     production: str,
     eligible: list[tuple[str, Type]],
     heads: list[tuple[str, Type]],
-) -> Term | None:
+) -> Derivation | None:
     rng = st.rng
     inst = st.inst
     weights = st.cfg.weights()
@@ -297,127 +310,118 @@ def _try_production(
     if production == "leaf":
         match goal:
             case Bool():
-                return TT() if rng.random() < 0.5 else FF()
+                return st.derive(ctx, TT() if rng.random() < 0.5 else FF())
             case Nat():
-                return NatLit(rng.randint(0, 3))
+                return st.derive(ctx, NatLit(rng.randint(0, 3)))
         return None
 
     if production == "var":
         name, ty = rng.choice(eligible)
         st.note_use(name, ty)
-        return Var(name)
+        return st.derive(ctx, Var(name))
 
     if production == "headvar":
         name, ty = rng.choice(heads)
         assert isinstance(ty, Arrow)
         st.note_use(name, ty)
         arg = _gen(st, ctx, ty.dom, depth - 1)
-        term = App(Var(name), arg)
-        try:
-            st.synth(ctx, term)
-        except TypingError:
+        head = st.derive(ctx, Var(name))
+        app = st.derive(ctx, App(head.term, arg.term), head, arg)
+        if app.type is None:
             # generated argument subsumes nested grades the invariant
             # paper-mode arrow comparison rejects; fall back to the exact
             # domain's canonical inhabitant
-            term = App(Var(name), minimal_inhabitant(ty.dom))
-        return term
+            arg = st.derive(ctx, minimal_inhabitant(ty.dom))
+            app = st.derive(ctx, App(head.term, arg.term), head, arg)
+        return app
 
     if production == "if":
         concrete_goal = concretize(goal, inst, rng, st.cfg.mode)
         cond = _gen(st, ctx, Bool(), depth - 1)
         then = _gen(st, ctx, concrete_goal, depth - 1)
         other = _gen(st, ctx, concrete_goal, depth - 1)
-        term = If(cond, then, other)
-        try:
-            st.synth(ctx, term)
-        except TypingError:
+        branching = st.derive(ctx, If(cond.term, then.term, other.term), cond, then, other)
+        if branching.type is None and then.type is not None:
             # branches synthesized unifiable-only-up-to-subsumption types
             # (paper-mode arrows are invariant); duplicate a branch shape
-            try:
-                then_ty = st.synth(ctx, then).type
-            except TypingError:
-                return None
-            term = If(cond, then, minimal_inhabitant(then_ty))
-            try:
-                st.synth(ctx, term)
-            except TypingError:
-                return None
-        return term
+            other = st.derive(ctx, minimal_inhabitant(then.type))
+            branching = st.derive(ctx, If(cond.term, then.term, other.term), cond, then, other)
+        return branching if branching.type is not None else None
 
     if production == "redex":
         arg_ty = sample_type(rng, min(depth - 1, 2), weights, inst)
         arg = _gen(st, ctx, arg_ty, depth - 1)
-        try:
-            annot = st.synth(ctx, arg).type
-        except TypingError:
+        if arg.type is None:
             return None
         x = st.fresh_name()
-        body = _gen(st, ctx + [(x, annot)], goal, depth - 1)
-        return App(Lam(x, annot, body), arg)
+        body = _gen(st, ctx.extend(x, arg.type), goal, depth - 1)
+        fn = st.derive(ctx, Lam(x, arg.type, body.term), body)
+        return st.derive(ctx, App(fn.term, arg.term), fn, arg)
 
     if production == "proj":
         other_ty = sample_type(rng, min(depth - 1, 1), weights, inst)
         left = rng.random() < 0.5
         pair_goal = Prod(goal, other_ty) if left else Prod(other_ty, goal)
         inner = _gen(st, ctx, pair_goal, depth - 1)
-        return Fst(inner) if left else Snd(inner)
+        return st.derive(ctx, Fst(inner.term) if left else Snd(inner.term), inner)
 
     if production == "unbox":
         grade = inst.random_element(rng)
         inner = _gen(st, ctx, Box(grade, goal), depth - 1)
-        return Unbox(inner)
+        return st.derive(ctx, Unbox(inner.term), inner)
 
     if production == "pair":
         assert isinstance(goal, Prod)
-        return Pair(_gen(st, ctx, goal.left, depth - 1), _gen(st, ctx, goal.right, depth - 1))
+        a = _gen(st, ctx, goal.left, depth - 1)
+        b = _gen(st, ctx, goal.right, depth - 1)
+        return st.derive(ctx, Pair(a.term, b.term), a, b)
 
     if production == "lam":
         assert isinstance(goal, Arrow)
         dom = concretize(goal.dom, inst, rng, st.cfg.mode)
         x = st.fresh_name()
-        body = _gen(st, ctx + [(x, dom)], goal.cod, depth - 1)
-        if goal.latent is not None:
-            try:
-                j = st.synth(ctx + [(x, dom)], body)
-                if not inst.leq(j.bound, goal.latent):
-                    body = minimal_inhabitant(concretize(goal.cod, inst, mode=st.cfg.mode))
-            except TypingError:
-                body = minimal_inhabitant(concretize(goal.cod, inst, mode=st.cfg.mode))
-        return Lam(x, dom, body)
+        inner = ctx.extend(x, dom)
+        body = _gen(st, inner, goal.cod, depth - 1)
+        if goal.latent is not None and (body.type is None or not inst.leq(body.bound, goal.latent)):
+            body = st.derive(inner, minimal_inhabitant(concretize(goal.cod, inst, mode=st.cfg.mode)))
+        return st.derive(ctx, Lam(x, dom, body.term), body)
 
     if production == "hunt":
         # (lam f . (f a1, f a2)) (lam x : Bool . if x then b1 else b2):
         # a shared function with a branching body, applied twice
         assert isinstance(goal, Prod)
         x = st.fresh_name()
+        in_arg = ctx.extend(x, Bool())
 
-        def branch() -> Term:
+        def branch() -> Derivation:
             if isinstance(goal.left, Bool) and rng.random() < 0.5:
-                return TT() if rng.random() < 0.5 else FF()
-            return _gen(st, ctx + [(x, Bool())], goal.left, depth - 1)
+                return st.derive(in_arg, TT() if rng.random() < 0.5 else FF())
+            return _gen(st, in_arg, goal.left, depth - 1)
 
-        arg = Lam(x, Bool(), If(Var(x), branch(), branch()))
-        try:
-            annot = st.synth(ctx, arg).type
-        except TypingError:
+        b1 = branch()
+        b2 = branch()
+        xd = st.derive(in_arg, Var(x))
+        cases = st.derive(in_arg, If(xd.term, b1.term, b2.term), xd, b1, b2)
+        arg = st.derive(ctx, Lam(x, Bool(), cases.term), cases)
+        if arg.type is None:
             return None
         f = st.fresh_name()
-        inner = ctx + [(f, annot)]
+        inner = ctx.extend(f, arg.type)
         a1 = _gen(st, inner, Bool(), depth - 1)
         a2 = _gen(st, inner, Bool(), depth - 1)
-        body = Pair(App(Var(f), a1), App(Var(f), a2))
-        return App(Lam(f, annot, body), arg)
+        fd = st.derive(inner, Var(f))
+        app1 = st.derive(inner, App(fd.term, a1.term), fd, a1)
+        app2 = st.derive(inner, App(fd.term, a2.term), fd, a2)
+        body = st.derive(inner, Pair(app1.term, app2.term), app1, app2)
+        fn = st.derive(ctx, Lam(f, arg.type, body.term), body)
+        return st.derive(ctx, App(fn.term, arg.term), fn, arg)
 
     if production == "boxed":
         assert isinstance(goal, Box)
         body = _gen(st, ctx, goal.body, depth - 1)
-        try:
-            j = st.synth(ctx, body)
-            if not inst.leq(j.bound, goal.grade):
-                body = minimal_inhabitant(concretize(goal.body, inst, mode=st.cfg.mode))
-        except TypingError:
-            body = minimal_inhabitant(concretize(goal.body, inst, mode=st.cfg.mode))
-        return BoxT(goal.grade, body)
+        if body.type is None or not inst.leq(body.bound, goal.grade):
+            body = st.derive(ctx, minimal_inhabitant(concretize(goal.body, inst, mode=st.cfg.mode)))
+        return st.derive(ctx, BoxT(goal.grade, body.term), body)
 
     return None
 
@@ -443,7 +447,7 @@ def gen_typed_term(
     for name, ty in ctx.bindings:
         if not st.cfg.allow_fn_var_reuse and type_contains_arrow(ty):
             st.uses.setdefault(name, 0)
-    return _gen(st, list(ctx.bindings), goal, cfg.max_depth)
+    return _gen(st, ctx, goal, cfg.max_depth).term
 
 
 def gen_value(cfg: GenConfig, goal: Type, rng: random.Random, depth: int) -> Value:
@@ -467,7 +471,7 @@ def gen_value(cfg: GenConfig, goal: Type, rng: random.Random, depth: int) -> Val
             dom = concretize(dom, inst, rng, cfg.mode)
             st = _GenState(cfg, rng)
             x = st.fresh_name("a")
-            body = _gen(st, [(x, dom)], cod, max(depth - 1, 1))
+            body = _gen(st, Context(((x, dom),)), cod, max(depth - 1, 1)).term
             candidate = to_value(Lam(x, dom, body))
         case Box(grade, body_ty):
             inner = gen_value(cfg, body_ty, rng, depth - 1)
@@ -490,34 +494,44 @@ def gen_value(cfg: GenConfig, goal: Type, rng: random.Random, depth: int) -> Val
 def minimize(term: Term, failing_property: Callable[[Term], bool], cfg: GenConfig) -> Term:
     """Greedy shrink: replace subterms with canonical minimal inhabitants of
     their type or hoist strictly smaller same-type subterms, keeping each
-    move only while the property still fails. Returns a fixpoint."""
+    move only while the property still fails. Returns a fixpoint.
+
+    Each pass synthesizes the current term once and reads every subterm's
+    type from that derivation, so the term must typecheck as a closed term,
+    as every harness caller's does; one that does not is returned unchanged."""
     inst = cfg.lattice
     deltas = cfg.resolved_deltas()
     budget = inst.large_budget()
-
-    def subterm_type(ctx: tuple[tuple[str, Type], ...], t: Term) -> Type | None:
-        try:
-            return synthesize(Context(ctx), t, budget, cfg.mode, deltas).type
-        except TypingError:
-            return None
 
     current = term
     changed = True
     while changed:
         changed = False
-        for path, ctx, u in _paths(current):
-            u_ty = subterm_type(ctx, u)
-            if u_ty is None:
-                continue
-            u_size = term_size(u)
+        try:
+            root = synthesize(Context(), current, budget, cfg.mode, deltas).trace
+        except TypingError:
+            return current
+        for path, ctx, u in _paths(root):
+            u_ty = u.type
             candidates: list[Term] = []
             mini = minimal_inhabitant(u_ty)
-            if term_size(mini) < u_size:
+            if term_size(mini) < term_size(u.term):
                 candidates.append(mini)
-            for s in subterms(u)[1:]:
-                s_ty = subterm_type(ctx, s)
-                if s_ty is not None and is_subtype(s_ty, u_ty, cfg.mode, inst):
-                    candidates.append(s)
+            for _, between, s in islice(_paths(u), 1, None):
+                s_ty = s.type
+                fv = free_vars(s.term) if between else frozenset()
+                if not fv.isdisjoint(name for name, _ in between):
+                    # s uses a binder inside u; hoisted, it is typed in u's context,
+                    # where that name is unbound or means an outer binding
+                    outer = Context(ctx)
+                    if any(outer.lookup(name) is None for name in fv):
+                        continue
+                    try:
+                        s_ty = derive(outer, s.term, cfg.mode, deltas, inst).type
+                    except TypingError:
+                        continue
+                if is_subtype(s_ty, u_ty, cfg.mode, inst):
+                    candidates.append(s.term)
             for cand in candidates:
                 replaced = _replace(current, path, cand)
                 try:
@@ -532,24 +546,15 @@ def minimize(term: Term, failing_property: Callable[[Term], bool], cfg: GenConfi
     return current
 
 
-def _paths(t: Term, prefix: tuple[int, ...] = (), ctx: tuple[tuple[str, Type], ...] = ()):
-    """Preorder (path, binding context, subterm) triples for every subterm
-    position."""
-    yield prefix, ctx, t
-    match t:
-        case Lam(name, annot, body):
-            yield from _paths(body, prefix + (0,), ctx + ((name, annot),))
-        case App(a, b) | Pair(a, b):
-            yield from _paths(a, prefix + (0,), ctx)
-            yield from _paths(b, prefix + (1,), ctx)
-        case Fst(arg) | Snd(arg) | Unbox(arg):
-            yield from _paths(arg, prefix + (0,), ctx)
-        case If(c, a, b):
-            yield from _paths(c, prefix + (0,), ctx)
-            yield from _paths(a, prefix + (1,), ctx)
-            yield from _paths(b, prefix + (2,), ctx)
-        case BoxT(_, body):
-            yield from _paths(body, prefix + (0,), ctx)
+def _paths(d: Derivation, prefix: tuple[int, ...] = (), ctx: tuple[tuple[str, Type], ...] = ()):
+    """Preorder (path, binding context, derivation) triples for every subterm
+    position of a derivation's term. The context holds the binders passed
+    on the way down from d."""
+    yield prefix, ctx, d
+    if isinstance(d.term, Lam):
+        ctx = ctx + ((d.term.name, d.term.annot),)
+    for i, kid in enumerate(d.children):
+        yield from _paths(kid, prefix + (i,), ctx)
 
 
 def _replace(t: Term, path: tuple[int, ...], new: Term) -> Term:

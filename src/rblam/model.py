@@ -308,6 +308,8 @@ class _Interpreter:
         bodies: list[Term] = []
         for size in range(1, self.enum.max_term_size):
             bodies.extend(self._bodies((("x", dom),), cod, size))
+        if not bodies:  # no lambda fits the size limit: an empty family is no evidence
+            exhaustive = False
         if len(bodies) > self.enum.max_sections:
             bodies = bodies[: self.enum.max_sections]
             exhaustive = False

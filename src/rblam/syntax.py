@@ -380,24 +380,6 @@ def term_size(t: Term) -> int:
             return 1
 
 
-def subterms(t: Term) -> list[Term]:
-    """All subterms, preorder, including t itself."""
-    out = [t]
-    match t:
-        case Lam(_, _, body) | BoxT(_, body):
-            out.extend(subterms(body))
-        case App(a, b) | Pair(a, b):
-            out.extend(subterms(a))
-            out.extend(subterms(b))
-        case Fst(arg) | Snd(arg) | Unbox(arg):
-            out.extend(subterms(arg))
-        case If(c, a, b):
-            out.extend(subterms(c))
-            out.extend(subterms(a))
-            out.extend(subterms(b))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Printing
 

@@ -14,6 +14,10 @@ within-budget verdict, never the bound. Two rule sets are selectable:
 Grade subsumption (boxes covariant in the grade, and in sound mode arrows
 contravariant in domain, covariant in codomain and latent) is applied at
 application arguments, if-branch unification, and expected-type checks.
+
+The rules live in ``derive``, which applies the rule at one node. It takes
+the premises from the subterms' derivations when given (the generator builds
+terms this way) and derives them recursively otherwise (``synthesize``).
 """
 
 from __future__ import annotations
@@ -213,109 +217,112 @@ def synthesize(
         raise TypingError(
             f"delta profile lattice {deltas.instance.name!r} differs from budget lattice {inst.name!r}"
         )
-    ty, bound, deriv = _synth(ctx, term, mode, deltas, inst)
+    deriv = derive(ctx, term, mode, deltas, inst)
     return Judgment(
         subject=term,
-        type=ty,
-        bound=bound,
+        type=deriv.type,
+        bound=deriv.bound,
         budget=budget,
-        within_budget=inst.leq(bound, budget),
+        within_budget=inst.leq(deriv.bound, budget),
         trace=deriv,
     )
 
 
-def _synth(
-    ctx: Context, t: Term, mode: Mode, d: DeltaProfile, inst: LatticeInstance
-) -> tuple[Type, LatticeElement, Derivation]:
+def derive(
+    ctx: Context,
+    t: Term,
+    mode: Mode,
+    d: DeltaProfile,
+    inst: LatticeInstance,
+    kids: tuple[Derivation, ...] = (),
+) -> Derivation:
+    """Apply the typing rule at node t. Its premises are taken from kids, the
+    derivations of t's immediate subterms in order, or derived recursively
+    when kids is empty. Either way the side conditions are checked in the
+    same order, so an ill-typed term raises the same TypingError."""
     match t:
         case Var(name):
             ty = ctx.lookup(name)
             if ty is None:
                 raise TypingError(f"unbound variable {name!r}")
-            bound = inst.bottom()
-            return ty, bound, Derivation("Var", t, ty, bound)
+            return Derivation("Var", t, ty, inst.bottom())
 
         case TT() | FF():
-            bound = inst.bottom()
-            return Bool(), bound, Derivation("Const", t, Bool(), bound)
+            return Derivation("Const", t, Bool(), inst.bottom())
 
         case NatLit(_):
-            bound = inst.bottom()
-            return Nat(), bound, Derivation("Const", t, Nat(), bound)
+            return Derivation("Const", t, Nat(), inst.bottom())
 
         case Lam(name, annot, body):
             if mode is Mode.PAPER:
                 _reject_latents(annot)
-            bty, bbound, bderiv = _synth(ctx.extend(name, annot), body, mode, d, inst)
+            bd = kids[0] if kids else derive(ctx.extend(name, annot), body, mode, d, inst)
             if mode is Mode.PAPER:
-                ty: Type = Arrow(annot, bty, None)
-                bound = bbound
+                ty: Type = Arrow(annot, bd.type, None)
+                bound = bd.bound
             else:
-                ty = Arrow(annot, bty, bbound)
+                ty = Arrow(annot, bd.type, bd.bound)
                 bound = inst.bottom()
-            return ty, bound, Derivation("Lam", t, ty, bound, (bderiv,))
+            return Derivation("Lam", t, ty, bound, (bd,))
 
         case App(fn, arg):
-            fty, fbound, fderiv = _synth(ctx, fn, mode, d, inst)
+            fd = kids[0] if kids else derive(ctx, fn, mode, d, inst)
+            fty = fd.type
             if not isinstance(fty, Arrow):
                 raise TypingError(
                     f"cannot apply a term of type {pretty_type(fty)}: not an arrow"
                 )
-            aty, abound, aderiv = _synth(ctx, arg, mode, d, inst)
-            if not is_subtype(aty, fty.dom, mode, inst):
+            ad = kids[1] if kids else derive(ctx, arg, mode, d, inst)
+            if not is_subtype(ad.type, fty.dom, mode, inst):
                 raise TypingError(
-                    f"argument type {pretty_type(aty)} does not match domain {pretty_type(fty.dom)}"
+                    f"argument type {pretty_type(ad.type)} does not match domain {pretty_type(fty.dom)}"
                 )
-            bound = inst.combine(inst.combine(fbound, abound), d.app)
+            bound = inst.combine(inst.combine(fd.bound, ad.bound), d.app)
             if mode is Mode.SOUND:
                 bound = inst.combine(bound, latent_of(fty, inst))
-            return fty.cod, bound, Derivation("App", t, fty.cod, bound, (fderiv, aderiv))
+            return Derivation("App", t, fty.cod, bound, (fd, ad))
 
         case Pair(a, b):
-            aty, abound, aderiv = _synth(ctx, a, mode, d, inst)
-            bty, bbound, bderiv = _synth(ctx, b, mode, d, inst)
-            ty = Prod(aty, bty)
-            bound = inst.combine(abound, bbound)
-            return ty, bound, Derivation("Pair", t, ty, bound, (aderiv, bderiv))
+            ad = kids[0] if kids else derive(ctx, a, mode, d, inst)
+            bd = kids[1] if kids else derive(ctx, b, mode, d, inst)
+            return Derivation(
+                "Pair", t, Prod(ad.type, bd.type), inst.combine(ad.bound, bd.bound), (ad, bd)
+            )
 
         case Fst(arg):
-            aty, abound, aderiv = _synth(ctx, arg, mode, d, inst)
-            if not isinstance(aty, Prod):
-                raise TypingError(f"fst of a non-pair type {pretty_type(aty)}")
-            bound = inst.combine(abound, d.proj)
-            return aty.left, bound, Derivation("Fst", t, aty.left, bound, (aderiv,))
+            ad = kids[0] if kids else derive(ctx, arg, mode, d, inst)
+            if not isinstance(ad.type, Prod):
+                raise TypingError(f"fst of a non-pair type {pretty_type(ad.type)}")
+            return Derivation("Fst", t, ad.type.left, inst.combine(ad.bound, d.proj), (ad,))
 
         case Snd(arg):
-            aty, abound, aderiv = _synth(ctx, arg, mode, d, inst)
-            if not isinstance(aty, Prod):
-                raise TypingError(f"snd of a non-pair type {pretty_type(aty)}")
-            bound = inst.combine(abound, d.proj)
-            return aty.right, bound, Derivation("Snd", t, aty.right, bound, (aderiv,))
+            ad = kids[0] if kids else derive(ctx, arg, mode, d, inst)
+            if not isinstance(ad.type, Prod):
+                raise TypingError(f"snd of a non-pair type {pretty_type(ad.type)}")
+            return Derivation("Snd", t, ad.type.right, inst.combine(ad.bound, d.proj), (ad,))
 
         case If(cond, then, other):
-            cty, cbound, cderiv = _synth(ctx, cond, mode, d, inst)
-            if not isinstance(cty, Bool):
-                raise TypingError(f"condition has type {pretty_type(cty)}, expected Bool")
-            tty, tbound, tderiv = _synth(ctx, then, mode, d, inst)
-            ety, ebound, ederiv = _synth(ctx, other, mode, d, inst)
-            ty = type_lub(tty, ety, mode, inst)
-            bound = inst.combine(inst.combine(cbound, inst.join(tbound, ebound)), d.iff)
-            return ty, bound, Derivation("If", t, ty, bound, (cderiv, tderiv, ederiv))
+            cd = kids[0] if kids else derive(ctx, cond, mode, d, inst)
+            if not isinstance(cd.type, Bool):
+                raise TypingError(f"condition has type {pretty_type(cd.type)}, expected Bool")
+            td = kids[1] if kids else derive(ctx, then, mode, d, inst)
+            ed = kids[2] if kids else derive(ctx, other, mode, d, inst)
+            ty = type_lub(td.type, ed.type, mode, inst)
+            bound = inst.combine(inst.combine(cd.bound, inst.join(td.bound, ed.bound)), d.iff)
+            return Derivation("If", t, ty, bound, (cd, td, ed))
 
         case BoxT(grade, body):
             inst._own(grade)
-            bty, bbound, bderiv = _synth(ctx, body, mode, d, inst)
-            if not inst.leq(bbound, grade):
-                raise GradeExceeded(bbound, grade)
-            ty = Box(grade, bty)
-            return ty, bbound, Derivation("Box", t, ty, bbound, (bderiv,))
+            bd = kids[0] if kids else derive(ctx, body, mode, d, inst)
+            if not inst.leq(bd.bound, grade):
+                raise GradeExceeded(bd.bound, grade)
+            return Derivation("Box", t, Box(grade, bd.type), bd.bound, (bd,))
 
         case Unbox(arg):
-            aty, abound, aderiv = _synth(ctx, arg, mode, d, inst)
-            if not isinstance(aty, Box):
-                raise TypingError(f"unbox of a non-box type {pretty_type(aty)}")
-            bound = inst.combine(abound, d.unbox)
-            return aty.body, bound, Derivation("Unbox", t, aty.body, bound, (aderiv,))
+            ad = kids[0] if kids else derive(ctx, arg, mode, d, inst)
+            if not isinstance(ad.type, Box):
+                raise TypingError(f"unbox of a non-box type {pretty_type(ad.type)}")
+            return Derivation("Unbox", t, ad.type.body, inst.combine(ad.bound, d.unbox), (ad,))
 
     raise TypingError(f"cannot type {pretty(t)}")
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -183,6 +184,35 @@ class TestModel:
         assert m.lattice.name == "sat3"
         assert m.deltas.app == m.lattice.element(2)
         assert m.deltas.iff == m.lattice.element(1)
+
+    @pytest.mark.parametrize("size", ["0", "1"])
+    def test_size_without_lambda_bodies_is_not_exhaustive(self, capsys, size):
+        code = main(["model", "--lattice", "sat2", "--max-term-size", size, "--format", "json"])
+        docs = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert docs[0]["universe"]["exhaustive"] is False
+
+
+class TestGoldenReports:
+    """Seeded fuzz reports pinned byte for byte. A change to the generated
+    term stream or to the minimizer changes these digests; update them only
+    for a deliberate change of that kind."""
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (["fuzz", "--count", "200", "--seed", "42", "--lattice", "triple", "--format", "json"],
+             "1fa5ca99cbdb268c57c539e31d52939bc0b087083256dd8c1e4bfd218dd62ea7"),
+            (["fuzz", "--hunt", "--mode", "paper", "--fn-var-reuse", "--count", "300", "--seed", "5",
+              "--format", "json"],
+             "bc28c03b6e58f865692c528a041c09fc5b4eabde840229b83718df3b4437be93"),
+        ],
+        ids=["fuzz-triple", "hunt-paper"],
+    )
+    def test_report_digest(self, capsys, argv, digest):
+        main(argv)
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestLaws:

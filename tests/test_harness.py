@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from rblam import harness
 from rblam.harness import (
     DEFAULT_TYPE_WEIGHTS,
     PROPERTIES,
@@ -18,7 +19,7 @@ from rblam.harness import (
     sample_type,
 )
 from rblam.interp import evaluate
-from rblam.lattice import NAT, TRIPLE
+from rblam.lattice import NAT, TRIPLE, NatLattice
 from rblam.syntax import (
     App,
     Bool,
@@ -35,13 +36,23 @@ from rblam.syntax import (
     pretty,
     term_size,
 )
-from rblam.typecheck import Context, DeltaProfile, Mode, retype_value, synthesize
+from rblam.typecheck import Context, DeltaProfile, Mode, TypingError, retype_value, synthesize
 
 D = DeltaProfile.default(NAT)
 BIG = NAT.element(10**6)
 
 CANONICAL = parse(
     "(lam f : Bool -> Bool . (f tt, f tt)) (lam x : Bool . if x then ff else tt)", NAT
+)
+
+
+# junk in an argument and a same-type wrapper around the witness
+NOISY = parse(
+    "if tt then"
+    " (lam f : Bool -> Bool . (f (if tt then tt else ff), f tt))"
+    " (lam x : Bool . if x then ff else tt)"
+    " else (tt, tt)",
+    NAT,
 )
 
 
@@ -62,6 +73,29 @@ class TestGenerator:
             term = gen_typed_term(cfg, trial=i)
             assert not free_vars(term)
             synthesize(Context(), term, BIG, mode, D)  # must not raise
+
+    @pytest.mark.parametrize(
+        "inst, mode, reuse",
+        [(NAT, Mode.SOUND, False), (NAT, Mode.PAPER, True), (TRIPLE, Mode.SOUND, False), (TRIPLE, Mode.PAPER, True)],
+        ids=["nat-sound", "nat-paper-reuse", "triple-sound", "triple-paper-reuse"],
+    )
+    def test_built_derivation_is_the_synthesized_one(self, monkeypatch, inst, mode, reuse):
+        built = []
+        real = harness._gen
+
+        def recorded(st, ctx, goal, depth):
+            deriv = real(st, ctx, goal, depth)
+            built.append((ctx, deriv))
+            return deriv
+
+        monkeypatch.setattr(harness, "_gen", recorded)
+        cfg = GenConfig(lattice=inst, seed=31, max_depth=6, mode=mode, allow_fn_var_reuse=reuse)
+        deltas = cfg.resolved_deltas()
+        for i in range(500):
+            term = gen_typed_term(cfg, trial=i)
+            ctx, deriv = built[-1]  # the outermost call returns last
+            assert deriv.term == term
+            assert deriv == synthesize(ctx, term, inst.large_budget(), mode, deltas).trace, pretty(term)
 
     def test_generated_terms_match_goal(self):
         cfg = GenConfig(lattice=NAT, seed=77, mode=Mode.SOUND)
@@ -167,19 +201,56 @@ class TestMinimizer:
         assert minimize(CANONICAL, canonical_violation, cfg) == CANONICAL
 
     def test_noise_reduces_to_canonical(self):
-        # junk in an argument and a same-type wrapper around the witness:
         # minimal-inhabitant replacement and hoisting must strip both
-        noisy = parse(
-            "if tt then"
-            " (lam f : Bool -> Bool . (f (if tt then tt else ff), f tt))"
-            " (lam x : Bool . if x then ff else tt)"
-            " else (tt, tt)",
-            NAT,
-        )
+        # kinds of noise
         cfg = GenConfig(lattice=NAT, seed=0, mode=Mode.PAPER, allow_fn_var_reuse=True)
-        assert canonical_violation(noisy)
-        minimized = minimize(noisy, canonical_violation, cfg)
+        assert canonical_violation(NOISY)
+        minimized = minimize(NOISY, canonical_violation, cfg)
         assert alpha_eq(minimized, CANONICAL)
+
+    def test_one_synthesis_per_pass(self, monkeypatch):
+        # every subterm's type comes from one derivation of the current term;
+        # a pass ends at an accepted move, and the last pass accepts none
+        real = harness.synthesize
+        calls = []
+
+        def counted(*args):
+            calls.append(args[1])
+            return real(*args)
+
+        accepted = []
+
+        def violation(term):
+            failed = canonical_violation(term)
+            if failed:
+                accepted.append(term)
+            return failed
+
+        monkeypatch.setattr(harness, "synthesize", counted)
+        cfg = GenConfig(lattice=NAT, seed=0, mode=Mode.PAPER, allow_fn_var_reuse=True)
+        minimize(NOISY, violation, cfg)
+        assert accepted
+        assert calls == [NOISY] + accepted
+
+    def test_hoist_types_a_shadowed_variable_in_the_outer_context(self):
+        # inside u = (lam x : Nat . x) 3 the variable x is a Nat, but hoisted
+        # out of u it names the outer x : Bool, so it cannot replace the Nat
+        # u; the literal 3 can (the predicate rejects u's minimal inhabitant 0)
+        def typed_without_zero(term):
+            try:
+                synthesize(Context(), term, BIG, Mode.PAPER, D)
+            except TypingError:
+                return False
+            return "0" not in pretty(term)
+
+        cfg = GenConfig(lattice=NAT, seed=0, mode=Mode.PAPER)
+        term = parse("lam x : Bool . (lam x : Nat . x) 3", NAT)
+        assert minimize(term, typed_without_zero, cfg) == parse("lam x : Bool . 3", NAT)
+
+    def test_ill_typed_term_returned_unchanged(self):
+        cfg = GenConfig(lattice=NAT, seed=0, mode=Mode.PAPER)
+        term = parse("(if tt then ff else tt) tt", NAT)
+        assert minimize(term, lambda t: True, cfg) == term
 
     def test_compensated_double_use_is_sound(self):
         # a costful else-branch inflates the bound enough to cover the
@@ -242,6 +313,17 @@ class TestProperties:
         assert "cost" in failure.observed and "bound" in failure.observed
         minimized = parse(failure.minimized, NAT)
         assert canonical_violation(minimized)
+
+    def test_faulty_lattice_still_yields_the_generated_terms(self, monkeypatch):
+        # an off-by-one in nat composition pushes some generated box bodies
+        # over their grade; generation still returns each term, and the
+        # trial's own check reports it with the term
+        monkeypatch.setattr(NatLattice, "_combine", lambda self, a, b: a + b + 1)
+        cfg = GenConfig(lattice=NAT, seed=3, count=100, max_depth=5, mode=Mode.SOUND)
+        report = run_property(cfg, "cost_soundness")
+        assert report.failure_count > 0
+        assert {f.relation for f in report.failures} == {"generated term typechecks"}
+        assert all(f.term for f in report.failures)
 
     def test_triple_lattice_clean(self):
         deltas = DeltaProfile.uniform(TRIPLE.element((1, 0, 0)))

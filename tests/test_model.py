@@ -184,6 +184,16 @@ class TestRunModelChecks:
         report = run_model_checks(sat(cap))
         assert report.passed, str(report)
 
+    def test_default_size_is_exhaustive(self):
+        assert run_model_checks(sat(2)).universe["exhaustive"] is True
+
+    @pytest.mark.parametrize("size", [0, 1])
+    def test_size_without_lambda_bodies_is_not_exhaustive(self, size):
+        # no lambda fits the size limit, so every arrow family is empty
+        inst = sat(2)
+        report = run_model_checks(inst, enum=enum_for(inst, max_term_size=size))
+        assert report.universe["exhaustive"] is False
+
     def test_diamond_all_pass(self, data_dir):
         report = run_model_checks(load_lattice(str(data_dir / "diamond.lat")))
         assert report.passed, str(report)

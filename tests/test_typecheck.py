@@ -134,6 +134,29 @@ class TestErrors:
             synth(src)
         assert fragment in str(exc.value)
 
+    @pytest.mark.parametrize(
+        "src, mode, message",
+        [
+            # the arrow check comes before the argument is typed
+            ("tt (fst tt)", Mode.PAPER, "cannot apply a term of type Bool: not an arrow"),
+            ("tt (fst tt)", Mode.SOUND, "cannot apply a term of type Bool: not an arrow"),
+            # the condition is checked before the branches are typed
+            ("if 3 then y else tt", Mode.PAPER, "condition has type Nat, expected Bool"),
+            ("if 3 then y else tt", Mode.SOUND, "condition has type Nat, expected Bool"),
+            # paper mode rejects a latent annotation before typing the body
+            ("lam x : Bool -[1]-> Bool . y", Mode.PAPER, "latent arrow annotations are not allowed in paper mode"),
+            ("lam x : Bool -[1]-> Bool . y", Mode.SOUND, "unbound variable 'y'"),
+            ("unbox (fst tt)", Mode.PAPER, "fst of a non-pair type Bool"),
+            ("unbox (fst tt)", Mode.SOUND, "fst of a non-pair type Bool"),
+            ("if tt then tt else 0", Mode.PAPER, "branch types Bool and Nat do not unify"),
+            ("if tt then tt else 0", Mode.SOUND, "branch types Bool and Nat do not unify"),
+        ],
+    )
+    def test_first_error_follows_premise_order(self, src, mode, message):
+        with pytest.raises(TypingError) as exc:
+            synth(src, mode=mode)
+        assert str(exc.value) == message
+
     def test_latent_annotation_rejected_in_paper_mode(self):
         with pytest.raises(TypingError) as exc:
             synth("lam f : Bool -[1]-> Bool . f tt", mode=Mode.PAPER)
