@@ -10,6 +10,7 @@ property violation, 2 input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -191,10 +192,15 @@ def cmd_check(args: argparse.Namespace) -> int:
     return OK
 
 
-def _print_derivation(deriv, inst, indent: int = 0) -> None:
-    print("  " * indent + f"{deriv.rule} [{inst.format(deriv.bound)}] {pretty(deriv.term)}")
-    for child in deriv.children:
-        _print_derivation(child, inst, indent + 1)
+def _print_derivation(deriv, inst) -> None:
+    """One line per node, children indented below their parent. The nodes'
+    terms are subterms of the program, so one pretty memo prints each once."""
+    memo: dict[int, str] = {}
+    stack = [(deriv, 0)]
+    while stack:
+        node, depth = stack.pop()
+        print("  " * depth + f"{node.rule} [{inst.format(node.bound)}] {pretty(node.term, memo)}")
+        stack.extend((child, depth + 1) for child in reversed(node.children))
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -343,7 +349,10 @@ def cmd_laws(args: argparse.Namespace) -> int:
     return OK if report.passed else VIOLATION
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process. Parsing leaves it unchanged, so every
+    call to main reuses it."""
     parser = argparse.ArgumentParser(
         prog="rblam",
         description="Resource-bounded lambda calculus toolchain",

@@ -1,10 +1,14 @@
 """Big-step call-by-value evaluator with explicit cost accounting.
 
 Values evaluate to themselves at cost bottom; application substitutes the
-argument value into the lambda body. Each rule charges the corresponding
-delta: application, conditionals, projections, and unboxing. Evaluation is
-deterministic and total on well-typed closed terms; the fuel guard turns
-ill-typed or runaway inputs into clean errors instead of divergence.
+argument value into the lambda body. The value is closed, so substitution
+shares every subterm that does not mention the parameter: one application
+rebuilds only the paths down to the parameter's occurrences, and a chain of
+nested applications evaluates in time linear in its size. Each rule charges
+the corresponding delta: application, conditionals, projections, and
+unboxing. Evaluation is deterministic and total on well-typed closed terms;
+the fuel guard turns ill-typed or runaway inputs into clean errors instead
+of divergence. The trace printer prints each shared term once.
 """
 
 from __future__ import annotations
@@ -159,9 +163,14 @@ def trace_cost(trace: EvalTrace, inst: LatticeInstance) -> LatticeElement:
 
 
 def format_trace(trace: EvalTrace, inst: LatticeInstance, indent: int = 0) -> str:
-    pad = "  " * indent
-    line = f"{pad}{trace.rule} +{inst.format(trace.contribution)}  {pretty(trace.term)}"
-    lines = [line]
-    for child in trace.children:
-        lines.append(format_trace(child, inst, indent + 1))
+    """One line per node, children indented below their parent. Evaluation
+    shares subterms between nodes, so one pretty memo serves the whole tree."""
+    memo: dict[int, str] = {}
+    lines: list[str] = []
+    stack = [(trace, indent)]
+    while stack:
+        node, depth = stack.pop()
+        term = pretty(node.term, memo)
+        lines.append(f"{'  ' * depth}{node.rule} +{inst.format(node.contribution)}  {term}")
+        stack.extend((child, depth + 1) for child in reversed(node.children))
     return "\n".join(lines)

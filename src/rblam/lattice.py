@@ -38,10 +38,13 @@ class LatticeInstance:
 
     def _own(self, el: LatticeElement) -> Any:
         if not isinstance(el, LatticeElement) or el.instance is not self:
-            other = el.instance.name if isinstance(el, LatticeElement) else type(el).__name__
-            raise LatticeError(
-                f"element of {other!r} used with lattice {self.name!r}"
-            )
+            if not isinstance(el, LatticeElement):
+                other = repr(type(el).__name__)
+            elif el.instance.name == self.name:
+                other = f"another instance of {self.name!r}"
+            else:
+                other = repr(el.instance.name)
+            raise LatticeError(f"element of {other} used with lattice {self.name!r}")
         return el.payload
 
     def element(self, payload: Any) -> LatticeElement:

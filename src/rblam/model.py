@@ -539,14 +539,20 @@ class FnDen:
 Den = Any  # bool | int | tuple[Den, Den] | BoxDen | FnDen
 
 
+def _check_deltas(deltas: DeltaProfile, lattice: LatticeInstance) -> None:
+    if deltas.instance is not lattice:
+        owner = deltas.instance.name
+        other = f"another instance of {owner!r}" if owner == lattice.name else f"lattice {owner!r}"
+        raise ValueError(f"delta profile belongs to {other}, not to {lattice.name!r}")
+
+
 class DenModel:
     """Sets of cost-annotated values: products are pairs, functions are
     cost-tracking maps built by currying, boxes are grade-tagged subsets,
     and the internal lattice is the session lattice itself."""
 
     def __init__(self, lattice: LatticeInstance, deltas: DeltaProfile):
-        if deltas.instance is not lattice:
-            raise ValueError("delta profile belongs to a different lattice")
+        _check_deltas(deltas, lattice)
         self.lattice = lattice
         self.deltas = deltas
 
@@ -781,6 +787,7 @@ def run_model_checks(
     internal operations, and per-type section family, reification, and box
     embedding."""
     enum = enum or EnumBudget(deltas=DeltaProfile.default(inst))
+    _check_deltas(enum.deltas, inst)
     types = types if types is not None else default_type_suite(inst)
     checks: list[CheckReport] = []
 

@@ -2,6 +2,13 @@
 value ASTs, a recursive-descent parser, a printer that round-trips through
 the parser, capture-avoiding substitution, and alpha-equivalence.
 
+Terms are immutable and may share subterms. Each node keeps its free
+variables once computed, and substituting a closed value shares every
+subterm where the name is not free, so it rebuilds only the paths down to
+the name's occurrences. A printer of many terms that share subterms (the
+evaluation and derivation traces) passes one memo to `pretty` and prints
+each node once.
+
 Grammar (whitespace-insensitive, `#` line comments):
 
     term   := lam | app
@@ -215,24 +222,38 @@ def is_value(t: Term) -> bool:
     return to_value(t) is not None
 
 
+_CLOSED: frozenset[str] = frozenset()
+
+
 def free_vars(t: Term) -> frozenset[str]:
+    """The free variables of t. Terms are immutable, so each node keeps its
+    set once computed, in an attribute set past the frozen dataclass (no
+    per-instance dict is created). A node shares a child's set whenever that
+    set is the answer."""
+    fv = getattr(t, "_fv", None)
+    if fv is not None:
+        return fv
     match t:
         case Var(name):
-            return frozenset({name})
+            fv = frozenset((name,))
         case Lam(name, _, body):
-            return free_vars(body) - {name}
-        case App(fn, arg):
-            return free_vars(fn) | free_vars(arg)
-        case Pair(a, b):
-            return free_vars(a) | free_vars(b)
-        case Fst(arg) | Snd(arg) | Unbox(arg):
-            return free_vars(arg)
+            fv = free_vars(body)
+            if name in fv:
+                fv = fv - {name} or _CLOSED
+        case App(a, b) | Pair(a, b):
+            fv = _union(free_vars(a), free_vars(b))
+        case Fst(arg) | Snd(arg) | Unbox(arg) | BoxT(_, arg):
+            fv = free_vars(arg)
         case If(c, a, b):
-            return free_vars(c) | free_vars(a) | free_vars(b)
-        case BoxT(_, body):
-            return free_vars(body)
+            fv = _union(_union(free_vars(c), free_vars(a)), free_vars(b))
         case _:
-            return frozenset()
+            return _CLOSED
+    object.__setattr__(t, "_fv", fv)
+    return fv
+
+
+def _union(a: frozenset[str], b: frozenset[str]) -> frozenset[str]:
+    return a if b <= a else b if a <= b else a | b
 
 
 def fresh_name(base: str, avoid: frozenset[str] | set[str]) -> str:
@@ -248,12 +269,17 @@ def fresh_name(base: str, avoid: frozenset[str] | set[str]) -> str:
 def substitute(t: Term, name: str, v: Value) -> Term:
     """Capture-avoiding substitution t[name := v]. Binders shadowing `name`
     block the substitution; binders that would capture a free variable of v
-    are renamed (unreachable for closed v, kept for safety)."""
+    are renamed (unreachable for closed v, kept for safety). A closed v
+    leaves every subterm without a free `name` in place: the result shares
+    it instead of copying it, so only the paths down to `name` are rebuilt."""
     replacement = embed(v)
     return _subst(t, name, replacement, free_vars(replacement))
 
 
 def _subst(t: Term, x: str, r: Term, fv_r: frozenset[str]) -> Term:
+    # An open r renames capturing binders even where x does not occur.
+    if not fv_r and x not in free_vars(t):
+        return t
     match t:
         case Var(name):
             return r if name == x else t
@@ -387,23 +413,28 @@ def term_size(t: Term) -> int:
 _ATOMIC = (Var, TT, FF, NatLit, Pair)
 
 
-def pretty(t: Term) -> str:
+def pretty(t: Term, memo: dict[int, str] | None = None) -> str:
+    """The source text of t. A printer that shows many terms sharing
+    subterms passes one `memo` (id of a term -> its text) to every call, so
+    each node is printed once; the caller keeps those terms alive."""
+    if memo is not None and (s := memo.get(id(t))) is not None:
+        return s
     match t:
         case Var(name):
             return name
         case Lam(name, annot, body):
-            return f"lam {name} : {pretty_type(annot)} . {pretty(body)}"
+            s = f"lam {name} : {pretty_type(annot)} . {pretty(body, memo)}"
         case App(fn, arg):
-            fn_s = pretty(fn) if isinstance(fn, (App,) + _ATOMIC) else _atom(fn)
-            return f"{fn_s} {_atom(arg)}"
+            fn_s = pretty(fn, memo) if isinstance(fn, (App,) + _ATOMIC) else _atom(fn, memo)
+            s = f"{fn_s} {_atom(arg, memo)}"
         case Pair(a, b):
-            return f"({pretty(a)}, {pretty(b)})"
+            s = f"({pretty(a, memo)}, {pretty(b, memo)})"
         case Fst(arg):
-            return f"fst {_atom(arg)}"
+            s = f"fst {_atom(arg, memo)}"
         case Snd(arg):
-            return f"snd {_atom(arg)}"
+            s = f"snd {_atom(arg, memo)}"
         case If(c, a, b):
-            return f"if {pretty(c)} then {pretty(a)} else {pretty(b)}"
+            s = f"if {pretty(c, memo)} then {pretty(a, memo)} else {pretty(b, memo)}"
         case TT():
             return "tt"
         case FF():
@@ -411,16 +442,20 @@ def pretty(t: Term) -> str:
         case NatLit(n):
             return str(n)
         case BoxT(grade, body):
-            return f"box[{grade.instance.format(grade)}] {_atom(body)}"
+            s = f"box[{grade.instance.format(grade)}] {_atom(body, memo)}"
         case Unbox(arg):
-            return f"unbox {_atom(arg)}"
-    raise TypeError(f"not a term: {t!r}")
+            s = f"unbox {_atom(arg, memo)}"
+        case _:
+            raise TypeError(f"not a term: {t!r}")
+    if memo is not None:
+        memo[id(t)] = s
+    return s
 
 
-def _atom(t: Term) -> str:
+def _atom(t: Term, memo: dict[int, str] | None) -> str:
     if isinstance(t, _ATOMIC):
-        return pretty(t)
-    return f"({pretty(t)})"
+        return pretty(t, memo)
+    return f"({pretty(t, memo)})"
 
 
 def pretty_value(v: Value) -> str:

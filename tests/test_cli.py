@@ -107,6 +107,25 @@ class TestEval:
         assert "App +1" in out and "IfT +1" in out
 
 
+class TestParserReuse:
+    def test_one_parser_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_no_flag_carries_over_between_calls(self, program, capsys):
+        witness = program(WITNESS)
+        assert main(["eval", witness, "--trace", "--mode", "paper"]) == 1
+        out = capsys.readouterr().out
+        assert "cost_within_bound: SOUNDNESS-VIOLATION" in out and "App +1" in out
+        # the default mode is sound again, which rejects the witness
+        assert main(["eval", witness]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "type error" in captured.err
+        assert main(["eval", witness, "--mode", "fast"]) == 2
+        assert "invalid choice: 'fast'" in capsys.readouterr().err
+        assert main(["eval", program(APP_EXAMPLE, "app.rb")]) == 0
+        assert capsys.readouterr().out == "value: ff\ncost: 2\nbound: 2\ncost_within_bound: yes\n"
+
+
 class TestFuzz:
     def test_small_clean_run(self, capsys):
         code = main(["fuzz", "--count", "60", "--seed", "3", "--mode", "sound"])

@@ -77,6 +77,13 @@ def test_instance_mismatch_names_both_lattices():
     assert "gas" in str(exc.value) and "nat" in str(exc.value)
 
 
+def test_instance_mismatch_with_the_same_name_says_another_instance():
+    a, b = SaturatingNatLattice(2), SaturatingNatLattice(2)
+    with pytest.raises(LatticeError) as exc:
+        a.combine(a.element(1), b.element(1))
+    assert str(exc.value) == "element of another instance of 'sat2' used with lattice 'sat2'"
+
+
 def test_element_payload_validation():
     with pytest.raises(LatticeError):
         NAT.element(-1)

@@ -194,6 +194,15 @@ class TestRunModelChecks:
         report = run_model_checks(inst, enum=enum_for(inst, max_term_size=size))
         assert report.universe["exhaustive"] is False
 
+    def test_deltas_of_another_instance_rejected_up_front(self):
+        inst = sat(2)
+        with pytest.raises(ValueError, match="^delta profile belongs to another instance of 'sat2', not to 'sat2'$"):
+            run_model_checks(inst, enum=enum_for(sat(2)))
+
+    def test_deltas_of_another_lattice_rejected_up_front(self):
+        with pytest.raises(ValueError, match="^delta profile belongs to lattice 'sat3', not to 'sat2'$"):
+            run_model_checks(sat(2), enum=enum_for(sat(3)))
+
     def test_diamond_all_pass(self, data_dir):
         report = run_model_checks(load_lattice(str(data_dir / "diamond.lat")))
         assert report.passed, str(report)

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rblam.harness import GenConfig, gen_typed_term
 from rblam.lattice import NAT, TRIPLE
 from rblam.syntax import (
     App,
@@ -20,6 +21,7 @@ from rblam.syntax import (
     Prod,
     Snd,
     TT,
+    Term,
     Unbox,
     VBox,
     VLam,
@@ -167,6 +169,57 @@ class TestSubstitution:
     def test_untouched_when_absent(self):
         t = parse("lam y : Bool . y", NAT)
         assert substitute(t, "x", VTT()) == t
+
+    def test_closed_value_shares_untouched_subterms(self):
+        lam = Lam("y", Bool(), Var("y"))
+        result = substitute(App(lam, Var("x")), "x", VTT())
+        assert result == App(lam, TT())
+        assert result.fn is lam
+
+    def test_open_value_renames_capturing_binders(self):
+        t = Lam("y", Bool(), App(Var("x"), Var("y")))
+        v = VLam("z", Bool(), Var("y"))
+        assert substitute(t, "x", v) == Lam("y_1", Bool(), App(Lam("z", Bool(), Var("y")), Var("y_1")))
+
+    def test_open_value_renames_binders_where_the_name_is_absent(self):
+        v = VLam("z", Bool(), Var("y"))
+        assert substitute(Lam("y", Bool(), Var("y")), "x", v) == Lam("y_1", Bool(), Var("y_1"))
+
+    def test_cached_free_vars_match_a_fresh_computation(self):
+        cfg = GenConfig(lattice=NAT, seed=3, count=200, max_depth=6)
+        checked = 0
+        for i in range(200):
+            for lam in nodes(gen_typed_term(cfg, trial=i)):
+                if not isinstance(lam, Lam):
+                    continue
+                for v in (VTT(), VLam("z", Bool(), Var("w"))):
+                    result = substitute(lam.body, lam.name, v)
+                    for node in nodes(result):
+                        assert free_vars(node) == fresh_free_vars(node), pretty(node)
+                        checked += 1
+        assert checked > 1000
+
+
+def nodes(t):
+    """Every node of t, the root first."""
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        yield t
+        stack.extend(v for v in vars(t).values() if isinstance(v, Term))
+
+
+def fresh_free_vars(t):
+    match t:
+        case Var(name):
+            return {name}
+        case Lam(name, _, body):
+            return fresh_free_vars(body) - {name}
+    out = set()
+    for v in vars(t).values():
+        if isinstance(v, Term):
+            out |= fresh_free_vars(v)
+    return out
 
 
 class TestAlphaEq:
