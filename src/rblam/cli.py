@@ -37,7 +37,6 @@ from rblam.syntax import (
     parse_literal_text,
     pretty,
     pretty_type,
-    pretty_value,
 )
 from rblam.typecheck import Context, DeltaProfile, Mode, TypingError, synthesize
 
@@ -108,9 +107,12 @@ class Session:
             _reject(f"bad mode {mode!r}; expected paper or sound")
         self.mode = Mode(mode)
         fuel = str(pick("fuel", "fuel", DEFAULT_FUEL))
-        if not fuel.isdecimal():
+        try:
+            if not fuel.isdecimal():
+                raise ValueError(fuel)
+            self.fuel = int(fuel)  # refuses numerals of more than 4300 digits
+        except ValueError:
             _reject(f"bad fuel {fuel!r}; expected a non-negative integer")
-        self.fuel = int(fuel)
         self.format = pick("format", "format", "text")
         if self.format not in ("text", "json"):
             _reject(f"bad format {self.format!r}; expected text or json")
@@ -229,7 +231,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     except EvalError as exc:
         print(f"evaluation error: {exc}", file=sys.stderr)
         return INPUT_ERROR
-    doc = {"value": pretty_value(result.value), "cost": inst.format(result.cost)}
+    doc = {"value": pretty(result.value), "cost": inst.format(result.cost)}
     code = OK
     if j is not None:
         doc["bound"] = inst.format(j.bound)

@@ -47,17 +47,16 @@ from rblam.syntax import (
     Term,
     Type,
     Unbox,
-    Value,
     Var,
-    alpha_eq_value,
-    embed,
+    alpha_eq,
+    children,
     free_vars,
     pretty,
     pretty_type,
+    rebuild,
     rename_binders,
     substitute,
     term_size,
-    to_value,
 )
 from rblam.typecheck import (
     Context,
@@ -69,7 +68,6 @@ from rblam.typecheck import (
     check_expected,
     derive,
     is_subtype,
-    retype_value,
     synthesize,
 )
 
@@ -450,41 +448,35 @@ def gen_typed_term(
     return _gen(st, ctx, goal, cfg.max_depth).term
 
 
-def gen_value(cfg: GenConfig, goal: Type, rng: random.Random, depth: int) -> Value:
+def gen_value(cfg: GenConfig, goal: Type, rng: random.Random, depth: int) -> Term:
     """Generate a closed value of the goal type (lambda bodies may be
     arbitrary generated terms)."""
     inst = cfg.lattice
-    candidate: Value
+    candidate: Term
     match goal:
         case Bool():
-            return to_value(TT() if rng.random() < 0.5 else FF())
+            return TT() if rng.random() < 0.5 else FF()
         case Nat():
-            return to_value(NatLit(rng.randint(0, 3)))
+            return NatLit(rng.randint(0, 3))
         case Prod(left, right):
-            return to_value(
-                Pair(
-                    embed(gen_value(cfg, left, rng, depth - 1)),
-                    embed(gen_value(cfg, right, rng, depth - 1)),
-                )
-            )
+            return Pair(gen_value(cfg, left, rng, depth - 1), gen_value(cfg, right, rng, depth - 1))
         case Arrow(dom, cod, latent):
             dom = concretize(dom, inst, rng, cfg.mode)
             st = _GenState(cfg, rng)
             x = st.fresh_name("a")
             body = _gen(st, Context(((x, dom),)), cod, max(depth - 1, 1)).term
-            candidate = to_value(Lam(x, dom, body))
+            candidate = Lam(x, dom, body)
         case Box(grade, body_ty):
-            inner = gen_value(cfg, body_ty, rng, depth - 1)
-            candidate = to_value(BoxT(grade, embed(inner)))
+            candidate = BoxT(grade, gen_value(cfg, body_ty, rng, depth - 1))
         case _:
             raise TypeError(f"no value rule for {goal!r}")
     try:
-        j = retype_value(candidate, inst.large_budget(), cfg.mode, cfg.resolved_deltas())
+        j = synthesize(Context(), candidate, inst.large_budget(), cfg.mode, cfg.resolved_deltas())
         if goal_matches(j.type, goal, inst):
             return candidate
     except TypingError:
         pass
-    return to_value(minimal_inhabitant(concretize(goal, inst, mode=cfg.mode)))
+    return minimal_inhabitant(concretize(goal, inst, mode=cfg.mode))
 
 
 # ---------------------------------------------------------------------------
@@ -560,29 +552,12 @@ def _paths(d: Derivation, prefix: tuple[int, ...] = (), ctx: tuple[tuple[str, Ty
 def _replace(t: Term, path: tuple[int, ...], new: Term) -> Term:
     if not path:
         return new
-    i, rest = path[0], path[1:]
-    match t:
-        case Lam(name, annot, body):
-            return Lam(name, annot, _replace(body, rest, new))
-        case BoxT(grade, body):
-            return BoxT(grade, _replace(body, rest, new))
-        case Fst(arg):
-            return Fst(_replace(arg, rest, new))
-        case Snd(arg):
-            return Snd(_replace(arg, rest, new))
-        case Unbox(arg):
-            return Unbox(_replace(arg, rest, new))
-        case App(a, b):
-            return App(_replace(a, rest, new), b) if i == 0 else App(a, _replace(b, rest, new))
-        case Pair(a, b):
-            return Pair(_replace(a, rest, new), b) if i == 0 else Pair(a, _replace(b, rest, new))
-        case If(c, a, b):
-            if i == 0:
-                return If(_replace(c, rest, new), a, b)
-            if i == 1:
-                return If(c, _replace(a, rest, new), b)
-            return If(c, a, _replace(b, rest, new))
-    raise IndexError(path)
+    kids = list(children(t))
+    i = path[0]
+    if not 0 <= i < len(kids):
+        raise IndexError(path)
+    kids[i] = _replace(kids[i], path[1:], new)
+    return rebuild(t, kids)
 
 
 # ---------------------------------------------------------------------------
@@ -722,7 +697,7 @@ def _trial_determinism(cfg: GenConfig, trial: int) -> Failure | None:
     if r1 != r2:
         return _fail(cfg, trial, term, "evaluation is deterministic",
                      {"cost1": inst.format(r1.cost), "cost2": inst.format(r2.cost)})
-    if r1.cost != r3.cost or not alpha_eq_value(r1.value, r3.value):
+    if r1.cost != r3.cost or not alpha_eq(r1.value, r3.value):
         return _fail(
             cfg, trial, term, "evaluation is alpha-invariant",
             {"cost": inst.format(r1.cost), "renamed_cost": inst.format(r3.cost)},
@@ -738,7 +713,7 @@ def _trial_preservation(cfg: GenConfig, trial: int) -> Failure | None:
     try:
         j = synthesize(Context(), term, budget, cfg.mode, deltas)
         r = evaluate(term, deltas)
-        j2 = retype_value(r.value, budget, cfg.mode, deltas)
+        j2 = synthesize(Context(), r.value, budget, cfg.mode, deltas)
     except (TypingError, EvalError) as exc:
         return _fail(cfg, trial, term, "typed terms evaluate and retype", {"error": str(exc)})
     if not is_subtype(j2.type, j.type, cfg.mode, inst):
@@ -807,12 +782,12 @@ def _trial_box_laws(cfg: GenConfig, trial: int) -> Failure | None:
     # grade monotone acceptance
     v = gen_value(cfg, goal, rng, 3)
     try:
-        jv = retype_value(v, budget, cfg.mode, deltas)
+        jv = synthesize(Context(), v, budget, cfg.mode, deltas)
         assert isinstance(jv.type, Box)
         wider = Box(inst.join(jv.type.grade, inst.random_element(rng)), jv.type.body)
-        check_expected(Context(), embed(v), wider, budget, cfg.mode, deltas)
+        check_expected(Context(), v, wider, budget, cfg.mode, deltas)
     except (TypingError, AssertionError) as exc:
-        return _fail(cfg, trial, embed(v), "grade monotone acceptance", {"error": str(exc)})
+        return _fail(cfg, trial, v, "grade monotone acceptance", {"error": str(exc)})
 
     # grade bounds evaluation cost of the boxed term
     if isinstance(term, BoxT):
@@ -864,9 +839,9 @@ def _trial_substitution(cfg: GenConfig, trial: int) -> Failure | None:
     val_ty = sample_type(rng, 2, weights, inst)
     v = gen_value(cfg, val_ty, rng, 3)
     try:
-        annot = retype_value(v, budget, cfg.mode, deltas).type
+        annot = synthesize(Context(), v, budget, cfg.mode, deltas).type
     except TypingError as exc:
-        return _fail(cfg, trial, embed(v), "generated value typechecks", {"type_error": str(exc)})
+        return _fail(cfg, trial, v, "generated value typechecks", {"type_error": str(exc)})
 
     goal = sample_type(rng, 2, weights, inst)
     open_term = gen_typed_term(cfg, Context((("x", annot),)), goal, trial)

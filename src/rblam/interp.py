@@ -1,14 +1,16 @@
 """Big-step call-by-value evaluator with explicit cost accounting.
 
-Values evaluate to themselves at cost bottom; application substitutes the
-argument value into the lambda body. The value is closed, so substitution
-shares every subterm that does not mention the parameter: one application
-rebuilds only the paths down to the parameter's occurrences, and a chain of
-nested applications evaluates in time linear in its size. Each rule charges
-the corresponding delta: application, conditionals, projections, and
-unboxing. Evaluation is deterministic and total on well-typed closed terms;
-the fuel guard turns ill-typed or runaway inputs into clean errors instead
-of divergence. The trace printer prints each shared term once.
+Values are the terms for which `is_value` holds, and each evaluates to
+itself at cost bottom; results are built as `Pair` and `BoxT` terms, so no
+value is converted back into a term. Application substitutes the argument
+value into the lambda body. The value is closed, so substitution shares
+every subterm that does not mention the parameter: one application rebuilds
+only the paths down to the parameter's occurrences, and a chain of nested
+applications evaluates in time linear in its size. Each rule charges the
+corresponding delta: application, conditionals, projections, and unboxing.
+Evaluation is deterministic and total on well-typed closed terms; the fuel
+guard turns ill-typed or runaway inputs into clean errors instead of
+divergence. The trace printer prints each shared term once.
 """
 
 from __future__ import annotations
@@ -19,23 +21,19 @@ from rblam.lattice import LatticeElement, LatticeInstance
 from rblam.syntax import (
     App,
     BoxT,
+    FF,
     Fst,
     If,
+    Lam,
     Pair,
     Snd,
+    TT,
     Term,
     Unbox,
-    VBox,
-    VFF,
-    VLam,
-    VPair,
-    VTT,
-    Value,
     Var,
-    embed,
+    is_value,
     pretty,
     substitute,
-    to_value,
 )
 from rblam.typecheck import DeltaProfile
 
@@ -57,7 +55,7 @@ class FuelExhausted(EvalError):
 
 @dataclass(frozen=True)
 class CostedResult:
-    value: Value
+    value: Term
     cost: LatticeElement
 
 
@@ -89,51 +87,50 @@ def evaluate_trace(
 
 def _eval(
     t: Term, d: DeltaProfile, inst: LatticeInstance, counter: list[int], tracing: bool
-) -> tuple[Value, LatticeElement, EvalTrace | None]:
+) -> tuple[Term, LatticeElement, EvalTrace | None]:
     """The operational rules: one call per derivation node, each spending one
     unit of fuel. The node's EvalTrace is built only when `tracing` is set;
     otherwise the third result is None."""
     counter[0] -= 1
     if counter[0] < 0:
         raise FuelExhausted("evaluation fuel exhausted")
-    v = to_value(t)
-    if v is not None:
+    if is_value(t):
         bot = inst.bottom()
-        return v, bot, EvalTrace("Val", t, bot) if tracing else None
+        return t, bot, EvalTrace("Val", t, bot) if tracing else None
     match t:
         case Pair(a, b):
             va, ka, ta = _eval(a, d, inst, counter, tracing)
             vb, kb, tb = _eval(b, d, inst, counter, tracing)
             node = EvalTrace("Pair", t, inst.bottom(), (ta, tb)) if tracing else None
-            return VPair(va, vb), inst.combine(ka, kb), node
+            return Pair(va, vb), inst.combine(ka, kb), node
         case Fst(arg):
             va, k, tr = _eval(arg, d, inst, counter, tracing)
-            if not isinstance(va, VPair):
-                raise Stuck(f"fst of non-pair value {pretty(embed(va))}")
+            if not isinstance(va, Pair):
+                raise Stuck(f"fst of non-pair value {pretty(va)}")
             node = EvalTrace("Fst", t, d.proj, (tr,)) if tracing else None
             return va.fst, inst.combine(k, d.proj), node
         case Snd(arg):
             va, k, tr = _eval(arg, d, inst, counter, tracing)
-            if not isinstance(va, VPair):
-                raise Stuck(f"snd of non-pair value {pretty(embed(va))}")
+            if not isinstance(va, Pair):
+                raise Stuck(f"snd of non-pair value {pretty(va)}")
             node = EvalTrace("Snd", t, d.proj, (tr,)) if tracing else None
             return va.snd, inst.combine(k, d.proj), node
         case If(cond, then, other):
             vc, kc, tc = _eval(cond, d, inst, counter, tracing)
-            if isinstance(vc, VTT):
+            if isinstance(vc, TT):
                 rule = "IfT"
                 vb, kb, tb = _eval(then, d, inst, counter, tracing)
-            elif isinstance(vc, VFF):
+            elif isinstance(vc, FF):
                 rule = "IfF"
                 vb, kb, tb = _eval(other, d, inst, counter, tracing)
             else:
-                raise Stuck(f"if on non-boolean value {pretty(embed(vc))}")
+                raise Stuck(f"if on non-boolean value {pretty(vc)}")
             cost = inst.combine(inst.combine(kc, kb), d.iff)
             return vb, cost, EvalTrace(rule, t, d.iff, (tc, tb)) if tracing else None
         case App(fn, arg):
             vf, kf, tf = _eval(fn, d, inst, counter, tracing)
-            if not isinstance(vf, VLam):
-                raise Stuck(f"application of non-function value {pretty(embed(vf))}")
+            if not isinstance(vf, Lam):
+                raise Stuck(f"application of non-function value {pretty(vf)}")
             va, ka, ta = _eval(arg, d, inst, counter, tracing)
             body = substitute(vf.body, vf.name, va)
             vb, kb, tb = _eval(body, d, inst, counter, tracing)
@@ -142,13 +139,13 @@ def _eval(
         case BoxT(grade, body):
             vb, k, tb = _eval(body, d, inst, counter, tracing)
             node = EvalTrace("Box", t, inst.bottom(), (tb,)) if tracing else None
-            return VBox(grade, vb), k, node
+            return BoxT(grade, vb), k, node
         case Unbox(arg):
             va, k, tr = _eval(arg, d, inst, counter, tracing)
-            if not isinstance(va, VBox):
-                raise Stuck(f"unbox of non-box value {pretty(embed(va))}")
+            if not isinstance(va, BoxT):
+                raise Stuck(f"unbox of non-box value {pretty(va)}")
             node = EvalTrace("Unbox", t, d.unbox, (tr,)) if tracing else None
-            return va.value, inst.combine(k, d.unbox), node
+            return va.body, inst.combine(k, d.unbox), node
         case Var(name):
             raise Stuck(f"unbound variable {name!r}: term is not closed")
     raise Stuck(f"no rule applies to {pretty(t)}")

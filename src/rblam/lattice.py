@@ -10,6 +10,7 @@ for failures instead of assuming lawfulness.
 from __future__ import annotations
 
 import itertools
+import os
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
 
@@ -534,125 +535,48 @@ def check_laws(inst: LatticeInstance, sample: Sequence[LatticeElement] | None = 
 
     report = LawReport(lattice=inst.name, sample_size=len(els))
     bot = inst.bottom()
+    leq, combine, join = inst.leq, inst.combine, inst.join
 
-    def run(law: str, witness: tuple | None, checked: int):
-        report.results.append(LawResult(law, witness is None, witness, checked))
+    def run(law: str, cases: Iterable[tuple[tuple, bool]]):
+        """Count (witness, holds) cases up to the first that fails."""
+        checked = 0
+        for witness, holds in cases:
+            checked += 1
+            if not holds:
+                report.results.append(LawResult(law, False, witness, checked))
+                return
+        report.results.append(LawResult(law, True, None, checked))
 
     # order axioms
-    w, n = None, 0
-    for a in els:
-        n += 1
-        if not inst.leq(a, a):
-            w = (a,)
-            break
-    run("leq-reflexive", w, n)
-
-    leq_pairs = [(a, b) for a in els for b in els if inst.leq(a, b)]
+    run("leq-reflexive", (((a,), leq(a, a)) for a in els))
+    leq_pairs = [(a, b) for a in els for b in els if leq(a, b)]
     succs: dict[LatticeElement, list[LatticeElement]] = {}
     for a, b in leq_pairs:
         succs.setdefault(a, []).append(b)
+    run("leq-transitive", (((a, b, c), leq(a, c)) for a, b in leq_pairs for c in succs.get(b, ())))
+    run("leq-antisymmetric", (((a, b), a == b or not leq(b, a)) for a, b in leq_pairs))
 
-    w, n = None, 0
-    for a, b in leq_pairs:
-        for c in succs.get(b, ()):
-            n += 1
-            if not inst.leq(a, c):
-                w = (a, b, c)
-                break
-        if w:
-            break
-    run("leq-transitive", w, n)
-
-    w, n = None, 0
-    for a, b in leq_pairs:
-        n += 1
-        if a != b and inst.leq(b, a):
-            w = (a, b)
-            break
-    run("leq-antisymmetric", w, n)
-
-    # combine axioms
-    w, n = None, 0
-    for a in els:
-        for b in els:
-            n += 1
-            if inst.combine(a, b) != inst.combine(b, a):
-                w = (a, b)
-                break
-        if w:
-            break
-    run("combine-commutative", w, n)
-
-    w, n = None, 0
-    for a in els:
-        for b in els:
-            ab = inst.combine(a, b)
-            for c in els:
-                n += 1
-                if inst.combine(ab, c) != inst.combine(a, inst.combine(b, c)):
-                    w = (a, b, c)
-                    break
-            if w:
-                break
-        if w:
-            break
-    run("combine-associative", w, n)
-
-    w, n = None, 0
-    for a in els:
-        n += 1
-        if inst.combine(a, bot) != a:
-            w = (a,)
-            break
-    run("combine-bottom-identity", w, n)
-
-    w, n = None, 0
-    for a, a2 in leq_pairs:
-        for b, b2 in leq_pairs:
-            n += 1
-            if not inst.leq(inst.combine(a, b), inst.combine(a2, b2)):
-                w = (a, a2, b, b2)
-                break
-        if w:
-            break
-    run("combine-monotone", w, n)
+    # combine axioms; each pair's combine and join is computed once
+    run("combine-commutative", (((a, b), combine(a, b) == combine(b, a)) for a in els for b in els))
+    run("combine-associative", (
+        ((a, b, c), combine(ab, c) == combine(a, combine(b, c)))
+        for a in els for b in els for ab in (combine(a, b),) for c in els
+    ))
+    run("combine-bottom-identity", (((a,), combine(a, bot) == a) for a in els))
+    run("combine-monotone", (
+        ((a, a2, b, b2), leq(combine(a, b), combine(a2, b2)))
+        for a, a2 in leq_pairs for b, b2 in leq_pairs
+    ))
 
     # join axioms: least upper bound
-    w, n = None, 0
-    for a in els:
-        for b in els:
-            n += 1
-            j = inst.join(a, b)
-            if not (inst.leq(a, j) and inst.leq(b, j)):
-                w = (a, b)
-                break
-        if w:
-            break
-    run("join-upper-bound", w, n)
-
-    w, n = None, 0
-    for a in els:
-        for b in els:
-            j = inst.join(a, b)
-            for c in els:
-                n += 1
-                if inst.leq(a, c) and inst.leq(b, c) and not inst.leq(j, c):
-                    w = (a, b, c)
-                    break
-            if w:
-                break
-        if w:
-            break
-    run("join-least", w, n)
-
-    w, n = None, 0
-    for a in els:
-        n += 1
-        if not inst.leq(bot, a):
-            w = (a,)
-            break
-    run("bottom-least", w, n)
-
+    run("join-upper-bound", (
+        ((a, b), leq(a, j) and leq(b, j)) for a in els for b in els for j in (join(a, b),)
+    ))
+    run("join-least", (
+        ((a, b, c), not (leq(a, c) and leq(b, c)) or leq(j, c))
+        for a in els for b in els for j in (join(a, b),) for c in els
+    ))
+    run("bottom-least", (((a,), leq(bot, a)) for a in els))
     return report
 
 
@@ -733,8 +657,6 @@ def load_lattice(path: str, check: bool = True) -> FiniteLattice:
     checker and refuse unlawful tables."""
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
-    import os
-
     inst = parse_lattice_table(text, name=os.path.splitext(os.path.basename(path))[0])
     if check:
         report = check_laws(inst)

@@ -1,9 +1,13 @@
 """Exhaustive finite-lattice checks for the semantic constructions: the
 downset family internalizing the lattice, per-type section families
 (tabulated interpretations of types as budget-indexed sets of certified
-values), reification of sections back to syntax, and a concrete
+values), the check that each section reifies to itself, and a concrete
 cost-annotated set model with a compositional term interpretation checked
 against the operational semantics.
+
+A section is a (value, bound) pair, and a value is a term in normal form,
+so a section is already its own reification. The model interprets a value
+with the same `DenModel._interp` clauses as any other term.
 
 Section families are tabulated with paper-mode judgments: a value's
 synthesized bound under those rules is exactly the bound stored in its
@@ -40,21 +44,11 @@ from rblam.syntax import (
     Term,
     Type,
     Unbox,
-    VBox,
-    VFF,
-    VLam,
-    VNat,
-    VPair,
-    VTT,
-    Value,
     Var,
     alpha_eq,
-    embed,
     pretty,
     pretty_type,
-    pretty_value,
     substitute,
-    to_value,
 )
 from rblam.typecheck import (
     Context,
@@ -62,12 +56,11 @@ from rblam.typecheck import (
     Judgment,
     Mode,
     TypingError,
-    retype_value,
     synthesize,
 )
 
 
-Section = tuple[Value, LatticeElement]
+Section = tuple[Term, LatticeElement]  # a value and its bound
 
 
 @dataclass(frozen=True)
@@ -207,7 +200,7 @@ class PresheafRep:
 
 def _fmt_section(inst: LatticeInstance, s: Section) -> str:
     v, b = s
-    return f"({pretty_value(v)}, {inst.format(b)})"
+    return f"({pretty(v)}, {inst.format(b)})"
 
 
 class _Interpreter:
@@ -235,10 +228,10 @@ class _Interpreter:
         sections: dict[LatticeElement, set[Section]]
         match ty:
             case Bool():
-                base = {(VTT(), bot), (VFF(), bot)}
+                base = {(TT(), bot), (FF(), bot)}
                 sections = {r: set(base) for r in self.els}
             case Nat():
-                base = {(VNat(n), bot) for n in range(self.enum.max_nat + 1)}
+                base = {(NatLit(n), bot) for n in range(self.enum.max_nat + 1)}
                 sections = {r: set(base) for r in self.els}
                 notes["max_nat"] = self.enum.max_nat
             case Prod(left, right):
@@ -252,7 +245,7 @@ class _Interpreter:
                         for (v2, b2) in rrep.sections[r]:
                             b = inst.combine(b1, b2)
                             if inst.leq(b, r):
-                                out.add((VPair(v1, v2), b))
+                                out.add((Pair(v1, v2), b))
                     sections[r] = out
             case Box(grade, body):
                 brep = self.interpret(body)
@@ -260,7 +253,7 @@ class _Interpreter:
                 sections = {}
                 for r in self.els:
                     sections[r] = {
-                        (VBox(grade, v), b)
+                        (BoxT(grade, v), b)
                         for (v, b) in brep.sections[r]
                         if inst.leq(b, grade)
                     }
@@ -273,7 +266,7 @@ class _Interpreter:
             exhaustive = False
             notes["section_cap"] = self.enum.max_sections
             sections = {
-                r: set(itertools.islice(sorted(s, key=lambda p: pretty_value(p[0])), self.enum.max_sections))
+                r: set(itertools.islice(sorted(s, key=lambda p: pretty(p[0])), self.enum.max_sections))
                 for r, s in sections.items()
             }
 
@@ -301,10 +294,10 @@ class _Interpreter:
             return {r: set() for r in self.els}, False, notes
 
         dom_rep = self.interpret(dom)
-        args = sorted(dom_rep.sections[top], key=lambda p: pretty_value(p[0]))
+        args = sorted(dom_rep.sections[top], key=lambda p: pretty(p[0]))
         exhaustive = dom_rep.exhaustive
 
-        corpus: list[tuple[Value, LatticeElement, LatticeElement]] = []
+        corpus: list[tuple[Term, LatticeElement, LatticeElement]] = []
         bodies: list[Term] = []
         for size in range(1, self.enum.max_term_size):
             bodies.extend(self._bodies((("x", dom),), cod, size))
@@ -334,26 +327,26 @@ class _Interpreter:
                     b_sub = self.synth_bound(Context(), sub).bound
                     result = evaluate(sub, self.enum.deltas)
                 except (TypingError, EvalError) as exc:
-                    findings.append(f"{pretty(lam)} on {pretty_value(v)}: {exc}")
+                    findings.append(f"{pretty(lam)} on {pretty(v)}: {exc}")
                     admissible = False
                     break
                 if not inst.leq(result.cost, b_sub):
                     findings.append(
-                        f"substituted body cost escapes bound: {pretty(lam)} on {pretty_value(v)}"
+                        f"substituted body cost escapes bound: {pretty(lam)} on {pretty(v)}"
                     )
                 try:
-                    b_w = retype_value(result.value, self.budget, Mode.PAPER, self.enum.deltas).bound
+                    b_w = self.synth_bound(Context(), result.value).bound
                 except TypingError as exc:
                     findings.append(f"result of {pretty(lam)} does not retype: {exc}")
                     admissible = False
                     break
                 if not inst.leq(b_w, b_sub):
                     findings.append(
-                        f"result bound escapes body bound: {pretty(lam)} on {pretty_value(v)}"
+                        f"result bound escapes body bound: {pretty(lam)} on {pretty(v)}"
                     )
                 need = inst.join(need, inst.combine(inst.combine(b_a, b_sub), self.enum.deltas.app))
             if admissible:
-                corpus.append((to_value(lam), b_body, need))
+                corpus.append((lam, b_body, need))
 
         sections = {
             r: {(v, b) for (v, b, need) in corpus if inst.leq(need, r)}
@@ -440,7 +433,7 @@ def check_presheaf(rep: PresheafRep, deltas: DeltaProfile) -> CheckReport:
             )
             if sec not in retype_cache:
                 try:
-                    j = retype_value(v, budget, Mode.PAPER, deltas)
+                    j = synthesize(Context(), v, budget, Mode.PAPER, deltas)
                     retype_cache[sec] = (j.type, j.bound)
                 except TypingError as exc:
                     retype_cache[sec] = str(exc)
@@ -479,7 +472,7 @@ def reify_and_check(rep: PresheafRep, deltas: DeltaProfile) -> CheckReport:
         for sec in secs:
             v, b = sec
             try:
-                j = retype_value(v, budget, Mode.PAPER, deltas)
+                j = synthesize(Context(), v, budget, Mode.PAPER, deltas)
                 c.expect(
                     j.type == rep.type and inst.leq(j.bound, b) and inst.leq(j.bound, r),
                     f"clause 1 fails for {_fmt_section(inst, sec)} at r={inst.format(r)}",
@@ -490,9 +483,9 @@ def reify_and_check(rep: PresheafRep, deltas: DeltaProfile) -> CheckReport:
                 continue
             seen.add(sec)
             try:
-                result = evaluate(embed(v), deltas)
+                result = evaluate(v, deltas)
                 c.expect(
-                    result.cost == bot and alpha_eq(embed(result.value), embed(v)),
+                    result.cost == bot and alpha_eq(result.value, v),
                     f"clause 2 fails for {_fmt_section(inst, sec)}: cost {inst.format(result.cost)}",
                 )
             except EvalError as exc:
@@ -507,10 +500,10 @@ def check_box_subpresheaf(box_rep: PresheafRep, body_rep: PresheafRep) -> CheckR
     c = _Checker(f"box-embedding[{pretty_type(box_rep.type)}]")
     for r, secs in box_rep.sections.items():
         for (v, b) in secs:
-            ok = isinstance(v, VBox) and (v.value, b) in body_rep.sections[r]
+            ok = isinstance(v, BoxT) and (v.body, b) in body_rep.sections[r]
             c.expect(
                 ok,
-                f"({pretty_value(v)}, {inst.format(b)}) does not embed at r={inst.format(r)}",
+                f"({pretty(v)}, {inst.format(b)}) does not embed at r={inst.format(r)}",
             )
     return c.report()
 
@@ -555,22 +548,6 @@ class DenModel:
         _check_deltas(deltas, lattice)
         self.lattice = lattice
         self.deltas = deltas
-
-    def den_of_value(self, v: Value) -> Den:
-        match v:
-            case VTT():
-                return True
-            case VFF():
-                return False
-            case VNat(n):
-                return n
-            case VPair(a, b):
-                return (self.den_of_value(a), self.den_of_value(b))
-            case VBox(grade, inner):
-                return BoxDen(grade, self.den_of_value(inner))
-            case VLam(name, _, body):
-                return FnDen(lambda d: self._interp(body, {name: d}))
-        raise TypeError(f"no denotation for {v!r}")
 
     def _interp(self, t: Term, env: dict[str, Den]) -> tuple[Den, LatticeElement]:
         inst = self.lattice
@@ -630,52 +607,50 @@ def interpret_term(t: Term, j: Judgment, m: DenModel) -> tuple[Den, LatticeEleme
     return m._interp(t, {})
 
 
-def _probe_values(ty: Type, max_nat: int = 2) -> list[Value]:
+def _probe_values(ty: Type, max_nat: int = 2) -> list[Term]:
     match ty:
         case Bool():
-            return [VTT(), VFF()]
+            return [TT(), FF()]
         case Nat():
-            return [VNat(n) for n in range(max_nat + 1)]
+            return [NatLit(n) for n in range(max_nat + 1)]
         case Prod(left, right):
             probes = [
-                VPair(a, b)
+                Pair(a, b)
                 for a in _probe_values(left, max_nat)
                 for b in _probe_values(right, max_nat)
             ]
             return probes[:4]
         case Arrow(dom, cod, _):
-            return [to_value(Lam("u", dom, minimal_inhabitant(cod)))]
+            return [Lam("u", dom, minimal_inhabitant(cod))]
         case Box(grade, body):
-            return [VBox(grade, p) for p in _probe_values(body, max_nat)][:3]
+            return [BoxT(grade, p) for p in _probe_values(body, max_nat)][:3]
     raise TypeError(f"no probes for {ty!r}")
 
 
-def den_matches_value(den: Den, v: Value, m: DenModel) -> bool:
+def den_matches_value(den: Den, v: Term, m: DenModel) -> bool:
     """Structural agreement, with functions compared observationally on a
     deterministic probe set: the denotation's application must produce the
     same value and cost as operational application."""
-    inst = m.lattice
     match v:
-        case VTT():
+        case TT():
             return den is True
-        case VFF():
+        case FF():
             return den is False
-        case VNat(n):
+        case NatLit(n):
             return den == n
-        case VPair(a, b):
+        case Pair(a, b):
             return (
                 isinstance(den, tuple)
                 and den_matches_value(den[0], a, m)
                 and den_matches_value(den[1], b, m)
             )
-        case VBox(grade, inner):
+        case BoxT(grade, inner):
             return isinstance(den, BoxDen) and den.grade == grade and den_matches_value(den.inner, inner, m)
-        case VLam(name, annot, body):
+        case Lam(name, annot, body):
             if not isinstance(den, FnDen):
                 return False
             for probe in _probe_values(annot):
-                dp = m.den_of_value(probe)
-                db, cb = den(dp)
+                db, cb = den(m._interp(probe, {})[0])
                 sub = substitute(body, name, probe)
                 try:
                     result = evaluate(sub, m.deltas)
@@ -716,7 +691,7 @@ def check_cost_preservation(
         )
         c.expect(
             den_matches_value(den, result.value, m),
-            f"denotation disagrees with value {pretty_value(result.value)}: {pretty(term)}",
+            f"denotation disagrees with value {pretty(result.value)}: {pretty(term)}",
         )
         c.expect(
             inst.leq(cost, j.bound),

@@ -1,6 +1,12 @@
-"""Surface syntax for the resource-bounded lambda calculus: type, term, and
-value ASTs, a recursive-descent parser, a printer that round-trips through
-the parser, capture-avoiding substitution, and alpha-equivalence.
+"""Surface syntax for the resource-bounded lambda calculus: type and term
+ASTs, a recursive-descent parser, a printer that round-trips through the
+parser, capture-avoiding substitution, and alpha-equivalence. Values are the
+terms in normal form (`is_value`); there is no separate value AST.
+
+The structure-only walks (free variables, substitution, alpha-equivalence,
+renaming, size) visit subterms through one `children`/`rebuild` pair, read
+off each node class's dataclass fields once at import, and keep only their
+`Var` and `Lam` binder cases.
 
 Terms are immutable and may share subterms. Each node keeps its free
 variables once computed, and substituting a closed value shares every
@@ -27,7 +33,9 @@ Grammar (whitespace-insensitive, `#` line comments):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
+from typing import Callable, Sequence
 
 from rblam.lattice import LatticeElement, LatticeError, LatticeInstance
 
@@ -140,86 +148,56 @@ class Unbox(Term):
     arg: Term
 
 
-class Value:
-    pass
+# ---------------------------------------------------------------------------
+# One traversal: every node class lists its labels (name, annotation, grade,
+# literal) before its subterms, so its children and its rebuild are read off
+# its dataclass fields once, here.
 
 
-@dataclass(frozen=True)
-class VLam(Value):
-    name: str
-    annot: Type
-    body: Term
+def _getter(names: list[str]) -> Callable[[Term], tuple]:
+    if not names:
+        return lambda t: ()
+    if len(names) == 1:
+        get = attrgetter(names[0])
+        return lambda t: (get(t),)
+    return attrgetter(*names)
 
 
-@dataclass(frozen=True)
-class VPair(Value):
-    fst: Value
-    snd: Value
+_LABELS: dict[type, Callable[[Term], tuple]] = {}
+_CHILDREN: dict[type, Callable[[Term], tuple[Term, ...]]] = {}
+for _cls in Term.__subclasses__():
+    _names = [f.name for f in fields(_cls)]
+    _kids = [f.name for f in fields(_cls) if f.type in ("Term", Term)]
+    _labels = _names[: len(_names) - len(_kids)]
+    if _labels + _kids != _names:
+        raise TypeError(f"{_cls.__name__} lists a label after a subterm")
+    _LABELS[_cls], _CHILDREN[_cls] = _getter(_labels), _getter(_kids)
 
 
-@dataclass(frozen=True)
-class VTT(Value):
-    pass
+def children(t: Term) -> tuple[Term, ...]:
+    """The immediate subterms of t, in field order."""
+    return _CHILDREN[type(t)](t)
 
 
-@dataclass(frozen=True)
-class VFF(Value):
-    pass
+def rebuild(t: Term, kids: Sequence[Term]) -> Term:
+    """t's node over new subterms, given in the order of children(t). A leaf
+    has none and is returned as it is."""
+    return type(t)(*_LABELS[type(t)](t), *kids) if kids else t
 
 
-@dataclass(frozen=True)
-class VNat(Value):
-    value: int
-
-
-@dataclass(frozen=True)
-class VBox(Value):
-    grade: LatticeElement
-    value: Value
-
-
-def embed(v: Value) -> Term:
-    """Every value is a term."""
-    match v:
-        case VLam(name, annot, body):
-            return Lam(name, annot, body)
-        case VPair(a, b):
-            return Pair(embed(a), embed(b))
-        case VTT():
-            return TT()
-        case VFF():
-            return FF()
-        case VNat(n):
-            return NatLit(n)
-        case VBox(grade, inner):
-            return BoxT(grade, embed(inner))
-    raise TypeError(f"not a value: {v!r}")
-
-
-def to_value(t: Term) -> Value | None:
-    """The value a term denotes syntactically, or None for non-values."""
-    match t:
-        case Lam(name, annot, body):
-            return VLam(name, annot, body)
-        case Pair(a, b):
-            va, vb = to_value(a), to_value(b)
-            if va is not None and vb is not None:
-                return VPair(va, vb)
-            return None
-        case TT():
-            return VTT()
-        case FF():
-            return VFF()
-        case NatLit(n):
-            return VNat(n)
-        case BoxT(grade, body):
-            vb = to_value(body)
-            return None if vb is None else VBox(grade, vb)
-    return None
+_VALUE_LEAVES = (Lam, TT, FF, NatLit)
 
 
 def is_value(t: Term) -> bool:
-    return to_value(t) is not None
+    """Values are the terms in normal form: lambdas, literals, and pairs and
+    boxes of values."""
+    if isinstance(t, _VALUE_LEAVES):
+        return True
+    if isinstance(t, Pair):
+        return is_value(t.fst) and is_value(t.snd)
+    if isinstance(t, BoxT):
+        return is_value(t.body)
+    return False
 
 
 _CLOSED: frozenset[str] = frozenset()
@@ -240,14 +218,13 @@ def free_vars(t: Term) -> frozenset[str]:
             fv = free_vars(body)
             if name in fv:
                 fv = fv - {name} or _CLOSED
-        case App(a, b) | Pair(a, b):
-            fv = _union(free_vars(a), free_vars(b))
-        case Fst(arg) | Snd(arg) | Unbox(arg) | BoxT(_, arg):
-            fv = free_vars(arg)
-        case If(c, a, b):
-            fv = _union(_union(free_vars(c), free_vars(a)), free_vars(b))
         case _:
-            return _CLOSED
+            kids = children(t)
+            if not kids:
+                return _CLOSED
+            fv = _CLOSED
+            for kid in kids:
+                fv = _union(fv, free_vars(kid))
     object.__setattr__(t, "_fv", fv)
     return fv
 
@@ -266,14 +243,13 @@ def fresh_name(base: str, avoid: frozenset[str] | set[str]) -> str:
     return f"{stem}_{i}"
 
 
-def substitute(t: Term, name: str, v: Value) -> Term:
+def substitute(t: Term, name: str, v: Term) -> Term:
     """Capture-avoiding substitution t[name := v]. Binders shadowing `name`
     block the substitution; binders that would capture a free variable of v
     are renamed (unreachable for closed v, kept for safety). A closed v
     leaves every subterm without a free `name` in place: the result shares
     it instead of copying it, so only the paths down to `name` are rebuilt."""
-    replacement = embed(v)
-    return _subst(t, name, replacement, free_vars(replacement))
+    return _subst(t, name, v, free_vars(v))
 
 
 def _subst(t: Term, x: str, r: Term, fv_r: frozenset[str]) -> Term:
@@ -291,22 +267,10 @@ def _subst(t: Term, x: str, r: Term, fv_r: frozenset[str]) -> Term:
                 body = _subst(body, name, Var(renamed), frozenset({renamed}))
                 name = renamed
             return Lam(name, annot, _subst(body, x, r, fv_r))
-        case App(fn, arg):
-            return App(_subst(fn, x, r, fv_r), _subst(arg, x, r, fv_r))
-        case Pair(a, b):
-            return Pair(_subst(a, x, r, fv_r), _subst(b, x, r, fv_r))
-        case Fst(arg):
-            return Fst(_subst(arg, x, r, fv_r))
-        case Snd(arg):
-            return Snd(_subst(arg, x, r, fv_r))
-        case If(c, a, b):
-            return If(_subst(c, x, r, fv_r), _subst(a, x, r, fv_r), _subst(b, x, r, fv_r))
-        case BoxT(grade, body):
-            return BoxT(grade, _subst(body, x, r, fv_r))
-        case Unbox(arg):
-            return Unbox(_subst(arg, x, r, fv_r))
-        case _:
-            return t
+    kids = []
+    for kid in children(t):
+        kids.append(_subst(kid, x, r, fv_r))
+    return rebuild(t, kids)
 
 
 def alpha_eq(a: Term, b: Term) -> bool:
@@ -316,6 +280,8 @@ def alpha_eq(a: Term, b: Term) -> bool:
 
 
 def _aeq(a: Term, b: Term, enva: dict[str, int], envb: dict[str, int], depth: int) -> bool:
+    if type(a) is not type(b):
+        return False
     match (a, b):
         case (Var(x), Var(y)):
             ia, ib = enva.get(x), envb.get(y)
@@ -330,29 +296,13 @@ def _aeq(a: Term, b: Term, enva: dict[str, int], envb: dict[str, int], depth: in
             enva2[x] = depth
             envb2[y] = depth
             return _aeq(ba, bb, enva2, envb2, depth + 1)
-        case (App(f1, a1), App(f2, a2)):
-            return _aeq(f1, f2, enva, envb, depth) and _aeq(a1, a2, enva, envb, depth)
-        case (Pair(x1, y1), Pair(x2, y2)):
-            return _aeq(x1, x2, enva, envb, depth) and _aeq(y1, y2, enva, envb, depth)
-        case (Fst(t1), Fst(t2)) | (Snd(t1), Snd(t2)) | (Unbox(t1), Unbox(t2)):
-            return _aeq(t1, t2, enva, envb, depth)
-        case (If(c1, t1, e1), If(c2, t2, e2)):
-            return (
-                _aeq(c1, c2, enva, envb, depth)
-                and _aeq(t1, t2, enva, envb, depth)
-                and _aeq(e1, e2, enva, envb, depth)
-            )
-        case (BoxT(g1, t1), BoxT(g2, t2)):
-            return g1 == g2 and _aeq(t1, t2, enva, envb, depth)
-        case (TT(), TT()) | (FF(), FF()):
-            return True
-        case (NatLit(m), NatLit(n)):
-            return m == n
-    return False
-
-
-def alpha_eq_value(a: Value, b: Value) -> bool:
-    return alpha_eq(embed(a), embed(b))
+    labels = _LABELS[type(a)]
+    if labels(a) != labels(b):
+        return False
+    for ka, kb in zip(children(a), children(b)):
+        if not _aeq(ka, kb, enva, envb, depth):
+            return False
+    return True
 
 
 def rename_binders(t: Term, prefix: str = "v") -> Term:
@@ -372,38 +322,19 @@ def rename_binders(t: Term, prefix: str = "v") -> Term:
                 env2 = dict(env)
                 env2[name] = new
                 return Lam(new, annot, go(body, env2))
-            case App(fn, arg):
-                return App(go(fn, env), go(arg, env))
-            case Pair(a, b):
-                return Pair(go(a, env), go(b, env))
-            case Fst(arg):
-                return Fst(go(arg, env))
-            case Snd(arg):
-                return Snd(go(arg, env))
-            case If(c, a, b):
-                return If(go(c, env), go(a, env), go(b, env))
-            case BoxT(grade, body):
-                return BoxT(grade, go(body, env))
-            case Unbox(arg):
-                return Unbox(go(arg, env))
-            case _:
-                return t
+        kids = []
+        for kid in children(t):
+            kids.append(go(kid, env))
+        return rebuild(t, kids)
 
     return go(t, {})
 
 
 def term_size(t: Term) -> int:
-    match t:
-        case Lam(_, _, body) | BoxT(_, body):
-            return 1 + term_size(body)
-        case App(a, b) | Pair(a, b):
-            return 1 + term_size(a) + term_size(b)
-        case Fst(arg) | Snd(arg) | Unbox(arg):
-            return 1 + term_size(arg)
-        case If(c, a, b):
-            return 1 + term_size(c) + term_size(a) + term_size(b)
-        case _:
-            return 1
+    n = 1
+    for kid in children(t):
+        n += term_size(kid)
+    return n
 
 
 # ---------------------------------------------------------------------------
@@ -458,8 +389,13 @@ def _atom(t: Term, memo: dict[int, str] | None) -> str:
     return f"({pretty(t, memo)})"
 
 
-def pretty_value(v: Value) -> str:
-    return pretty(embed(v))
+def pretty_value(v: Term) -> str:
+    """The same as pretty: values are terms. The benchmark's check-corpus
+    workload still prints its expected values through this name. It is a
+    function of its own, not `pretty_value = pretty`, because the
+    benchmark's tracer keys functions by identity and would then report
+    every pretty call under this name."""
+    return pretty(v)
 
 
 def pretty_type(ty: Type) -> str:
@@ -612,11 +548,22 @@ class _Parser:
 
     # literals ------------------------------------------------------------
 
+    def natural(self) -> int:
+        """The value of the NAT token at the cursor. The tokenizer takes every
+        Unicode digit, and int() refuses some of them (superscripts) and
+        numerals of more than 4300 digits."""
+        tok = self.next()
+        try:
+            return int(tok.text)
+        except ValueError:
+            if tok.text.isdecimal():
+                self.fail(f"natural literal of {len(tok.text)} digits is too long", tok)
+            self.fail(f"bad natural literal {tok.text!r}", tok)
+
     def parse_raw_literal(self):
         tok = self.peek()
         if tok.kind == "NAT":
-            self.next()
-            return int(tok.text)
+            return self.natural()
         if tok.kind == "IDENT":
             self.next()
             return tok.text
@@ -710,8 +657,7 @@ class _Parser:
             self.next()
             return FF()
         if tok.kind == "NAT":
-            self.next()
-            return NatLit(int(tok.text))
+            return NatLit(self.natural())
         if tok.kind == "IDENT":
             self.next()
             return Var(tok.text)

@@ -45,9 +45,7 @@ from rblam.syntax import (
     Term,
     Type,
     Unbox,
-    Value,
     Var,
-    embed,
     pretty,
     pretty_type,
 )
@@ -325,14 +323,6 @@ def derive(
             return Derivation("Unbox", t, ad.type.body, inst.combine(ad.bound, d.unbox), (ad,))
 
     raise TypingError(f"cannot type {pretty(t)}")
-
-
-def retype_value(
-    v: Value, budget: LatticeElement, mode: Mode, deltas: DeltaProfile
-) -> Judgment:
-    """Synthesize on the term a closed value embeds to. Used to check that
-    evaluation results keep their type at a bound below the original."""
-    return synthesize(Context(), embed(v), budget, mode, deltas)
 
 
 def check_expected(

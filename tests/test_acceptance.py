@@ -17,7 +17,7 @@ from rblam.lattice import (
     load_lattice,
 )
 from rblam.model import DenModel, check_cost_preservation, run_model_checks
-from rblam.syntax import alpha_eq, parse, pretty_type
+from rblam.syntax import alpha_eq, parse, pretty, pretty_type
 from rblam.typecheck import (
     Context,
     DeltaProfile,
@@ -184,9 +184,7 @@ def test_criterion_7_worked_goldens():
         ("fst (tt, ff)", "tt", 1),
     ]:
         result = evaluate(parse(src, NAT), D)
-        from rblam.syntax import pretty_value
-
-        checks.append(pretty_value(result.value) == value and result.cost == NAT.element(cost))
+        checks.append(pretty(result.value) == value and result.cost == NAT.element(cost))
 
     # typing examples: (source, mode, type, bound)
     for src, mode, ty, bound in [

@@ -213,8 +213,9 @@ class TestModel:
 
 
 class TestGoldenReports:
-    """Seeded fuzz reports pinned byte for byte. A change to the generated
-    term stream or to the minimizer changes these digests; update them only
+    """Seeded fuzz reports, and model and laws reports, pinned byte for byte.
+    A change to the generated term stream, to the minimizer, to the section
+    families or to the law checker changes these digests; update them only
     for a deliberate change of that kind."""
 
     @pytest.mark.parametrize(
@@ -225,11 +226,19 @@ class TestGoldenReports:
             (["fuzz", "--hunt", "--mode", "paper", "--fn-var-reuse", "--count", "300", "--seed", "5",
               "--format", "json"],
              "bc28c03b6e58f865692c528a041c09fc5b4eabde840229b83718df3b4437be93"),
+            (["model", "--lattice", "sat2", "--interp-corpus", "300", "--format", "json"],
+             "b922ddfdb84a93854436899db8a81dc51b16df9de25d6d472fdcb0685f638071"),
+            (["model", "--lattice-file", "DATA/diamond.lat", "--format", "json"],
+             "b6620ab14e2648229713c9e5bccc03daa3ec003d1fa08d1a915a37976e4813fd"),
+            (["laws", "--lattice", "triple", "--sample", "0..6", "--format", "json"],
+             "3532086b65e6e76ab4a923d399290eaa3bef99f32927d1de37c41b934c23c092"),
+            (["laws", "--lattice-file", "DATA/diamond.lat", "--format", "json"],
+             "fb19a56b790c2783c6ef894ef0773fea925c0e7aec07ad8ce3fa26ff537f6e56"),
         ],
-        ids=["fuzz-triple", "hunt-paper"],
+        ids=["fuzz-triple", "hunt-paper", "model-sat2", "model-diamond", "laws-triple", "laws-diamond"],
     )
-    def test_report_digest(self, capsys, argv, digest):
-        main(argv)
+    def test_report_digest(self, capsys, data_dir, argv, digest):
+        main([a.replace("DATA", str(data_dir)) for a in argv])
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -280,7 +289,11 @@ class TestConfigFile:
 
 
 class TestInputErrors:
-    @pytest.mark.parametrize("line", ["mode = bogus", "fuel = lots", "fuel = -4", "format = xml"])
+    @pytest.mark.parametrize(
+        "line",
+        ["mode = bogus", "fuel = lots", "fuel = -4", "format = xml", "fuel = " + "7" * 5000],
+        ids=lambda line: line if len(line) < 20 else "fuel = 5000 digits",
+    )
     def test_bad_config_value(self, program, tmp_path, capsys, line):
         cfg = tmp_path / "session.cfg"
         cfg.write_text(line + "\n")
@@ -303,6 +316,7 @@ class TestInputErrors:
             ["model", "--lattice", "sat2", "--max-nat", "-1"],
             ["model", "--lattice", "sat2", "--max-term-size", "-1"],
             ["model", "--lattice", "sat2", "--interp-corpus", "-1"],
+            ["eval", "PROG", "--budget", "²"],
         ],
         ids=" ".join,
     )
@@ -312,3 +326,18 @@ class TestInputErrors:
         err = capsys.readouterr().err
         assert code == 2
         assert "error: " in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "source",
+        ["box[²] tt", "(lam x : Bool . x) ²", "7" * 5000],
+        ids=["grade", "argument", "5000 digits"],
+    )
+    def test_bad_numeral_in_program(self, program, capsys, source):
+        code = main(["check", program(source), "--lattice", "nat"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "natural literal" in err and "Traceback" not in err
+
+    def test_arabic_indic_digit_still_parses(self, program, capsys):
+        assert main(["eval", program("(lam x : Nat . x) ٣"), "--lattice", "nat"]) == 0
+        assert "value: 3" in capsys.readouterr().out

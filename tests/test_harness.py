@@ -24,19 +24,19 @@ from rblam.syntax import (
     App,
     Bool,
     Box,
+    FF,
     If,
     Lam,
     Pair,
     TT,
     Var,
     alpha_eq,
-    embed,
     free_vars,
     parse,
     pretty,
     term_size,
 )
-from rblam.typecheck import Context, DeltaProfile, Mode, TypingError, retype_value, synthesize
+from rblam.typecheck import Context, DeltaProfile, Mode, TypingError, synthesize
 
 D = DeltaProfile.default(NAT)
 BIG = NAT.element(10**6)
@@ -181,8 +181,8 @@ class TestValues:
         for _ in range(80):
             ty = sample_type(rng, 2, cfg.weights(), NAT)
             v = gen_value(cfg, ty, rng, 3)
-            assert not free_vars(embed(v))
-            j = retype_value(v, BIG, Mode.SOUND, D)
+            assert not free_vars(v)
+            j = synthesize(Context(), v, BIG, Mode.SOUND, D)
             assert goal_matches(j.type, ty, NAT)
 
     def test_minimal_inhabitants_cost_nothing(self):
@@ -251,6 +251,13 @@ class TestMinimizer:
         cfg = GenConfig(lattice=NAT, seed=0, mode=Mode.PAPER)
         term = parse("(if tt then ff else tt) tt", NAT)
         assert minimize(term, lambda t: True, cfg) == term
+
+    def test_replace_rejects_a_path_past_the_children(self):
+        app = parse("(lam x : Bool . x) (if tt then ff else tt)", NAT)
+        assert harness._replace(app, (1, 2), FF()) == parse("(lam x : Bool . x) (if tt then ff else ff)", NAT)
+        for path in [(2,), (-1,), (1, 3), (0, 0, 0)]:
+            with pytest.raises(IndexError):
+                harness._replace(app, path, FF())
 
     def test_compensated_double_use_is_sound(self):
         # a costful else-branch inflates the bound enough to cover the

@@ -5,12 +5,11 @@ import pytest
 from rblam.harness import GenConfig, gen_typed_term, gen_value
 from rblam.lattice import NAT, TRIPLE
 from rblam.syntax import (
-    VFF,
-    VNat,
-    VPair,
-    VTT,
+    FF,
+    NatLit,
+    Pair,
+    TT,
     alpha_eq,
-    embed,
     is_value,
     parse,
     rename_binders,
@@ -37,31 +36,31 @@ def run(src):
 class TestGoldens:
     def test_value_costs_nothing(self):
         r = run("tt")
-        assert r.value == VTT() and r.cost == NAT.element(0)
+        assert r.value == TT() and r.cost == NAT.element(0)
 
     def test_conditional(self):
         r = run("if tt then ff else tt")
-        assert r.value == VFF() and r.cost == NAT.element(1)
+        assert r.value == FF() and r.cost == NAT.element(1)
 
     def test_application(self):
         r = run("(lam x : Bool . if x then ff else tt) tt")
-        assert r.value == VFF() and r.cost == NAT.element(2)
+        assert r.value == FF() and r.cost == NAT.element(2)
 
     def test_unbox(self):
         r = run("unbox (box[5] tt)")
-        assert r.value == VTT() and r.cost == NAT.element(1)
+        assert r.value == TT() and r.cost == NAT.element(1)
 
     def test_projection(self):
         r = run("fst (tt, ff)")
-        assert r.value == VTT() and r.cost == NAT.element(1)
+        assert r.value == TT() and r.cost == NAT.element(1)
 
     def test_nat_literal(self):
         r = run("snd (tt, 7)")
-        assert r.value == VNat(7) and r.cost == NAT.element(1)
+        assert r.value == NatLit(7) and r.cost == NAT.element(1)
 
     def test_paper_witness_costs_five(self):
         r = run("(lam f : Bool -> Bool . (f tt, f tt)) (lam x : Bool . if x then ff else tt)")
-        assert r.value == VPair(VFF(), VFF()) and r.cost == NAT.element(5)
+        assert r.value == Pair(FF(), FF()) and r.cost == NAT.element(5)
 
 
 class TestTraces:
@@ -162,7 +161,7 @@ class TestDeterminism:
         renamed = rename_binders(term)
         r1, r2 = evaluate(term, D), evaluate(renamed, D)
         assert r1.cost == r2.cost
-        assert alpha_eq(embed(r1.value), embed(r2.value))
+        assert alpha_eq(r1.value, r2.value)
 
 
 class TestValueFixpoint:
@@ -174,11 +173,23 @@ class TestValueFixpoint:
         for i in range(40):
             ty = sample_type(rng, 2, cfg.weights(), NAT)
             v = gen_value(cfg, ty, rng, 3)
-            term = embed(v)
-            assert is_value(term)
-            result = evaluate(term, D)
+            assert is_value(v)
+            result = evaluate(v, D)
             assert result.cost == NAT.element(0)
-            assert result.value == v
+            assert result.value is v
+
+    @pytest.mark.parametrize("lattice", [NAT, TRIPLE], ids=["nat", "triple"])
+    def test_exactly_values_evaluate_to_themselves_at_bottom(self, lattice):
+        cfg = GenConfig(lattice=lattice, seed=11, max_depth=5)
+        deltas = DeltaProfile.default(lattice)
+        values = 0
+        for i in range(500):
+            term = gen_typed_term(cfg, trial=i)
+            result = evaluate(term, deltas)
+            returned_itself = result.value is term and result.cost == lattice.bottom()
+            assert is_value(term) == returned_itself, term
+            values += returned_itself
+        assert 50 < values < 450
 
 
 class TestErrors:

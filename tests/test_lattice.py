@@ -146,6 +146,29 @@ class TestLawChecker:
         assert "combine-associative" in failed or "combine-monotone" in failed
         witness = next(r for r in report.failures() if r.law == "combine-monotone")
         assert witness.witness is not None
+        # every law's case count and witness: each law stops at its first failure
+        laws = [
+            ("leq-reflexive", 3, None),
+            ("leq-transitive", 10, None),
+            ("leq-antisymmetric", 6, None),
+            ("combine-commutative", 9, None),
+            ("combine-associative", 2, ["0", "0", "1"]),
+            ("combine-bottom-identity", 1, ["0"]),
+            ("combine-monotone", 2, ["0", "0", "0", "1"]),
+            ("join-upper-bound", 9, None),
+            ("join-least", 27, None),
+            ("bottom-least", 3, None),
+        ]
+        assert report.to_dict() == {
+            "lattice": "broken",
+            "sample_size": 3,
+            "passed": False,
+            "laws": [
+                {"law": law, "ok": names is None, "checked": checked,
+                 "witness": None if names is None else [f"<broken:{n}>" for n in names]}
+                for law, checked, names in laws
+            ],
+        }
 
     def test_empty_sample_rejected(self):
         with pytest.raises(LatticeError):

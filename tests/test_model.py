@@ -29,10 +29,10 @@ from rblam.syntax import (
     Bool,
     Box,
     Nat,
+    BoxT,
+    FF,
     Prod,
-    VBox,
-    VFF,
-    VTT,
+    TT,
     parse,
 )
 from rblam.typecheck import Context, DeltaProfile, Mode, synthesize
@@ -92,7 +92,7 @@ class TestTypeInterpretation:
     def test_bool_sections_constant(self):
         inst = sat(3)
         rep = interpret_type(Bool(), inst, enum_for(inst))
-        expected = {(VTT(), inst.bottom()), (VFF(), inst.bottom())}
+        expected = {(TT(), inst.bottom()), (FF(), inst.bottom())}
         for r in inst.enumerate():
             assert rep.sections[r] == expected
 
@@ -108,8 +108,8 @@ class TestTypeInterpretation:
         rep = interpret_type(Box(inst.bottom(), Bool()), inst, enum_for(inst))
         for r in inst.enumerate():
             assert rep.sections[r] == {
-                (VBox(inst.bottom(), VTT()), inst.bottom()),
-                (VBox(inst.bottom(), VFF()), inst.bottom()),
+                (BoxT(inst.bottom(), TT()), inst.bottom()),
+                (BoxT(inst.bottom(), FF()), inst.bottom()),
             }
 
     def test_nat_truncated(self):
@@ -124,18 +124,14 @@ class TestTypeInterpretation:
         inst = sat(4)
         rep = interpret_type(Arrow(Bool(), Bool(), None), inst, enum_for(inst))
         lam = parse("lam x : Bool . if x then ff else tt", inst)
-        from rblam.syntax import to_value
-
-        target = (to_value(lam), inst.element(1))
+        target = (lam, inst.element(1))
         assert target in rep.sections[inst.element(2)]
         assert target not in rep.sections[inst.element(1)]
 
     def test_identity_lambda_admitted_at_delta_app(self):
         inst = sat(4)
         rep = interpret_type(Arrow(Bool(), Bool(), None), inst, enum_for(inst))
-        from rblam.syntax import to_value
-
-        ident = (to_value(parse("lam x : Bool . x", inst)), inst.element(0))
+        ident = (parse("lam x : Bool . x", inst), inst.element(0))
         assert ident in rep.sections[inst.element(1)]
         assert ident not in rep.sections[inst.element(0)]
 
@@ -174,7 +170,7 @@ class TestSectionFamilyChecks:
         reps = interpret_types([Box(grade, Bool()), Bool()], inst, enum)
         body = reps[Bool()]
         for r in inst.enumerate():
-            body.sections[r].discard((VTT(), inst.bottom()))
+            body.sections[r].discard((TT(), inst.bottom()))
         assert not check_box_subpresheaf(reps[Box(grade, Bool())], body).ok
 
 
@@ -245,9 +241,7 @@ class TestDenModel:
         (den, cost), _ = self.interp("lam x : Bool . if x then ff else tt")
         assert isinstance(den, FnDen)
         value = parse("lam x : Bool . if x then ff else tt", NAT)
-        from rblam.syntax import to_value
-
-        assert den_matches_value(den, to_value(value), self.m)
+        assert den_matches_value(den, value, self.m)
 
     def test_judgment_required_to_match(self):
         term = parse("tt", NAT)

@@ -23,13 +23,9 @@ from rblam.syntax import (
     TT,
     Term,
     Unbox,
-    VBox,
-    VLam,
-    VPair,
-    VTT,
     Var,
     alpha_eq,
-    embed,
+    children,
     free_vars,
     is_value,
     parse,
@@ -37,10 +33,10 @@ from rblam.syntax import (
     parse_type,
     pretty,
     pretty_type,
+    rebuild,
     rename_binders,
     substitute,
     term_size,
-    to_value,
 )
 
 
@@ -117,7 +113,7 @@ class TestPrint:
         assert pretty(BoxT(TRIPLE.element((1, 2, 0)), TT())) == "box[(1,2,0)] tt"
 
     def test_lambda_embedding(self):
-        assert pretty(embed(VLam("x", Bool(), Var("x")))) == "lam x : Bool . x"
+        assert pretty(Lam("x", Bool(), Var("x"))) == "lam x : Bool . x"
 
     def test_type_printing(self):
         assert pretty_type(Arrow(Prod(Bool(), Nat()), Bool(), None)) == "Bool * Nat -> Bool"
@@ -141,48 +137,48 @@ class TestPrint:
 
 class TestSubstitution:
     def test_var_case(self):
-        assert substitute(Var("x"), "x", VTT()) == TT()
+        assert substitute(Var("x"), "x", TT()) == TT()
 
     def test_shadowing_blocks(self):
         t = Lam("x", Bool(), Var("x"))
-        assert substitute(t, "x", VTT()) == t
+        assert substitute(t, "x", TT()) == t
 
     def test_application(self):
         t = App(Var("f"), TT())
-        v = VLam("y", Bool(), Var("y"))
+        v = Lam("y", Bool(), Var("y"))
         assert substitute(t, "f", v) == App(Lam("y", Bool(), Var("y")), TT())
 
     def test_preserves_closedness(self):
         t = parse("lam y : Bool . (x, y)", NAT)
         assert free_vars(t) == {"x"}
-        closed = substitute(t, "x", VTT())
+        closed = substitute(t, "x", TT())
         assert free_vars(closed) == frozenset()
 
     def test_capture_avoided_for_open_replacement(self):
         # replacement mentions free y; binder y must be renamed
         t = Lam("y", Bool(), App(Var("x"), Var("y")))
-        v = VLam("z", Bool(), Var("y"))
+        v = Lam("z", Bool(), Var("y"))
         result = substitute(t, "x", v)
         assert "y" in free_vars(result)
         assert isinstance(result, Lam) and result.name != "y"
 
     def test_untouched_when_absent(self):
         t = parse("lam y : Bool . y", NAT)
-        assert substitute(t, "x", VTT()) == t
+        assert substitute(t, "x", TT()) == t
 
     def test_closed_value_shares_untouched_subterms(self):
         lam = Lam("y", Bool(), Var("y"))
-        result = substitute(App(lam, Var("x")), "x", VTT())
+        result = substitute(App(lam, Var("x")), "x", TT())
         assert result == App(lam, TT())
         assert result.fn is lam
 
     def test_open_value_renames_capturing_binders(self):
         t = Lam("y", Bool(), App(Var("x"), Var("y")))
-        v = VLam("z", Bool(), Var("y"))
+        v = Lam("z", Bool(), Var("y"))
         assert substitute(t, "x", v) == Lam("y_1", Bool(), App(Lam("z", Bool(), Var("y")), Var("y_1")))
 
     def test_open_value_renames_binders_where_the_name_is_absent(self):
-        v = VLam("z", Bool(), Var("y"))
+        v = Lam("z", Bool(), Var("y"))
         assert substitute(Lam("y", Bool(), Var("y")), "x", v) == Lam("y_1", Bool(), Var("y_1"))
 
     def test_cached_free_vars_match_a_fresh_computation(self):
@@ -192,7 +188,7 @@ class TestSubstitution:
             for lam in nodes(gen_typed_term(cfg, trial=i)):
                 if not isinstance(lam, Lam):
                     continue
-                for v in (VTT(), VLam("z", Bool(), Var("w"))):
+                for v in (TT(), Lam("z", Bool(), Var("w"))):
                     result = substitute(lam.body, lam.name, v)
                     for node in nodes(result):
                         assert free_vars(node) == fresh_free_vars(node), pretty(node)
@@ -262,14 +258,42 @@ class TestValues:
     def test_application_is_not(self):
         assert not is_value(App(Lam("x", Bool(), Var("x")), TT()))
 
-    def test_embed_round_trip(self):
-        v = VBox(NAT.element(3), VPair(VTT(), VLam("x", Bool(), Var("x"))))
-        assert to_value(embed(v)) == v
-        assert is_value(embed(v))
-
     def test_free_vars(self):
         t = Lam("x", Bool(), App(Var("x"), Var("y")))
         assert free_vars(t) == {"y"}
+
+
+EVERY_NODE_CLASS = [
+    Var("x"),
+    Lam("x", Bool(), Var("x")),
+    App(Var("f"), TT()),
+    Pair(TT(), NatLit(4)),
+    Fst(Var("p")),
+    Snd(Var("p")),
+    If(Var("c"), TT(), FF()),
+    TT(),
+    FF(),
+    NatLit(7),
+    BoxT(NAT.element(2), FF()),
+    Unbox(Var("b")),
+]
+
+
+class TestTraversal:
+    def test_every_node_class_is_listed(self):
+        assert {type(t) for t in EVERY_NODE_CLASS} == set(Term.__subclasses__())
+
+    @pytest.mark.parametrize("t", EVERY_NODE_CLASS, ids=lambda t: type(t).__name__)
+    def test_rebuild_of_children_is_the_node(self, t):
+        assert rebuild(t, children(t)) == t
+
+    def test_children_in_field_order_and_rebuild_keeps_labels(self):
+        t = If(Var("c"), TT(), FF())
+        assert children(t) == (Var("c"), TT(), FF())
+        assert rebuild(t, [FF(), NatLit(1), NatLit(2)]) == If(FF(), NatLit(1), NatLit(2))
+        box = BoxT(NAT.element(2), FF())
+        assert rebuild(box, [TT()]) == BoxT(NAT.element(2), TT())
+        assert children(NatLit(7)) == () and rebuild(NatLit(7), ()) == NatLit(7)
 
 
 nat_terms = st.recursive(

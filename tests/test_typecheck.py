@@ -6,15 +6,14 @@ from rblam.syntax import (
     Bool,
     Box,
     Nat,
+    BoxT,
+    FF,
+    If,
+    Lam,
+    Pair,
     Prod,
     TT,
-    VBox,
-    VFF,
-    VLam,
-    VPair,
-    VTT,
     Var,
-    If,
     parse,
     parse_type,
 )
@@ -26,7 +25,6 @@ from rblam.typecheck import (
     TypingError,
     check_expected,
     is_subtype,
-    retype_value,
     synthesize,
     type_lub,
 )
@@ -95,23 +93,26 @@ class TestBudgetCheck:
 
 
 class TestRetypeValue:
+    """A closed value synthesizes its type at bound bottom, except a paper-mode
+    lambda, whose bound is its body's."""
+
     def test_boolean(self):
-        j = retype_value(VTT(), BUDGET, Mode.PAPER, D)
+        j = synthesize(Context(), TT(), BUDGET, Mode.PAPER, D)
         assert j.type == Bool() and j.bound == NAT.element(0)
 
     def test_boxed_value(self):
-        j = retype_value(VBox(NAT.element(3), VTT()), BUDGET, Mode.PAPER, D)
+        j = synthesize(Context(), BoxT(NAT.element(3), TT()), BUDGET, Mode.PAPER, D)
         assert j.type == Box(NAT.element(3), Bool())
         assert j.bound == NAT.element(0)
 
     def test_pair(self):
-        j = retype_value(VPair(VTT(), VFF()), BUDGET, Mode.PAPER, D)
+        j = synthesize(Context(), Pair(TT(), FF()), BUDGET, Mode.PAPER, D)
         assert j.type == Prod(Bool(), Bool()) and j.bound == NAT.element(0)
 
     def test_lambda_bound_differs_by_mode(self):
-        v = VLam("x", Bool(), parse("if x then ff else tt", NAT))
-        assert retype_value(v, BUDGET, Mode.PAPER, D).bound == NAT.element(1)
-        sound = retype_value(v, BUDGET, Mode.SOUND, D)
+        v = Lam("x", Bool(), parse("if x then ff else tt", NAT))
+        assert synthesize(Context(), v, BUDGET, Mode.PAPER, D).bound == NAT.element(1)
+        sound = synthesize(Context(), v, BUDGET, Mode.SOUND, D)
         assert sound.bound == NAT.element(0)
         assert sound.type == Arrow(Bool(), Bool(), NAT.element(1))
 
