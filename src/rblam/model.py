@@ -1,9 +1,14 @@
 """Exhaustive finite-lattice checks for the semantic constructions: the
-downset family internalizing the lattice, per-type section families
+lattice laws the constructions rely on, per-type section families
 (tabulated interpretations of types as budget-indexed sets of certified
-values), the check that each section reifies to itself, and a concrete
-cost-annotated set model with a compositional term interpretation checked
-against the operational semantics.
+values), and a concrete cost-annotated set model with a compositional term
+interpretation checked against the operational semantics.
+
+Only checks that can fail on a faulty lattice, typechecker or evaluator are
+run. A family is built as `{s | need(s) <= r}` at each budget r, or as a
+product or filter of such families, so its monotonicity in r and the
+embedding of a boxed family into its body's follow from the lattice laws;
+the laws are checked instead, with `lattice.check_laws` over every element.
 
 A section is a (value, bound) pair, and a value is a term in normal form,
 so a section is already its own reification. The model interprets a value
@@ -11,20 +16,23 @@ with the same `DenModel._interp` clauses as any other term.
 
 Section families are tabulated with paper-mode judgments: a value's
 synthesized bound under those rules is exactly the bound stored in its
-section (a lambda's bound is its body bound). The term interpretation and
-cost-preservation check run in sound mode, where the synthesized bound
-dominates the model cost under arbitrary function reuse.
+section (a lambda's bound is its body bound). Tabulating an arrow family
+evaluates each lambda body on every argument; a cost above the body's
+bound there is a finding, and each finding fails the family's check. The
+term interpretation and cost-preservation check run in sound mode, where
+the synthesized bound dominates the model cost under arbitrary function
+reuse.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 from rblam.harness import minimal_inhabitant, type_contains_arrow
 from rblam.interp import EvalError, evaluate
-from rblam.lattice import LatticeElement, LatticeInstance
+from rblam.lattice import LatticeElement, LatticeInstance, check_laws
 from rblam.syntax import (
     App,
     Arrow,
@@ -62,17 +70,19 @@ from rblam.typecheck import (
 
 Section = tuple[Term, LatticeElement]  # a value and its bound
 
+# Tabulated sections per budget, and lambdas per arrow corpus, before a
+# family is cut there and flagged non-exhaustive.
+MAX_SECTIONS = 4000
+
 
 @dataclass(frozen=True)
 class EnumBudget:
     """Enumeration limits: largest Nat literal, largest lambda (whole-term
-    size) admitted to arrow corpora, the delta profile, and a cap on
-    tabulated sections before a family is flagged non-exhaustive."""
+    size) admitted to arrow corpora, and the delta profile."""
 
     deltas: DeltaProfile
     max_nat: int = 3
     max_term_size: int = 7
-    max_sections: int = 4000
 
 
 @dataclass
@@ -104,10 +114,11 @@ class _Checker:
         self.checked = 0
         self.counterexamples: list[str] = []
 
-    def expect(self, ok: bool, witness: str):
+    def expect(self, ok: bool, witness: Callable[[], str]):
+        """Count one case; on failure, call `witness` for its description."""
         self.checked += 1
         if not ok and len(self.counterexamples) < 10:
-            self.counterexamples.append(witness)
+            self.counterexamples.append(witness())
 
     def report(self, notes: dict | None = None) -> CheckReport:
         return CheckReport(
@@ -117,68 +128,6 @@ class _Checker:
             counterexamples=self.counterexamples,
             notes=notes or {},
         )
-
-
-# ---------------------------------------------------------------------------
-# Downsets and internal operations
-
-
-@dataclass
-class DownsetRep:
-    lattice: LatticeInstance
-    sections: dict[LatticeElement, frozenset[LatticeElement]]
-
-
-def build_downset(inst: LatticeInstance) -> DownsetRep:
-    """Tabulate r -> {a | a below r} over a finite lattice."""
-    els = inst.enumerate()
-    sections = {
-        r: frozenset(a for a in els if inst.leq(a, r))
-        for r in els
-    }
-    return DownsetRep(lattice=inst, sections=sections)
-
-
-def check_internal_naturality(inst: LatticeInstance) -> CheckReport:
-    """Internal lattice operations on downsets: join and bottom stay inside
-    each downset; combine lands below the combined budget (its monotonicity,
-    stated where it is true: a,b below r1 and r1 below r2 imply a+b below
-    r2+r2); inclusions are well-defined and commute with the operations."""
-    els = inst.enumerate()
-    down = build_downset(inst)
-    c = _Checker("internal-operation-naturality")
-    fmt = inst.format
-
-    for r in els:
-        c.expect(inst.leq(inst.bottom(), r), f"bottom not below {fmt(r)}")
-        for a in down.sections[r]:
-            for b in down.sections[r]:
-                c.expect(
-                    inst.leq(inst.join(a, b), r),
-                    f"join escapes downset: r={fmt(r)}, a={fmt(a)}, b={fmt(b)}",
-                )
-
-    leq_pairs = [(r1, r2) for r1 in els for r2 in els if inst.leq(r1, r2)]
-    for r1, r2 in leq_pairs:
-        for a in down.sections[r1]:
-            c.expect(
-                a in down.sections[r2],
-                f"inclusion undefined: r1={fmt(r1)}, r2={fmt(r2)}, a={fmt(a)}",
-            )
-            for b in down.sections[r1]:
-                combined = inst.combine(a, b)
-                budget = inst.combine(r2, r2)
-                c.expect(
-                    inst.leq(combined, budget),
-                    f"combine not monotone: r1={fmt(r1)}, r2={fmt(r2)}, a={fmt(a)}, b={fmt(b)}",
-                )
-                # square over the inclusion: applying join below r1 and then
-                # including must land inside the r2 downset
-                c.expect(
-                    inst.leq(inst.join(a, b), r2),
-                    f"join square broken at r1={fmt(r1)}, r2={fmt(r2)}, a={fmt(a)}, b={fmt(b)}",
-                )
-    return c.report(notes={"elements": len(els)})
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +141,7 @@ class PresheafRep:
     sections: dict[LatticeElement, set[Section]]
     exhaustive: bool
     notes: dict[str, Any] = field(default_factory=dict)
+    findings: list[str] = field(default_factory=list)  # faults seen while tabulating
 
     def section_count(self) -> int:
         top_sizes = [len(s) for s in self.sections.values()]
@@ -222,6 +172,7 @@ class _Interpreter:
             return self.memo[ty]
         exhaustive = True
         notes: dict[str, Any] = {}
+        findings: list[str] = []
         inst = self.inst
         bot = inst.bottom()
 
@@ -258,15 +209,15 @@ class _Interpreter:
                         if inst.leq(b, grade)
                     }
             case Arrow(dom, cod, None):
-                sections, exhaustive, notes = self._arrow_sections(ty, dom, cod)
+                sections, exhaustive, notes, findings = self._arrow_sections(dom, cod)
             case _:
                 raise ValueError(f"cannot tabulate type {pretty_type(ty)}")
 
-        if any(len(s) > self.enum.max_sections for s in sections.values()):
+        if any(len(s) > MAX_SECTIONS for s in sections.values()):
             exhaustive = False
-            notes["section_cap"] = self.enum.max_sections
+            notes["section_cap"] = MAX_SECTIONS
             sections = {
-                r: set(itertools.islice(sorted(s, key=lambda p: pretty(p[0])), self.enum.max_sections))
+                r: set(itertools.islice(sorted(s, key=lambda p: pretty(p[0])), MAX_SECTIONS))
                 for r, s in sections.items()
             }
 
@@ -276,13 +227,14 @@ class _Interpreter:
             sections=sections,
             exhaustive=exhaustive,
             notes=notes,
+            findings=findings,
         )
         self.memo[ty] = rep
         return rep
 
     # arrow corpora ---------------------------------------------------------
 
-    def _arrow_sections(self, ty: Arrow, dom: Type, cod: Type):
+    def _arrow_sections(self, dom: Type, cod: Type):
         inst = self.inst
         notes: dict[str, Any] = {"max_term_size": self.enum.max_term_size}
         exhaustive = True
@@ -291,7 +243,7 @@ class _Interpreter:
         top = inst.top()
         if top is None or type_contains_arrow(dom):
             notes["skipped"] = "argument space not enumerable"
-            return {r: set() for r in self.els}, False, notes
+            return {r: set() for r in self.els}, False, notes, findings
 
         dom_rep = self.interpret(dom)
         args = sorted(dom_rep.sections[top], key=lambda p: pretty(p[0]))
@@ -303,10 +255,10 @@ class _Interpreter:
             bodies.extend(self._bodies((("x", dom),), cod, size))
         if not bodies:  # no lambda fits the size limit: an empty family is no evidence
             exhaustive = False
-        if len(bodies) > self.enum.max_sections:
-            bodies = bodies[: self.enum.max_sections]
+        if len(bodies) > MAX_SECTIONS:
+            bodies = bodies[:MAX_SECTIONS]
             exhaustive = False
-            notes["corpus_cap"] = self.enum.max_sections
+            notes["corpus_cap"] = MAX_SECTIONS
 
         for body in bodies:
             lam = Lam("x", dom, body)
@@ -354,9 +306,7 @@ class _Interpreter:
         }
         notes["corpus_size"] = len(corpus)
         notes["argument_count"] = len(args)
-        if findings:
-            notes["findings"] = findings[:10]
-        return sections, exhaustive, notes
+        return sections, exhaustive, notes, findings
 
     def _bodies(self, ctx: tuple[tuple[str, Type], ...], goal: Type, size: int) -> list[Term]:
         """All first-order bodies of exactly `size` nodes: variables,
@@ -415,21 +365,21 @@ def interpret_types(types: Iterable[Type], inst: LatticeInstance, enum: EnumBudg
 
 
 def check_presheaf(rep: PresheafRep, deltas: DeltaProfile) -> CheckReport:
-    """Sections are certified (bound below budget, value retypes at exactly
-    the stored bound and type) and monotone: every section admitted at r1 is
-    admitted at each r2 above it."""
+    """Sections are certified: each bound sits below its budget, and each
+    value retypes at exactly the stored bound and type. Each finding of the
+    family's tabulation (an arrow body that costs more than its bound, or
+    whose result does not retype within it) is one more failed case."""
     inst = rep.lattice
     c = _Checker(f"sections[{pretty_type(rep.type)}]")
     budget = inst.large_budget()
-    els = list(rep.sections)
 
     retype_cache: dict[Section, tuple[Type, LatticeElement] | str] = {}
-    for r in els:
-        for sec in rep.sections[r]:
+    for r, secs in rep.sections.items():
+        for sec in secs:
             v, b = sec
             c.expect(
                 inst.leq(b, r),
-                f"bound escapes budget: {_fmt_section(inst, sec)} at r={inst.format(r)}",
+                lambda: f"bound escapes budget: {_fmt_section(inst, sec)} at r={inst.format(r)}",
             )
             if sec not in retype_cache:
                 try:
@@ -439,73 +389,17 @@ def check_presheaf(rep: PresheafRep, deltas: DeltaProfile) -> CheckReport:
                     retype_cache[sec] = str(exc)
             cached = retype_cache[sec]
             if isinstance(cached, str):
-                c.expect(False, f"section does not retype: {_fmt_section(inst, sec)}: {cached}")
+                c.expect(False, lambda: f"section does not retype: {_fmt_section(inst, sec)}: {cached}")
             else:
                 ty, bound = cached
                 c.expect(
                     ty == rep.type and bound == b,
-                    f"section judgment mismatch: {_fmt_section(inst, sec)} retypes at "
+                    lambda: f"section judgment mismatch: {_fmt_section(inst, sec)} retypes at "
                     f"({pretty_type(ty)}, {inst.format(bound)})",
                 )
-
-    for r1 in els:
-        for r2 in els:
-            if not inst.leq(r1, r2):
-                continue
-            for sec in rep.sections[r1]:
-                c.expect(
-                    sec in rep.sections[r2],
-                    f"transition loses {_fmt_section(inst, sec)} from r1={inst.format(r1)} to r2={inst.format(r2)}",
-                )
+    for finding in rep.findings:
+        c.expect(False, lambda: finding)
     return c.report(notes=dict(rep.notes, exhaustive=rep.exhaustive))
-
-
-def reify_and_check(rep: PresheafRep, deltas: DeltaProfile) -> CheckReport:
-    """Sections reify to themselves: the value retypes at a bound below the
-    stored one and the budget, and evaluates to itself at cost bottom."""
-    inst = rep.lattice
-    c = _Checker(f"reification[{pretty_type(rep.type)}]")
-    budget = inst.large_budget()
-    bot = inst.bottom()
-    seen: set[Section] = set()
-    for r, secs in rep.sections.items():
-        for sec in secs:
-            v, b = sec
-            try:
-                j = synthesize(Context(), v, budget, Mode.PAPER, deltas)
-                c.expect(
-                    j.type == rep.type and inst.leq(j.bound, b) and inst.leq(j.bound, r),
-                    f"clause 1 fails for {_fmt_section(inst, sec)} at r={inst.format(r)}",
-                )
-            except TypingError as exc:
-                c.expect(False, f"clause 1 fails for {_fmt_section(inst, sec)}: {exc}")
-            if sec in seen:
-                continue
-            seen.add(sec)
-            try:
-                result = evaluate(v, deltas)
-                c.expect(
-                    result.cost == bot and alpha_eq(result.value, v),
-                    f"clause 2 fails for {_fmt_section(inst, sec)}: cost {inst.format(result.cost)}",
-                )
-            except EvalError as exc:
-                c.expect(False, f"clause 2 fails for {_fmt_section(inst, sec)}: {exc}")
-    return c.report()
-
-
-def check_box_subpresheaf(box_rep: PresheafRep, body_rep: PresheafRep) -> CheckReport:
-    """Stripping the box embeds each boxed section family into the body's."""
-    inst = box_rep.lattice
-    assert isinstance(box_rep.type, Box)
-    c = _Checker(f"box-embedding[{pretty_type(box_rep.type)}]")
-    for r, secs in box_rep.sections.items():
-        for (v, b) in secs:
-            ok = isinstance(v, BoxT) and (v.body, b) in body_rep.sections[r]
-            c.expect(
-                ok,
-                f"({pretty(v)}, {inst.format(b)}) does not embed at r={inst.format(r)}",
-            )
-    return c.report()
 
 
 # ---------------------------------------------------------------------------
@@ -677,25 +571,25 @@ def check_cost_preservation(
         try:
             j = synthesize(Context(), term, budget, mode, m.deltas)
         except TypingError as exc:
-            c.expect(False, f"{pretty(term)}: does not typecheck: {exc}")
+            c.expect(False, lambda: f"{pretty(term)}: does not typecheck: {exc}")
             continue
         den, cost = interpret_term(term, j, m)
         try:
             result = evaluate(term, m.deltas)
         except EvalError as exc:
-            c.expect(False, f"{pretty(term)}: {exc}")
+            c.expect(False, lambda: f"{pretty(term)}: {exc}")
             continue
         c.expect(
             cost == result.cost,
-            f"model cost {inst.format(cost)} differs from operational {inst.format(result.cost)}: {pretty(term)}",
+            lambda: f"model cost {inst.format(cost)} differs from operational {inst.format(result.cost)}: {pretty(term)}",
         )
         c.expect(
             den_matches_value(den, result.value, m),
-            f"denotation disagrees with value {pretty(result.value)}: {pretty(term)}",
+            lambda: f"denotation disagrees with value {pretty(result.value)}: {pretty(term)}",
         )
         c.expect(
             inst.leq(cost, j.bound),
-            f"model cost {inst.format(cost)} escapes bound {inst.format(j.bound)}: {pretty(term)}",
+            lambda: f"model cost {inst.format(cost)} escapes bound {inst.format(j.bound)}: {pretty(term)}",
         )
     return c.report(notes={"corpus": len(corpus)})
 
@@ -758,31 +652,25 @@ def run_model_checks(
     types: list[Type] | None = None,
     enum: EnumBudget | None = None,
 ) -> ModelReport:
-    """Run every finite-model check over one lattice: downset shape,
-    internal operations, and per-type section family, reification, and box
-    embedding."""
+    """Run every finite-model check over one lattice: `lattice-laws`, the
+    lattice axioms over every element, then one `sections[T]` check per
+    type: certification of T's section family, failed by any finding of its
+    tabulation."""
     enum = enum or EnumBudget(deltas=DeltaProfile.default(inst))
     _check_deltas(enum.deltas, inst)
     types = types if types is not None else default_type_suite(inst)
-    checks: list[CheckReport] = []
-
-    down = build_downset(inst)
-    c = _Checker("downset-shape")
-    bot = inst.bottom()
-    c.expect(down.sections[bot] == frozenset({bot}), "downset of bottom is not {bottom}")
-    for r, sec in down.sections.items():
-        c.expect(bot in sec and r in sec, f"downset of {inst.format(r)} misses an endpoint")
-    checks.append(c.report(notes={"elements": len(down.sections)}))
-
-    checks.append(check_internal_naturality(inst))
-
     reps = interpret_types(types, inst, enum)
-    for ty, rep in reps.items():
-        checks.append(check_presheaf(rep, enum.deltas))
-        checks.append(reify_and_check(rep, enum.deltas))
-        if isinstance(ty, Box):
-            body_rep = interpret_types([ty.body], inst, enum)[ty.body]
-            checks.append(check_box_subpresheaf(rep, body_rep))
+
+    laws = check_laws(inst)
+    checks = [CheckReport(
+        name="lattice-laws",
+        ok=laws.passed,
+        checked=sum(r.checked for r in laws.results),
+        counterexamples=[
+            f"{r.law} fails at ({', '.join(inst.format(w) for w in r.witness)})" for r in laws.failures()
+        ],
+    )]
+    checks.extend(check_presheaf(rep, enum.deltas) for rep in reps.values())
 
     universe = {
         "elements": len(inst.enumerate()),

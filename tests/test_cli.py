@@ -227,9 +227,9 @@ class TestGoldenReports:
               "--format", "json"],
              "bc28c03b6e58f865692c528a041c09fc5b4eabde840229b83718df3b4437be93"),
             (["model", "--lattice", "sat2", "--interp-corpus", "300", "--format", "json"],
-             "b922ddfdb84a93854436899db8a81dc51b16df9de25d6d472fdcb0685f638071"),
+             "6594c36adcec4f50a41b65a148520d9d949bcadea5da044ef7d4db244e394eb7"),
             (["model", "--lattice-file", "DATA/diamond.lat", "--format", "json"],
-             "b6620ab14e2648229713c9e5bccc03daa3ec003d1fa08d1a915a37976e4813fd"),
+             "eec3b4d3aa001eeba639017fcb18b6d84839a1a1cd6d0f3c712199514eb01257"),
             (["laws", "--lattice", "triple", "--sample", "0..6", "--format", "json"],
              "3532086b65e6e76ab4a923d399290eaa3bef99f32927d1de37c41b934c23c092"),
             (["laws", "--lattice-file", "DATA/diamond.lat", "--format", "json"],

@@ -7,21 +7,19 @@ from rblam.lattice import (
     SaturatingNatLattice,
     load_lattice,
 )
+from rblam import model
+from rblam.cli import main
+from rblam.interp import CostedResult
 from rblam.model import (
     BoxDen,
     DenModel,
     EnumBudget,
     FnDen,
-    build_downset,
-    check_box_subpresheaf,
     check_cost_preservation,
-    check_internal_naturality,
     check_presheaf,
     den_matches_value,
     interpret_term,
     interpret_type,
-    interpret_types,
-    reify_and_check,
     run_model_checks,
 )
 from rblam.syntax import (
@@ -33,6 +31,7 @@ from rblam.syntax import (
     FF,
     Prod,
     TT,
+    is_value,
     parse,
 )
 from rblam.typecheck import Context, DeltaProfile, Mode, synthesize
@@ -46,46 +45,34 @@ def enum_for(inst, **kw):
     return EnumBudget(deltas=DeltaProfile.default(inst), **kw)
 
 
-class TestDownsets:
-    def test_two_chain(self, data_dir):
-        inst = load_lattice(str(data_dir / "chain2.lat"))
-        rep = build_downset(inst)
-        top = inst.element("top")
-        assert rep.sections[top] == frozenset(inst.enumerate())
-
-    def test_bottom_downset_is_singleton(self, data_dir):
-        for inst in [sat(3), load_lattice(str(data_dir / "diamond.lat"))]:
-            rep = build_downset(inst)
-            assert rep.sections[inst.bottom()] == frozenset({inst.bottom()})
-
-    def test_saturating_enumeration(self):
-        inst = sat(3)
-        rep = build_downset(inst)
-        assert rep.sections[inst.element(2)] == frozenset(
-            {inst.element(0), inst.element(1), inst.element(2)}
-        )
+def _chain3(name, leq, combine=None):
+    """A 3-element table lattice: join is max, combine defaults to max."""
+    names = ["0", "1", "2"]
+    top = {(a, b): str(max(int(a), int(b))) for a in names for b in names}
+    return FiniteLattice(name, names, leq, {**top, **(combine or {})}, top, "0")
 
 
-class TestInternalNaturality:
-    def test_two_chain_passes(self, data_dir):
-        assert check_internal_naturality(load_lattice(str(data_dir / "chain2.lat"))).ok
+CHAIN3_LEQ = [(a, b) for a in "012" for b in "012" if a <= b]
 
-    def test_saturating_passes(self):
-        assert check_internal_naturality(sat(4)).ok
 
-    def test_diamond_passes(self, data_dir):
-        assert check_internal_naturality(load_lattice(str(data_dir / "diamond.lat"))).ok
-
-    def test_non_monotone_combine_flagged(self):
-        names = ["0", "1", "2"]
-        leq = [(a, b) for a in names for b in names if int(a) <= int(b)]
-        combine = {(a, b): str(max(int(a), int(b))) for a in names for b in names}
-        combine[("0", "0")] = "2"  # jumps over everything: not monotone
-        join = {(a, b): str(max(int(a), int(b))) for a in names for b in names}
-        broken = FiniteLattice("broken", names, leq, combine, join, "0")
-        report = check_internal_naturality(broken)
-        assert not report.ok
-        assert any("combine not monotone" in c for c in report.counterexamples)
+class TestLatticeLaws:
+    # Built directly, so no law check runs before the model checks do.
+    @pytest.mark.parametrize(
+        "broken, law",
+        [
+            # combine 0 0 jumps over everything: not monotone
+            (_chain3("broken", CHAIN3_LEQ, {("0", "0"): "2"}), "combine-monotone"),
+            # 0 <= 1 <= 2 without 0 <= 2
+            (_chain3("nontransitive", [p for p in CHAIN3_LEQ if p != ("0", "2")]), "leq-transitive"),
+        ],
+        ids=["combine-monotone", "leq-transitive"],
+    )
+    def test_broken_law_fails_lattice_laws(self, broken, law):
+        report = run_model_checks(broken)
+        assert not report.passed
+        laws = report.checks[0]
+        assert laws.name == "lattice-laws" and not laws.ok
+        assert any(c.startswith(f"{law} fails at (") for c in laws.counterexamples)
 
 
 class TestTypeInterpretation:
@@ -143,35 +130,6 @@ class TestSectionFamilyChecks:
         for ty in [Bool(), Prod(Bool(), Bool()), Box(inst.element(2), Bool()), Arrow(Bool(), Bool(), None)]:
             rep = interpret_type(ty, inst, enum)
             assert check_presheaf(rep, enum.deltas).ok
-            assert reify_and_check(rep, enum.deltas).ok
-
-    def test_deleted_section_flagged(self):
-        inst = sat(2)
-        enum = enum_for(inst)
-        rep = interpret_type(Prod(Bool(), Bool()), inst, enum)
-        top = inst.top()
-        victim = next(iter(rep.sections[inst.bottom()]))
-        rep.sections[top].discard(victim)
-        report = check_presheaf(rep, enum.deltas)
-        assert not report.ok
-        assert any("transition loses" in c for c in report.counterexamples)
-
-    def test_box_embedding(self):
-        inst = sat(3)
-        enum = enum_for(inst)
-        grade = inst.element(2)
-        reps = interpret_types([Box(grade, Bool()), Bool()], inst, enum)
-        assert check_box_subpresheaf(reps[Box(grade, Bool())], reps[Bool()]).ok
-
-    def test_box_embedding_detects_orphan(self):
-        inst = sat(3)
-        enum = enum_for(inst)
-        grade = inst.element(2)
-        reps = interpret_types([Box(grade, Bool()), Bool()], inst, enum)
-        body = reps[Bool()]
-        for r in inst.enumerate():
-            body.sections[r].discard((TT(), inst.bottom()))
-        assert not check_box_subpresheaf(reps[Box(grade, Bool())], body).ok
 
 
 class TestRunModelChecks:
@@ -179,6 +137,30 @@ class TestRunModelChecks:
     def test_saturating_all_pass(self, cap):
         report = run_model_checks(sat(cap))
         assert report.passed, str(report)
+
+    def test_checks_are_the_laws_then_one_section_family_per_type(self):
+        inst = sat(2)
+        report = run_model_checks(inst)
+        names = [c.name for c in report.checks]
+        assert names == ["lattice-laws"] + [f"sections[{t}]" for t in report.universe["types"]]
+
+    def test_overcharging_evaluator_fails_arrow_families(self, monkeypatch):
+        # evaluation charges 2 more than the bound on every non-value: only
+        # the arrow tabulation evaluates non-values, and its findings fail
+        real = model.evaluate
+
+        def overcharging(t, deltas, *args, **kwargs):
+            result = real(t, deltas, *args, **kwargs)
+            if is_value(t):
+                return result
+            return CostedResult(result.value, deltas.instance.combine(result.cost, deltas.instance.element(2)))
+
+        monkeypatch.setattr(model, "evaluate", overcharging)
+        report = run_model_checks(sat(3))
+        assert report.passed is False
+        [arrow] = [c for c in report.checks if c.name == "sections[Bool -> Bool]"]
+        assert any("substituted body cost escapes bound" in c for c in arrow.counterexamples)
+        assert main(["model", "--lattice", "sat3"]) == 1
 
     def test_default_size_is_exhaustive(self):
         assert run_model_checks(sat(2)).universe["exhaustive"] is True
