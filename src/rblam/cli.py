@@ -253,6 +253,9 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         if name not in PROPERTIES:
             print(f"error: unknown property {name!r}; known: {', '.join(PROPERTIES)}", file=sys.stderr)
             return INPUT_ERROR
+    if args.hunt and args.props and props != ["cost_soundness"]:
+        print(f"error: --hunt runs cost_soundness only, not --props {args.props}", file=sys.stderr)
+        return INPUT_ERROR
     cfg = GenConfig(
         lattice=session.lattice,
         seed=args.seed,

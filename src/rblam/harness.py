@@ -6,8 +6,9 @@ produce identical reports at any worker count. Generation is type-directed
 every generated term typechecks in its generation mode by construction.
 The generator builds each term's derivation as it goes, applying
 ``typecheck.derive`` to the premises it already holds, so no subterm is
-typed twice. The minimizer reads every subterm's type from one derivation
-of the current term per pass.
+typed twice. The minimizer derives its input once; each shrink candidate
+then re-derives only the replaced node's spine, the path from it to the
+root, and reuses the derivations of the subterms off that path.
 
 With ``allow_fn_var_reuse`` off, the generator stays inside the fragment
 where the paper-mode rules are observed cost-sound: each variable whose
@@ -49,7 +50,6 @@ from rblam.syntax import (
     Unbox,
     Var,
     alpha_eq,
-    children,
     free_vars,
     pretty,
     pretty_type,
@@ -483,59 +483,65 @@ def gen_value(cfg: GenConfig, goal: Type, rng: random.Random, depth: int) -> Ter
 # Minimizer
 
 
-def minimize(term: Term, failing_property: Callable[[Term], bool], cfg: GenConfig) -> Term:
+def minimize(term: Term, failing_property: Callable[[Derivation], bool], cfg: GenConfig) -> Term:
     """Greedy shrink: replace subterms with canonical minimal inhabitants of
     their type or hoist strictly smaller same-type subterms, keeping each
     move only while the property still fails. Returns a fixpoint.
 
-    Each pass synthesizes the current term once and reads every subterm's
-    type from that derivation, so the term must typecheck as a closed term,
-    as every harness caller's does; one that does not is returned unchanged."""
-    inst = cfg.lattice
-    deltas = cfg.resolved_deltas()
-    budget = inst.large_budget()
+    The property receives the derivation of each candidate, a closed term.
+    The input is derived once; a candidate re-derives only the replaced
+    node's spine, the path from it to the root, and reuses the derivation of
+    every subterm off that path, so an accepted candidate's derivation starts
+    the next pass. A term that does not typecheck as a closed term is
+    returned unchanged; every harness caller's does."""
+    mode, deltas, inst = cfg.mode, cfg.resolved_deltas(), cfg.lattice
+    try:
+        current = derive(Context(), term, mode, deltas, inst)
+    except TypingError:
+        return term
+    while True:
+        for path, cand in _candidates(current, mode, deltas, inst):
+            try:
+                replaced = _respine(current, path, cand, mode, deltas, inst)
+            except TypingError:
+                continue
+            try:
+                if failing_property(replaced):
+                    current = replaced
+                    break
+            except Exception:
+                continue
+        else:
+            return current.term
 
-    current = term
-    changed = True
-    while changed:
-        changed = False
-        try:
-            root = synthesize(Context(), current, budget, cfg.mode, deltas).trace
-        except TypingError:
-            return current
-        for path, ctx, u in _paths(root):
-            u_ty = u.type
-            candidates: list[Term] = []
-            mini = minimal_inhabitant(u_ty)
-            if term_size(mini) < term_size(u.term):
-                candidates.append(mini)
-            for _, between, s in islice(_paths(u), 1, None):
-                s_ty = s.type
-                fv = free_vars(s.term) if between else frozenset()
-                if not fv.isdisjoint(name for name, _ in between):
-                    # s uses a binder inside u; hoisted, it is typed in u's context,
-                    # where that name is unbound or means an outer binding
-                    outer = Context(ctx)
-                    if any(outer.lookup(name) is None for name in fv):
-                        continue
-                    try:
-                        s_ty = derive(outer, s.term, cfg.mode, deltas, inst).type
-                    except TypingError:
-                        continue
-                if is_subtype(s_ty, u_ty, cfg.mode, inst):
-                    candidates.append(s.term)
-            for cand in candidates:
-                replaced = _replace(current, path, cand)
-                try:
-                    if failing_property(replaced):
-                        current = replaced
-                        changed = True
-                        break
-                except Exception:
+
+def _candidates(root: Derivation, mode: Mode, deltas: DeltaProfile, inst: LatticeInstance):
+    """(path, derivation) for every shrink move on root, lazily and in the
+    minimizer's order: at each subterm position u in preorder, u's type's
+    minimal inhabitant when it is smaller than u, then every strictly smaller
+    subterm of u in preorder whose type fits u's. A hoisted subterm keeps its
+    derivation unless a binder it is hoisted past captures one of its free
+    variables; then it is derived again in u's context, where that name is
+    unbound or means an outer binding."""
+    for path, ctx, u in _paths(root):
+        mini = minimal_inhabitant(u.type)
+        if term_size(mini) < term_size(u.term):
+            try:
+                yield path, derive(Context(), mini, mode, deltas, inst)
+            except TypingError:
+                pass
+        for _, between, s in islice(_paths(u), 1, None):
+            fv = free_vars(s.term) if between else frozenset()
+            if not fv.isdisjoint(name for name, _ in between):
+                outer = Context(ctx)
+                if any(outer.lookup(name) is None for name in fv):
                     continue
-            if changed:
-                break
-    return current
+                try:
+                    s = derive(outer, s.term, mode, deltas, inst)
+                except TypingError:
+                    continue
+            if is_subtype(s.type, u.type, mode, inst):
+                yield path, s
 
 
 def _paths(d: Derivation, prefix: tuple[int, ...] = (), ctx: tuple[tuple[str, Type], ...] = ()):
@@ -549,15 +555,32 @@ def _paths(d: Derivation, prefix: tuple[int, ...] = (), ctx: tuple[tuple[str, Ty
         yield from _paths(kid, prefix + (i,), ctx)
 
 
-def _replace(t: Term, path: tuple[int, ...], new: Term) -> Term:
-    if not path:
-        return new
-    kids = list(children(t))
-    i = path[0]
-    if not 0 <= i < len(kids):
-        raise IndexError(path)
-    kids[i] = _replace(kids[i], path[1:], new)
-    return rebuild(t, kids)
+def _respine(
+    root: Derivation,
+    path: tuple[int, ...],
+    new: Derivation,
+    mode: Mode,
+    deltas: DeltaProfile,
+    inst: LatticeInstance,
+) -> Derivation:
+    """The derivation of root's term, a closed term, with the subterm at path
+    replaced by new's, where new is derived in the context at path. Only the
+    nodes on the path are derived again, each from its kids' derivations.
+    Raises TypingError where the result does not typecheck, and IndexError
+    for a path that leaves the term."""
+    spine: list[tuple[Context, Derivation, int]] = []
+    ctx, d = Context(), root
+    for i in path:
+        if not 0 <= i < len(d.children):
+            raise IndexError(path)
+        spine.append((ctx, d, i))
+        if isinstance(d.term, Lam):
+            ctx = ctx.extend(d.term.name, d.term.annot)
+        d = d.children[i]
+    for ctx, d, i in reversed(spine):
+        kids = d.children[:i] + (new,) + d.children[i + 1:]
+        new = derive(ctx, rebuild(d.term, [k.term for k in kids]), mode, deltas, inst, kids)
+    return new
 
 
 # ---------------------------------------------------------------------------
@@ -628,26 +651,22 @@ def _observe_cost(cfg: GenConfig, term: Term) -> dict[str, str]:
     return out
 
 
-def _cost_soundness_violation(cfg: GenConfig) -> Callable[[Term], bool]:
+def _cost_soundness_violation(cfg: GenConfig) -> Callable[[Derivation], bool]:
     inst = cfg.lattice
     deltas = cfg.resolved_deltas()
-    budget = inst.large_budget()
 
-    def violated(term: Term) -> bool:
-        if free_vars(term):
-            return False
+    def violated(d: Derivation) -> bool:
         try:
-            j = synthesize(Context(), term, budget, cfg.mode, deltas)
-            r = evaluate(term, deltas)
-        except (TypingError, EvalError):
+            r = evaluate(d.term, deltas)
+        except EvalError:
             return False
-        return not inst.leq(r.cost, j.bound)
+        return not inst.leq(r.cost, d.bound)
 
     return violated
 
 
 def _fail(cfg: GenConfig, trial: int, term: Term, relation: str, observed: dict[str, str],
-          predicate: Callable[[Term], bool] | None = None) -> Failure:
+          predicate: Callable[[Derivation], bool] | None = None) -> Failure:
     minimized = term
     if predicate is not None:
         minimized = minimize(term, predicate, cfg)

@@ -282,6 +282,10 @@ class _Interpreter:
                     findings.append(f"{pretty(lam)} on {pretty(v)}: {exc}")
                     admissible = False
                     break
+                if not inst.leq(b_sub, b_body):
+                    findings.append(
+                        f"substituted body bound escapes lambda bound: {pretty(lam)} on {pretty(v)}"
+                    )
                 if not inst.leq(result.cost, b_sub):
                     findings.append(
                         f"substituted body cost escapes bound: {pretty(lam)} on {pretty(v)}"

@@ -313,6 +313,8 @@ class TestInputErrors:
             ["fuzz", "--count", "0"],
             ["fuzz", "--depth", "0"],
             ["fuzz", "--workers", "0"],
+            ["fuzz", "--hunt", "--props", "determinism"],
+            ["fuzz", "--hunt", "--props", "cost_soundness,determinism"],
             ["model", "--lattice", "sat2", "--max-nat", "-1"],
             ["model", "--lattice", "sat2", "--max-term-size", "-1"],
             ["model", "--lattice", "sat2", "--interp-corpus", "-1"],

@@ -31,12 +31,14 @@ from rblam.syntax import (
     TT,
     Var,
     alpha_eq,
+    children,
     free_vars,
     parse,
     pretty,
+    rebuild,
     term_size,
 )
-from rblam.typecheck import Context, DeltaProfile, Mode, TypingError, synthesize
+from rblam.typecheck import Context, DeltaProfile, Mode, TypingError, derive, synthesize
 
 D = DeltaProfile.default(NAT)
 BIG = NAT.element(10**6)
@@ -194,43 +196,117 @@ class TestValues:
             assert j.bound == NAT.element(0)
 
 
+def violating(d):
+    """canonical_violation as a minimizer property, which receives derivations."""
+    return canonical_violation(d.term)
+
+
+def replace_at(t, path, new):
+    """The reference for a minimizer move: t with the subterm at path replaced."""
+    if not path:
+        return new
+    kids = list(children(t))
+    kids[path[0]] = replace_at(kids[path[0]], path[1:], new)
+    return rebuild(t, kids)
+
+
 class TestMinimizer:
     def test_canonical_witness_is_fixpoint(self):
         cfg = GenConfig(lattice=NAT, seed=0, mode=Mode.PAPER, allow_fn_var_reuse=True)
         assert canonical_violation(CANONICAL)
-        assert minimize(CANONICAL, canonical_violation, cfg) == CANONICAL
+        assert minimize(CANONICAL, violating, cfg) == CANONICAL
 
     def test_noise_reduces_to_canonical(self):
         # minimal-inhabitant replacement and hoisting must strip both
         # kinds of noise
         cfg = GenConfig(lattice=NAT, seed=0, mode=Mode.PAPER, allow_fn_var_reuse=True)
         assert canonical_violation(NOISY)
-        minimized = minimize(NOISY, canonical_violation, cfg)
+        minimized = minimize(NOISY, violating, cfg)
         assert alpha_eq(minimized, CANONICAL)
 
-    def test_one_synthesis_per_pass(self, monkeypatch):
-        # every subterm's type comes from one derivation of the current term;
-        # a pass ends at an accepted move, and the last pass accepts none
-        real = harness.synthesize
-        calls = []
+    def test_input_derived_once_and_each_candidate_along_its_path(self, monkeypatch):
+        # minimize never synthesizes: it derives its input once, and each
+        # candidate costs its own derivation plus at most one derive per node
+        # on its path; the property evaluates each candidate once
+        real_derive, real_respine, real_evaluate = harness.derive, harness._respine, harness.evaluate
+        real_candidates = harness._candidates
+        synthesized, derived, yielded, spines, evaluated, offered = [], [], [], [], [], []
 
-        def counted(*args):
-            calls.append(args[1])
-            return real(*args)
+        def counted_derive(ctx, t, mode, d, inst, kids=()):
+            derived.append((t, bool(kids)))
+            return real_derive(ctx, t, mode, d, inst, kids)
 
-        accepted = []
+        def counted_respine(root, path, new, *rest):
+            start = len(derived)
+            try:
+                return real_respine(root, path, new, *rest)
+            finally:
+                spines.append((path, derived[start:]))
 
-        def violation(term):
-            failed = canonical_violation(term)
-            if failed:
-                accepted.append(term)
-            return failed
+        def recorded_candidates(*args):
+            for path, cand in real_candidates(*args):
+                yielded.append(path)
+                yield path, cand
 
-        monkeypatch.setattr(harness, "synthesize", counted)
+        def counted_evaluate(t, deltas):
+            evaluated.append(t)
+            return real_evaluate(t, deltas)
+
+        monkeypatch.setattr(harness, "synthesize", lambda *args: synthesized.append(args))
+        monkeypatch.setattr(harness, "derive", counted_derive)
+        monkeypatch.setattr(harness, "_respine", counted_respine)
+        monkeypatch.setattr(harness, "_candidates", recorded_candidates)
+        monkeypatch.setattr(harness, "evaluate", counted_evaluate)
         cfg = GenConfig(lattice=NAT, seed=0, mode=Mode.PAPER, allow_fn_var_reuse=True)
-        minimize(NOISY, violation, cfg)
-        assert accepted
-        assert calls == [NOISY] + accepted
+        violated = harness._cost_soundness_violation(cfg)
+
+        def prop(d):
+            offered.append(d.term)
+            return violated(d)
+
+        assert alpha_eq(minimize(NOISY, prop, cfg), CANONICAL)
+        assert synthesized == []
+        assert derived[0] == (NOISY, False)
+        assert all(kids for _, calls in spines for _, kids in calls)
+        assert all(len(calls) <= len(path) for path, calls in spines)
+        assert sum(kids for _, kids in derived) == sum(len(calls) for _, calls in spines)
+        # every other derive is at most one per candidate, its own; each
+        # candidate is re-derived along its spine once and evaluated once
+        assert sum(not kids for _, kids in derived) - 1 <= len(yielded)
+        assert [path for path, _ in spines] == yielded
+        assert evaluated == offered and len(offered) <= len(yielded)
+
+    @pytest.mark.parametrize(
+        "inst, mode, reuse",
+        [(NAT, Mode.SOUND, False), (NAT, Mode.PAPER, True), (TRIPLE, Mode.SOUND, False), (TRIPLE, Mode.PAPER, True)],
+        ids=["nat-sound", "nat-paper-reuse", "triple-sound", "triple-paper-reuse"],
+    )
+    def test_spine_rederivation_is_the_full_derivation(self, inst, mode, reuse):
+        # every move the minimizer yields, and tt at every position as a move
+        # that often does not type, re-derived along its spine must give the
+        # derivation of the replaced term, and fail exactly where it fails
+        cfg = GenConfig(lattice=inst, seed=23, max_depth=5, mode=mode, allow_fn_var_reuse=reuse)
+        deltas = cfg.resolved_deltas()
+        tt = derive(Context(), TT(), mode, deltas, inst)
+        outcomes = set()
+        for i in range(40):
+            term = gen_typed_term(cfg, trial=i)
+            root = derive(Context(), term, mode, deltas, inst)
+            moves = list(harness._candidates(root, mode, deltas, inst))
+            moves += [(path, tt) for path, _, _ in harness._paths(root)]
+            for path, cand in moves:
+                replaced = replace_at(term, path, cand.term)
+                try:
+                    full = derive(Context(), replaced, mode, deltas, inst)
+                except TypingError:
+                    full = None
+                try:
+                    spine = harness._respine(root, path, cand, mode, deltas, inst)
+                except TypingError:
+                    spine = None
+                assert spine == full, (pretty(term), path, pretty(cand.term))
+                outcomes.add(full is None)
+        assert outcomes == {True, False}
 
     def test_hoist_types_a_shadowed_variable_in_the_outer_context(self):
         # inside u = (lam x : Nat . x) 3 the variable x is a Nat, but hoisted
@@ -245,19 +321,22 @@ class TestMinimizer:
 
         cfg = GenConfig(lattice=NAT, seed=0, mode=Mode.PAPER)
         term = parse("lam x : Bool . (lam x : Nat . x) 3", NAT)
-        assert minimize(term, typed_without_zero, cfg) == parse("lam x : Bool . 3", NAT)
+        assert minimize(term, lambda d: typed_without_zero(d.term), cfg) == parse("lam x : Bool . 3", NAT)
 
     def test_ill_typed_term_returned_unchanged(self):
         cfg = GenConfig(lattice=NAT, seed=0, mode=Mode.PAPER)
         term = parse("(if tt then ff else tt) tt", NAT)
-        assert minimize(term, lambda t: True, cfg) == term
+        assert minimize(term, lambda d: True, cfg) == term
 
-    def test_replace_rejects_a_path_past_the_children(self):
+    def test_respine_rejects_a_path_past_the_children(self):
         app = parse("(lam x : Bool . x) (if tt then ff else tt)", NAT)
-        assert harness._replace(app, (1, 2), FF()) == parse("(lam x : Bool . x) (if tt then ff else ff)", NAT)
+        root = derive(Context(), app, Mode.PAPER, D, NAT)
+        ff = derive(Context(), FF(), Mode.PAPER, D, NAT)
+        replaced = harness._respine(root, (1, 2), ff, Mode.PAPER, D, NAT)
+        assert replaced.term == parse("(lam x : Bool . x) (if tt then ff else ff)", NAT)
         for path in [(2,), (-1,), (1, 3), (0, 0, 0)]:
             with pytest.raises(IndexError):
-                harness._replace(app, path, FF())
+                harness._respine(root, path, ff, Mode.PAPER, D, NAT)
 
     def test_compensated_double_use_is_sound(self):
         # a costful else-branch inflates the bound enough to cover the
@@ -274,22 +353,23 @@ class TestMinimizer:
             lattice=NAT, seed=4242, count=2000, max_depth=5, mode=Mode.PAPER,
             allow_fn_var_reuse=True,
         )
-        found = 0
+        found = shrunk = 0
         for i in range(2000):
             term = gen_typed_term(cfg, trial=i)
             if canonical_violation(term):
-                minimized = minimize(term, canonical_violation, cfg)
+                minimized = minimize(term, violating, cfg)
                 assert canonical_violation(minimized)
                 assert term_size(minimized) <= term_size(term)
                 found += 1
+                shrunk += term_size(minimized) < term_size(term)
                 if found >= 5:
                     break
-        assert found >= 1
+        assert found >= 1 and shrunk >= 1
 
     def test_sound_term_untouched(self):
         cfg = GenConfig(lattice=NAT, seed=0, mode=Mode.PAPER)
         sound = parse("if tt then ff else tt", NAT)
-        assert minimize(sound, canonical_violation, cfg) == sound
+        assert minimize(sound, violating, cfg) == sound
 
 
 class TestProperties:

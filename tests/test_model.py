@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from rblam.harness import GenConfig, gen_typed_term
@@ -7,7 +9,7 @@ from rblam.lattice import (
     SaturatingNatLattice,
     load_lattice,
 )
-from rblam import model
+from rblam import model, typecheck
 from rblam.cli import main
 from rblam.interp import CostedResult
 from rblam.model import (
@@ -29,6 +31,7 @@ from rblam.syntax import (
     Nat,
     BoxT,
     FF,
+    Lam,
     Prod,
     TT,
     is_value,
@@ -160,6 +163,22 @@ class TestRunModelChecks:
         assert report.passed is False
         [arrow] = [c for c in report.checks if c.name == "sections[Bool -> Bool]"]
         assert any("substituted body cost escapes bound" in c for c in arrow.counterexamples)
+        assert main(["model", "--lattice", "sat3"]) == 1
+
+    def test_lambda_bound_bottom_fails_arrow_families(self, monkeypatch):
+        # derive gives every lambda the bound bottom: the families stay
+        # self-consistent, but a substituted body's bound escapes the lambda's
+        real = typecheck.derive
+
+        def lam_bound_bottom(ctx, t, mode, d, inst, kids=()):
+            deriv = real(ctx, t, mode, d, inst, kids)
+            return dataclasses.replace(deriv, bound=inst.bottom()) if isinstance(t, Lam) else deriv
+
+        monkeypatch.setattr(typecheck, "derive", lam_bound_bottom)
+        report = run_model_checks(sat(3))
+        assert report.passed is False
+        [arrow] = [c for c in report.checks if c.name == "sections[Bool -> Bool]"]
+        assert any("substituted body bound escapes lambda bound" in c for c in arrow.counterexamples)
         assert main(["model", "--lattice", "sat3"]) == 1
 
     def test_default_size_is_exhaustive(self):
