@@ -22,7 +22,7 @@ from rblam.harness import (
     run_properties,
     run_property,
 )
-from rblam.interp import DEFAULT_FUEL, EvalError, Stuck, evaluate, evaluate_trace, format_trace
+from rblam.interp import DEFAULT_FUEL, EvalError, Stuck, evaluate, evaluate_trace, format_trace, format_tree
 from rblam.lattice import (
     LatticeError,
     LatticeInstance,
@@ -184,7 +184,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     }
     _emit(doc, session)
     if args.trace:
-        _print_derivation(j.trace, inst)
+        print(format_tree(j.trace, lambda node: f"{node.rule} [{inst.format(node.bound)}] "))
     if not j.within_budget:
         print(
             f"bound {inst.format(j.bound)} exceeds budget {inst.format(j.budget)}",
@@ -192,17 +192,6 @@ def cmd_check(args: argparse.Namespace) -> int:
         )
         return VIOLATION
     return OK
-
-
-def _print_derivation(deriv, inst) -> None:
-    """One line per node, children indented below their parent. The nodes'
-    terms are subterms of the program, so one pretty memo prints each once."""
-    memo: dict[int, str] = {}
-    stack = [(deriv, 0)]
-    while stack:
-        node, depth = stack.pop()
-        print("  " * depth + f"{node.rule} [{inst.format(node.bound)}] {pretty(node.term, memo)}")
-        stack.extend((child, depth + 1) for child in reversed(node.children))
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -327,7 +316,7 @@ def _sample_from_range(inst: LatticeInstance, spec: str):
         cap = inst.cap  # type: ignore[attr-defined]
         return [inst.element(i) for i in range(max(lo, 0), min(hi, cap) + 1)]
     if inst.kind == "triple":
-        coords = sorted({lo, lo + 1, (lo + hi) // 2, hi})
+        coords = sorted({lo, min(lo + 1, hi), (lo + hi) // 2, hi})
         return [inst.element((a, b, c)) for a in coords for b in coords for c in coords]
     return None  # finite and product default to full enumeration
 

@@ -6,7 +6,10 @@ produce identical reports at any worker count. Generation is type-directed
 every generated term typechecks in its generation mode by construction.
 The generator builds each term's derivation as it goes, applying
 ``typecheck.derive`` to the premises it already holds, so no subterm is
-typed twice. The minimizer derives its input once; each shrink candidate
+typed twice. The suites read the type and bound of each generated term and
+value from that derivation; they synthesize only terms they did not
+generate (an evaluation result, a substituted term) and the budget
+verdicts. The minimizer derives its input once; each shrink candidate
 then re-derives only the replaced node's spine, the path from it to the
 root, and reuses the derivations of the subterms off that path.
 
@@ -65,7 +68,6 @@ from rblam.typecheck import (
     GradeExceeded,
     Mode,
     TypingError,
-    check_expected,
     derive,
     is_subtype,
     synthesize,
@@ -90,17 +92,11 @@ class GenConfig:
     count: int = 1000
     max_depth: int = 5
     mode: Mode = Mode.SOUND
-    type_weights: tuple[tuple[str, float], ...] | None = None
     allow_fn_var_reuse: bool = False
     deltas: DeltaProfile | None = None
 
     def resolved_deltas(self) -> DeltaProfile:
         return self.deltas if self.deltas is not None else DeltaProfile.default(self.lattice)
-
-    def weights(self) -> dict[str, float]:
-        if self.type_weights is None:
-            return dict(DEFAULT_TYPE_WEIGHTS)
-        return dict(self.type_weights)
 
 
 def _trial_rng(seed: int, trial: int) -> random.Random:
@@ -303,7 +299,6 @@ def _try_production(
 ) -> Derivation | None:
     rng = st.rng
     inst = st.inst
-    weights = st.cfg.weights()
 
     if production == "leaf":
         match goal:
@@ -347,7 +342,7 @@ def _try_production(
         return branching if branching.type is not None else None
 
     if production == "redex":
-        arg_ty = sample_type(rng, min(depth - 1, 2), weights, inst)
+        arg_ty = sample_type(rng, min(depth - 1, 2), DEFAULT_TYPE_WEIGHTS, inst)
         arg = _gen(st, ctx, arg_ty, depth - 1)
         if arg.type is None:
             return None
@@ -357,7 +352,7 @@ def _try_production(
         return st.derive(ctx, App(fn.term, arg.term), fn, arg)
 
     if production == "proj":
-        other_ty = sample_type(rng, min(depth - 1, 1), weights, inst)
+        other_ty = sample_type(rng, min(depth - 1, 1), DEFAULT_TYPE_WEIGHTS, inst)
         left = rng.random() < 0.5
         pair_goal = Prod(goal, other_ty) if left else Prod(other_ty, goal)
         inner = _gen(st, ctx, pair_goal, depth - 1)
@@ -424,14 +419,13 @@ def _try_production(
     return None
 
 
-def gen_typed_term(
+def _generate(
     cfg: GenConfig,
     ctx: Context = Context(),
     goal: Type | None = None,
     trial: int = 0,
-) -> Term:
-    """Generate one term that synthesizes to the goal (up to grade
-    subsumption) in cfg.mode. Deterministic in (cfg, ctx, goal, trial)."""
+) -> Derivation:
+    """The derivation of gen_typed_term's term, built as it was generated."""
     rng = _trial_rng(cfg.seed, trial)
     st = _GenState(cfg, rng)
     if goal is None:
@@ -441,42 +435,52 @@ def gen_typed_term(
             base = Bool() if rng.random() < 0.75 else Nat()
             goal = Prod(base, base)
         else:
-            goal = sample_type(rng, min(cfg.max_depth, 3), cfg.weights(), cfg.lattice)
+            goal = sample_type(rng, min(cfg.max_depth, 3), DEFAULT_TYPE_WEIGHTS, cfg.lattice)
     for name, ty in ctx.bindings:
         if not st.cfg.allow_fn_var_reuse and type_contains_arrow(ty):
             st.uses.setdefault(name, 0)
-    return _gen(st, ctx, goal, cfg.max_depth).term
+    return _gen(st, ctx, goal, cfg.max_depth)
 
 
-def gen_value(cfg: GenConfig, goal: Type, rng: random.Random, depth: int) -> Term:
-    """Generate a closed value of the goal type (lambda bodies may be
-    arbitrary generated terms)."""
+def gen_typed_term(
+    cfg: GenConfig,
+    ctx: Context = Context(),
+    goal: Type | None = None,
+    trial: int = 0,
+) -> Term:
+    """Generate one term that synthesizes to the goal (up to grade
+    subsumption) in cfg.mode. Deterministic in (cfg, ctx, goal, trial)."""
+    return _generate(cfg, ctx, goal, trial).term
+
+
+def gen_value(cfg: GenConfig, goal: Type, rng: random.Random, depth: int) -> Derivation:
+    """Generate the derivation of a closed value of the goal type (lambda
+    bodies may be arbitrary generated terms). Like a generated term's, it is
+    untyped where the value does not typecheck."""
     inst = cfg.lattice
-    candidate: Term
+    st = _GenState(cfg, rng)
     match goal:
         case Bool():
-            return TT() if rng.random() < 0.5 else FF()
+            return st.derive(Context(), TT() if rng.random() < 0.5 else FF())
         case Nat():
-            return NatLit(rng.randint(0, 3))
+            return st.derive(Context(), NatLit(rng.randint(0, 3)))
         case Prod(left, right):
-            return Pair(gen_value(cfg, left, rng, depth - 1), gen_value(cfg, right, rng, depth - 1))
+            a = gen_value(cfg, left, rng, depth - 1)
+            b = gen_value(cfg, right, rng, depth - 1)
+            return st.derive(Context(), Pair(a.term, b.term), a, b)
         case Arrow(dom, cod, latent):
             dom = concretize(dom, inst, rng, cfg.mode)
-            st = _GenState(cfg, rng)
             x = st.fresh_name("a")
-            body = _gen(st, Context(((x, dom),)), cod, max(depth - 1, 1)).term
-            candidate = Lam(x, dom, body)
+            body = _gen(st, Context(((x, dom),)), cod, max(depth - 1, 1))
+            candidate = st.derive(Context(), Lam(x, dom, body.term), body)
         case Box(grade, body_ty):
-            candidate = BoxT(grade, gen_value(cfg, body_ty, rng, depth - 1))
+            body = gen_value(cfg, body_ty, rng, depth - 1)
+            candidate = st.derive(Context(), BoxT(grade, body.term), body)
         case _:
             raise TypeError(f"no value rule for {goal!r}")
-    try:
-        j = synthesize(Context(), candidate, inst.large_budget(), cfg.mode, cfg.resolved_deltas())
-        if goal_matches(j.type, goal, inst):
-            return candidate
-    except TypingError:
-        pass
-    return minimal_inhabitant(concretize(goal, inst, mode=cfg.mode))
+    if candidate.type is not None and goal_matches(candidate.type, goal, inst):
+        return candidate
+    return st.derive(Context(), minimal_inhabitant(concretize(goal, inst, mode=cfg.mode)))
 
 
 # ---------------------------------------------------------------------------
@@ -680,13 +684,23 @@ def _fail(cfg: GenConfig, trial: int, term: Term, relation: str, observed: dict[
     )
 
 
+def _typed(cfg: GenConfig, d: Derivation, ctx: Context = Context()) -> Derivation:
+    """d when the generator typed its root. An untyped root, left by a faulty
+    typechecker or lattice, is derived again whole, which raises the
+    TypingError that synthesize gives for its term."""
+    if d.type is not None:
+        return d
+    return derive(ctx, d.term, cfg.mode, cfg.resolved_deltas(), cfg.lattice)
+
+
 def _trial_cost_soundness(cfg: GenConfig, trial: int) -> Failure | None:
     inst = cfg.lattice
     deltas = cfg.resolved_deltas()
     budget = inst.large_budget()
-    term = gen_typed_term(cfg, trial=trial)
+    j = _generate(cfg, trial=trial)
+    term = j.term
     try:
-        j = synthesize(Context(), term, budget, cfg.mode, deltas)
+        j = _typed(cfg, j)
     except TypingError as exc:
         return _fail(cfg, trial, term, "generated term typechecks", {"type_error": str(exc)})
     try:
@@ -728,9 +742,10 @@ def _trial_preservation(cfg: GenConfig, trial: int) -> Failure | None:
     inst = cfg.lattice
     deltas = cfg.resolved_deltas()
     budget = inst.large_budget()
-    term = gen_typed_term(cfg, trial=trial)
+    j = _generate(cfg, trial=trial)
+    term = j.term
     try:
-        j = synthesize(Context(), term, budget, cfg.mode, deltas)
+        j = _typed(cfg, j)
         r = evaluate(term, deltas)
         j2 = synthesize(Context(), r.value, budget, cfg.mode, deltas)
     except (TypingError, EvalError) as exc:
@@ -777,17 +792,19 @@ def _trial_budget_weakening(cfg: GenConfig, trial: int) -> Failure | None:
 def _trial_box_laws(cfg: GenConfig, trial: int) -> Failure | None:
     inst = cfg.lattice
     deltas = cfg.resolved_deltas()
-    budget = inst.large_budget()
     rng = _trial_rng(cfg.seed ^ 0xB0C5, trial)
-    weights = cfg.weights()
-    body_ty = sample_type(rng, 1, weights, inst)
+    body_ty = sample_type(rng, 1, DEFAULT_TYPE_WEIGHTS, inst)
     grade = inst.random_element(rng)
     goal = Box(grade, body_ty)
-    term = gen_typed_term(cfg, goal=goal, trial=trial)
+    j = _generate(cfg, goal=goal, trial=trial)
+    term = j.term
+
+    def rule(t: Term, *kids: Derivation) -> Derivation:
+        return derive(Context(), t, cfg.mode, deltas, inst, kids)
 
     try:
-        j = synthesize(Context(), term, budget, cfg.mode, deltas)
-        ju = synthesize(Context(), Unbox(term), budget, cfg.mode, deltas)
+        j = _typed(cfg, j)
+        ju = rule(Unbox(term), j)
     except TypingError as exc:
         return _fail(cfg, trial, term, "box term and its unboxing typecheck", {"type_error": str(exc)})
     expected = inst.combine(j.bound, deltas.unbox)
@@ -801,12 +818,17 @@ def _trial_box_laws(cfg: GenConfig, trial: int) -> Failure | None:
     # grade monotone acceptance
     v = gen_value(cfg, goal, rng, 3)
     try:
-        jv = synthesize(Context(), v, budget, cfg.mode, deltas)
-        assert isinstance(jv.type, Box)
+        jv = _typed(cfg, v)
+    except TypingError as exc:
+        return _fail(cfg, trial, v.term, "grade monotone acceptance", {"error": str(exc)})
+    wider = goal
+    if isinstance(jv.type, Box):
         wider = Box(inst.join(jv.type.grade, inst.random_element(rng)), jv.type.body)
-        check_expected(Context(), v, wider, budget, cfg.mode, deltas)
-    except (TypingError, AssertionError) as exc:
-        return _fail(cfg, trial, v, "grade monotone acceptance", {"error": str(exc)})
+    if not isinstance(jv.type, Box) or not is_subtype(jv.type, wider, cfg.mode, inst):
+        return _fail(
+            cfg, trial, v.term, "grade monotone acceptance",
+            {"error": f"synthesized type {pretty_type(jv.type)} does not match expected {pretty_type(wider)}"},
+        )
 
     # grade bounds evaluation cost of the boxed term
     if isinstance(term, BoxT):
@@ -821,30 +843,24 @@ def _trial_box_laws(cfg: GenConfig, trial: int) -> Failure | None:
             )
 
     # no unconditional promotion
-    plain = gen_typed_term(cfg, goal=body_ty, trial=trial + 1)
+    plain = _generate(cfg, goal=body_ty, trial=trial + 1)
     try:
-        jp = synthesize(Context(), plain, budget, cfg.mode, deltas)
+        candidate = _typed(cfg, plain)
+        if candidate.bound == inst.bottom():
+            candidate = rule(If(TT(), candidate.term, candidate.term), rule(TT()), candidate, candidate)
     except TypingError:
         return None
-    candidate = plain
-    bound = jp.bound
-    if bound == inst.bottom():
-        candidate = If(TT(), plain, plain)
-        try:
-            bound = synthesize(Context(), candidate, budget, cfg.mode, deltas).bound
-        except TypingError:
-            return None
-    if bound == inst.bottom():
+    if candidate.bound == inst.bottom():
         return None  # degenerate delta profile: nothing to reject
     try:
-        synthesize(Context(), BoxT(inst.bottom(), candidate), budget, cfg.mode, deltas)
+        rule(BoxT(inst.bottom(), candidate.term), candidate)
     except GradeExceeded:
         return None
     except TypingError as exc:
-        return _fail(cfg, trial, candidate, "rejection is a GradeExceeded", {"error": str(exc)})
+        return _fail(cfg, trial, candidate.term, "rejection is a GradeExceeded", {"error": str(exc)})
     return _fail(
-        cfg, trial, candidate, "no unconditional promotion",
-        {"bound": inst.format(bound), "grade": inst.format(inst.bottom())},
+        cfg, trial, candidate.term, "no unconditional promotion",
+        {"bound": inst.format(candidate.bound), "grade": inst.format(inst.bottom())},
     )
 
 
@@ -853,23 +869,24 @@ def _trial_substitution(cfg: GenConfig, trial: int) -> Failure | None:
     deltas = cfg.resolved_deltas()
     budget = inst.large_budget()
     rng = _trial_rng(cfg.seed ^ 0x5B57, trial)
-    weights = cfg.weights()
 
-    val_ty = sample_type(rng, 2, weights, inst)
+    val_ty = sample_type(rng, 2, DEFAULT_TYPE_WEIGHTS, inst)
     v = gen_value(cfg, val_ty, rng, 3)
     try:
-        annot = synthesize(Context(), v, budget, cfg.mode, deltas).type
+        annot = _typed(cfg, v).type
     except TypingError as exc:
-        return _fail(cfg, trial, v, "generated value typechecks", {"type_error": str(exc)})
+        return _fail(cfg, trial, v.term, "generated value typechecks", {"type_error": str(exc)})
 
-    goal = sample_type(rng, 2, weights, inst)
-    open_term = gen_typed_term(cfg, Context((("x", annot),)), goal, trial)
+    goal = sample_type(rng, 2, DEFAULT_TYPE_WEIGHTS, inst)
+    ctx = Context((("x", annot),))
+    j_open = _generate(cfg, ctx, goal, trial)
+    open_term = j_open.term
     try:
-        j_open = synthesize(Context((("x", annot),)), open_term, budget, cfg.mode, deltas)
+        j_open = _typed(cfg, j_open, ctx)
     except TypingError as exc:
         return _fail(cfg, trial, open_term, "open term typechecks", {"type_error": str(exc)})
 
-    closed = substitute(open_term, "x", v)
+    closed = substitute(open_term, "x", v.term)
     try:
         j_closed = synthesize(Context(), closed, budget, cfg.mode, deltas)
     except TypingError as exc:

@@ -16,6 +16,7 @@ divergence. The trace printer prints each shared term once.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any, Callable
 
 from rblam.lattice import LatticeElement, LatticeInstance
 from rblam.syntax import (
@@ -159,15 +160,19 @@ def trace_cost(trace: EvalTrace, inst: LatticeInstance) -> LatticeElement:
     return total
 
 
-def format_trace(trace: EvalTrace, inst: LatticeInstance, indent: int = 0) -> str:
-    """One line per node, children indented below their parent. Evaluation
-    shares subterms between nodes, so one pretty memo serves the whole tree."""
+def format_tree(root, head: Callable[[Any], str]) -> str:
+    """One line per node of an evaluation trace or a typing derivation,
+    children indented below their parent: head(node), then the node's term.
+    Nodes share subterms, so one pretty memo serves the whole tree."""
     memo: dict[int, str] = {}
     lines: list[str] = []
-    stack = [(trace, indent)]
+    stack = [(root, 0)]
     while stack:
         node, depth = stack.pop()
-        term = pretty(node.term, memo)
-        lines.append(f"{'  ' * depth}{node.rule} +{inst.format(node.contribution)}  {term}")
+        lines.append(f"{'  ' * depth}{head(node)}{pretty(node.term, memo)}")
         stack.extend((child, depth + 1) for child in reversed(node.children))
     return "\n".join(lines)
+
+
+def format_trace(trace: EvalTrace, inst: LatticeInstance) -> str:
+    return format_tree(trace, lambda node: f"{node.rule} +{inst.format(node.contribution)}  ")

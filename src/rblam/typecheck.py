@@ -13,7 +13,7 @@ within-budget verdict, never the bound. Two rule sets are selectable:
 
 Grade subsumption (boxes covariant in the grade, and in sound mode arrows
 contravariant in domain, covariant in codomain and latent) is applied at
-application arguments, if-branch unification, and expected-type checks.
+application arguments and if-branch unification.
 
 The rules live in ``derive``, which applies the rule at one node. It takes
 the premises from the subterms' derivations when given (the generator builds
@@ -324,20 +324,3 @@ def derive(
 
     raise TypingError(f"cannot type {pretty(t)}")
 
-
-def check_expected(
-    ctx: Context,
-    term: Term,
-    expected: Type,
-    budget: LatticeElement,
-    mode: Mode,
-    deltas: DeltaProfile,
-) -> Judgment:
-    """Synthesize and require the result to be a grade-subsumption subtype
-    of the expected type."""
-    j = synthesize(ctx, term, budget, mode, deltas)
-    if not is_subtype(j.type, expected, mode, budget.instance):
-        raise TypingError(
-            f"synthesized type {pretty_type(j.type)} does not match expected {pretty_type(expected)}"
-        )
-    return j

@@ -252,6 +252,12 @@ class TestLaws:
     def test_triple_sample(self, capsys):
         assert main(["laws", "--lattice", "triple", "--sample", "0..6"]) == 0
 
+    @pytest.mark.parametrize("spec, size", [("2..2", 1), ("2..3", 8)])
+    def test_triple_sample_stays_in_range(self, capsys, spec, size):
+        # coordinates come from {lo, lo + 1, midpoint, hi}, none above hi
+        assert main(["laws", "--lattice", "triple", "--sample", spec, "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["sample_size"] == size
+
     def test_finite_defaults_to_all(self, data_dir, capsys):
         assert main(["laws", "--lattice-file", str(data_dir / "diamond.lat")]) == 0
 

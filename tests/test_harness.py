@@ -103,7 +103,7 @@ class TestGenerator:
         cfg = GenConfig(lattice=NAT, seed=77, mode=Mode.SOUND)
         rng = random.Random(5)
         for i in range(120):
-            goal = sample_type(rng, 2, cfg.weights(), NAT)
+            goal = sample_type(rng, 2, DEFAULT_TYPE_WEIGHTS, NAT)
             term = gen_typed_term(cfg, goal=goal, trial=i)
             j = synthesize(Context(), term, BIG, Mode.SOUND, D)
             assert goal_matches(j.type, goal, NAT), (pretty(term), goal)
@@ -181,16 +181,29 @@ class TestValues:
         cfg = GenConfig(lattice=NAT, seed=17, mode=Mode.SOUND)
         rng = random.Random(17)
         for _ in range(80):
-            ty = sample_type(rng, 2, cfg.weights(), NAT)
-            v = gen_value(cfg, ty, rng, 3)
+            ty = sample_type(rng, 2, DEFAULT_TYPE_WEIGHTS, NAT)
+            v = gen_value(cfg, ty, rng, 3).term
             assert not free_vars(v)
             j = synthesize(Context(), v, BIG, Mode.SOUND, D)
             assert goal_matches(j.type, ty, NAT)
 
+    @pytest.mark.parametrize(
+        "inst, mode, reuse",
+        [(NAT, Mode.SOUND, False), (NAT, Mode.PAPER, True), (TRIPLE, Mode.SOUND, False), (TRIPLE, Mode.PAPER, True)],
+        ids=["nat-sound", "nat-paper-reuse", "triple-sound", "triple-paper-reuse"],
+    )
+    def test_value_derivation_is_the_synthesized_one(self, inst, mode, reuse):
+        cfg = GenConfig(lattice=inst, seed=19, mode=mode, allow_fn_var_reuse=reuse)
+        rng = random.Random(19)
+        for _ in range(150):
+            ty = sample_type(rng, 2, DEFAULT_TYPE_WEIGHTS, inst)
+            v = gen_value(cfg, ty, rng, 3)
+            assert v == synthesize(Context(), v.term, inst.large_budget(), mode, cfg.resolved_deltas()).trace
+
     def test_minimal_inhabitants_cost_nothing(self):
         rng = random.Random(3)
         for _ in range(40):
-            ty = concretize(sample_type(rng, 3, dict(DEFAULT_TYPE_WEIGHTS), NAT), NAT)
+            ty = concretize(sample_type(rng, 3, DEFAULT_TYPE_WEIGHTS, NAT), NAT)
             term = minimal_inhabitant(ty)
             j = synthesize(Context(), term, BIG, Mode.SOUND, D)
             assert j.bound == NAT.element(0)
@@ -411,6 +424,53 @@ class TestProperties:
         assert report.failure_count > 0
         assert {f.relation for f in report.failures} == {"generated term typechecks"}
         assert all(f.term for f in report.failures)
+        # the untyped root is derived again whole, so the message is the one
+        # synthesize gives for the term under the same fault
+        for f in report.failures:
+            with pytest.raises(TypingError) as exc:
+                synthesize(Context(), parse(f.term, NAT), BIG, Mode.SOUND, D)
+            assert f.observed["type_error"] == str(exc.value)
+
+    @pytest.mark.parametrize("inst", [NAT, TRIPLE], ids=["nat", "triple"])
+    def test_suites_read_the_generated_derivations(self, monkeypatch, inst):
+        # on passing runs only terms the suite did not generate are
+        # synthesized: preservation's result value, substitution's closed
+        # term, and budget_weakening's term once per budget
+        expected = {"cost_soundness": 0, "determinism": 0, "box_laws": 0,
+                    "preservation": 1, "substitution": 1, "budget_weakening": 2}
+        calls, per_trial = [], []
+        real_synthesize = harness.synthesize
+
+        def counted(*args):
+            calls.append(args)
+            return real_synthesize(*args)
+
+        monkeypatch.setattr(harness, "synthesize", counted)
+        cfg = GenConfig(lattice=inst, seed=7, count=60, max_depth=5, mode=Mode.SOUND)
+        for name, n in expected.items():
+            real = PROPERTIES[name]
+
+            def trial(cfg, i, real=real):
+                start = len(calls)
+                failure = real(cfg, i)
+                per_trial.append(len(calls) - start)
+                return failure
+
+            monkeypatch.setitem(PROPERTIES, name, trial)
+            per_trial.clear()
+            assert run_property(cfg, name).passed
+            assert per_trial == [n] * cfg.count, name
+
+    def test_box_laws_rejects_a_value_that_is_not_a_box(self, monkeypatch):
+        # an explicit check, not an assert: it must hold under python -O too
+        not_a_box = derive(Context(), TT(), Mode.SOUND, D, NAT)
+        monkeypatch.setattr(harness, "gen_value", lambda *args: not_a_box)
+        cfg = GenConfig(lattice=NAT, seed=5, count=20, max_depth=5, mode=Mode.SOUND)
+        report = run_property(cfg, "box_laws")
+        assert report.failure_count == 20
+        for f in report.failures:
+            assert f.relation == "grade monotone acceptance" and f.term == "tt"
+            assert f.observed["error"].startswith("synthesized type Bool does not match expected Box")
 
     def test_triple_lattice_clean(self):
         deltas = DeltaProfile.uniform(TRIPLE.element((1, 0, 0)))
