@@ -26,6 +26,9 @@ from rblam.interp import DEFAULT_FUEL, EvalError, Stuck, evaluate, evaluate_trac
 from rblam.lattice import (
     LatticeError,
     LatticeInstance,
+    NatLattice,
+    SaturatingNatLattice,
+    TripleLattice,
     builtin_lattice,
     check_laws,
     load_lattice,
@@ -89,7 +92,7 @@ class Session:
             "app": unit, "if": unit, "unbox": unit, "proj": unit,
         }
         for name in deltas:
-            text = pick(f"delta_{name}" if name != "if" else "delta_if", f"delta.{name}")
+            text = pick(f"delta_{name}", f"delta.{name}")
             if text is not None:
                 deltas[name] = parse_literal_text(text, self.lattice)
         self.deltas = DeltaProfile(
@@ -310,15 +313,15 @@ def _sample_from_range(inst: LatticeInstance, spec: str):
         raise LatticeError(f"bad sample range {spec!r}; expected LO..HI")
     if hi < lo:
         raise LatticeError(f"bad sample range {spec!r}")
-    if inst.kind in ("nat", "gas"):
+    if isinstance(inst, NatLattice):
         return [inst.element(i) for i in range(lo, hi + 1)]
-    if inst.kind == "nat-saturating":
-        cap = inst.cap  # type: ignore[attr-defined]
-        return [inst.element(i) for i in range(max(lo, 0), min(hi, cap) + 1)]
-    if inst.kind == "triple":
+    if isinstance(inst, SaturatingNatLattice):
+        return [inst.element(i) for i in range(max(lo, 0), min(hi, inst.cap) + 1)]
+    if isinstance(inst, TripleLattice):
         coords = sorted({lo, min(lo + 1, hi), (lo + hi) // 2, hi})
         return [inst.element((a, b, c)) for a in coords for b in coords for c in coords]
-    return None  # finite and product default to full enumeration
+    raise LatticeError(f"--sample takes a range only on nat, gas, sat<cap> and triple; "
+                       f"omit it to check every element of {inst.name!r}")
 
 
 def cmd_laws(args: argparse.Namespace) -> int:
@@ -392,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_model.set_defaults(handler=cmd_model)
 
     p_laws = sub.add_parser("laws", help="check the lattice axioms over a sample")
-    p_laws.add_argument("--sample", help="numeric sample range, e.g. 0..50")
+    p_laws.add_argument("--sample", help="numeric sample range on nat, gas, sat<cap> or triple, e.g. 0..50")
     _session_flags(p_laws)
     p_laws.set_defaults(handler=cmd_laws)
 

@@ -35,7 +35,6 @@ class LatticeInstance:
     elements are only usable with the instance that created them."""
 
     name: str
-    kind: str
 
     def _own(self, el: LatticeElement) -> Any:
         if not isinstance(el, LatticeElement) or el.instance is not self:
@@ -118,9 +117,8 @@ class LatticeInstance:
 class NatLattice(LatticeInstance):
     """Naturals under <= with + and max. Also used for gas."""
 
-    def __init__(self, name: str = "nat", kind: str = "nat"):
+    def __init__(self, name: str = "nat"):
         self.name = name
-        self.kind = kind
 
     def _check_payload(self, payload):
         if not isinstance(payload, int) or payload < 0:
@@ -166,7 +164,6 @@ class SaturatingNatLattice(LatticeInstance):
             raise LatticeError("saturating cap must be a natural")
         self.cap = cap
         self.name = name or f"sat{cap}"
-        self.kind = "nat-saturating"
 
     def _check_payload(self, payload):
         if not isinstance(payload, int) or not (0 <= payload <= self.cap):
@@ -218,7 +215,6 @@ class TripleLattice(LatticeInstance):
 
     def __init__(self, name: str = "triple"):
         self.name = name
-        self.kind = "triple"
 
     def _check_payload(self, payload):
         if (
@@ -278,7 +274,6 @@ class FiniteLattice(LatticeInstance):
         bottom_name: str,
     ):
         self.name = name
-        self.kind = "finite"
         self.names = list(elements)
         known = set(self.names)
         if len(known) != len(self.names):
@@ -382,7 +377,6 @@ class ProductLattice(LatticeInstance):
             raise LatticeError("product lattice needs at least one component")
         self.components = list(components)
         self.name = name or "product({})".format(",".join(c.name for c in components))
-        self.kind = "product"
 
     def _check_payload(self, payload):
         if not isinstance(payload, tuple) or len(payload) != len(self.components):
@@ -443,8 +437,8 @@ class ProductLattice(LatticeInstance):
         return self.element(tuple(c.large_budget() for c in self.components))
 
 
-NAT = NatLattice("nat", "nat")
-GAS = NatLattice("gas", "gas")
+NAT = NatLattice("nat")
+GAS = NatLattice("gas")
 TRIPLE = TripleLattice()
 
 

@@ -5,10 +5,12 @@ values), and a concrete cost-annotated set model with a compositional term
 interpretation checked against the operational semantics.
 
 Only checks that can fail on a faulty lattice, typechecker or evaluator are
-run. A family is built as `{s | need(s) <= r}` at each budget r, or as a
-product or filter of such families, so its monotonicity in r and the
-embedding of a boxed family into its body's follow from the lattice laws;
-the laws are checked instead, with `lattice.check_laws` over every element.
+run. A family is stored once, as its need map: each section comes with its
+need, the least budget that admits it, and the family at budget r is
+`{s | need(s) <= r}`. Its monotonicity in r, the embedding of a boxed family
+into its body's, and each bound sitting below its budget (a bound is below
+its need) follow from the lattice laws; the laws are checked instead, with
+`lattice.check_laws` over every element.
 
 A section is a (value, bound) pair, and a value is a term in normal form,
 so a section is already its own reification. The model interprets a value
@@ -17,16 +19,15 @@ with the same `DenModel._interp` clauses as any other term.
 Section families are tabulated with paper-mode judgments: a value's
 synthesized bound under those rules is exactly the bound stored in its
 section (a lambda's bound is its body bound). Tabulating an arrow family
-evaluates each lambda body on every argument; a cost above the body's
-bound there is a finding, and each finding fails the family's check. The
-term interpretation and cost-preservation check run in sound mode, where
-the synthesized bound dominates the model cost under arbitrary function
-reuse.
+evaluates each lambda body on every argument and compares the substituted
+body's bound, its cost and its result's bound; those comparisons are the
+family's check, and each failed one is a finding. The term interpretation
+and cost-preservation check run in sound mode, where the synthesized bound
+dominates the model cost under arbitrary function reuse.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
@@ -69,8 +70,9 @@ from rblam.typecheck import (
 
 
 Section = tuple[Term, LatticeElement]  # a value and its bound
+Entry = tuple[Term, LatticeElement, LatticeElement]  # a value, its bound and its need
 
-# Tabulated sections per budget, and lambdas per arrow corpus, before a
+# Tabulated entries per family, and lambdas per arrow corpus, before a
 # family is cut there and flagged non-exhaustive.
 MAX_SECTIONS = 4000
 
@@ -136,16 +138,22 @@ class _Checker:
 
 @dataclass
 class PresheafRep:
+    """A type's section family as its need map: `entries` holds each section
+    with its need, and the family at budget r is `at(r)`."""
+
     lattice: LatticeInstance
     type: Type
-    sections: dict[LatticeElement, set[Section]]
+    entries: list[Entry]
     exhaustive: bool
     notes: dict[str, Any] = field(default_factory=dict)
-    findings: list[str] = field(default_factory=list)  # faults seen while tabulating
+    tabulation: _Checker | None = None  # an arrow family's comparisons and findings
+
+    def at(self, r: LatticeElement) -> set[Section]:
+        """The sections admitted at budget r: those whose need sits below r."""
+        return {(v, b) for v, b, need in self.entries if self.lattice.leq(need, r)}
 
     def section_count(self) -> int:
-        top_sizes = [len(s) for s in self.sections.values()]
-        return max(top_sizes) if top_sizes else 0
+        return max((len(self.at(r)) for r in self.lattice.enumerate()), default=0)
 
 
 def _fmt_section(inst: LatticeInstance, s: Section) -> str:
@@ -172,62 +180,47 @@ class _Interpreter:
             return self.memo[ty]
         exhaustive = True
         notes: dict[str, Any] = {}
-        findings: list[str] = []
+        tabulation = None
         inst = self.inst
         bot = inst.bottom()
 
-        sections: dict[LatticeElement, set[Section]]
+        entries: list[Entry]
         match ty:
             case Bool():
-                base = {(TT(), bot), (FF(), bot)}
-                sections = {r: set(base) for r in self.els}
+                entries = [(TT(), bot, bot), (FF(), bot, bot)]
             case Nat():
-                base = {(NatLit(n), bot) for n in range(self.enum.max_nat + 1)}
-                sections = {r: set(base) for r in self.els}
+                entries = [(NatLit(n), bot, bot) for n in range(self.enum.max_nat + 1)]
                 notes["max_nat"] = self.enum.max_nat
             case Prod(left, right):
                 lrep = self.interpret(left)
                 rrep = self.interpret(right)
                 exhaustive = lrep.exhaustive and rrep.exhaustive
-                sections = {}
-                for r in self.els:
-                    out: set[Section] = set()
-                    for (v1, b1) in lrep.sections[r]:
-                        for (v2, b2) in rrep.sections[r]:
-                            b = inst.combine(b1, b2)
-                            if inst.leq(b, r):
-                                out.add((Pair(v1, v2), b))
-                    sections[r] = out
+                entries = []
+                for (v1, b1, n1) in lrep.entries:
+                    for (v2, b2, n2) in rrep.entries:
+                        b = inst.combine(b1, b2)
+                        entries.append((Pair(v1, v2), b, inst.join(inst.join(n1, n2), b)))
             case Box(grade, body):
                 brep = self.interpret(body)
                 exhaustive = brep.exhaustive
-                sections = {}
-                for r in self.els:
-                    sections[r] = {
-                        (BoxT(grade, v), b)
-                        for (v, b) in brep.sections[r]
-                        if inst.leq(b, grade)
-                    }
+                entries = [(BoxT(grade, v), b, need) for (v, b, need) in brep.entries if inst.leq(b, grade)]
             case Arrow(dom, cod, None):
-                sections, exhaustive, notes, findings = self._arrow_sections(dom, cod)
+                entries, exhaustive, notes, tabulation = self._arrow_sections(dom, cod)
             case _:
                 raise ValueError(f"cannot tabulate type {pretty_type(ty)}")
 
-        if any(len(s) > MAX_SECTIONS for s in sections.values()):
+        if len(entries) > MAX_SECTIONS:
             exhaustive = False
             notes["section_cap"] = MAX_SECTIONS
-            sections = {
-                r: set(itertools.islice(sorted(s, key=lambda p: pretty(p[0])), MAX_SECTIONS))
-                for r, s in sections.items()
-            }
+            entries = sorted(entries, key=lambda e: pretty(e[0]))[:MAX_SECTIONS]
 
         rep = PresheafRep(
             lattice=inst,
             type=ty,
-            sections=sections,
+            entries=entries,
             exhaustive=exhaustive,
             notes=notes,
-            findings=findings,
+            tabulation=tabulation,
         )
         self.memo[ty] = rep
         return rep
@@ -237,19 +230,18 @@ class _Interpreter:
     def _arrow_sections(self, dom: Type, cod: Type):
         inst = self.inst
         notes: dict[str, Any] = {"max_term_size": self.enum.max_term_size}
-        exhaustive = True
-        findings: list[str] = []
+        tab = _Checker(f"sections[{pretty_type(Arrow(dom, cod, None))}]")
 
         top = inst.top()
         if top is None or type_contains_arrow(dom):
             notes["skipped"] = "argument space not enumerable"
-            return {r: set() for r in self.els}, False, notes, findings
+            return [], False, notes, tab
 
         dom_rep = self.interpret(dom)
-        args = sorted(dom_rep.sections[top], key=lambda p: pretty(p[0]))
+        args = sorted(dom_rep.at(top), key=lambda p: pretty(p[0]))
         exhaustive = dom_rep.exhaustive
 
-        corpus: list[tuple[Term, LatticeElement, LatticeElement]] = []
+        entries: list[Entry] = []
         bodies: list[Term] = []
         for size in range(1, self.enum.max_term_size):
             bodies.extend(self._bodies((("x", dom),), cod, size))
@@ -279,38 +271,34 @@ class _Interpreter:
                     b_sub = self.synth_bound(Context(), sub).bound
                     result = evaluate(sub, self.enum.deltas)
                 except (TypingError, EvalError) as exc:
-                    findings.append(f"{pretty(lam)} on {pretty(v)}: {exc}")
+                    tab.expect(False, lambda: f"{pretty(lam)} on {pretty(v)}: {exc}")
                     admissible = False
                     break
-                if not inst.leq(b_sub, b_body):
-                    findings.append(
-                        f"substituted body bound escapes lambda bound: {pretty(lam)} on {pretty(v)}"
-                    )
-                if not inst.leq(result.cost, b_sub):
-                    findings.append(
-                        f"substituted body cost escapes bound: {pretty(lam)} on {pretty(v)}"
-                    )
+                tab.expect(
+                    inst.leq(b_sub, b_body),
+                    lambda: f"substituted body bound escapes lambda bound: {pretty(lam)} on {pretty(v)}",
+                )
+                tab.expect(
+                    inst.leq(result.cost, b_sub),
+                    lambda: f"substituted body cost escapes bound: {pretty(lam)} on {pretty(v)}",
+                )
                 try:
                     b_w = self.synth_bound(Context(), result.value).bound
                 except TypingError as exc:
-                    findings.append(f"result of {pretty(lam)} does not retype: {exc}")
+                    tab.expect(False, lambda: f"result of {pretty(lam)} does not retype: {exc}")
                     admissible = False
                     break
-                if not inst.leq(b_w, b_sub):
-                    findings.append(
-                        f"result bound escapes body bound: {pretty(lam)} on {pretty(v)}"
-                    )
+                tab.expect(
+                    inst.leq(b_w, b_sub),
+                    lambda: f"result bound escapes body bound: {pretty(lam)} on {pretty(v)}",
+                )
                 need = inst.join(need, inst.combine(inst.combine(b_a, b_sub), self.enum.deltas.app))
             if admissible:
-                corpus.append((lam, b_body, need))
+                entries.append((lam, b_body, need))
 
-        sections = {
-            r: {(v, b) for (v, b, need) in corpus if inst.leq(need, r)}
-            for r in self.els
-        }
-        notes["corpus_size"] = len(corpus)
+        notes["corpus_size"] = len(entries)
         notes["argument_count"] = len(args)
-        return sections, exhaustive, notes, findings
+        return entries, exhaustive, notes, tab
 
     def _bodies(self, ctx: tuple[tuple[str, Type], ...], goal: Type, size: int) -> list[Term]:
         """All first-order bodies of exactly `size` nodes: variables,
@@ -354,8 +342,8 @@ class _Interpreter:
 
 
 def interpret_type(ty: Type, inst: LatticeInstance, enum: EnumBudget) -> PresheafRep:
-    """Tabulate the section family of a type over a finite lattice: at each
-    budget r, the set of (value, bound) pairs admitted at r."""
+    """Tabulate the section family of a type over a finite lattice: its
+    (value, bound, need) entries, read at budget r as `rep.at(r)`."""
     return _Interpreter(inst, enum).interpret(ty)
 
 
@@ -369,41 +357,32 @@ def interpret_types(types: Iterable[Type], inst: LatticeInstance, enum: EnumBudg
 
 
 def check_presheaf(rep: PresheafRep, deltas: DeltaProfile) -> CheckReport:
-    """Sections are certified: each bound sits below its budget, and each
-    value retypes at exactly the stored bound and type. Each finding of the
-    family's tabulation (an arrow body that costs more than its bound, or
-    whose result does not retype within it) is one more failed case."""
+    """Sections are certified. A literal, pair or box section retypes at
+    exactly the stored type and bound: one case per entry. An arrow
+    family's cases are its tabulation's comparisons, three for each lambda
+    and argument (the substituted body's bound below the lambda's, its
+    cost below that bound, its result's bound below it), and each finding
+    is one failed case. A lambda's stored bound is the judgment the
+    tabulation synthesized, so it is not retyped."""
+    notes = dict(rep.notes, exhaustive=rep.exhaustive)
+    if rep.tabulation is not None:
+        return rep.tabulation.report(notes)
     inst = rep.lattice
     c = _Checker(f"sections[{pretty_type(rep.type)}]")
     budget = inst.large_budget()
-
-    retype_cache: dict[Section, tuple[Type, LatticeElement] | str] = {}
-    for r, secs in rep.sections.items():
-        for sec in secs:
-            v, b = sec
-            c.expect(
-                inst.leq(b, r),
-                lambda: f"bound escapes budget: {_fmt_section(inst, sec)} at r={inst.format(r)}",
-            )
-            if sec not in retype_cache:
-                try:
-                    j = synthesize(Context(), v, budget, Mode.PAPER, deltas)
-                    retype_cache[sec] = (j.type, j.bound)
-                except TypingError as exc:
-                    retype_cache[sec] = str(exc)
-            cached = retype_cache[sec]
-            if isinstance(cached, str):
-                c.expect(False, lambda: f"section does not retype: {_fmt_section(inst, sec)}: {cached}")
-            else:
-                ty, bound = cached
-                c.expect(
-                    ty == rep.type and bound == b,
-                    lambda: f"section judgment mismatch: {_fmt_section(inst, sec)} retypes at "
-                    f"({pretty_type(ty)}, {inst.format(bound)})",
-                )
-    for finding in rep.findings:
-        c.expect(False, lambda: finding)
-    return c.report(notes=dict(rep.notes, exhaustive=rep.exhaustive))
+    for (v, b, _) in rep.entries:
+        sec = (v, b)
+        try:
+            j = synthesize(Context(), v, budget, Mode.PAPER, deltas)
+        except TypingError as exc:
+            c.expect(False, lambda: f"section does not retype: {_fmt_section(inst, sec)}: {exc}")
+            continue
+        c.expect(
+            j.type == rep.type and j.bound == b,
+            lambda: f"section judgment mismatch: {_fmt_section(inst, sec)} retypes at "
+            f"({pretty_type(j.type)}, {inst.format(j.bound)})",
+        )
+    return c.report(notes)
 
 
 # ---------------------------------------------------------------------------
@@ -658,8 +637,8 @@ def run_model_checks(
 ) -> ModelReport:
     """Run every finite-model check over one lattice: `lattice-laws`, the
     lattice axioms over every element, then one `sections[T]` check per
-    type: certification of T's section family, failed by any finding of its
-    tabulation."""
+    type (`check_presheaf`): a retype of each literal, pair and box section,
+    or the comparisons an arrow family's tabulation made."""
     enum = enum or EnumBudget(deltas=DeltaProfile.default(inst))
     _check_deltas(enum.deltas, inst)
     types = types if types is not None else default_type_suite(inst)

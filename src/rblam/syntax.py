@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from operator import attrgetter
-from typing import Callable, Sequence
+from typing import Callable, Sequence, TypeVar
 
 from rblam.lattice import LatticeElement, LatticeError, LatticeInstance
 
@@ -696,31 +696,29 @@ class _Parser:
         self.fail(f"expected a term, found {tok.text or 'end of input'!r}")
 
 
+_P = TypeVar("_P")
+
+
+def _parse_all(source: str, inst: LatticeInstance, production: Callable[[_Parser], _P]) -> _P:
+    """Run one production over the whole source; input left after it is an error."""
+    parser = _Parser(_tokenize(source), inst)
+    result = production(parser)
+    tok = parser.peek()
+    if tok.kind != "EOF":
+        parser.fail(f"trailing input starting at {tok.text!r}", tok)
+    return result
+
+
 def parse(source: str, inst: LatticeInstance) -> Term:
     """Parse a program against a lattice instance (literals are checked
     eagerly). Raises ParseError with line/column on malformed input."""
-    parser = _Parser(_tokenize(source), inst)
-    term = parser.parse_term()
-    tok = parser.peek()
-    if tok.kind != "EOF":
-        parser.fail(f"trailing input starting at {tok.text!r}", tok)
-    return term
+    return _parse_all(source, inst, _Parser.parse_term)
 
 
 def parse_type(source: str, inst: LatticeInstance) -> Type:
-    parser = _Parser(_tokenize(source), inst)
-    ty = parser.parse_type()
-    tok = parser.peek()
-    if tok.kind != "EOF":
-        parser.fail(f"trailing input starting at {tok.text!r}", tok)
-    return ty
+    return _parse_all(source, inst, _Parser.parse_type)
 
 
 def parse_literal_text(source: str, inst: LatticeInstance) -> LatticeElement:
     """Parse a standalone lattice literal such as '3' or '(1,2,0)'."""
-    parser = _Parser(_tokenize(source), inst)
-    el = parser.parse_element()
-    tok = parser.peek()
-    if tok.kind != "EOF":
-        parser.fail(f"trailing input starting at {tok.text!r}", tok)
-    return el
+    return _parse_all(source, inst, _Parser.parse_element)

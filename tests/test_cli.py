@@ -227,9 +227,9 @@ class TestGoldenReports:
               "--format", "json"],
              "bc28c03b6e58f865692c528a041c09fc5b4eabde840229b83718df3b4437be93"),
             (["model", "--lattice", "sat2", "--interp-corpus", "300", "--format", "json"],
-             "6594c36adcec4f50a41b65a148520d9d949bcadea5da044ef7d4db244e394eb7"),
+             "88e644dd7e286f623f5ea49704cd199ad5d0fb63db9dcf7d629fbc15d84ccf1f"),
             (["model", "--lattice-file", "DATA/diamond.lat", "--format", "json"],
-             "eec3b4d3aa001eeba639017fcb18b6d84839a1a1cd6d0f3c712199514eb01257"),
+             "f3a2e410b0ccf8c1b2d6e479e9592cfb13865e4fc4fc75b244fdaeca8b7e4824"),
             (["laws", "--lattice", "triple", "--sample", "0..6", "--format", "json"],
              "3532086b65e6e76ab4a923d399290eaa3bef99f32927d1de37c41b934c23c092"),
             (["laws", "--lattice-file", "DATA/diamond.lat", "--format", "json"],
@@ -260,6 +260,14 @@ class TestLaws:
 
     def test_finite_defaults_to_all(self, data_dir, capsys):
         assert main(["laws", "--lattice-file", str(data_dir / "diamond.lat")]) == 0
+
+    def test_finite_rejects_a_sample_range(self, data_dir, capsys):
+        # a table lattice has no numeric range: the flag is refused, not ignored
+        code = main(["laws", "--lattice-file", str(data_dir / "diamond.lat"), "--sample", "0..1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert captured.out == ""
 
     def test_json(self, capsys):
         code = main(["laws", "--lattice", "sat5", "--format", "json"])

@@ -19,9 +19,11 @@ from rblam.model import (
     FnDen,
     check_cost_preservation,
     check_presheaf,
+    default_type_suite,
     den_matches_value,
     interpret_term,
     interpret_type,
+    interpret_types,
     run_model_checks,
 )
 from rblam.syntax import (
@@ -29,15 +31,18 @@ from rblam.syntax import (
     Bool,
     Box,
     Nat,
+    NatLit,
     BoxT,
     FF,
     Lam,
+    Pair,
     Prod,
     TT,
     is_value,
     parse,
+    substitute,
 )
-from rblam.typecheck import Context, DeltaProfile, Mode, synthesize
+from rblam.typecheck import Context, DeltaProfile, Mode, TypingError, synthesize
 
 
 def sat(cap):
@@ -84,12 +89,12 @@ class TestTypeInterpretation:
         rep = interpret_type(Bool(), inst, enum_for(inst))
         expected = {(TT(), inst.bottom()), (FF(), inst.bottom())}
         for r in inst.enumerate():
-            assert rep.sections[r] == expected
+            assert rep.at(r) == expected
 
     def test_product_at_bottom_has_four_pairs(self):
         inst = sat(3)
         rep = interpret_type(Prod(Bool(), Bool()), inst, enum_for(inst))
-        at_bottom = rep.sections[inst.bottom()]
+        at_bottom = rep.at(inst.bottom())
         assert len(at_bottom) == 4
         assert all(b == inst.bottom() for _, b in at_bottom)
 
@@ -97,7 +102,7 @@ class TestTypeInterpretation:
         inst = sat(3)
         rep = interpret_type(Box(inst.bottom(), Bool()), inst, enum_for(inst))
         for r in inst.enumerate():
-            assert rep.sections[r] == {
+            assert rep.at(r) == {
                 (BoxT(inst.bottom(), TT()), inst.bottom()),
                 (BoxT(inst.bottom(), FF()), inst.bottom()),
             }
@@ -105,7 +110,7 @@ class TestTypeInterpretation:
     def test_nat_truncated(self):
         inst = sat(2)
         rep = interpret_type(Nat(), inst, enum_for(inst, max_nat=3))
-        assert len(rep.sections[inst.bottom()]) == 4
+        assert len(rep.at(inst.bottom())) == 4
         assert rep.notes["max_nat"] == 3
 
     def test_arrow_admission_threshold(self):
@@ -115,15 +120,68 @@ class TestTypeInterpretation:
         rep = interpret_type(Arrow(Bool(), Bool(), None), inst, enum_for(inst))
         lam = parse("lam x : Bool . if x then ff else tt", inst)
         target = (lam, inst.element(1))
-        assert target in rep.sections[inst.element(2)]
-        assert target not in rep.sections[inst.element(1)]
+        assert target in rep.at(inst.element(2))
+        assert target not in rep.at(inst.element(1))
 
     def test_identity_lambda_admitted_at_delta_app(self):
         inst = sat(4)
         rep = interpret_type(Arrow(Bool(), Bool(), None), inst, enum_for(inst))
         ident = (parse("lam x : Bool . x", inst), inst.element(0))
-        assert ident in rep.sections[inst.element(1)]
-        assert ident not in rep.sections[inst.element(0)]
+        assert ident in rep.at(inst.element(1))
+        assert ident not in rep.at(inst.element(0))
+
+
+def families_by_budget(ty, inst, enum, memo):
+    """Reference: a type's family built budget by budget. Literals sit at
+    every budget; pairs and boxes are cut at each budget from their parts'
+    families there; a well-typed lambda is admitted at r when its body bound
+    and, for every argument at the top budget, the application condition
+    sit below r."""
+    if ty in memo:
+        return memo[ty]
+    els, bot, d = inst.enumerate(), inst.bottom(), enum.deltas
+
+    def bound(t):
+        return synthesize(Context(), t, inst.large_budget(), Mode.PAPER, d).bound
+
+    match ty:
+        case Bool():
+            fams = {r: {(TT(), bot), (FF(), bot)} for r in els}
+        case Nat():
+            fams = {r: {(NatLit(n), bot) for n in range(enum.max_nat + 1)} for r in els}
+        case Prod(left, right):
+            lf, rf = families_by_budget(left, inst, enum, memo), families_by_budget(right, inst, enum, memo)
+            fams = {r: set() for r in els}
+            for r in els:
+                for v1, b1 in lf[r]:
+                    for v2, b2 in rf[r]:
+                        b = inst.combine(b1, b2)
+                        if inst.leq(b, r):
+                            fams[r].add((Pair(v1, v2), b))
+        case Box(grade, body):
+            bf = families_by_budget(body, inst, enum, memo)
+            fams = {r: {(BoxT(grade, v), b) for v, b in bf[r] if inst.leq(b, grade)} for r in els}
+        case Arrow(dom, cod, None):
+            args = families_by_budget(dom, inst, enum, memo)[inst.top()]
+            tabulator = model._Interpreter(inst, enum)
+            fams = {r: set() for r in els}
+            for size in range(1, enum.max_term_size):
+                for body in tabulator._bodies((("x", dom),), cod, size):
+                    lam = Lam("x", dom, body)
+                    try:
+                        j = synthesize(Context(), lam, inst.large_budget(), Mode.PAPER, d)
+                    except TypingError:
+                        continue
+                    if j.type != ty:
+                        continue
+                    conds = [j.bound] + [
+                        inst.combine(inst.combine(b_a, bound(substitute(body, "x", v))), d.app) for v, b_a in args
+                    ]
+                    for r in els:
+                        if all(inst.leq(c, r) for c in conds):
+                            fams[r].add((lam, j.bound))
+    memo[ty] = fams
+    return fams
 
 
 class TestSectionFamilyChecks:
@@ -133,6 +191,49 @@ class TestSectionFamilyChecks:
         for ty in [Bool(), Prod(Bool(), Bool()), Box(inst.element(2), Bool()), Arrow(Bool(), Bool(), None)]:
             rep = interpret_type(ty, inst, enum)
             assert check_presheaf(rep, enum.deltas).ok
+
+    @pytest.mark.parametrize("lattice", ["sat2", "sat3", "diamond"])
+    def test_need_map_reads_are_the_per_budget_families(self, data_dir, lattice):
+        inst = load_lattice(str(data_dir / "diamond.lat")) if lattice == "diamond" else sat(int(lattice[3:]))
+        enum = enum_for(inst)
+        reps = interpret_types(default_type_suite(inst), inst, enum)
+        memo = {}
+        for ty, rep in reps.items():
+            fams = families_by_budget(ty, inst, enum, memo)
+            assert {r: rep.at(r) for r in inst.enumerate()} == fams, ty
+            assert rep.section_count() == max(len(f) for f in fams.values())
+
+    def test_cases_are_one_retype_per_entry_and_three_comparisons_per_application(self):
+        inst = sat(2)
+        report = run_model_checks(inst)
+        checked = {c.name: c.checked for c in report.checks}
+        assert checked["sections[Bool]"] == 2
+        assert checked["sections[Nat]"] == 4
+        assert checked["sections[Bool * Nat]"] == 8
+        assert all(n > 0 for n in checked.values())
+        for c in report.checks:
+            if "->" in c.name:
+                assert c.checked == 3 * c.notes["corpus_size"] * c.notes["argument_count"], c.name
+
+    def test_literals_with_unit_bound_fail_the_retype(self, monkeypatch):
+        # derive charges a unit step for every literal: the tabulated
+        # literal, pair and box sections keep bound bottom, so each retypes
+        # at another bound
+        real = typecheck.derive
+
+        def literal_unit_bound(ctx, t, mode, d, inst, kids=()):
+            deriv = real(ctx, t, mode, d, inst, kids)
+            if isinstance(t, (TT, FF, NatLit)):
+                return dataclasses.replace(deriv, bound=inst.unit_step())
+            return deriv
+
+        monkeypatch.setattr(typecheck, "derive", literal_unit_bound)
+        report = run_model_checks(sat(3))
+        failed = {c.name for c in report.checks if not c.ok}
+        assert {"sections[Bool]", "sections[Nat]", "sections[Bool * Bool]", "sections[Box[0] Bool]"} <= failed
+        [bools] = [c for c in report.checks if c.name == "sections[Bool]"]
+        assert bools.counterexamples[0] == "section judgment mismatch: (tt, 0) retypes at (Bool, 1)"
+        assert main(["model", "--lattice", "sat3"]) == 1
 
 
 class TestRunModelChecks:
