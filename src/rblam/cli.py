@@ -4,7 +4,8 @@ Subcommands: check (typecheck a program and verify its bound against the
 budget), eval (typecheck then run with cost accounting), fuzz (metatheory
 property suites), model (finite-lattice semantic checks), laws (lattice
 axiom checker). Exit codes are a stable CI contract: 0 success, 1 budget or
-property violation, 2 input error.
+property violation, 2 input error. Commands raise input errors; `main` alone
+prints each as one `error:` line and returns 2.
 """
 
 from __future__ import annotations
@@ -46,25 +47,29 @@ from rblam.typecheck import Context, DeltaProfile, Mode, TypingError, synthesize
 OK, VIOLATION, INPUT_ERROR = 0, 1, 2
 
 
-def _reject(message: str):
-    print(f"error: {message}", file=sys.stderr)
-    raise SystemExit(INPUT_ERROR)
+class InputError(Exception):
+    """Input a command refuses; `main` prints it as one `error:` line and
+    exits 2."""
+
+
+def _read_text(path: str, what: str = "") -> str:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {what}{path}: {exc}") from exc
 
 
 def _read_config(path: str) -> dict[str, str]:
     out: dict[str, str] = {}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, 1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise LatticeError(f"{path}:{lineno}: expected key = value")
-                key, value = line.split("=", 1)
-                out[key.strip()] = value.strip()
-    except OSError as exc:
-        raise LatticeError(f"cannot read config {path}: {exc}") from exc
+    for lineno, raw in enumerate(_read_text(path, "config ").splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise InputError(f"{path}:{lineno}: expected key = value")
+        key, value = line.split("=", 1)
+        out[key.strip()] = value.strip()
     return out
 
 
@@ -107,7 +112,7 @@ class Session:
         )
         mode = pick("mode", "mode", "sound")
         if mode not in [m.value for m in Mode]:
-            _reject(f"bad mode {mode!r}; expected paper or sound")
+            raise InputError(f"bad mode {mode!r}; expected paper or sound")
         self.mode = Mode(mode)
         fuel = str(pick("fuel", "fuel", DEFAULT_FUEL))
         try:
@@ -115,10 +120,10 @@ class Session:
                 raise ValueError(fuel)
             self.fuel = int(fuel)  # refuses numerals of more than 4300 digits
         except ValueError:
-            _reject(f"bad fuel {fuel!r}; expected a non-negative integer")
+            raise InputError(f"bad fuel {fuel!r}; expected a non-negative integer")
         self.format = pick("format", "format", "text")
         if self.format not in ("text", "json"):
-            _reject(f"bad format {self.format!r}; expected text or json")
+            raise InputError(f"bad format {self.format!r}; expected text or json")
 
 
 def _int_at_least(lo: int):
@@ -157,27 +162,25 @@ def _emit(doc: dict, session: Session) -> None:
 
 
 def _load_program(path: str, session: Session):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            source = fh.read()
-    except OSError as exc:
-        _reject(f"cannot read {path}: {exc}")
+    source = _read_text(path)
     try:
         return parse(source, session.lattice)
     except ParseError as exc:
-        print(f"{path}:{exc}", file=sys.stderr)
-        raise SystemExit(INPUT_ERROR)
+        raise InputError(f"{path}:{exc}") from exc
+
+
+def _synthesize(term, session: Session):
+    try:
+        return synthesize(Context(), term, session.budget, session.mode, session.deltas)
+    except TypingError as exc:
+        raise InputError(f"type error: {exc}") from exc
 
 
 def cmd_check(args: argparse.Namespace) -> int:
     session = Session(args)
     term = _load_program(args.file, session)
     inst = session.lattice
-    try:
-        j = synthesize(Context(), term, session.budget, session.mode, session.deltas)
-    except TypingError as exc:
-        print(f"type error: {exc}", file=sys.stderr)
-        return INPUT_ERROR
+    j = _synthesize(term, session)
     verdict = "OK" if j.within_budget else "BUDGET-EXCEEDED"
     doc = {
         "type": pretty_type(j.type),
@@ -201,13 +204,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     session = Session(args)
     term = _load_program(args.file, session)
     inst = session.lattice
-    j = None
-    if not args.unsafe_eval:
-        try:
-            j = synthesize(Context(), term, session.budget, session.mode, session.deltas)
-        except TypingError as exc:
-            print(f"type error: {exc}", file=sys.stderr)
-            return INPUT_ERROR
+    j = None if args.unsafe_eval else _synthesize(term, session)
     try:
         if args.trace:
             result, trace = evaluate_trace(term, session.deltas, session.fuel)
@@ -218,11 +215,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
         if j is not None:
             print(f"internal invariant failure: typed term got stuck: {exc}", file=sys.stderr)
             return VIOLATION
-        print(f"stuck: {exc}", file=sys.stderr)
-        return INPUT_ERROR
+        raise InputError(f"stuck: {exc}") from exc
     except EvalError as exc:
-        print(f"evaluation error: {exc}", file=sys.stderr)
-        return INPUT_ERROR
+        raise InputError(f"evaluation error: {exc}") from exc
     doc = {"value": pretty(result.value), "cost": inst.format(result.cost)}
     code = OK
     if j is not None:
@@ -243,11 +238,9 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     props = args.props.split(",") if args.props else list(PROPERTIES)
     for name in props:
         if name not in PROPERTIES:
-            print(f"error: unknown property {name!r}; known: {', '.join(PROPERTIES)}", file=sys.stderr)
-            return INPUT_ERROR
+            raise InputError(f"unknown property {name!r}; known: {', '.join(PROPERTIES)}")
     if args.hunt and args.props and props != ["cost_soundness"]:
-        print(f"error: --hunt runs cost_soundness only, not --props {args.props}", file=sys.stderr)
-        return INPUT_ERROR
+        raise InputError(f"--hunt runs cost_soundness only, not --props {args.props}")
     cfg = GenConfig(
         lattice=session.lattice,
         seed=args.seed,
@@ -279,8 +272,7 @@ def cmd_model(args: argparse.Namespace) -> int:
     session = Session(args)
     inst = session.lattice
     if not inst.is_finite:
-        print(f"error: model checks need a finite lattice, got {inst.name!r}", file=sys.stderr)
-        return INPUT_ERROR
+        raise InputError(f"model checks need a finite lattice, got {inst.name!r}")
     enum = EnumBudget(
         deltas=session.deltas,
         max_nat=args.max_nat,
@@ -313,10 +305,10 @@ def _sample_from_range(inst: LatticeInstance, spec: str):
         raise LatticeError(f"bad sample range {spec!r}; expected LO..HI")
     if hi < lo:
         raise LatticeError(f"bad sample range {spec!r}")
+    if isinstance(inst, SaturatingNatLattice):  # before NatLattice, its base class
+        return [inst.element(i) for i in range(max(lo, 0), min(hi, inst.cap) + 1)]
     if isinstance(inst, NatLattice):
         return [inst.element(i) for i in range(lo, hi + 1)]
-    if isinstance(inst, SaturatingNatLattice):
-        return [inst.element(i) for i in range(max(lo, 0), min(hi, inst.cap) + 1)]
     if isinstance(inst, TripleLattice):
         coords = sorted({lo, min(lo + 1, hi), (lo + hi) // 2, hi})
         return [inst.element((a, b, c)) for a in coords for b in coords for c in coords]
@@ -327,18 +319,8 @@ def _sample_from_range(inst: LatticeInstance, spec: str):
 def cmd_laws(args: argparse.Namespace) -> int:
     session = Session(args)
     inst = session.lattice
-    sample = None
-    if args.sample:
-        try:
-            sample = _sample_from_range(inst, args.sample)
-        except LatticeError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return INPUT_ERROR
-    try:
-        report = check_laws(inst, sample)
-    except LatticeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return INPUT_ERROR
+    sample = _sample_from_range(inst, args.sample) if args.sample else None
+    report = check_laws(inst, sample)
     if session.format == "json":
         print(json.dumps(report.to_dict(), sort_keys=True, indent=1))
     else:
@@ -407,12 +389,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.handler(args)
-    except SystemExit as exc:
+    except SystemExit as exc:  # argparse's --help, or a usage error it has printed
         return exc.code if isinstance(exc.code, int) else INPUT_ERROR
-    except LatticeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return INPUT_ERROR
-    except ParseError as exc:
+    except (InputError, LatticeError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR
 

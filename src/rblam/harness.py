@@ -24,6 +24,7 @@ bounds undercount.
 from __future__ import annotations
 
 import json
+import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -937,11 +938,20 @@ def _run_range(cfg: GenConfig, name: str, start: int, stop: int) -> list[dict]:
     return out
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def run_property(cfg: GenConfig, name: str, workers: int = 1) -> PropertyReport:
     """Run one suite. Reports are identical at any worker count: trials are
-    seeded independently and merged in trial order."""
+    seeded independently and merged in trial order. At most one worker
+    process runs per CPU this process may use."""
     if name not in PROPERTIES:
         raise KeyError(f"unknown property {name!r}")
+    workers = min(workers, _usable_cpus())
     if workers <= 1 or cfg.count < workers * 2:
         raw = _run_range(cfg, name, 0, cfg.count)
     else:

@@ -155,7 +155,7 @@ class NatLattice(LatticeInstance):
         return self.element(10**6)
 
 
-class SaturatingNatLattice(LatticeInstance):
+class SaturatingNatLattice(NatLattice):
     """Naturals 0..cap with cap-clamped addition. Finite, so usable by the
     exhaustive model checker while keeping combine distinct from join."""
 
@@ -170,17 +170,8 @@ class SaturatingNatLattice(LatticeInstance):
             raise LatticeError(f"{self.name}: expected 0..{self.cap}, got {payload!r}")
         return payload
 
-    def _leq(self, a, b):
-        return a <= b
-
     def _combine(self, a, b):
         return min(a + b, self.cap)
-
-    def _join(self, a, b):
-        return max(a, b)
-
-    def _bottom(self):
-        return 0
 
     @property
     def is_finite(self):
@@ -191,14 +182,6 @@ class SaturatingNatLattice(LatticeInstance):
 
     def top(self):
         return self.element(self.cap)
-
-    def from_literal(self, lit):
-        if not isinstance(lit, int):
-            raise LatticeError(f"{self.name}: literal must be a natural, got {lit!r}")
-        return self.element(lit)
-
-    def format(self, el):
-        return str(self._own(el))
 
     def unit_step(self):
         return self.element(min(1, self.cap))
@@ -649,8 +632,11 @@ def parse_lattice_table(text: str, name: str = "finite") -> FiniteLattice:
 def load_lattice(path: str, check: bool = True) -> FiniteLattice:
     """Load a finite lattice from a table file; by default also run the law
     checker and refuse unlawful tables."""
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise LatticeError(f"cannot read {path}: {exc}") from exc
     inst = parse_lattice_table(text, name=os.path.splitext(os.path.basename(path))[0])
     if check:
         report = check_laws(inst)

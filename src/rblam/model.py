@@ -14,7 +14,7 @@ its need) follow from the lattice laws; the laws are checked instead, with
 
 A section is a (value, bound) pair, and a value is a term in normal form,
 so a section is already its own reification. The model interprets a value
-with the same `DenModel._interp` clauses as any other term.
+with the same `DenModel.denote` clauses as any other term.
 
 Section families are tabulated with paper-mode judgments: a value's
 synthesized bound under those rules is exactly the bound stored in its
@@ -28,7 +28,7 @@ dominates the model cost under arbitrary function reuse.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterable
 
 from rblam.harness import minimal_inhabitant, type_contains_arrow
@@ -54,7 +54,6 @@ from rblam.syntax import (
     Type,
     Unbox,
     Var,
-    alpha_eq,
     pretty,
     pretty_type,
     substitute,
@@ -89,11 +88,22 @@ class EnumBudget:
 
 @dataclass
 class CheckReport:
+    """One check's case count and findings; it passes when no case failed."""
+
     name: str
-    ok: bool
-    checked: int
+    checked: int = 0
     counterexamples: list[str] = field(default_factory=list)
     notes: dict[str, Any] = field(default_factory=dict)
+
+    @property
+    def ok(self) -> bool:
+        return not self.counterexamples
+
+    def expect(self, ok: bool, witness: Callable[[], str]):
+        """Count one case; on failure, call `witness` for its description."""
+        self.checked += 1
+        if not ok and len(self.counterexamples) < 10:
+            self.counterexamples.append(witness())
 
     def to_dict(self) -> dict:
         return {
@@ -110,28 +120,6 @@ class CheckReport:
         return f"{self.name}: {status} ({self.checked} cases){extra}"
 
 
-class _Checker:
-    def __init__(self, name: str):
-        self.name = name
-        self.checked = 0
-        self.counterexamples: list[str] = []
-
-    def expect(self, ok: bool, witness: Callable[[], str]):
-        """Count one case; on failure, call `witness` for its description."""
-        self.checked += 1
-        if not ok and len(self.counterexamples) < 10:
-            self.counterexamples.append(witness())
-
-    def report(self, notes: dict | None = None) -> CheckReport:
-        return CheckReport(
-            name=self.name,
-            ok=not self.counterexamples,
-            checked=self.checked,
-            counterexamples=self.counterexamples,
-            notes=notes or {},
-        )
-
-
 # ---------------------------------------------------------------------------
 # Type interpretation as budget-indexed section families
 
@@ -146,7 +134,7 @@ class PresheafRep:
     entries: list[Entry]
     exhaustive: bool
     notes: dict[str, Any] = field(default_factory=dict)
-    tabulation: _Checker | None = None  # an arrow family's comparisons and findings
+    tabulation: CheckReport | None = None  # an arrow family's comparisons and findings
 
     def at(self, r: LatticeElement) -> set[Section]:
         """The sections admitted at budget r: those whose need sits below r."""
@@ -230,7 +218,8 @@ class _Interpreter:
     def _arrow_sections(self, dom: Type, cod: Type):
         inst = self.inst
         notes: dict[str, Any] = {"max_term_size": self.enum.max_term_size}
-        tab = _Checker(f"sections[{pretty_type(Arrow(dom, cod, None))}]")
+        arrow = Arrow(dom, cod, None)
+        tab = CheckReport(f"sections[{pretty_type(arrow)}]")
 
         top = inst.top()
         if top is None or type_contains_arrow(dom):
@@ -258,7 +247,9 @@ class _Interpreter:
                 j = self.synth_bound(Context(), lam)
             except TypingError:
                 continue
-            if j.type != Arrow(dom, cod, None):
+            if j.type != arrow:
+                tab.expect(False, lambda: f"lambda synthesizes {pretty_type(j.type)}, "
+                           f"not {pretty_type(arrow)}: {pretty(lam)}")
                 continue
             b_body = j.bound
             # the budget needed at a section: body bound, and for every
@@ -362,13 +353,14 @@ def check_presheaf(rep: PresheafRep, deltas: DeltaProfile) -> CheckReport:
     family's cases are its tabulation's comparisons, three for each lambda
     and argument (the substituted body's bound below the lambda's, its
     cost below that bound, its result's bound below it), and each finding
-    is one failed case. A lambda's stored bound is the judgment the
-    tabulation synthesized, so it is not retyped."""
+    is one failed case; so is a lambda that synthesizes another type than
+    the family's. A lambda's stored bound is the judgment the tabulation
+    synthesized, so it is not retyped."""
     notes = dict(rep.notes, exhaustive=rep.exhaustive)
     if rep.tabulation is not None:
-        return rep.tabulation.report(notes)
+        return replace(rep.tabulation, notes=notes)
     inst = rep.lattice
-    c = _Checker(f"sections[{pretty_type(rep.type)}]")
+    c = CheckReport(f"sections[{pretty_type(rep.type)}]", notes=notes)
     budget = inst.large_budget()
     for (v, b, _) in rep.entries:
         sec = (v, b)
@@ -382,7 +374,7 @@ def check_presheaf(rep: PresheafRep, deltas: DeltaProfile) -> CheckReport:
             lambda: f"section judgment mismatch: {_fmt_section(inst, sec)} retypes at "
             f"({pretty_type(j.type)}, {inst.format(j.bound)})",
         )
-    return c.report(notes)
+    return c
 
 
 # ---------------------------------------------------------------------------
@@ -395,18 +387,9 @@ class BoxDen:
     inner: "Den"
 
 
-class FnDen:
-    """Curried denotation: maps an argument denotation to the body's
-    denotation and cost."""
-
-    def __init__(self, apply):
-        self._apply = apply
-
-    def __call__(self, arg: "Den") -> tuple["Den", LatticeElement]:
-        return self._apply(arg)
-
-
-Den = Any  # bool | int | tuple[Den, Den] | BoxDen | FnDen
+# bool | int | tuple[Den, Den] | BoxDen, or for a function the curried map
+# from an argument denotation to the body's denotation and cost
+Den = Any
 
 
 def _check_deltas(deltas: DeltaProfile, lattice: LatticeInstance) -> None:
@@ -426,7 +409,9 @@ class DenModel:
         self.lattice = lattice
         self.deltas = deltas
 
-    def _interp(self, t: Term, env: dict[str, Den]) -> tuple[Den, LatticeElement]:
+    def denote(self, t: Term, env: dict[str, Den]) -> tuple[Den, LatticeElement]:
+        """Compositional denotation of a term under `env`, with the
+        model-side cost."""
         inst = self.lattice
         d = self.deltas
         bot = inst.bottom()
@@ -443,45 +428,36 @@ class DenModel:
                 captured = dict(env)
 
                 def apply(arg: Den, _name=name, _body=body, _env=captured):
-                    return self._interp(_body, {**_env, _name: arg})
+                    return self.denote(_body, {**_env, _name: arg})
 
-                return FnDen(apply), bot
+                return apply, bot
             case App(fn, arg):
-                df, cf = self._interp(fn, env)
-                da, ca = self._interp(arg, env)
+                df, cf = self.denote(fn, env)
+                da, ca = self.denote(arg, env)
                 db, cb = df(da)
                 return db, inst.combine(inst.combine(inst.combine(cf, ca), d.app), cb)
             case Pair(a, b):
-                da, ca = self._interp(a, env)
-                db, cb = self._interp(b, env)
+                da, ca = self.denote(a, env)
+                db, cb = self.denote(b, env)
                 return (da, db), inst.combine(ca, cb)
             case Fst(arg):
-                da, ca = self._interp(arg, env)
+                da, ca = self.denote(arg, env)
                 return da[0], inst.combine(ca, d.proj)
             case Snd(arg):
-                da, ca = self._interp(arg, env)
+                da, ca = self.denote(arg, env)
                 return da[1], inst.combine(ca, d.proj)
             case If(cond, then, other):
-                dc, cc = self._interp(cond, env)
-                db, cb = self._interp(then if dc else other, env)
+                dc, cc = self.denote(cond, env)
+                db, cb = self.denote(then if dc else other, env)
                 return db, inst.combine(inst.combine(cc, cb), d.iff)
             case BoxT(grade, body):
-                db, cb = self._interp(body, env)
+                db, cb = self.denote(body, env)
                 return BoxDen(grade, db), cb
             case Unbox(arg):
-                da, ca = self._interp(arg, env)
+                da, ca = self.denote(arg, env)
                 assert isinstance(da, BoxDen)
                 return da.inner, inst.combine(ca, d.unbox)
         raise TypeError(f"no interpretation clause for {pretty(t)}")
-
-
-def interpret_term(t: Term, j: Judgment, m: DenModel) -> tuple[Den, LatticeElement]:
-    """Compositional denotation of a closed typed term, with the model-side
-    cost. The judgment is the admission ticket; ill-typed terms are rejected
-    before entry."""
-    if not alpha_eq(j.subject, t):
-        raise ValueError("judgment does not certify this term")
-    return m._interp(t, {})
 
 
 def _probe_values(ty: Type, max_nat: int = 2) -> list[Term]:
@@ -524,10 +500,10 @@ def den_matches_value(den: Den, v: Term, m: DenModel) -> bool:
         case BoxT(grade, inner):
             return isinstance(den, BoxDen) and den.grade == grade and den_matches_value(den.inner, inner, m)
         case Lam(name, annot, body):
-            if not isinstance(den, FnDen):
+            if not callable(den):
                 return False
             for probe in _probe_values(annot):
-                db, cb = den(m._interp(probe, {})[0])
+                db, cb = den(m.denote(probe, {})[0])
                 sub = substitute(body, name, probe)
                 try:
                     result = evaluate(sub, m.deltas)
@@ -548,7 +524,7 @@ def check_cost_preservation(
     value (exactly, with model cost equal to operational cost) and the model
     cost sits below the synthesized bound."""
     inst = m.lattice
-    c = _Checker(f"cost-preservation[{mode.value}]")
+    c = CheckReport(f"cost-preservation[{mode.value}]", notes={"corpus": len(corpus)})
     budget = inst.large_budget()
     for term in corpus:
         try:
@@ -556,7 +532,7 @@ def check_cost_preservation(
         except TypingError as exc:
             c.expect(False, lambda: f"{pretty(term)}: does not typecheck: {exc}")
             continue
-        den, cost = interpret_term(term, j, m)
+        den, cost = m.denote(term, {})
         try:
             result = evaluate(term, m.deltas)
         except EvalError as exc:
@@ -574,7 +550,7 @@ def check_cost_preservation(
             inst.leq(cost, j.bound),
             lambda: f"model cost {inst.format(cost)} escapes bound {inst.format(j.bound)}: {pretty(term)}",
         )
-    return c.report(notes={"corpus": len(corpus)})
+    return c
 
 
 # ---------------------------------------------------------------------------
@@ -647,7 +623,6 @@ def run_model_checks(
     laws = check_laws(inst)
     checks = [CheckReport(
         name="lattice-laws",
-        ok=laws.passed,
         checked=sum(r.checked for r in laws.results),
         counterexamples=[
             f"{r.law} fails at ({', '.join(inst.format(w) for w in r.witness)})" for r in laws.failures()

@@ -466,6 +466,7 @@ def _tokenize(source: str) -> list[_Token]:
         if ch == "#":
             while i < n and source[i] != "\n":
                 i += 1
+                col += 1
             continue
         start_col = col
         if ch.isdigit():

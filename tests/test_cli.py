@@ -269,6 +269,10 @@ class TestLaws:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert captured.out == ""
 
+    def test_saturating_sample_clamps_to_the_cap(self, capsys):
+        assert main(["laws", "--lattice", "sat3", "--sample", "0..10", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["sample_size"] == 4
+
     def test_json(self, capsys):
         code = main(["laws", "--lattice", "sat5", "--format", "json"])
         doc = json.loads(capsys.readouterr().out)
@@ -353,6 +357,44 @@ class TestInputErrors:
         err = capsys.readouterr().err
         assert code == 2
         assert "natural literal" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "source, flags, head",
+        [
+            ("if tt then", [], "error: PROG:1:11: expected a term"),
+            ("tt ff", [], "error: type error: "),
+            ("fst tt", ["--unsafe-eval"], "error: stuck: "),
+            (APP_EXAMPLE, ["--fuel", "1"], "error: evaluation error: "),
+        ],
+        ids=["parse", "type", "stuck", "fuel"],
+    )
+    def test_program_errors_are_one_error_line(self, program, capsys, source, flags, head):
+        path = program(source)
+        code = main(["eval", path, "--lattice", "nat"] + flags)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith(head.replace("PROG", path)) and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "case",
+        ["missing lattice file", "directory as lattice file", "non-UTF-8 program", "non-UTF-8 config",
+         "non-UTF-8 lattice file"],
+    )
+    def test_unreadable_input_is_one_error_line(self, program, tmp_path, capsys, case):
+        latin = tmp_path / "latin1.txt"
+        latin.write_bytes("tt # caf\xe9\n".encode("latin-1"))
+        argv = {
+            "missing lattice file": ["laws", "--lattice-file", str(tmp_path / "absent.lat")],
+            "directory as lattice file": ["laws", "--lattice-file", str(tmp_path)],
+            "non-UTF-8 program": ["check", str(latin), "--lattice", "nat"],
+            "non-UTF-8 config": ["check", program(IF_EXAMPLE), "--config", str(latin)],
+            "non-UTF-8 lattice file": ["model", "--lattice-file", str(latin)],
+        }[case]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: cannot read ") and captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
 
     def test_arabic_indic_digit_still_parses(self, program, capsys):
         assert main(["eval", program("(lam x : Nat . x) ٣"), "--lattice", "nat"]) == 0

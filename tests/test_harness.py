@@ -514,6 +514,37 @@ class TestReports:
         par = report_json([run_property(cfg, "cost_soundness", workers=3)], cfg)
         assert seq == par
 
+    @pytest.mark.parametrize("affinity", [True, False], ids=["affinity", "cpu_count"])
+    def test_workers_capped_at_usable_cpus(self, monkeypatch, affinity):
+        # the pool is a fake that records its size and maps in this process,
+        # so no worker process is started
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+        if affinity:
+            monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        else:
+            monkeypatch.delattr(harness.os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
+        cfg = GenConfig(lattice=NAT, seed=42, count=60, max_depth=4, mode=Mode.SOUND)
+        capped = run_property(cfg, "determinism", workers=1000)
+        assert sizes == [3]
+        serial = run_property(cfg, "determinism", workers=1)
+        assert report_json([capped], cfg) == report_json([serial], cfg)
+
     def test_raising_trial_is_recorded_and_the_run_goes_on(self, monkeypatch):
         real = PROPERTIES["determinism"]
 

@@ -95,6 +95,18 @@ class TestParseErrors:
         with pytest.raises(ParseError):
             parse("lam if : Bool . tt", NAT)
 
+    @pytest.mark.parametrize(
+        "src, line, col",
+        [("lam x : Bool # trailing comment here", 1, 37), ("lam x : Bool # comment\n", 2, 1)],
+        ids=["no final newline", "final newline"],
+    )
+    def test_end_of_input_after_comment(self, src, line, col):
+        # the end of input sits after the comment, not at its '#'
+        with pytest.raises(ParseError) as exc:
+            parse(src, NAT)
+        assert (exc.value.line, exc.value.col) == (line, col)
+        assert exc.value.message == "expected '.', found 'end of input'"
+
     def test_trailing_input(self):
         with pytest.raises(ParseError):
             parse("tt ) ", NAT)
