@@ -4,8 +4,10 @@ Subcommands: check (typecheck a program and verify its bound against the
 budget), eval (typecheck then run with cost accounting), fuzz (metatheory
 property suites), model (finite-lattice semantic checks), laws (lattice
 axiom checker). Exit codes are a stable CI contract: 0 success, 1 budget or
-property violation, 2 input error. Commands raise input errors; `main` alone
-prints each as one `error:` line and returns 2.
+property violation, 2 input error, 141 stdout closed before the output was
+written (as by `| head -1`). Commands raise input errors; `main` alone
+prints each as one `error:` line and returns 2, and turns a closed stdout
+into 141 without a traceback.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from rblam.harness import (
@@ -25,6 +28,7 @@ from rblam.harness import (
 )
 from rblam.interp import DEFAULT_FUEL, EvalError, Stuck, evaluate, evaluate_trace, format_trace, format_tree
 from rblam.lattice import (
+    NAT,
     LatticeError,
     LatticeInstance,
     NatLattice,
@@ -45,6 +49,7 @@ from rblam.syntax import (
 from rblam.typecheck import Context, DeltaProfile, Mode, TypingError, synthesize
 
 OK, VIOLATION, INPUT_ERROR = 0, 1, 2
+CLOSED_STDOUT = 141  # the status a shell reports for a process that SIGPIPE ends
 
 
 class InputError(Exception):
@@ -73,57 +78,89 @@ def _read_config(path: str) -> dict[str, str]:
     return out
 
 
+def _mode(text: str, _lattice) -> Mode:
+    if text not in [m.value for m in Mode]:
+        raise InputError(f"bad mode {text!r}; expected paper or sound")
+    return Mode(text)
+
+
+def _fuel(text: str | int, _lattice) -> int:
+    text = str(text)  # the flag is already an int
+    try:
+        if not text.isdecimal():
+            raise ValueError(text)
+        return int(text)  # refuses numerals of more than 4300 digits
+    except ValueError:
+        raise InputError(f"bad fuel {text!r}; expected a non-negative integer")
+
+
+def _format(text: str, _lattice) -> str:
+    if text not in ("text", "json"):
+        raise InputError(f"bad format {text!r}; expected text or json")
+    return text
+
+
+# Every session setting as (flag, config key, parser); a parser takes the
+# setting's text and the session lattice. A flag beats the config file, which
+# may hold only these keys. The lattice file and the lattice name are one
+# setting: the flags' choice beats the file's, and a lattice file beats a
+# name given the same way.
+SETTINGS = (
+    ("lattice_file", "lattice_file", lambda text, _: load_lattice(text)),
+    ("lattice", "lattice", lambda text, _: builtin_lattice(text)),
+    ("delta_app", "delta.app", parse_literal_text),
+    ("delta_if", "delta.if", parse_literal_text),
+    ("delta_unbox", "delta.unbox", parse_literal_text),
+    ("delta_proj", "delta.proj", parse_literal_text),
+    ("budget", "budget", parse_literal_text),
+    ("mode", "mode", _mode),
+    ("fuel", "fuel", _fuel),
+    ("format", "format", _format),
+)
+CONFIG_KEYS = tuple(key for _, key, _ in SETTINGS)
+
+
+def _setting_texts(args: argparse.Namespace) -> dict[str, object]:
+    """Each given setting's text by flag name: the flag's, or else the config
+    file's. A lattice named by a flag drops both of the file's lattice keys."""
+    texts: dict[str, object] = {}
+    if getattr(args, "config", None):
+        settings = _read_config(args.config)
+        for key in settings:
+            if key not in CONFIG_KEYS:
+                raise InputError(f"{args.config}: unknown key {key!r}; keys: {', '.join(CONFIG_KEYS)}")
+        texts = {flag: settings[key] for flag, key, _ in SETTINGS if key in settings}
+    flags = {flag: value for flag, _, _ in SETTINGS if (value := getattr(args, flag, None)) is not None}
+    if "lattice_file" in flags or "lattice" in flags:
+        texts.pop("lattice_file", None)
+        texts.pop("lattice", None)
+    texts.update(flags)
+    return texts
+
+
 class Session:
     """Resolved lattice, deltas, budget, mode, fuel, and output format."""
 
     def __init__(self, args: argparse.Namespace):
-        settings = _read_config(args.config) if getattr(args, "config", None) else {}
+        texts = _setting_texts(args)
+        parsers = {flag: parse for flag, _, parse in SETTINGS}
+        lattice = None
 
-        def pick(flag: str, key: str, default=None):
-            value = getattr(args, flag, None)
-            if value is not None:
-                return value
-            return settings.get(key, default)
+        def pick(flag: str, default=None):
+            return parsers[flag](texts[flag], lattice) if flag in texts else default
 
-        lattice_file = pick("lattice_file", "lattice_file")
-        lattice_name = pick("lattice", "lattice", "nat")
-        if lattice_file:
-            self.lattice: LatticeInstance = load_lattice(lattice_file)
-        else:
-            self.lattice = builtin_lattice(lattice_name)
-
-        unit = self.lattice.unit_step()
-        deltas = {
-            "app": unit, "if": unit, "unbox": unit, "proj": unit,
-        }
-        for name in deltas:
-            text = pick(f"delta_{name}", f"delta.{name}")
-            if text is not None:
-                deltas[name] = parse_literal_text(text, self.lattice)
+        lattice = pick("lattice_file") if "lattice_file" in texts else pick("lattice", NAT)
+        self.lattice: LatticeInstance = lattice
+        unit = lattice.unit_step()
         self.deltas = DeltaProfile(
-            app=deltas["app"], iff=deltas["if"], unbox=deltas["unbox"], proj=deltas["proj"]
+            app=pick("delta_app", unit), iff=pick("delta_if", unit),
+            unbox=pick("delta_unbox", unit), proj=pick("delta_proj", unit),
         )
-
-        budget_text = pick("budget", "budget")
-        self.budget = (
-            parse_literal_text(budget_text, self.lattice)
-            if budget_text is not None
-            else self.lattice.large_budget()
-        )
-        mode = pick("mode", "mode", "sound")
-        if mode not in [m.value for m in Mode]:
-            raise InputError(f"bad mode {mode!r}; expected paper or sound")
-        self.mode = Mode(mode)
-        fuel = str(pick("fuel", "fuel", DEFAULT_FUEL))
-        try:
-            if not fuel.isdecimal():
-                raise ValueError(fuel)
-            self.fuel = int(fuel)  # refuses numerals of more than 4300 digits
-        except ValueError:
-            raise InputError(f"bad fuel {fuel!r}; expected a non-negative integer")
-        self.format = pick("format", "format", "text")
-        if self.format not in ("text", "json"):
-            raise InputError(f"bad format {self.format!r}; expected text or json")
+        budget = pick("budget")
+        self.budget = budget if budget is not None else lattice.large_budget()
+        self.mode = pick("mode", Mode.SOUND)
+        self.fuel = pick("fuel", DEFAULT_FUEL)
+        self.format = pick("format", "text")
 
 
 def _int_at_least(lo: int):
@@ -269,6 +306,9 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
 
 
 def cmd_model(args: argparse.Namespace) -> int:
+    if args.mode is not None:
+        raise InputError("model takes no --mode: it tabulates sections with the paper rules "
+                         "and checks --interp-corpus with the sound rules")
     session = Session(args)
     inst = session.lattice
     if not inst.is_finite:
@@ -384,16 +424,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _discard_stdout() -> None:
+    """Point stdout's file descriptor at the null device, so that the flush
+    at exit does not meet the closed pipe again. A stdout without one is
+    left as it is."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
     except SystemExit as exc:  # argparse's --help, or a usage error it has printed
         return exc.code if isinstance(exc.code, int) else INPUT_ERROR
     except (InputError, LatticeError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR
+    except BrokenPipeError:  # the reader closed stdout, as `rblam ... | head -1` does
+        _discard_stdout()
+        return CLOSED_STDOUT
 
 
 if __name__ == "__main__":

@@ -70,6 +70,7 @@ from rblam.typecheck import (
     Mode,
     TypingError,
     derive,
+    derive_or_untyped,
     is_subtype,
     synthesize,
 )
@@ -224,15 +225,8 @@ class _GenState:
 
     def derive(self, ctx: Context, term: Term, *kids: Derivation) -> Derivation:
         """term's derivation from its kids', or an untyped node (type None)
-        where term does not typecheck. Productions fall back on those; under a
-        faulty typechecker the term still reaches the trial's own check."""
-        for k in kids:
-            if k.type is None:
-                return Derivation("untyped", term, None, None)
-        try:
-            return derive(ctx, term, self.cfg.mode, self.deltas, self.inst, kids)
-        except TypingError:
-            return Derivation("untyped", term, None, None)
+        where term does not typecheck."""
+        return derive_or_untyped(ctx, term, self.cfg.mode, self.deltas, self.inst, kids)
 
     def var_usable(self, name: str, ty: Type) -> bool:
         if self.cfg.allow_fn_var_reuse or not type_contains_arrow(ty):

@@ -24,6 +24,17 @@ body's bound, its cost and its result's bound; those comparisons are the
 family's check, and each failed one is a finding. The term interpretation
 and cost-preservation check run in sound mode, where the synthesized bound
 dominates the model cost under arbitrary function reuse.
+
+An arrow family is typed from derivations, and no body node is typed twice.
+The body enumerator yields each body's derivation, every node derived once
+from its kids' with `typecheck.derive_or_untyped`, as the generator builds
+terms, and memoized per (context, goal, size). A lambda is one `Lam` node
+over its body's derivation. A substituted body re-derives only the nodes
+above an occurrence of x and shares the rest of the body's derivation. A goal
+is skipped when the size left is below `boxes(goal) - max boxes(T in ctx) + 1`
+(`boxes` counts leading `Box` constructors): `box` adds a node per layer and
+`unbox` needs an inner body with one more, so no body that small exists.
+Only the evaluation result is typed whole.
 """
 
 from __future__ import annotations
@@ -56,14 +67,16 @@ from rblam.syntax import (
     Var,
     pretty,
     pretty_type,
+    rebuild,
     substitute,
 )
 from rblam.typecheck import (
     Context,
     DeltaProfile,
-    Judgment,
+    Derivation,
     Mode,
     TypingError,
+    derive_or_untyped,
     synthesize,
 )
 
@@ -153,15 +166,21 @@ class _Interpreter:
     def __init__(self, inst: LatticeInstance, enum: EnumBudget):
         if not inst.is_finite:
             raise ValueError(f"lattice {inst.name!r} must be finite for tabulation")
+        _check_deltas(enum.deltas, inst)
         self.inst = inst
         self.enum = enum
         self.els = inst.enumerate()
         self.budget = inst.large_budget()
         self.memo: dict[Type, PresheafRep] = {}
-        self.body_memo: dict[tuple, list[Term]] = {}
+        self.body_memo: dict[tuple, list[Derivation]] = {}
 
-    def synth_bound(self, ctx: Context, t: Term) -> Judgment:
-        return synthesize(ctx, t, self.budget, Mode.PAPER, self.enum.deltas)
+    def node(self, ctx: Context, t: Term, *kids: Derivation) -> Derivation:
+        """t's paper-mode derivation in ctx from its kids', or an untyped node."""
+        return derive_or_untyped(ctx, t, Mode.PAPER, self.enum.deltas, self.inst, kids)
+
+    def synth_bound(self, t: Term) -> LatticeElement:
+        """The paper-mode bound of a closed term, derived whole."""
+        return synthesize(Context(), t, self.budget, Mode.PAPER, self.enum.deltas).bound
 
     def interpret(self, ty: Type) -> PresheafRep:
         if ty in self.memo:
@@ -216,6 +235,11 @@ class _Interpreter:
     # arrow corpora ---------------------------------------------------------
 
     def _arrow_sections(self, dom: Type, cod: Type):
+        """An arrow family's entries and the comparisons that tabulate it.
+        Each lambda is one Lam node over its body's derivation. For each
+        argument, the substituted body's derivation re-derives only the
+        nodes above an occurrence of x (`_substituted`); the rest is the
+        body's own derivation, as `substitute` shares those subterms."""
         inst = self.inst
         notes: dict[str, Any] = {"max_term_size": self.enum.max_term_size}
         arrow = Arrow(dom, cod, None)
@@ -231,7 +255,7 @@ class _Interpreter:
         exhaustive = dom_rep.exhaustive
 
         entries: list[Entry] = []
-        bodies: list[Term] = []
+        bodies: list[Derivation] = []
         for size in range(1, self.enum.max_term_size):
             bodies.extend(self._bodies((("x", dom),), cod, size))
         if not bodies:  # no lambda fits the size limit: an empty family is no evidence
@@ -241,11 +265,13 @@ class _Interpreter:
             exhaustive = False
             notes["corpus_cap"] = MAX_SECTIONS
 
+        closed = Context()
+        arg_derivs = [self.node(closed, v) for v, _ in args]
+        sub_memos: list[dict[int, Derivation]] = [{} for _ in args]
         for body in bodies:
-            lam = Lam("x", dom, body)
-            try:
-                j = self.synth_bound(Context(), lam)
-            except TypingError:
+            lam = Lam("x", dom, body.term)
+            j = self.node(closed, lam, body)
+            if j.type is None:
                 continue
             if j.type != arrow:
                 tab.expect(False, lambda: f"lambda synthesizes {pretty_type(j.type)}, "
@@ -256,11 +282,11 @@ class _Interpreter:
             # definable argument the application-condition budget
             need = b_body
             admissible = True
-            for (v, b_a) in args:
-                sub = substitute(body, "x", v)
+            for (v, b_a), v_deriv, sub_memo in zip(args, arg_derivs, sub_memos):
+                sub = self._substituted(body, v_deriv, sub_memo)
                 try:
-                    b_sub = self.synth_bound(Context(), sub).bound
-                    result = evaluate(sub, self.enum.deltas)
+                    b_sub = sub.bound if sub.type is not None else self.synth_bound(sub.term)
+                    result = evaluate(sub.term, self.enum.deltas)
                 except (TypingError, EvalError) as exc:
                     tab.expect(False, lambda: f"{pretty(lam)} on {pretty(v)}: {exc}")
                     admissible = False
@@ -274,7 +300,7 @@ class _Interpreter:
                     lambda: f"substituted body cost escapes bound: {pretty(lam)} on {pretty(v)}",
                 )
                 try:
-                    b_w = self.synth_bound(Context(), result.value).bound
+                    b_w = self.synth_bound(result.value)
                 except TypingError as exc:
                     tab.expect(False, lambda: f"result of {pretty(lam)} does not retype: {exc}")
                     admissible = False
@@ -291,22 +317,54 @@ class _Interpreter:
         notes["argument_count"] = len(args)
         return entries, exhaustive, notes, tab
 
-    def _bodies(self, ctx: tuple[tuple[str, Type], ...], goal: Type, size: int) -> list[Term]:
-        """All first-order bodies of exactly `size` nodes: variables,
-        literals, pairs, conditionals, boxing and unboxing."""
+    def _substituted(self, d: Derivation, v: Derivation, memo: dict[int, Derivation]) -> Derivation:
+        """The closed derivation of d's body term with x := v, where v is a
+        closed value's derivation. Bodies bind nothing, so every variable is
+        x. A node without x is its own derivation; a node above x is derived
+        again from its substituted kids, once per body node (memo, keyed by
+        the node's identity, which body_memo keeps alive) and argument."""
+        hit = memo.get(id(d))
+        if hit is not None:
+            return hit
+        if isinstance(d.term, Var):
+            out = v
+        else:
+            kids = tuple(self._substituted(k, v, memo) for k in d.children)
+            if all(new is old for new, old in zip(kids, d.children)):
+                out = d
+            else:
+                out = self.node(Context(), rebuild(d.term, [k.term for k in kids]), *kids)
+        memo[id(d)] = out
+        return out
+
+    def _bodies(self, ctx: tuple[tuple[str, Type], ...], goal: Type, size: int) -> list[Derivation]:
+        """The derivations, in ctx, of all first-order bodies of exactly
+        `size` nodes: variables, literals, pairs, conditionals, boxing and
+        unboxing. Each node is derived once, from its kids' derivations; one
+        that does not type is an untyped node.
+
+        A body needs at least `_boxes(goal) - max(_boxes(T) for T in ctx) + 1`
+        nodes, by induction over the productions: `box` adds one node per
+        box layer, `unbox` needs an inner body with one more layer, and
+        variables, literals, pairs and `if` meet the bound outright. Below
+        it the list is empty without being enumerated."""
+        if size < _boxes(goal) - max((_boxes(ty) for _, ty in ctx), default=0) + 1:
+            return []
         key = (ctx, goal, size)
         if key in self.body_memo:
             return self.body_memo[key]
-        out: list[Term] = []
+        at = Context(ctx)
+        node = self.node
+        out: list[Derivation] = []
         if size == 1:
             for name, ty in ctx:
                 if ty == goal:
-                    out.append(Var(name))
+                    out.append(node(at, Var(name)))
             match goal:
                 case Bool():
-                    out.extend([TT(), FF()])
+                    out.extend([node(at, TT()), node(at, FF())])
                 case Nat():
-                    out.extend(NatLit(n) for n in range(self.enum.max_nat + 1))
+                    out.extend(node(at, NatLit(n)) for n in range(self.enum.max_nat + 1))
         else:
             match goal:
                 case Prod(left, right):
@@ -314,22 +372,30 @@ class _Interpreter:
                         rs = size - 1 - ls
                         for a in self._bodies(ctx, left, ls):
                             for b in self._bodies(ctx, right, rs):
-                                out.append(Pair(a, b))
+                                out.append(node(at, Pair(a.term, b.term), a, b))
                 case Box(grade, body_ty):
                     for body in self._bodies(ctx, body_ty, size - 1):
-                        out.append(BoxT(grade, body))
+                        out.append(node(at, BoxT(grade, body.term), body))
             for s in self.els:
                 for inner in self._bodies(ctx, Box(s, goal), size - 1):
-                    out.append(Unbox(inner))
+                    out.append(node(at, Unbox(inner.term), inner))
             for cs in range(1, size - 2):
                 for ts in range(1, size - 1 - cs):
                     es = size - 1 - cs - ts
                     for c in self._bodies(ctx, Bool(), cs):
                         for a in self._bodies(ctx, goal, ts):
                             for b in self._bodies(ctx, goal, es):
-                                out.append(If(c, a, b))
+                                out.append(node(at, If(c.term, a.term, b.term), c, a, b))
         self.body_memo[key] = out
         return out
+
+
+def _boxes(ty: Type) -> int:
+    """The number of leading Box constructors of a type."""
+    n = 0
+    while isinstance(ty, Box):
+        n, ty = n + 1, ty.body
+    return n
 
 
 def interpret_type(ty: Type, inst: LatticeInstance, enum: EnumBudget) -> PresheafRep:
@@ -355,7 +421,7 @@ def check_presheaf(rep: PresheafRep, deltas: DeltaProfile) -> CheckReport:
     cost below that bound, its result's bound below it), and each finding
     is one failed case; so is a lambda that synthesizes another type than
     the family's. A lambda's stored bound is the judgment the tabulation
-    synthesized, so it is not retyped."""
+    derived, so it is not retyped."""
     notes = dict(rep.notes, exhaustive=rep.exhaustive)
     if rep.tabulation is not None:
         return replace(rep.tabulation, notes=notes)
@@ -616,7 +682,6 @@ def run_model_checks(
     type (`check_presheaf`): a retype of each literal, pair and box section,
     or the comparisons an arrow family's tabulation made."""
     enum = enum or EnumBudget(deltas=DeltaProfile.default(inst))
-    _check_deltas(enum.deltas, inst)
     types = types if types is not None else default_type_suite(inst)
     reps = interpret_types(types, inst, enum)
 

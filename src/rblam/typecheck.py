@@ -16,8 +16,9 @@ contravariant in domain, covariant in codomain and latent) is applied at
 application arguments and if-branch unification.
 
 The rules live in ``derive``, which applies the rule at one node. It takes
-the premises from the subterms' derivations when given (the generator builds
-terms this way) and derives them recursively otherwise (``synthesize``).
+the premises from the subterms' derivations when given (the generator and the
+model's body enumerator build terms this way, through ``derive_or_untyped``)
+and derives them recursively otherwise (``synthesize``).
 """
 
 from __future__ import annotations
@@ -324,3 +325,23 @@ def derive(
 
     raise TypingError(f"cannot type {pretty(t)}")
 
+
+def derive_or_untyped(
+    ctx: Context,
+    t: Term,
+    mode: Mode,
+    d: DeltaProfile,
+    inst: LatticeInstance,
+    kids: tuple[Derivation, ...] = (),
+) -> Derivation:
+    """t's derivation from its kids', or an untyped node (type and bound
+    None) where t does not typecheck or a kid is untyped. Term builders keep
+    such nodes: a production can fall back on them, and under a faulty
+    typechecker the term still reaches a check that derives it whole."""
+    for k in kids:
+        if k.type is None:
+            return Derivation("untyped", t, None, None)
+    try:
+        return derive(ctx, t, mode, d, inst, kids)
+    except TypingError:
+        return Derivation("untyped", t, None, None)

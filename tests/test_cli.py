@@ -1,5 +1,9 @@
 import hashlib
+import io
 import json
+import pathlib
+import re
+import sys
 
 import pytest
 
@@ -211,6 +215,15 @@ class TestModel:
         assert code == 0
         assert docs[0]["universe"]["exhaustive"] is False
 
+    @pytest.mark.parametrize("mode", ["paper", "sound"])
+    def test_mode_is_an_input_error(self, capsys, mode):
+        # the tabulation types in paper mode and --interp-corpus in sound
+        # mode whatever the flag says, so the flag is refused, not ignored
+        code = main(["model", "--lattice", "sat2", "--mode", mode])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: model takes no --mode") and captured.err.count("\n") == 1
+
 
 class TestGoldenReports:
     """Seeded fuzz reports, and model and laws reports, pinned byte for byte.
@@ -304,6 +317,67 @@ class TestConfigFile:
         cfg = tmp_path / "session.cfg"
         cfg.write_text("latticenat\n")
         assert main(["check", program(IF_EXAMPLE), "--config", str(cfg)]) == 2
+
+    def test_unknown_key_is_an_input_error(self, program, tmp_path, capsys):
+        # a misspelled budget must not check against the default budget
+        cfg = tmp_path / "session.cfg"
+        cfg.write_text("budgett = 0\n")
+        code = main(["check", program(IF_EXAMPLE), "--lattice", "nat", "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith(f"error: {cfg}: unknown key 'budgett'") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "line, flags, name",
+        [
+            ("lattice_file = DATA/chain2.lat", ["--lattice", "sat2"], "sat2"),
+            ("lattice = sat2", ["--lattice-file", "DATA/chain2.lat"], "chain2"),
+            ("lattice = sat2", [], "sat2"),
+            ("lattice_file = DATA/chain2.lat", [], "chain2"),
+            ("lattice = sat2\nlattice_file = DATA/chain2.lat", [], "chain2"),
+            ("lattice_file = DATA/chain2.lat", ["--lattice", "sat3", "--lattice-file", "DATA/diamond.lat"], "diamond"),
+        ],
+        ids=["flag name over file table", "flag table over file name", "file name", "file table",
+             "file table over file name", "flag table over flag name"],
+    )
+    def test_lattice_flag_beats_config_lattice(self, tmp_path, data_dir, capsys, line, flags, name):
+        cfg = tmp_path / "session.cfg"
+        cfg.write_text(line.replace("DATA", str(data_dir)) + "\n")
+        flags = [f.replace("DATA", str(data_dir)) for f in flags]
+        assert main(["laws", "--config", str(cfg)] + flags) == 0
+        assert capsys.readouterr().out.startswith(f"laws for {name} ")
+
+    def test_readme_lists_the_config_keys(self):
+        readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
+        [listed] = re.findall(r"lines \(keys: ([^)]*)\)", readme.replace("\n", " "))
+        keys = [k.strip(" `") for k in listed.split(",")]
+        assert sorted(keys) == sorted(cli.CONFIG_KEYS) and len(set(keys)) == len(keys)
+
+
+class TestClosedStdout:
+    class ClosedPipe(io.StringIO):
+        """A stdout whose reader has gone: writing, or flushing what was
+        written, raises as a closed pipe does."""
+
+        def __init__(self, on):
+            super().__init__()
+            self.on = on
+
+        def write(self, text):
+            if self.on == "write":
+                raise BrokenPipeError(32, "Broken pipe")
+            return super().write(text)
+
+        def flush(self):
+            if self.on == "flush":
+                raise BrokenPipeError(32, "Broken pipe")
+
+    @pytest.mark.parametrize("on", ["write", "flush"])
+    def test_closed_stdout_is_not_a_violation(self, program, monkeypatch, capsys, on):
+        monkeypatch.setattr(sys, "stdout", self.ClosedPipe(on))
+        code = main(["eval", program(APP_EXAMPLE), "--lattice", "nat", "--trace"])
+        assert code == cli.CLOSED_STDOUT == 141
+        assert capsys.readouterr().err == ""
 
 
 class TestInputErrors:
