@@ -5,13 +5,21 @@ Shipped instances: naturals, saturating naturals, (time, memory, depth)
 triples, gas, finite table-driven lattices, and products of instances.
 `check_laws` executes every axiom over a sample and reports witnesses
 for failures instead of assuming lawfulness.
+
+Elements are owned by the instance that made them. Every `leq`,
+`combine` and `join` tests each operand once for ownership (exact class
+and owning instance) and refuses a foreign element or a non-element with
+a `LatticeError`. An element is immutable, compares and hashes by its
+instance's identity and its payload, and pickles together with its
+instance, so that it can cross a process pool. Each instance builds its
+bottom once and returns that one element from every `bottom()` call.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from typing import Any, Iterable, Sequence
 
 
@@ -19,26 +27,70 @@ class LatticeError(Exception):
     """Malformed lattice, foreign element, or unparseable literal."""
 
 
-@dataclass(frozen=True)
 class LatticeElement:
-    """An immutable cost value owned by a specific lattice instance."""
+    """An immutable cost value owned by a specific lattice instance. Only
+    its instance builds one (`element`, `leq`/`combine`/`join`, `bottom`)."""
+
+    __slots__ = ("instance", "payload")
 
     instance: "LatticeInstance"
     payload: Any
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not LatticeElement:
+            return NotImplemented
+        return self.instance is other.instance and self.payload == other.payload
+
+    def __hash__(self):
+        return hash((self.instance, self.payload))
+
+    def __reduce__(self):
+        return _element, (self.instance, self.payload)
 
     def __repr__(self) -> str:
         return f"<{self.instance.name}:{self.instance.format(self)}>"
 
 
+_new = object.__new__
+_set_instance = LatticeElement.instance.__set__
+_set_payload = LatticeElement.payload.__set__
+
+
+def _element(instance: "LatticeInstance", payload: Any) -> LatticeElement:
+    """The one way an element is built. The slot setters get past the
+    class's `__setattr__`, which refuses assignment, and cost less than a
+    Python `__init__` would: the operations build one element per call."""
+    el = _new(LatticeElement)
+    _set_instance(el, instance)
+    _set_payload(el, payload)
+    return el
+
+
 class LatticeInstance:
     """Base class for concrete lattices. Instances compare by identity;
-    elements are only usable with the instance that created them."""
+    elements are only usable with the instance that created them.
+
+    `leq`, `combine` and `join` test each operand once: an element of
+    exactly `LatticeElement` whose `instance` is this one. Any other operand
+    goes to `_own`, which raises the error. Their results are new immutable,
+    hashable and picklable elements owned by this instance. `bottom()`
+    returns one element, built on its first call and shared by every later
+    one. The four operations are defined here alone and call the
+    subclass's `_leq`, `_combine`, `_join` and `_bottom` hooks on payloads.
+    """
 
     name: str
+    _bottom_element: LatticeElement | None = None
 
     def _own(self, el: LatticeElement) -> Any:
-        if not isinstance(el, LatticeElement) or el.instance is not self:
-            if not isinstance(el, LatticeElement):
+        if el.__class__ is not LatticeElement or el.instance is not self:
+            if el.__class__ is not LatticeElement:
                 other = repr(type(el).__name__)
             elif el.instance.name == self.name:
                 other = f"another instance of {self.name!r}"
@@ -48,22 +100,31 @@ class LatticeInstance:
         return el.payload
 
     def element(self, payload: Any) -> LatticeElement:
-        return LatticeElement(self, self._check_payload(payload))
+        return _element(self, self._check_payload(payload))
 
     def _check_payload(self, payload: Any) -> Any:
         raise NotImplementedError
 
     def leq(self, a: LatticeElement, b: LatticeElement) -> bool:
-        return self._leq(self._own(a), self._own(b))
+        pa = a.payload if a.__class__ is LatticeElement and a.instance is self else self._own(a)
+        pb = b.payload if b.__class__ is LatticeElement and b.instance is self else self._own(b)
+        return self._leq(pa, pb)
 
     def combine(self, a: LatticeElement, b: LatticeElement) -> LatticeElement:
-        return LatticeElement(self, self._combine(self._own(a), self._own(b)))
+        pa = a.payload if a.__class__ is LatticeElement and a.instance is self else self._own(a)
+        pb = b.payload if b.__class__ is LatticeElement and b.instance is self else self._own(b)
+        return _element(self, self._combine(pa, pb))
 
     def join(self, a: LatticeElement, b: LatticeElement) -> LatticeElement:
-        return LatticeElement(self, self._join(self._own(a), self._own(b)))
+        pa = a.payload if a.__class__ is LatticeElement and a.instance is self else self._own(a)
+        pb = b.payload if b.__class__ is LatticeElement and b.instance is self else self._own(b)
+        return _element(self, self._join(pa, pb))
 
     def bottom(self) -> LatticeElement:
-        return LatticeElement(self, self._bottom())
+        el = self._bottom_element
+        if el is None:
+            el = self._bottom_element = _element(self, self._bottom())
+        return el
 
     def _leq(self, a: Any, b: Any) -> bool:
         raise NotImplementedError
@@ -132,7 +193,7 @@ class NatLattice(LatticeInstance):
         return a + b
 
     def _join(self, a, b):
-        return max(a, b)
+        return a if a >= b else b  # max(a, b), without the builtin's call
 
     def _bottom(self):
         return 0
@@ -209,13 +270,17 @@ class TripleLattice(LatticeInstance):
         return payload
 
     def _leq(self, a, b):
-        return all(x <= y for x, y in zip(a, b))
+        return a[0] <= b[0] and a[1] <= b[1] and a[2] <= b[2]
 
     def _combine(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
+        return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
 
     def _join(self, a, b):
-        return tuple(max(x, y) for x, y in zip(a, b))
+        return (
+            a[0] if a[0] >= b[0] else b[0],
+            a[1] if a[1] >= b[1] else b[1],
+            a[2] if a[2] >= b[2] else b[2],
+        )
 
     def _bottom(self):
         return (0, 0, 0)
@@ -433,10 +498,11 @@ def builtin_lattice(spec: str) -> LatticeInstance:
         return GAS
     if spec == "triple":
         return TRIPLE
-    if spec.startswith("sat"):
+    cap = spec[3:]
+    if spec.startswith("sat") and cap.isascii() and cap.isdigit():
         try:
-            return SaturatingNatLattice(int(spec[3:]))
-        except ValueError:
+            return SaturatingNatLattice(int(cap))
+        except ValueError:  # more digits than int() converts
             pass
     raise LatticeError(f"unknown lattice {spec!r} (expected nat, gas, triple, or sat<cap>)")
 

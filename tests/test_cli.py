@@ -411,6 +411,10 @@ class TestInputErrors:
             ["model", "--lattice", "sat2", "--max-term-size", "-1"],
             ["model", "--lattice", "sat2", "--interp-corpus", "-1"],
             ["eval", "PROG", "--budget", "²"],
+            ["laws", "--lattice", "sat1_0"],
+            ["laws", "--lattice", "sat 2"],
+            ["laws", "--lattice", "sat+2"],
+            ["laws", "--lattice", "sat٣"],
         ],
         ids=" ".join,
     )

@@ -514,6 +514,22 @@ class TestReports:
         par = report_json([run_property(cfg, "cost_soundness", workers=3)], cfg)
         assert seq == par
 
+    @pytest.mark.parametrize("name", ["triple", "sat3", "diamond"])
+    def test_reports_identical_across_worker_counts_beyond_nat(self, monkeypatch, data_dir, name):
+        # the lattice, its cached bottom and its elements cross the process
+        # pool pickled; two workers run even on a one-CPU machine. Every
+        # suite runs: on sat3 only substitution fails, on diamond none does
+        from rblam.lattice import SaturatingNatLattice, load_lattice
+
+        inst = {"triple": TRIPLE, "sat3": SaturatingNatLattice(3),
+                "diamond": load_lattice(str(data_dir / "diamond.lat"))}[name]
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+        cfg = GenConfig(lattice=inst, seed=42, count=120, max_depth=5, mode=Mode.PAPER,
+                        allow_fn_var_reuse=True)
+        seq = report_json(run_properties(cfg, workers=1), cfg)
+        par = report_json(run_properties(cfg, workers=2), cfg)
+        assert seq == par
+
     @pytest.mark.parametrize("affinity", [True, False], ids=["affinity", "cpu_count"])
     def test_workers_capped_at_usable_cpus(self, monkeypatch, affinity):
         # the pool is a fake that records its size and maps in this process,

@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -10,6 +12,7 @@ from rblam.lattice import (
     LatticeError,
     ProductLattice,
     SaturatingNatLattice,
+    builtin_lattice,
     check_laws,
     load_lattice,
     parse_lattice_table,
@@ -71,17 +74,96 @@ class TestBottom:
         assert prod.bottom() == prod.element((NAT.element(0), TRIPLE.element((0, 0, 0))))
 
 
-def test_instance_mismatch_names_both_lattices():
+def operands(own, foreign, position):
+    return (own, foreign) if position == "second" else (foreign, own)
+
+
+@pytest.mark.parametrize("position", ["first", "second"])
+@pytest.mark.parametrize("op", ["leq", "combine", "join"])
+def test_instance_mismatch_names_both_lattices(op, position):
     with pytest.raises(LatticeError) as exc:
-        NAT.combine(nat_el(1), GAS.element(1))
+        getattr(NAT, op)(*operands(nat_el(1), GAS.element(1), position))
     assert "gas" in str(exc.value) and "nat" in str(exc.value)
 
 
-def test_instance_mismatch_with_the_same_name_says_another_instance():
+@pytest.mark.parametrize("position", ["first", "second"])
+@pytest.mark.parametrize("op", ["leq", "combine", "join"])
+def test_instance_mismatch_with_the_same_name_says_another_instance(op, position):
     a, b = SaturatingNatLattice(2), SaturatingNatLattice(2)
     with pytest.raises(LatticeError) as exc:
-        a.combine(a.element(1), b.element(1))
+        getattr(a, op)(*operands(a.element(1), b.element(1), position))
     assert str(exc.value) == "element of another instance of 'sat2' used with lattice 'sat2'"
+
+
+@pytest.mark.parametrize("position", ["first", "second"])
+@pytest.mark.parametrize("op", ["leq", "combine", "join"])
+def test_non_element_operand_names_its_type(op, position):
+    with pytest.raises(LatticeError) as exc:
+        getattr(NAT, op)(*operands(nat_el(1), 1, position))
+    assert str(exc.value) == "element of 'int' used with lattice 'nat'"
+
+
+def some_instances(data_dir):
+    return {
+        "nat": NAT,
+        "triple": TRIPLE,
+        "sat3": SaturatingNatLattice(3),
+        "product": ProductLattice([NAT, TRIPLE]),
+        "diamond": load_lattice(str(data_dir / "diamond.lat")),
+    }
+
+
+class TestElementContract:
+    def test_elements_are_immutable(self):
+        el = nat_el(1)
+        with pytest.raises(AttributeError):
+            el.payload = 2
+        with pytest.raises(AttributeError):
+            el.instance = GAS
+        with pytest.raises(AttributeError):
+            del el.payload
+        assert el == nat_el(1)
+
+    def test_equality_is_by_instance_and_payload(self):
+        a, b = SaturatingNatLattice(2), SaturatingNatLattice(2)
+        assert a.element(1) != b.element(1)
+        assert NAT.element(1) != GAS.element(1)
+        combined = a.combine(a.element(1), a.bottom())
+        assert combined == a.element(1) and hash(combined) == hash(a.element(1))
+        assert len({a.element(1), combined, b.element(1)}) == 2
+
+    @pytest.mark.parametrize("name", ["nat", "triple", "sat3", "product", "diamond"])
+    def test_bottom_is_one_shared_element(self, data_dir, name):
+        inst = some_instances(data_dir)[name]
+        assert inst.bottom() is inst.bottom()
+        assert inst.combine(inst.bottom(), inst.bottom()) == inst.bottom()
+
+    @pytest.mark.parametrize("name", ["nat", "triple", "sat3", "product", "diamond"])
+    def test_pickle_keeps_equality_and_ownership(self, data_dir, name):
+        inst = some_instances(data_dir)[name]
+        els = inst.enumerate() if inst.is_finite else [inst.bottom(), inst.unit_step(), inst.large_budget()]
+        inst2, els2 = pickle.loads(pickle.dumps((inst, els)))
+        assert inst2 is not inst and repr(els2) == repr(els)
+        assert all(el.instance is inst2 for el in els2)
+        assert els2 == [inst2.element(el.payload) for el in els2]
+        assert [repr(inst2.combine(x, y)) for x in els2 for y in els2] == [
+            repr(inst.combine(x, y)) for x in els for y in els
+        ]
+        assert inst2.bottom() is inst2.bottom() and inst2.bottom().instance is inst2
+        with pytest.raises(LatticeError):
+            inst2.leq(els[0], els2[0])
+
+
+@pytest.mark.parametrize("spec", ["sat1_0", "sat 2", "sat+2", "sat٣", "sat", "sat-1"])
+def test_sat_cap_is_ascii_digits_only(spec):
+    with pytest.raises(LatticeError) as exc:
+        builtin_lattice(spec)
+    assert str(exc.value) == f"unknown lattice {spec!r} (expected nat, gas, triple, or sat<cap>)"
+
+
+def test_builtin_lattices_resolve():
+    assert builtin_lattice("nat") is NAT and builtin_lattice("triple") is TRIPLE
+    assert [builtin_lattice(s).cap for s in ("sat0", "sat3", "sat12")] == [0, 3, 12]
 
 
 def test_element_payload_validation():
