@@ -15,7 +15,12 @@ the name's occurrences. A printer of many terms that share subterms (the
 evaluation and derivation traces) passes one memo to `pretty` and prints
 each node once.
 
-Grammar (whitespace-insensitive, `#` line comments):
+Lexical rules: an identifier is a letter or `_`, then letters, digits or
+`_`, in any script, and the keywords are reserved. A natural is decimal
+digits of any script, so `٣` is 3, while `²` is an error. `#` starts a
+comment that runs to the end of the line.
+
+Grammar (whitespace-insensitive):
 
     term   := lam | app
     lam    := "lam" ident ":" type "." term
@@ -33,6 +38,7 @@ Grammar (whitespace-insensitive, `#` line comments):
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, fields
 from operator import attrgetter
 from typing import Callable, Sequence, TypeVar
@@ -440,7 +446,8 @@ _KEYWORDS = {
 }
 
 
-@dataclass(frozen=True)
+# Slots, not a NamedTuple: the parser reads tok.kind often, and a slot reads faster.
+@dataclass(slots=True)
 class _Token:
     kind: str  # IDENT NAT keyword or a symbol
     text: str
@@ -448,74 +455,35 @@ class _Token:
     col: int
 
 
+# Alternatives are tried in order; blanks and comments have no group. `\d` is
+# a decimal digit of any script, `\w` what str.isalnum() accepts or `_`.
+_TOKEN = re.compile(
+    r"[ \t\r]+|#[^\n]*|(?P<newline>\n)|(?P<NAT>\d+)|(?P<word>\w+)"
+    r"|(?P<symbol>-\[|->|\]->|[().,:*\[\]])|(?P<bad>.)"
+)
+
+
 def _tokenize(source: str) -> list[_Token]:
     tokens: list[_Token] = []
-    line, col, i = 1, 1, 0
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and source[i] != "\n":
-                i += 1
-                col += 1
-            continue
-        start_col = col
-        if ch.isdigit():
-            j = i
-            while j < n and source[j].isdigit():
-                j += 1
-            tokens.append(_Token("NAT", source[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            text = source[i:j]
-            kind = text if text in _KEYWORDS else "IDENT"
-            tokens.append(_Token(kind, text, line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch == "-":
-            if i + 1 < n and source[i + 1] == "[":
-                tokens.append(_Token("-[", "-[", line, start_col))
-                i += 2
-                col += 2
-                continue
-            if i + 1 < n and source[i + 1] == ">":
-                tokens.append(_Token("->", "->", line, start_col))
-                i += 2
-                col += 2
-                continue
-            raise ParseError("stray '-'", line, start_col)
-        if ch == "]":
-            if i + 2 < n and source[i + 1 : i + 3] == "->":
-                tokens.append(_Token("]->", "]->", line, start_col))
-                i += 3
-                col += 3
-                continue
-            tokens.append(_Token("]", "]", line, start_col))
-            i += 1
-            col += 1
-            continue
-        if ch in "().,:*[":
-            tokens.append(_Token(ch, ch, line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, start_col)
-    tokens.append(_Token("EOF", "", line, col))
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(source):
+        kind = m.lastgroup
+        if kind == "newline":
+            line, line_start = line + 1, m.end()
+        elif kind is not None:
+            text, col = m.group(), m.start() - line_start + 1
+            if kind == "symbol":
+                kind = text
+            elif kind == "word" and (text[0].isalpha() or text[0] == "_"):
+                kind = text if text in _KEYWORDS else "IDENT"
+            elif kind != "NAT":  # a word that is no identifier, or no token at all
+                ch = text[0]
+                message = "stray '-'" if ch == "-" else f"unexpected character {ch!r}"
+                if ch.isdigit():  # but not decimal: a superscript or a circled digit
+                    message = f"bad natural literal {ch!r}"
+                raise ParseError(message, line, col)
+            tokens.append(_Token(kind, text, line, col))
+    tokens.append(_Token("EOF", "", line, len(source) - line_start + 1))
     return tokens
 
 
@@ -550,16 +518,13 @@ class _Parser:
     # literals ------------------------------------------------------------
 
     def natural(self) -> int:
-        """The value of the NAT token at the cursor. The tokenizer takes every
-        Unicode digit, and int() refuses some of them (superscripts) and
-        numerals of more than 4300 digits."""
+        """The value of the NAT token at the cursor. int() takes decimal
+        digits of any script, but no numeral of more than 4300 digits."""
         tok = self.next()
         try:
             return int(tok.text)
         except ValueError:
-            if tok.text.isdecimal():
-                self.fail(f"natural literal of {len(tok.text)} digits is too long", tok)
-            self.fail(f"bad natural literal {tok.text!r}", tok)
+            self.fail(f"natural literal of {len(tok.text)} digits is too long", tok)
 
     def parse_raw_literal(self):
         tok = self.peek()

@@ -24,6 +24,7 @@ from rblam.syntax import (
     Term,
     Unbox,
     Var,
+    _tokenize,
     alpha_eq,
     children,
     free_vars,
@@ -335,3 +336,145 @@ def test_print_parse_round_trip(term):
 def test_term_size_positive_and_stable(term):
     assert term_size(term) >= 1
     assert term_size(term) == term_size(parse(pretty(term), NAT))
+
+
+# ---------------------------------------------------------------------------
+# Lexer: the pattern scan against the character-at-a-time scanner it
+# replaced, kept here as the reference.
+
+_REFERENCE_KEYWORDS = {
+    "lam", "tt", "ff", "if", "then", "else", "fst", "snd", "box", "unbox",
+    "Bool", "Nat", "Box",
+}
+
+
+def _reference_tokenize(source: str) -> list[tuple[str, str, int, int]]:
+    tokens = []
+    line, col, i = 1, 1, 0
+    n = len(source)
+    while i < n:
+        ch = source[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if ch == "#":
+            while i < n and source[i] != "\n":
+                i += 1
+                col += 1
+            continue
+        start_col = col
+        if ch.isdigit():
+            j = i
+            while j < n and source[j].isdigit():
+                j += 1
+            tokens.append(("NAT", source[i:j], line, start_col))
+            col += j - i
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (source[j].isalnum() or source[j] == "_"):
+                j += 1
+            text = source[i:j]
+            kind = text if text in _REFERENCE_KEYWORDS else "IDENT"
+            tokens.append((kind, text, line, start_col))
+            col += j - i
+            i = j
+            continue
+        if ch == "-":
+            if i + 1 < n and source[i + 1] == "[":
+                tokens.append(("-[", "-[", line, start_col))
+                i += 2
+                col += 2
+                continue
+            if i + 1 < n and source[i + 1] == ">":
+                tokens.append(("->", "->", line, start_col))
+                i += 2
+                col += 2
+                continue
+            raise ParseError("stray '-'", line, start_col)
+        if ch == "]":
+            if i + 2 < n and source[i + 1 : i + 3] == "->":
+                tokens.append(("]->", "]->", line, start_col))
+                i += 3
+                col += 3
+                continue
+            tokens.append(("]", "]", line, start_col))
+            i += 1
+            col += 1
+            continue
+        if ch in "().,:*[":
+            tokens.append((ch, ch, line, start_col))
+            i += 1
+            col += 1
+            continue
+        raise ParseError(f"unexpected character {ch!r}", line, start_col)
+    tokens.append(("EOF", "", line, col))
+    return tokens
+
+
+def _pattern_tokenize(source: str) -> list[tuple[str, str, int, int]]:
+    return [(tok.kind, tok.text, tok.line, tok.col) for tok in _tokenize(source)]
+
+
+def _tokens_or_error(tokenize, source):
+    try:
+        return tokenize(source)
+    except ParseError as exc:
+        return str(exc)
+
+
+# No digit here is a digit without being decimal (`²`, `①`): the reference
+# left those to the parser, and the pattern scan rejects them itself (below).
+LEXER_PIECES = (
+    "lam tt ff if then else fst snd box unbox Bool Nat Box".split()
+    + ["x", "_", "0", "1", "9", " ", "\t", "\r", "\n", "#"]
+    + ["-[", "->", "]->", "(", ")", ".", ",", ":", "*", "[", "]", "-"]
+    + ["λ", "é", "٣", "½", "Ⅷ", "\x0b", "!"]
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(st.sampled_from(LEXER_PIECES), max_size=40).map("".join))
+def test_tokens_match_the_character_scanner(source):
+    assert _tokens_or_error(_pattern_tokenize, source) == _tokens_or_error(_reference_tokenize, source)
+
+
+class TestLexer:
+    @pytest.mark.parametrize(
+        "source, error",
+        [
+            ("box[²] tt", "1:5: bad natural literal '²'"),
+            ("①", "1:1: bad natural literal '①'"),
+            ("tt\n  ²x", "2:3: bad natural literal '²'"),
+            ("½", "1:1: unexpected character '½'"),
+            ("Ⅷ", "1:1: unexpected character 'Ⅷ'"),
+            ("tt - ff", "1:4: stray '-'"),
+        ],
+    )
+    def test_rejected_characters(self, source, error):
+        with pytest.raises(ParseError) as exc:
+            parse(source, NAT)
+        assert str(exc.value) == error
+
+    def test_non_decimal_digits_inside_an_identifier(self):
+        assert parse("lam x² : Bool . x²", NAT) == Lam("x²", Bool(), Var("x²"))
+
+    def test_decimal_digits_of_any_script(self):
+        assert parse("٣", NAT) == NatLit(3)
+        assert parse("1٣", NAT) == NatLit(13)
+
+    def test_a_decimal_run_ends_before_a_non_decimal_digit(self):
+        # The reference read `0²` as one natural, which the parser then
+        # refused at 1:1 as `bad natural literal '0²'`. The natural is now
+        # `0` alone, and the error points at the `²`.
+        assert _reference_tokenize("0²")[0] == ("NAT", "0²", 1, 1)
+        with pytest.raises(ParseError) as exc:
+            parse("0²", NAT)
+        assert str(exc.value) == "1:2: bad natural literal '²'"
