@@ -338,10 +338,13 @@ def cmd_model(args: argparse.Namespace) -> int:
 
 
 def _sample_from_range(inst: LatticeInstance, spec: str):
+    lo_text, _, hi_text = spec.partition("..")
+    # ASCII digits only: int() would also take "1_0", "+3", " 3" and "٣"
+    if not all(b.isascii() and b.isdigit() for b in (lo_text, hi_text)):
+        raise LatticeError(f"bad sample range {spec!r}; expected LO..HI")
     try:
-        lo_text, hi_text = spec.split("..", 1)
         lo, hi = int(lo_text), int(hi_text)
-    except ValueError:
+    except ValueError:  # more digits than int() converts
         raise LatticeError(f"bad sample range {spec!r}; expected LO..HI")
     if hi < lo:
         raise LatticeError(f"bad sample range {spec!r}")

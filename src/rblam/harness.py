@@ -11,7 +11,8 @@ value from that derivation; they synthesize only terms they did not
 generate (an evaluation result, a substituted term) and the budget
 verdicts. The minimizer derives its input once; each shrink candidate
 then re-derives only the replaced node's spine, the path from it to the
-root, and reuses the derivations of the subterms off that path.
+root, and reuses the derivations of the subterms off that path. A canonical
+inhabitant is typed once per trial and once per minimize call.
 
 With ``allow_fn_var_reuse`` off, the generator stays inside the fragment
 where the paper-mode rules are observed cost-sound: each variable whose
@@ -26,9 +27,10 @@ from __future__ import annotations
 import json
 import os
 import random
+from bisect import bisect
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import accumulate, islice
 from typing import Callable
 
 from rblam.interp import EvalError, evaluate
@@ -194,20 +196,62 @@ def _dom_matches(a: Type, g: Type, inst: LatticeInstance) -> bool:
     return False
 
 
+_Table = tuple[tuple[str, ...], list[float]]
+
+
+def _table(weighted) -> _Table:
+    """The names of (name, weight) pairs and their cumulative weights."""
+    names, weights = zip(*weighted)
+    return names, list(accumulate(weights))
+
+
+def _draw(rng: random.Random, table: _Table) -> str:
+    """A name picked with probability proportional to its weight. The draw is
+    rng.choices(names, weights)[0]'s: the same one rng.random() call and the
+    same pick."""
+    names, cum = table
+    return names[bisect(cum, rng.random() * (cum[-1] + 0.0), 0, len(cum) - 1)]
+
+
 def sample_type(rng: random.Random, depth: int, weights: dict[str, float], inst: LatticeInstance) -> Type:
+    return _sample_type(rng, depth, _table(weights.items()), inst)
+
+
+def _sample_type(rng: random.Random, depth: int, table: _Table, inst: LatticeInstance) -> Type:
     if depth <= 0:
         return Bool() if rng.random() < 0.75 else Nat()
-    kinds = list(weights)
-    picked = rng.choices(kinds, [weights[k] for k in kinds])[0]
+    picked = _draw(rng, table)
     if picked == "bool":
         return Bool()
     if picked == "nat":
         return Nat()
     if picked == "prod":
-        return Prod(sample_type(rng, depth - 1, weights, inst), sample_type(rng, depth - 1, weights, inst))
+        return Prod(_sample_type(rng, depth - 1, table, inst), _sample_type(rng, depth - 1, table, inst))
     if picked == "arrow":
-        return Arrow(sample_type(rng, depth - 1, weights, inst), sample_type(rng, depth - 1, weights, inst), None)
-    return Box(inst.random_element(rng), sample_type(rng, depth - 1, weights, inst))
+        return Arrow(_sample_type(rng, depth - 1, table, inst), _sample_type(rng, depth - 1, table, inst), None)
+    return Box(inst.random_element(rng), _sample_type(rng, depth - 1, table, inst))
+
+
+# _gen's weighted productions, one table for each combination of a usable
+# variable, a usable head and the goal's shape
+_SHAPE_PRODUCTIONS = {
+    "other": (),
+    "prod": (("pair", 3.0),),
+    "square": (("pair", 3.0), ("hunt", 2.5)),
+    "arrow": (("lam", 3.0),),
+    "box": (("boxed", 3.0),),
+}
+_PRODUCTIONS: dict[tuple[bool, bool, str], _Table] = {
+    (var, head, shape): _table(
+        ((("var", 2.0),) if var else ())
+        + ((("headvar", 2.5),) if head else ())
+        + (("leaf", 1.5), ("if", 1.2), ("redex", 1.6), ("proj", 0.5), ("unbox", 0.4))
+        + productions
+    )
+    for var in (False, True)
+    for head in (False, True)
+    for shape, productions in _SHAPE_PRODUCTIONS.items()
+}
 
 
 class _GenState:
@@ -218,6 +262,7 @@ class _GenState:
         self.deltas = cfg.resolved_deltas()
         self.uses: dict[str, int] = {}
         self.fresh = 0
+        self.inhabitants: dict[tuple[Type, bool], Derivation] = {}
 
     def fresh_name(self, base: str = "x") -> str:
         self.fresh += 1
@@ -227,6 +272,18 @@ class _GenState:
         """term's derivation from its kids', or an untyped node (type None)
         where term does not typecheck."""
         return derive_or_untyped(ctx, term, self.cfg.mode, self.deltas, self.inst, kids)
+
+    def inhabitant(self, goal: Type, concrete: bool = True) -> Derivation:
+        """The derivation of goal's canonical inhabitant, of goal's
+        concretization when concrete. Each is derived once per state: the
+        inhabitant holds no variable, so its derivation is the same in every
+        context."""
+        key = (goal, concrete)
+        d = self.inhabitants.get(key)
+        if d is None:
+            ty = concretize(goal, self.inst, mode=self.cfg.mode) if concrete else goal
+            d = self.inhabitants[key] = self.derive(Context(), minimal_inhabitant(ty))
+        return d
 
     def var_usable(self, name: str, ty: Type) -> bool:
         if self.cfg.allow_fn_var_reuse or not type_contains_arrow(ty):
@@ -242,9 +299,8 @@ def _gen(st: _GenState, ctx: Context, goal: Type, depth: int) -> Derivation:
     rng = st.rng
     inst = st.inst
     if depth <= 0:
-        return st.derive(ctx, minimal_inhabitant(concretize(goal, inst, mode=st.cfg.mode)))
+        return st.inhabitant(goal)
 
-    candidates: list[tuple[str, float]] = []
     eligible = [
         (name, ty)
         for name, ty in ctx.bindings
@@ -257,30 +313,23 @@ def _gen(st: _GenState, ctx: Context, goal: Type, depth: int) -> Derivation:
         and goal_matches(ty.cod, goal, inst)
         and st.var_usable(name, ty)
     ]
-    if eligible:
-        candidates.append(("var", 2.0))
-    if heads:
-        candidates.append(("headvar", 2.5))
-    candidates.extend([("leaf", 1.5), ("if", 1.2), ("redex", 1.6), ("proj", 0.5), ("unbox", 0.4)])
     match goal:
         case Prod(left, right):
-            candidates.append(("pair", 3.0))
-            if st.cfg.allow_fn_var_reuse and left == right:
-                # hunt the multi-use gap: apply one bound function twice
-                candidates.append(("hunt", 2.5))
+            # hunt the multi-use gap on square products: apply one bound
+            # function twice
+            shape = "square" if st.cfg.allow_fn_var_reuse and left == right else "prod"
         case Arrow(_, _, _):
-            candidates.append(("lam", 3.0))
+            shape = "arrow"
         case Box(_, _):
-            candidates.append(("boxed", 3.0))
-
-    names = [c for c, _ in candidates]
-    ws = [w for _, w in candidates]
+            shape = "box"
+        case _:
+            shape = "other"
+    table = _PRODUCTIONS[bool(eligible), bool(heads), shape]
     for _ in range(6):
-        picked = rng.choices(names, ws)[0]
-        deriv = _try_production(st, ctx, goal, depth, picked, eligible, heads)
+        deriv = _try_production(st, ctx, goal, depth, _draw(rng, table), eligible, heads)
         if deriv is not None:
             return deriv
-    return st.derive(ctx, minimal_inhabitant(concretize(goal, inst, mode=st.cfg.mode)))
+    return st.inhabitant(goal)
 
 
 def _try_production(
@@ -319,7 +368,7 @@ def _try_production(
             # generated argument subsumes nested grades the invariant
             # paper-mode arrow comparison rejects; fall back to the exact
             # domain's canonical inhabitant
-            arg = st.derive(ctx, minimal_inhabitant(ty.dom))
+            arg = st.inhabitant(ty.dom, concrete=False)
             app = st.derive(ctx, App(head.term, arg.term), head, arg)
         return app
 
@@ -332,7 +381,7 @@ def _try_production(
         if branching.type is None and then.type is not None:
             # branches synthesized unifiable-only-up-to-subsumption types
             # (paper-mode arrows are invariant); duplicate a branch shape
-            other = st.derive(ctx, minimal_inhabitant(then.type))
+            other = st.inhabitant(then.type, concrete=False)
             branching = st.derive(ctx, If(cond.term, then.term, other.term), cond, then, other)
         return branching if branching.type is not None else None
 
@@ -371,7 +420,7 @@ def _try_production(
         inner = ctx.extend(x, dom)
         body = _gen(st, inner, goal.cod, depth - 1)
         if goal.latent is not None and (body.type is None or not inst.leq(body.bound, goal.latent)):
-            body = st.derive(inner, minimal_inhabitant(concretize(goal.cod, inst, mode=st.cfg.mode)))
+            body = st.inhabitant(goal.cod)
         return st.derive(ctx, Lam(x, dom, body.term), body)
 
     if production == "hunt":
@@ -408,7 +457,7 @@ def _try_production(
         assert isinstance(goal, Box)
         body = _gen(st, ctx, goal.body, depth - 1)
         if body.type is None or not inst.leq(body.bound, goal.grade):
-            body = st.derive(ctx, minimal_inhabitant(concretize(goal.body, inst, mode=st.cfg.mode)))
+            body = st.inhabitant(goal.body)
         return st.derive(ctx, BoxT(goal.grade, body.term), body)
 
     return None
@@ -475,7 +524,7 @@ def gen_value(cfg: GenConfig, goal: Type, rng: random.Random, depth: int) -> Der
             raise TypeError(f"no value rule for {goal!r}")
     if candidate.type is not None and goal_matches(candidate.type, goal, inst):
         return candidate
-    return st.derive(Context(), minimal_inhabitant(concretize(goal, inst, mode=cfg.mode)))
+    return st.inhabitant(goal)
 
 
 # ---------------------------------------------------------------------------
@@ -498,8 +547,9 @@ def minimize(term: Term, failing_property: Callable[[Derivation], bool], cfg: Ge
         current = derive(Context(), term, mode, deltas, inst)
     except TypingError:
         return term
+    inhabitants: dict[Type, tuple[Derivation | None, int]] = {}
     while True:
-        for path, cand in _candidates(current, mode, deltas, inst):
+        for path, cand in _candidates(current, mode, deltas, inst, inhabitants):
             try:
                 replaced = _respine(current, path, cand, mode, deltas, inst)
             except TypingError:
@@ -514,21 +564,38 @@ def minimize(term: Term, failing_property: Callable[[Derivation], bool], cfg: Ge
             return current.term
 
 
-def _candidates(root: Derivation, mode: Mode, deltas: DeltaProfile, inst: LatticeInstance):
+def _candidates(
+    root: Derivation,
+    mode: Mode,
+    deltas: DeltaProfile,
+    inst: LatticeInstance,
+    inhabitants: dict[Type, tuple[Derivation | None, int]] | None = None,
+):
     """(path, derivation) for every shrink move on root, lazily and in the
     minimizer's order: at each subterm position u in preorder, u's type's
     minimal inhabitant when it is smaller than u, then every strictly smaller
     subterm of u in preorder whose type fits u's. A hoisted subterm keeps its
     derivation unless a binder it is hoisted past captures one of its free
     variables; then it is derived again in u's context, where that name is
-    unbound or means an outer binding."""
+    unbound or means an outer binding.
+
+    inhabitants maps a type to its minimal inhabitant's derivation (None
+    where that does not typecheck) and size; a type missing from it is
+    derived once and added."""
+    if inhabitants is None:
+        inhabitants = {}
     for path, ctx, u in _paths(root):
-        mini = minimal_inhabitant(u.type)
-        if term_size(mini) < term_size(u.term):
+        entry = inhabitants.get(u.type)
+        if entry is None:
+            term = minimal_inhabitant(u.type)
             try:
-                yield path, derive(Context(), mini, mode, deltas, inst)
+                mini = derive(Context(), term, mode, deltas, inst)
             except TypingError:
-                pass
+                mini = None
+            entry = inhabitants[u.type] = mini, term_size(term)
+        mini, size = entry
+        if mini is not None and size < term_size(u.term):
+            yield path, mini
         for _, between, s in islice(_paths(u), 1, None):
             fv = free_vars(s.term) if between else frozenset()
             if not fv.isdisjoint(name for name, _ in between):

@@ -294,6 +294,15 @@ class TestLaws:
     def test_bad_range(self, capsys):
         assert main(["laws", "--lattice", "nat", "--sample", "oops"]) == 2
 
+    @pytest.mark.parametrize("spec", ["0..1_0", "0..٣", "0..+3", " 0..3", "0..3 ", "-1..3", "0..", "0x1..3"])
+    def test_range_bounds_are_ascii_digits(self, capsys, spec):
+        # int() reads "1_0" as 10 and takes signs, blanks and other scripts'
+        # digits; a bound is ASCII digits only
+        assert main(["laws", "--lattice", "nat", f"--sample={spec}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: bad sample range {spec!r}; expected LO..HI\n"
+        assert captured.out == ""
+
     def test_infinite_without_sample(self, capsys):
         assert main(["laws", "--lattice", "nat"]) == 2
 

@@ -1,8 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rblam import harness
+from rblam import harness, typecheck
 from rblam.harness import (
     DEFAULT_TYPE_WEIGHTS,
     PROPERTIES,
@@ -22,11 +24,13 @@ from rblam.interp import evaluate
 from rblam.lattice import NAT, TRIPLE, NatLattice
 from rblam.syntax import (
     App,
+    Arrow,
     Bool,
     Box,
     FF,
     If,
     Lam,
+    Nat,
     Pair,
     TT,
     Var,
@@ -147,6 +151,109 @@ class TestGenerator:
         cfg = GenConfig(lattice=NAT, seed=99, mode=Mode.SOUND)
         terms = {pretty(gen_typed_term(cfg, trial=i)) for i in range(30)}
         assert len(terms) > 10
+
+    @pytest.mark.parametrize("concretized_first", [False, True])
+    def test_inhabitant_keys_a_goal_apart_from_its_concretization(self, concretized_first):
+        # a sound-mode goal with absent latents has its own canonical
+        # inhabitant; the concretized one annotates its binder differently
+        cfg = GenConfig(lattice=NAT, seed=0, mode=Mode.SOUND)
+        goal = Arrow(Arrow(Bool(), Bool(), None), Bool(), None)
+        state = harness._GenState(cfg, random.Random(0))
+        order = [True, False] if concretized_first else [False, True]
+        got = {concrete: state.inhabitant(goal, concrete) for concrete in order}
+        assert got[False].term == minimal_inhabitant(goal)
+        assert got[True].term == minimal_inhabitant(concretize(goal, NAT))
+        assert got[False].term != got[True].term
+        # the inhabitant holds no variable: its derivation is the one in any context
+        ctx = Context((("u", Nat()), ("x", Bool())))
+        for concrete, d in got.items():
+            assert d == derive(ctx, d.term, Mode.SOUND, D, NAT)
+            assert state.inhabitant(goal, concrete) is d
+
+    def test_inhabitant_memo_lives_one_generation(self, monkeypatch):
+        # every generation starts from an empty memo, so generating the same
+        # trials again builds the same canonical inhabitants again
+        built = []
+        real = harness.minimal_inhabitant
+        monkeypatch.setattr(harness, "minimal_inhabitant", lambda ty: built.append(ty) or real(ty))
+        cfg = GenConfig(lattice=TRIPLE, seed=7, max_depth=6, mode=Mode.SOUND)
+        rng = random.Random(7)
+        goals = [sample_type(rng, 2, DEFAULT_TYPE_WEIGHTS, TRIPLE) for _ in range(20)]
+
+        def generate():
+            value_rng = random.Random(3)
+            return ([harness._generate(cfg, trial=i) for i in range(20)]
+                    + [gen_value(cfg, goal, value_rng, 3) for goal in goals])
+
+        first = generate()
+        count = len(built)
+        built.clear()
+        assert generate() == first
+        assert len(built) == count > 0
+
+
+def reference_productions(var, head, shape):
+    """_gen's weighted productions, built the way _gen built them at each
+    call before it drew from prebuilt tables."""
+    candidates = []
+    if var:
+        candidates.append(("var", 2.0))
+    if head:
+        candidates.append(("headvar", 2.5))
+    candidates.extend([("leaf", 1.5), ("if", 1.2), ("redex", 1.6), ("proj", 0.5), ("unbox", 0.4)])
+    candidates.extend({
+        "other": [],
+        "prod": [("pair", 3.0)],
+        "square": [("pair", 3.0), ("hunt", 2.5)],
+        "arrow": [("lam", 3.0)],
+        "box": [("boxed", 3.0)],
+    }[shape])
+    return candidates
+
+
+GENERATOR_WEIGHTS = [list(DEFAULT_TYPE_WEIGHTS.items())] + [
+    reference_productions(*key) for key in harness._PRODUCTIONS
+]
+
+
+class TestWeightedDraws:
+    def test_production_tables_are_the_candidate_lists(self):
+        assert set(harness._PRODUCTIONS) == {
+            (var, head, shape) for var in (False, True) for head in (False, True)
+            for shape in ("other", "prod", "square", "arrow", "box")
+        }
+        for key, table in harness._PRODUCTIONS.items():
+            assert table == harness._table(reference_productions(*key)), key
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(0, 2**64),
+        st.one_of(
+            st.sampled_from(GENERATOR_WEIGHTS),
+            st.lists(
+                st.floats(min_value=0.0, max_value=1e12, exclude_min=True, allow_nan=False),
+                min_size=1, max_size=12,
+            ).map(lambda ws: [(f"n{i}", w) for i, w in enumerate(ws)]),
+        ),
+    )
+    def test_draw_is_random_choices(self, seed, weighted):
+        # the same picks from the same single rng.random() per draw, so the
+        # generator's terms do not change
+        names = [name for name, _ in weighted]
+        weights = [w for _, w in weighted]
+        table = harness._table(weighted)
+        ours, reference = random.Random(seed), random.Random(seed)
+        assert ([harness._draw(ours, table) for _ in range(50)]
+                == [reference.choices(names, weights)[0] for _ in range(50)])
+        assert ours.getstate() == reference.getstate()
+
+    def test_harness_draws_no_weighted_choice_itself(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("random.choices called")
+
+        monkeypatch.setattr(random.Random, "choices", refuse)
+        cfg = GenConfig(lattice=NAT, seed=7, count=20, max_depth=5, mode=Mode.SOUND)
+        assert all(r.passed for r in run_properties(cfg))
 
 
 def _max_fn_var_occurrences(term):
@@ -496,6 +603,57 @@ class TestProperties:
         cfg = GenConfig(lattice=NAT, seed=0, count=1)
         with pytest.raises(KeyError):
             run_property(cfg, "nope")
+
+
+def count_derives(monkeypatch, run) -> int:
+    """Every typecheck.derive call run() makes, recursion included: the
+    harness's own binding of derive and typecheck's are both counted."""
+    calls = 0
+    real = typecheck.derive
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(typecheck, "derive", counted)
+    monkeypatch.setattr(harness, "derive", counted)
+    run()
+    return calls
+
+
+class TestDeriveCounts:
+    """Canonical inhabitants are typed once per generation and once per
+    minimize call. Each bound is 15% below the count made when every
+    inhabitant was typed where it was built (in parentheses)."""
+
+    def test_cost_soundness(self, monkeypatch):
+        cfg = GenConfig(lattice=NAT, seed=7, count=150, max_depth=6, mode=Mode.SOUND)
+        calls = count_derives(monkeypatch, lambda: run_property(cfg, "cost_soundness"))
+        assert 0 < calls <= 8534 * 85 // 100  # (8,534)
+
+    def test_six_suites_on_triple(self, monkeypatch):
+        cfg = GenConfig(lattice=TRIPLE, seed=7, count=150, max_depth=5, mode=Mode.SOUND)
+        calls = count_derives(monkeypatch, lambda: run_properties(cfg))
+        assert 0 < calls <= 54199 * 85 // 100  # (54,199)
+
+    def test_hunt(self, monkeypatch):
+        # the paper-mode hunt: generation, and minimize on every violation
+        cfg = GenConfig(lattice=NAT, seed=7, count=999, max_depth=5, mode=Mode.PAPER, allow_fn_var_reuse=True)
+        report = None
+
+        def hunt():
+            nonlocal report
+            report = run_property(cfg, "cost_soundness")
+
+        calls = count_derives(monkeypatch, hunt)
+        assert report.failure_count > 0
+        assert 0 < calls <= 76018 * 85 // 100  # (76,018)
+
+    def test_minimize_memo_lives_one_call(self, monkeypatch):
+        cfg = GenConfig(lattice=NAT, seed=0, mode=Mode.PAPER, allow_fn_var_reuse=True)
+        counts = [count_derives(monkeypatch, lambda: minimize(NOISY, violating, cfg)) for _ in range(2)]
+        assert counts[0] == counts[1] > 0
 
 
 class TestReports:
