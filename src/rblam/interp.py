@@ -15,7 +15,6 @@ divergence. The trace printer prints each shared term once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable
 
 from rblam.lattice import LatticeElement, LatticeInstance
@@ -34,6 +33,7 @@ from rblam.syntax import (
     Var,
     is_value,
     pretty,
+    record,
     substitute,
 )
 from rblam.typecheck import DeltaProfile
@@ -54,22 +54,24 @@ class FuelExhausted(EvalError):
     """Derivation exceeded the fuel limit."""
 
 
-@dataclass(frozen=True)
+@record
 class CostedResult:
+    __slots__ = ("value", "cost")
     value: Term
     cost: LatticeElement
 
 
-@dataclass(frozen=True)
+@record(children=())
 class EvalTrace:
     """Derivation-shaped log: one node per rule application, carrying the
     delta that node contributed. Folding contributions with combine yields
     the root cost."""
 
+    __slots__ = ("rule", "term", "contribution", "children")
     rule: str
     term: Term
     contribution: LatticeElement
-    children: tuple["EvalTrace", ...] = ()
+    children: tuple["EvalTrace", ...]
 
 
 def evaluate(term: Term, deltas: DeltaProfile, fuel: int = DEFAULT_FUEL) -> CostedResult:

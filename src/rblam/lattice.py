@@ -592,32 +592,40 @@ def check_laws(inst: LatticeInstance, sample: Sequence[LatticeElement] | None = 
 
     # order axioms
     run("leq-reflexive", (((a,), leq(a, a)) for a in els))
-    leq_pairs = [(a, b) for a in els for b in els if leq(a, b)]
+    leq_idx = [(i, j) for i, a in enumerate(els) for j, b in enumerate(els) if leq(a, b)]
+    leq_pairs = [(els[i], els[j]) for i, j in leq_idx]
     succs: dict[LatticeElement, list[LatticeElement]] = {}
     for a, b in leq_pairs:
         succs.setdefault(a, []).append(b)
     run("leq-transitive", (((a, b, c), leq(a, c)) for a, b in leq_pairs for c in succs.get(b, ())))
     run("leq-antisymmetric", (((a, b), a == b or not leq(b, a)) for a, b in leq_pairs))
 
-    # combine axioms; each pair's combine and join is computed once
-    run("combine-commutative", (((a, b), combine(a, b) == combine(b, a)) for a in els for b in els))
+    # combine axioms; each pair's combine and join is computed once, into a
+    # table indexed by the pair's positions in the sample
+    pos = range(len(els))
+    comb = [[combine(a, b) for b in els] for a in els]
+    run("combine-commutative", (
+        ((els[i], els[j]), comb[i][j] == comb[j][i]) for i in pos for j in pos
+    ))
     run("combine-associative", (
-        ((a, b, c), combine(ab, c) == combine(a, combine(b, c)))
-        for a in els for b in els for ab in (combine(a, b),) for c in els
+        ((a, els[j], c), combine(ab, c) == combine(a, comb[j][k]))
+        for i, a in enumerate(els) for j, ab in enumerate(comb[i]) for k, c in enumerate(els)
     ))
     run("combine-bottom-identity", (((a,), combine(a, bot) == a) for a in els))
     run("combine-monotone", (
-        ((a, a2, b, b2), leq(combine(a, b), combine(a2, b2)))
-        for a, a2 in leq_pairs for b, b2 in leq_pairs
+        ((els[i], els[i2], els[j], els[j2]), leq(comb[i][j], comb[i2][j2]))
+        for i, i2 in leq_idx for j, j2 in leq_idx
     ))
 
     # join axioms: least upper bound
+    jn = [[join(a, b) for b in els] for a in els]
     run("join-upper-bound", (
-        ((a, b), leq(a, j) and leq(b, j)) for a in els for b in els for j in (join(a, b),)
+        ((a, b), leq(a, jn[i][j]) and leq(b, jn[i][j]))
+        for i, a in enumerate(els) for j, b in enumerate(els)
     ))
     run("join-least", (
-        ((a, b, c), not (leq(a, c) and leq(b, c)) or leq(j, c))
-        for a in els for b in els for j in (join(a, b),) for c in els
+        ((a, b, c), not (leq(a, c) and leq(b, c)) or leq(jn[i][j], c))
+        for i, a in enumerate(els) for j, b in enumerate(els) for c in els
     ))
     run("bottom-least", (((a,), leq(bot, a)) for a in els))
     return report

@@ -34,7 +34,7 @@ above an occurrence of x and shares the rest of the body's derivation. A goal
 is skipped when the size left is below `boxes(goal) - max boxes(T in ctx) + 1`
 (`boxes` counts leading `Box` constructors): `box` adds a node per layer and
 `unbox` needs an inner body with one more, so no body that small exists.
-Only the evaluation result is typed whole.
+Only an evaluation result is typed whole, once per distinct value.
 """
 
 from __future__ import annotations
@@ -173,6 +173,7 @@ class _Interpreter:
         self.budget = inst.large_budget()
         self.memo: dict[Type, PresheafRep] = {}
         self.body_memo: dict[tuple, list[Derivation]] = {}
+        self.value_bounds: dict[Term, LatticeElement] = {}
 
     def node(self, ctx: Context, t: Term, *kids: Derivation) -> Derivation:
         """t's paper-mode derivation in ctx from its kids', or an untyped node."""
@@ -181,6 +182,13 @@ class _Interpreter:
     def synth_bound(self, t: Term) -> LatticeElement:
         """The paper-mode bound of a closed term, derived whole."""
         return synthesize(Context(), t, self.budget, Mode.PAPER, self.enum.deltas).bound
+
+    def value_bound(self, v: Term) -> LatticeElement:
+        """synth_bound of an evaluation result, read once per value (memo)."""
+        b = self.value_bounds.get(v)
+        if b is None:
+            b = self.value_bounds[v] = self.synth_bound(v)
+        return b
 
     def interpret(self, ty: Type) -> PresheafRep:
         if ty in self.memo:
@@ -300,7 +308,7 @@ class _Interpreter:
                     lambda: f"substituted body cost escapes bound: {pretty(lam)} on {pretty(v)}",
                 )
                 try:
-                    b_w = self.synth_bound(result.value)
+                    b_w = self.value_bound(result.value)
                 except TypingError as exc:
                     tab.expect(False, lambda: f"result of {pretty(lam)} does not retype: {exc}")
                     admissible = False

@@ -8,12 +8,23 @@ renaming, size) visit subterms through one `children`/`rebuild` pair, read
 off each node class's dataclass fields once at import, and keep only their
 `Var` and `Lam` binder cases.
 
+Terms, types and the typing and evaluation records built over them are
+`record`s: frozen dataclasses with slots. Each keeps the dataclass contract
+(`dataclasses.fields`, `__match_args__`, structural `==` and hash, `repr`,
+`FrozenInstanceError` on assignment or deletion), has no `__dict__`, and
+pickles as its class applied to its fields. Its `__init__` writes each slot
+through the slot's descriptor, which costs about half of a frozen
+dataclass's `object.__setattr__` per field. The class body declares
+`__slots__` itself, so the decorator changes the class in place and leaves
+no second class behind (`dataclass(slots=True)` would).
+
 Terms are immutable and may share subterms. Each node keeps its free
-variables once computed, and substituting a closed value shares every
-subterm where the name is not free, so it rebuilds only the paths down to
-the name's occurrences. A printer of many terms that share subterms (the
-evaluation and derivation traces) passes one memo to `pretty` and prints
-each node once.
+variables once computed, in its `_fv` slot, and a type keeps its hash once
+computed, in its `_hash` slot; neither is a field. Substituting a closed
+value shares every subterm where the name is not free, so it rebuilds only
+the paths down to the name's occurrences. A printer of many terms that
+share subterms (the evaluation and derivation traces) passes one memo to
+`pretty` and prints each node once.
 
 Lexical rules: an identifier is a letter or `_`, then letters, digits or
 `_`, in any script, and the keywords are reserved. A natural is decimal
@@ -47,110 +58,183 @@ from rblam.lattice import LatticeElement, LatticeError, LatticeInstance
 
 
 # ---------------------------------------------------------------------------
+# Records
+
+
+def _getter(names: Sequence[str]) -> Callable[[object], tuple]:
+    if not names:
+        return lambda t: ()
+    if len(names) == 1:
+        get = attrgetter(names[0])
+        return lambda t: (get(t),)
+    return attrgetter(*names)
+
+
+def record(cls: type | None = None, /, **defaults):
+    """Make cls a frozen record with slots: `@record`, or `@record(f=v)` to
+    give trailing fields defaults. The class body declares `__slots__` as
+    its annotated fields, in order. The class keeps the frozen-dataclass
+    contract and gains an `__init__` that writes each slot through its
+    descriptor, past the refusing `__setattr__`. Slots that a base class
+    declares are caches, which `__init__` sets to None; a class that
+    inherits a `_hash` slot computes its hash once and keeps it there."""
+    if cls is None:
+        return lambda cls: record(cls, **defaults)
+    names = tuple(cls.__dict__.get("__annotations__", ()))
+    if cls.__dict__.get("__slots__") != names:
+        raise TypeError(f"{cls.__name__}.__slots__ must be its fields {names}")
+    if set(defaults) - set(names) or any(
+        n not in defaults for n in names[len(names) - len(defaults):]
+    ):
+        raise TypeError(f"{cls.__name__}: defaults must name trailing fields")
+    caches = [n for base in cls.__mro__[1:] for n in base.__dict__.get("__slots__", ())]
+    env = {f"_set_{n}": getattr(cls, n).__set__ for n in names + tuple(caches)}
+    env.update({f"_default_{n}": v for n, v in defaults.items()})
+    params = ", ".join(["self"] + [f"{n}=_default_{n}" if n in defaults else n for n in names])
+    body = [f"    _set_{n}(self, {n})" for n in names] + [f"    _set_{n}(self, None)" for n in caches]
+    exec("\n".join([f"def __init__({params}):"] + (body or ["    pass"])), env)
+    init = cls.__init__ = env["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    init.__annotations__ = dict(cls.__dict__.get("__annotations__", {}))
+    # after __init__: the dataclass docstring is read off its signature
+    dataclass(init=False, frozen=True)(cls)
+    for f in fields(cls):
+        if f.name in defaults:
+            f.default = defaults[f.name]
+    key = _getter(names)
+    cls.__reduce__ = lambda self: (self.__class__, key(self))
+    if "_hash" in caches:
+        set_hash = env["_set__hash"]
+
+        def __hash__(self):  # the dataclass hash of the fields, kept
+            h = self._hash
+            if h is None:
+                h = hash(key(self))
+                set_hash(self, h)
+            return h
+
+        cls.__hash__ = __hash__
+    return cls
+
+
+# ---------------------------------------------------------------------------
 # ASTs
 
 
 class Type:
-    pass
+    __slots__ = ("_hash",)
 
 
-@dataclass(frozen=True)
+@record
 class Bool(Type):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
+@record
 class Nat(Type):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
+@record
 class Prod(Type):
+    __slots__ = ("left", "right")
     left: Type
     right: Type
 
 
-@dataclass(frozen=True)
+@record(latent=None)
 class Arrow(Type):
+    __slots__ = ("dom", "cod", "latent")
     dom: Type
     cod: Type
-    latent: LatticeElement | None = None
+    latent: LatticeElement | None
 
 
-@dataclass(frozen=True)
+@record
 class Box(Type):
+    __slots__ = ("grade", "body")
     grade: LatticeElement
     body: Type
 
 
 class Term:
-    pass
+    __slots__ = ("_fv",)
 
 
-@dataclass(frozen=True)
+@record
 class Var(Term):
+    __slots__ = ("name",)
     name: str
 
 
-@dataclass(frozen=True)
+@record
 class Lam(Term):
+    __slots__ = ("name", "annot", "body")
     name: str
     annot: Type
     body: Term
 
 
-@dataclass(frozen=True)
+@record
 class App(Term):
+    __slots__ = ("fn", "arg")
     fn: Term
     arg: Term
 
 
-@dataclass(frozen=True)
+@record
 class Pair(Term):
+    __slots__ = ("fst", "snd")
     fst: Term
     snd: Term
 
 
-@dataclass(frozen=True)
+@record
 class Fst(Term):
+    __slots__ = ("arg",)
     arg: Term
 
 
-@dataclass(frozen=True)
+@record
 class Snd(Term):
+    __slots__ = ("arg",)
     arg: Term
 
 
-@dataclass(frozen=True)
+@record
 class If(Term):
+    __slots__ = ("cond", "then", "other")
     cond: Term
     then: Term
     other: Term
 
 
-@dataclass(frozen=True)
+@record
 class TT(Term):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
+@record
 class FF(Term):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
+@record
 class NatLit(Term):
+    __slots__ = ("value",)
     value: int
 
 
-@dataclass(frozen=True)
+@record
 class BoxT(Term):
+    __slots__ = ("grade", "body")
     grade: LatticeElement
     body: Term
 
 
-@dataclass(frozen=True)
+@record
 class Unbox(Term):
+    __slots__ = ("arg",)
     arg: Term
 
 
@@ -158,15 +242,6 @@ class Unbox(Term):
 # One traversal: every node class lists its labels (name, annotation, grade,
 # literal) before its subterms, so its children and its rebuild are read off
 # its dataclass fields once, here.
-
-
-def _getter(names: list[str]) -> Callable[[Term], tuple]:
-    if not names:
-        return lambda t: ()
-    if len(names) == 1:
-        get = attrgetter(names[0])
-        return lambda t: (get(t),)
-    return attrgetter(*names)
 
 
 _LABELS: dict[type, Callable[[Term], tuple]] = {}
@@ -207,14 +282,14 @@ def is_value(t: Term) -> bool:
 
 
 _CLOSED: frozenset[str] = frozenset()
+_set_fv = Term._fv.__set__
 
 
 def free_vars(t: Term) -> frozenset[str]:
     """The free variables of t. Terms are immutable, so each node keeps its
-    set once computed, in an attribute set past the frozen dataclass (no
-    per-instance dict is created). A node shares a child's set whenever that
-    set is the answer."""
-    fv = getattr(t, "_fv", None)
+    set once computed, in its `_fv` slot. A node shares a child's set
+    whenever that set is the answer."""
+    fv = t._fv
     if fv is not None:
         return fv
     match t:
@@ -231,7 +306,7 @@ def free_vars(t: Term) -> frozenset[str]:
             fv = _CLOSED
             for kid in kids:
                 fv = _union(fv, free_vars(kid))
-    object.__setattr__(t, "_fv", fv)
+    _set_fv(t, fv)
     return fv
 
 

@@ -49,6 +49,7 @@ from rblam.syntax import (
     Var,
     pretty,
     pretty_type,
+    record,
 )
 
 
@@ -97,9 +98,10 @@ class DeltaProfile:
         return self.app.instance
 
 
-@dataclass(frozen=True)
+@record(bindings=())
 class Context:
-    bindings: tuple[tuple[str, Type], ...] = ()
+    __slots__ = ("bindings",)
+    bindings: tuple[tuple[str, Type], ...]
 
     def extend(self, name: str, ty: Type) -> "Context":
         return Context(self.bindings + ((name, ty),))
@@ -111,17 +113,19 @@ class Context:
         return None
 
 
-@dataclass(frozen=True)
+@record(children=())
 class Derivation:
+    __slots__ = ("rule", "term", "type", "bound", "children")
     rule: str
     term: Term
     type: Type
     bound: LatticeElement
-    children: tuple["Derivation", ...] = ()
+    children: tuple["Derivation", ...]
 
 
-@dataclass(frozen=True)
+@record
 class Judgment:
+    __slots__ = ("subject", "type", "bound", "budget", "within_budget", "trace")
     subject: Term
     type: Type
     bound: LatticeElement

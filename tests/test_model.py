@@ -296,6 +296,20 @@ class TestBodyEnumerator:
         assert run_model_checks(sat(3)).passed
         assert 0 < calls <= 36205 // 2
 
+    def test_each_result_value_is_typed_once(self, monkeypatch):
+        # the arrow tabulation reads a result's bound from a memo; sat3 made
+        # thousands of whole derivations of the same few values before
+        values = []
+        real = model._Interpreter.synth_bound
+
+        def counted(self, t):
+            values.append(t)
+            return real(self, t)
+
+        monkeypatch.setattr(model._Interpreter, "synth_bound", counted)
+        assert run_model_checks(sat(3)).passed
+        assert 0 < len(values) == len(set(values)) <= 10
+
 
 class TestSectionFamilyChecks:
     def test_all_pass_on_saturating(self):

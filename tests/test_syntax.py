@@ -1,3 +1,6 @@
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -39,6 +42,7 @@ from rblam.syntax import (
     substitute,
     term_size,
 )
+from rblam.typecheck import Context, DeltaProfile, Mode, derive
 
 
 class TestParse:
@@ -209,13 +213,18 @@ class TestSubstitution:
         assert checked > 1000
 
 
+def field_values(t):
+    """The values of t's fields, read without `syntax.children`."""
+    return [getattr(t, f.name) for f in dataclasses.fields(t)]
+
+
 def nodes(t):
     """Every node of t, the root first."""
     stack = [t]
     while stack:
         t = stack.pop()
         yield t
-        stack.extend(v for v in vars(t).values() if isinstance(v, Term))
+        stack.extend(v for v in field_values(t) if isinstance(v, Term))
 
 
 def fresh_free_vars(t):
@@ -225,7 +234,7 @@ def fresh_free_vars(t):
         case Lam(name, _, body):
             return fresh_free_vars(body) - {name}
     out = set()
-    for v in vars(t).values():
+    for v in field_values(t):
         if isinstance(v, Term):
             out |= fresh_free_vars(v)
     return out
@@ -307,6 +316,47 @@ class TestTraversal:
         box = BoxT(NAT.element(2), FF())
         assert rebuild(box, [TT()]) == BoxT(NAT.element(2), TT())
         assert children(NatLit(7)) == () and rebuild(NatLit(7), ()) == NatLit(7)
+
+
+class TestRecords:
+    """Terms, types and derivations are frozen records with slots: fields,
+    match arguments, structural equality and repr, and no assignment."""
+
+    def test_assignment_is_refused(self):
+        deriv = derive(Context(), TT(), Mode.SOUND, DeltaProfile.default(NAT), NAT)
+        for record, name in [(Lam("x", Bool(), Var("x")), "name"), (Arrow(Bool(), Nat()), "dom"),
+                             (deriv, "bound"), (Context(), "bindings")]:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, name, None)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(record, name)
+            assert not hasattr(record, "__dict__")
+
+    def test_dataclass_contract(self):
+        assert [f.name for f in dataclasses.fields(Arrow)] == ["dom", "cod", "latent"]
+        assert Arrow.__match_args__ == ("dom", "cod", "latent")
+        assert Arrow(Bool(), Nat()) == Arrow(Bool(), Nat(), None) != Arrow(Nat(), Nat())
+        assert repr(Lam("x", Bool(), Var("x"))) == "Lam(name='x', annot=Bool(), body=Var(name='x'))"
+        assert dataclasses.replace(Var("x"), name="y") == Var("y")
+
+    def test_equal_types_built_apart_hash_equal(self):
+        src = "Box[2] (Bool -> Nat) * Nat -> Bool"
+        a, b = parse_type(src, NAT), parse_type(src, NAT)
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert hash(a) == hash(a) == hash((a.dom, a.cod, a.latent))
+        assert len({a, b, Prod(Nat(), Bool())}) == 2
+
+    def test_grade_free_term_and_derivation_round_trip_through_pickle(self):
+        t = parse("(lam f : Bool -> Bool . f (f tt)) (lam x : Bool . if x then ff else tt)", NAT)
+        deriv = derive(Context(), t, Mode.PAPER, DeltaProfile.default(NAT), NAT)
+        hash(deriv.type)  # a kept hash is not pickled: it is recomputed on load
+        t2, deriv2 = pickle.loads(pickle.dumps((t, deriv)))
+        assert t2 == t and deriv2.term == t and deriv2.type == deriv.type
+        assert hash(deriv2.type) == hash(deriv.type)
+        # the bounds' lattice is unpickled as a copy, so compare in that copy
+        inst2 = deriv2.bound.instance
+        assert deriv2 == derive(Context(), t2, Mode.PAPER, DeltaProfile.default(inst2), inst2)
+        assert inst2.format(deriv2.bound) == NAT.format(deriv.bound)
 
 
 nat_terms = st.recursive(
