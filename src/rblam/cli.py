@@ -78,10 +78,14 @@ def _read_config(path: str) -> dict[str, str]:
     return out
 
 
-def _mode(text: str, _lattice) -> Mode:
-    if text not in [m.value for m in Mode]:
-        raise InputError(f"bad mode {text!r}; expected paper or sound")
-    return Mode(text)
+MODES = tuple(m.value for m in Mode)
+FORMATS = ("text", "json")
+
+
+def _one_of(what: str, choices: tuple[str, ...], text: str) -> str:
+    if text not in choices:
+        raise InputError(f"bad {what} {text!r}; expected {' or '.join(choices)}")
+    return text
 
 
 def _fuel(text: str | int, _lattice) -> int:
@@ -94,30 +98,28 @@ def _fuel(text: str | int, _lattice) -> int:
         raise InputError(f"bad fuel {text!r}; expected a non-negative integer")
 
 
-def _format(text: str, _lattice) -> str:
-    if text not in ("text", "json"):
-        raise InputError(f"bad format {text!r}; expected text or json")
-    return text
-
-
-# Every session setting as (flag, config key, parser); a parser takes the
-# setting's text and the session lattice. A flag beats the config file, which
-# may hold only these keys. The lattice file and the lattice name are one
-# setting: the flags' choice beats the file's, and a lattice file beats a
-# name given the same way.
+# Every session setting as (flag, config key, parser, the flag's argparse
+# options); a parser takes the setting's text and the session lattice. A flag
+# beats the config file, which may hold only these keys. The lattice file and
+# the lattice name are one setting: the flags' choice beats the file's, and a
+# lattice file beats a name given the same way.
 SETTINGS = (
-    ("lattice_file", "lattice_file", lambda text, _: load_lattice(text)),
-    ("lattice", "lattice", lambda text, _: builtin_lattice(text)),
-    ("delta_app", "delta.app", parse_literal_text),
-    ("delta_if", "delta.if", parse_literal_text),
-    ("delta_unbox", "delta.unbox", parse_literal_text),
-    ("delta_proj", "delta.proj", parse_literal_text),
-    ("budget", "budget", parse_literal_text),
-    ("mode", "mode", _mode),
-    ("fuel", "fuel", _fuel),
-    ("format", "format", _format),
+    ("lattice_file", "lattice_file", lambda text, _: load_lattice(text),
+     {"help": "finite lattice table file"}),
+    ("lattice", "lattice", lambda text, _: builtin_lattice(text),
+     {"help": "builtin lattice: nat, gas, triple, sat<cap>"}),
+    ("delta_app", "delta.app", parse_literal_text, {"help": "application cost literal"}),
+    ("delta_if", "delta.if", parse_literal_text, {"help": "conditional cost literal"}),
+    ("delta_unbox", "delta.unbox", parse_literal_text, {"help": "unboxing cost literal"}),
+    ("delta_proj", "delta.proj", parse_literal_text, {"help": "projection cost literal"}),
+    ("budget", "budget", parse_literal_text, {"help": "budget literal, e.g. 100 or (10,10,10)"}),
+    ("mode", "mode", lambda text, _: Mode(_one_of("mode", MODES, text)),
+     {"choices": MODES, "help": "typing rule set"}),
+    ("fuel", "fuel", _fuel, {"type": int, "help": "evaluation fuel (derivation nodes)"}),
+    ("format", "format", lambda text, _: _one_of("format", FORMATS, text),
+     {"choices": FORMATS, "help": "output format"}),
 )
-CONFIG_KEYS = tuple(key for _, key, _ in SETTINGS)
+CONFIG_KEYS = tuple(key for _, key, _, _ in SETTINGS)
 
 
 def _setting_texts(args: argparse.Namespace) -> dict[str, object]:
@@ -129,8 +131,8 @@ def _setting_texts(args: argparse.Namespace) -> dict[str, object]:
         for key in settings:
             if key not in CONFIG_KEYS:
                 raise InputError(f"{args.config}: unknown key {key!r}; keys: {', '.join(CONFIG_KEYS)}")
-        texts = {flag: settings[key] for flag, key, _ in SETTINGS if key in settings}
-    flags = {flag: value for flag, _, _ in SETTINGS if (value := getattr(args, flag, None)) is not None}
+        texts = {flag: settings[key] for flag, key, _, _ in SETTINGS if key in settings}
+    flags = {flag: value for flag, _, _, _ in SETTINGS if (value := getattr(args, flag, None)) is not None}
     if "lattice_file" in flags or "lattice" in flags:
         texts.pop("lattice_file", None)
         texts.pop("lattice", None)
@@ -139,11 +141,14 @@ def _setting_texts(args: argparse.Namespace) -> dict[str, object]:
 
 
 class Session:
-    """Resolved lattice, deltas, budget, mode, fuel, and output format."""
+    """Resolved lattice, deltas, budget, mode, fuel, and output format. A
+    command that charges costs refuses to run on the default deltas where
+    they are all bottom although the lattice has elements above it: a table
+    lattice with no unique atom would otherwise check no cost at all."""
 
-    def __init__(self, args: argparse.Namespace):
+    def __init__(self, args: argparse.Namespace, charges: bool = True):
         texts = _setting_texts(args)
-        parsers = {flag: parse for flag, _, parse in SETTINGS}
+        parsers = {flag: parse for flag, _, parse, _ in SETTINGS}
         lattice = None
 
         def pick(flag: str, default=None):
@@ -152,6 +157,11 @@ class Session:
         lattice = pick("lattice_file") if "lattice_file" in texts else pick("lattice", NAT)
         self.lattice: LatticeInstance = lattice
         unit = lattice.unit_step()
+        free = unit == lattice.bottom() != lattice.top()  # a bottom unit on a lattice of more than bottom
+        if charges and free and not any(flag.startswith("delta_") for flag in texts):
+            raise InputError(f"lattice {lattice.name!r} has no unique least step above bottom, so "
+                             "every default delta is bottom; give --delta-app, --delta-if, "
+                             "--delta-unbox and --delta-proj, or the delta.* config keys")
         self.deltas = DeltaProfile(
             app=pick("delta_app", unit), iff=pick("delta_if", unit),
             unbox=pick("delta_unbox", unit), proj=pick("delta_proj", unit),
@@ -177,22 +187,18 @@ def _int_at_least(lo: int):
 
 
 def _session_flags(sub: argparse.ArgumentParser):
-    sub.add_argument("--lattice", help="builtin lattice: nat, gas, triple, sat<cap>")
-    sub.add_argument("--lattice-file", dest="lattice_file", help="finite lattice table file")
-    sub.add_argument("--budget", help="budget literal, e.g. 100 or (10,10,10)")
-    sub.add_argument("--mode", choices=["paper", "sound"], help="typing rule set")
-    sub.add_argument("--delta-app", dest="delta_app", help="application cost literal")
-    sub.add_argument("--delta-if", dest="delta_if", help="conditional cost literal")
-    sub.add_argument("--delta-unbox", dest="delta_unbox", help="unboxing cost literal")
-    sub.add_argument("--delta-proj", dest="delta_proj", help="projection cost literal")
-    sub.add_argument("--fuel", type=int, help="evaluation fuel (derivation nodes)")
-    sub.add_argument("--format", choices=["text", "json"], help="output format")
+    for flag, _, _, options in SETTINGS:
+        sub.add_argument("--" + flag.replace("_", "-"), **options)
     sub.add_argument("--config", help="key = value config file; flags override")
+
+
+def _print_json(doc) -> None:
+    print(json.dumps(doc, sort_keys=True, indent=1))
 
 
 def _emit(doc: dict, session: Session) -> None:
     if session.format == "json":
-        print(json.dumps(doc, sort_keys=True, indent=1))
+        _print_json(doc)
     else:
         for key, value in doc.items():
             print(f"{key}: {value}")
@@ -329,11 +335,11 @@ def cmd_model(args: argparse.Namespace) -> int:
         docs.append({"cost_preservation": cp.to_dict()})
         ok = ok and cp.ok
     if session.format == "json":
-        print(json.dumps(docs, sort_keys=True, indent=1))
+        _print_json(docs)
     else:
         print(report)
         for doc in docs[1:]:
-            print(json.dumps(doc, sort_keys=True, indent=1))
+            _print_json(doc)
     return OK if ok else VIOLATION
 
 
@@ -360,12 +366,12 @@ def _sample_from_range(inst: LatticeInstance, spec: str):
 
 
 def cmd_laws(args: argparse.Namespace) -> int:
-    session = Session(args)
+    session = Session(args, charges=False)
     inst = session.lattice
     sample = _sample_from_range(inst, args.sample) if args.sample else None
     report = check_laws(inst, sample)
     if session.format == "json":
-        print(json.dumps(report.to_dict(), sort_keys=True, indent=1))
+        _print_json(report.to_dict())
     else:
         print(report)
     return OK if report.passed else VIOLATION

@@ -17,13 +17,14 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
-from rblam.lattice import LatticeElement, LatticeInstance
+from rblam.lattice import LatticeElement, LatticeInstance, record
 from rblam.syntax import (
     App,
     BoxT,
     FF,
     Fst,
     If,
+    KEYWORD_OF,
     Lam,
     Pair,
     Snd,
@@ -33,7 +34,6 @@ from rblam.syntax import (
     Var,
     is_value,
     pretty,
-    record,
     substitute,
 )
 from rblam.typecheck import DeltaProfile
@@ -106,18 +106,12 @@ def _eval(
             vb, kb, tb = _eval(b, d, inst, counter, tracing)
             node = EvalTrace("Pair", t, inst.bottom(), (ta, tb)) if tracing else None
             return Pair(va, vb), inst.combine(ka, kb), node
-        case Fst(arg):
+        case Fst(arg) | Snd(arg):
             va, k, tr = _eval(arg, d, inst, counter, tracing)
             if not isinstance(va, Pair):
-                raise Stuck(f"fst of non-pair value {pretty(va)}")
-            node = EvalTrace("Fst", t, d.proj, (tr,)) if tracing else None
-            return va.fst, inst.combine(k, d.proj), node
-        case Snd(arg):
-            va, k, tr = _eval(arg, d, inst, counter, tracing)
-            if not isinstance(va, Pair):
-                raise Stuck(f"snd of non-pair value {pretty(va)}")
-            node = EvalTrace("Snd", t, d.proj, (tr,)) if tracing else None
-            return va.snd, inst.combine(k, d.proj), node
+                raise Stuck(f"{KEYWORD_OF[type(t)]} of non-pair value {pretty(va)}")
+            node = EvalTrace(type(t).__name__, t, d.proj, (tr,)) if tracing else None
+            return va.fst if type(t) is Fst else va.snd, inst.combine(k, d.proj), node
         case If(cond, then, other):
             vc, kc, tc = _eval(cond, d, inst, counter, tracing)
             if isinstance(vc, TT):

@@ -11,36 +11,97 @@ Elements are owned by the instance that made them. Every `leq`,
 and owning instance) and refuses a foreign element or a non-element with
 a `LatticeError`. An element is immutable, compares and hashes by its
 instance's identity and its payload, and pickles together with its
-instance, so that it can cross a process pool. Each instance builds its
-bottom once and returns that one element from every `bottom()` call.
+instance, so that it can cross a process pool. A builtin instance, one
+that `builtin_lattice` returns, pickles as its name and unpickles as the
+same shared instance, so its elements come back equal; any other instance
+pickles by value. Each instance builds its bottom once and returns that
+one element from every `bottom()` call.
+
+Elements are `record`s, the frozen slot classes that the term, type and
+derivation classes of the other modules are built from too.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import FrozenInstanceError, dataclass, field
-from typing import Any, Iterable, Sequence
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
+from typing import Any, Callable, Iterable, Sequence
 
 
 class LatticeError(Exception):
     """Malformed lattice, foreign element, or unparseable literal."""
 
 
+def _getter(names: Sequence[str]) -> Callable[[object], tuple]:
+    if not names:
+        return lambda t: ()
+    if len(names) == 1:
+        get = attrgetter(names[0])
+        return lambda t: (get(t),)
+    return attrgetter(*names)
+
+
+def record(cls: type | None = None, /, **defaults):
+    """Make cls a frozen record with slots: `@record`, or `@record(f=v)` to
+    give trailing fields defaults. The class body declares `__slots__` as
+    its annotated fields, in order. The class keeps the frozen-dataclass
+    contract and gains an `__init__` that writes each slot through its
+    descriptor, past the refusing `__setattr__`, and a static `make` that
+    builds an instance the same way as a plain call, without the class
+    call's second interpreter frame. Slots that a base class declares are
+    caches, which both set to None; a class that inherits a `_hash` slot
+    computes its hash once and keeps it there."""
+    if cls is None:
+        return lambda cls: record(cls, **defaults)
+    names = tuple(cls.__dict__.get("__annotations__", ()))
+    if cls.__dict__.get("__slots__") != names:
+        raise TypeError(f"{cls.__name__}.__slots__ must be its fields {names}")
+    if set(defaults) - set(names) or any(
+        n not in defaults for n in names[len(names) - len(defaults):]
+    ):
+        raise TypeError(f"{cls.__name__}: defaults must name trailing fields")
+    caches = [n for base in cls.__mro__[1:] for n in base.__dict__.get("__slots__", ())]
+    env = {f"_set_{n}": getattr(cls, n).__set__ for n in names + tuple(caches)}
+    env.update({f"_default_{n}": v for n, v in defaults.items()}, _new=object.__new__, _cls=cls)
+    params = ", ".join(["self"] + [f"{n}=_default_{n}" if n in defaults else n for n in names])
+    body = [f"    _set_{n}(self, {n})" for n in names] + [f"    _set_{n}(self, None)" for n in caches]
+    make = [f"def make({', '.join(names)}):", "    self = _new(_cls)"] + body + ["    return self"]
+    exec("\n".join([f"def __init__({params}):"] + (body or ["    pass"]) + make), env)
+    init = cls.__init__ = env["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    init.__annotations__ = dict(cls.__dict__.get("__annotations__", {}))
+    cls.make = staticmethod(env["make"])
+    # after __init__: the dataclass docstring is read off its signature
+    dataclass(init=False, frozen=True)(cls)
+    for f in fields(cls):
+        if f.name in defaults:
+            f.default = defaults[f.name]
+    key = _getter(names)
+    cls.__reduce__ = lambda self: (self.__class__, key(self))
+    if "_hash" in caches:
+        set_hash = env["_set__hash"]
+
+        def __hash__(self):  # the dataclass hash of the fields, kept
+            h = self._hash
+            if h is None:
+                h = hash(key(self))
+                set_hash(self, h)
+            return h
+
+        cls.__hash__ = __hash__
+    return cls
+
+
+@record
 class LatticeElement:
     """An immutable cost value owned by a specific lattice instance. Only
     its instance builds one (`element`, `leq`/`combine`/`join`, `bottom`)."""
 
     __slots__ = ("instance", "payload")
-
     instance: "LatticeInstance"
     payload: Any
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __eq__(self, other):
         if other.__class__ is not LatticeElement:
@@ -50,26 +111,11 @@ class LatticeElement:
     def __hash__(self):
         return hash((self.instance, self.payload))
 
-    def __reduce__(self):
-        return _element, (self.instance, self.payload)
-
     def __repr__(self) -> str:
         return f"<{self.instance.name}:{self.instance.format(self)}>"
 
 
-_new = object.__new__
-_set_instance = LatticeElement.instance.__set__
-_set_payload = LatticeElement.payload.__set__
-
-
-def _element(instance: "LatticeInstance", payload: Any) -> LatticeElement:
-    """The one way an element is built. The slot setters get past the
-    class's `__setattr__`, which refuses assignment, and cost less than a
-    Python `__init__` would: the operations build one element per call."""
-    el = _new(LatticeElement)
-    _set_instance(el, instance)
-    _set_payload(el, payload)
-    return el
+_element = LatticeElement.make  # each operation builds one; a global call costs less than the class call
 
 
 class LatticeInstance:
@@ -170,6 +216,11 @@ class LatticeInstance:
     def large_budget(self) -> LatticeElement:
         """A budget comfortably above any bound the fuzzer can synthesize."""
         raise NotImplementedError
+
+    def __reduce_ex__(self, protocol):
+        if _BUILTINS.get(self.name) is self:
+            return builtin_lattice, (self.name,)
+        return super().__reduce_ex__(protocol)
 
     def __repr__(self) -> str:
         return f"<lattice {self.name}>"
@@ -488,23 +539,22 @@ class ProductLattice(LatticeInstance):
 NAT = NatLattice("nat")
 GAS = NatLattice("gas")
 TRIPLE = TripleLattice()
+_BUILTINS: dict[str, LatticeInstance] = {inst.name: inst for inst in (NAT, GAS, TRIPLE)}
 
 
 def builtin_lattice(spec: str) -> LatticeInstance:
-    """Resolve a builtin lattice name: nat, gas, triple, sat<cap>."""
-    if spec == "nat":
-        return NAT
-    if spec == "gas":
-        return GAS
-    if spec == "triple":
-        return TRIPLE
+    """Resolve a builtin lattice name: nat, gas, triple, sat<cap>. Each name
+    has one shared instance."""
+    inst = _BUILTINS.get(spec)
     cap = spec[3:]
-    if spec.startswith("sat") and cap.isascii() and cap.isdigit():
-        try:
-            return SaturatingNatLattice(int(cap))
+    if inst is None and spec.startswith("sat") and cap.isascii() and cap.isdigit():
+        try:  # sat03 is sat3
+            inst = _BUILTINS.setdefault(f"sat{int(cap)}", SaturatingNatLattice(int(cap)))
         except ValueError:  # more digits than int() converts
             pass
-    raise LatticeError(f"unknown lattice {spec!r} (expected nat, gas, triple, or sat<cap>)")
+    if inst is None:
+        raise LatticeError(f"unknown lattice {spec!r} (expected nat, gas, triple, or sat<cap>)")
+    return inst
 
 
 # ---------------------------------------------------------------------------

@@ -492,10 +492,8 @@ class DenModel:
         match t:
             case Var(name):
                 return env[name], bot
-            case TT():
-                return True, bot
-            case FF():
-                return False, bot
+            case TT() | FF():
+                return type(t) is TT, bot
             case NatLit(n):
                 return n, bot
             case Lam(name, _, body):
@@ -514,12 +512,9 @@ class DenModel:
                 da, ca = self.denote(a, env)
                 db, cb = self.denote(b, env)
                 return (da, db), inst.combine(ca, cb)
-            case Fst(arg):
+            case Fst(arg) | Snd(arg):
                 da, ca = self.denote(arg, env)
-                return da[0], inst.combine(ca, d.proj)
-            case Snd(arg):
-                da, ca = self.denote(arg, env)
-                return da[1], inst.combine(ca, d.proj)
+                return da[0] if type(t) is Fst else da[1], inst.combine(ca, d.proj)
             case If(cond, then, other):
                 dc, cc = self.denote(cond, env)
                 db, cb = self.denote(then if dc else other, env)
@@ -559,10 +554,8 @@ def den_matches_value(den: Den, v: Term, m: DenModel) -> bool:
     deterministic probe set: the denotation's application must produce the
     same value and cost as operational application."""
     match v:
-        case TT():
-            return den is True
-        case FF():
-            return den is False
+        case TT() | FF():
+            return den is (type(v) is TT)
         case NatLit(n):
             return den == n
         case Pair(a, b):

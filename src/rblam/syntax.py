@@ -9,10 +9,10 @@ off each node class's dataclass fields once at import, and keep only their
 `Var` and `Lam` binder cases.
 
 Terms, types and the typing and evaluation records built over them are
-`record`s: frozen dataclasses with slots. Each keeps the dataclass contract
-(`dataclasses.fields`, `__match_args__`, structural `==` and hash, `repr`,
-`FrozenInstanceError` on assignment or deletion), has no `__dict__`, and
-pickles as its class applied to its fields. Its `__init__` writes each slot
+`record`s (`lattice.record`): frozen dataclasses with slots. Each keeps the
+dataclass contract (`dataclasses.fields`, `__match_args__`, structural `==`
+and hash, `repr`, `FrozenInstanceError` on assignment or deletion), has no
+`__dict__`, and pickles as its class applied to its fields. Its `__init__` writes each slot
 through the slot's descriptor, which costs about half of a frozen
 dataclass's `object.__setattr__` per field. The class body declares
 `__slots__` itself, so the decorator changes the class in place and leaves
@@ -51,70 +51,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, fields
-from operator import attrgetter
 from typing import Callable, Sequence, TypeVar
 
-from rblam.lattice import LatticeElement, LatticeError, LatticeInstance
-
-
-# ---------------------------------------------------------------------------
-# Records
-
-
-def _getter(names: Sequence[str]) -> Callable[[object], tuple]:
-    if not names:
-        return lambda t: ()
-    if len(names) == 1:
-        get = attrgetter(names[0])
-        return lambda t: (get(t),)
-    return attrgetter(*names)
-
-
-def record(cls: type | None = None, /, **defaults):
-    """Make cls a frozen record with slots: `@record`, or `@record(f=v)` to
-    give trailing fields defaults. The class body declares `__slots__` as
-    its annotated fields, in order. The class keeps the frozen-dataclass
-    contract and gains an `__init__` that writes each slot through its
-    descriptor, past the refusing `__setattr__`. Slots that a base class
-    declares are caches, which `__init__` sets to None; a class that
-    inherits a `_hash` slot computes its hash once and keeps it there."""
-    if cls is None:
-        return lambda cls: record(cls, **defaults)
-    names = tuple(cls.__dict__.get("__annotations__", ()))
-    if cls.__dict__.get("__slots__") != names:
-        raise TypeError(f"{cls.__name__}.__slots__ must be its fields {names}")
-    if set(defaults) - set(names) or any(
-        n not in defaults for n in names[len(names) - len(defaults):]
-    ):
-        raise TypeError(f"{cls.__name__}: defaults must name trailing fields")
-    caches = [n for base in cls.__mro__[1:] for n in base.__dict__.get("__slots__", ())]
-    env = {f"_set_{n}": getattr(cls, n).__set__ for n in names + tuple(caches)}
-    env.update({f"_default_{n}": v for n, v in defaults.items()})
-    params = ", ".join(["self"] + [f"{n}=_default_{n}" if n in defaults else n for n in names])
-    body = [f"    _set_{n}(self, {n})" for n in names] + [f"    _set_{n}(self, None)" for n in caches]
-    exec("\n".join([f"def __init__({params}):"] + (body or ["    pass"])), env)
-    init = cls.__init__ = env["__init__"]
-    init.__qualname__ = f"{cls.__qualname__}.__init__"
-    init.__annotations__ = dict(cls.__dict__.get("__annotations__", {}))
-    # after __init__: the dataclass docstring is read off its signature
-    dataclass(init=False, frozen=True)(cls)
-    for f in fields(cls):
-        if f.name in defaults:
-            f.default = defaults[f.name]
-    key = _getter(names)
-    cls.__reduce__ = lambda self: (self.__class__, key(self))
-    if "_hash" in caches:
-        set_hash = env["_set__hash"]
-
-        def __hash__(self):  # the dataclass hash of the fields, kept
-            h = self._hash
-            if h is None:
-                h = hash(key(self))
-                set_hash(self, h)
-            return h
-
-        cls.__hash__ = __hash__
-    return cls
+from rblam.lattice import LatticeElement, LatticeError, LatticeInstance, _getter, record
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +175,15 @@ class BoxT(Term):
 class Unbox(Term):
     __slots__ = ("arg",)
     arg: Term
+
+
+# Each one-keyword form by its keyword: the constants, the prefix forms over
+# an atom and the base types. The lexer, the parser and both printers read
+# this table; a rule's name in a derivation or trace is the class's name.
+KEYWORD_FORMS: dict[str, type] = {
+    "tt": TT, "ff": FF, "fst": Fst, "snd": Snd, "unbox": Unbox, "Bool": Bool, "Nat": Nat,
+}
+KEYWORD_OF = {cls: word for word, cls in KEYWORD_FORMS.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -434,6 +382,10 @@ def pretty(t: Term, memo: dict[int, str] | None = None) -> str:
     match t:
         case Var(name):
             return name
+        case TT() | FF():
+            return KEYWORD_OF[type(t)]
+        case NatLit(n):
+            return str(n)
         case Lam(name, annot, body):
             s = f"lam {name} : {pretty_type(annot)} . {pretty(body, memo)}"
         case App(fn, arg):
@@ -441,22 +393,12 @@ def pretty(t: Term, memo: dict[int, str] | None = None) -> str:
             s = f"{fn_s} {_atom(arg, memo)}"
         case Pair(a, b):
             s = f"({pretty(a, memo)}, {pretty(b, memo)})"
-        case Fst(arg):
-            s = f"fst {_atom(arg, memo)}"
-        case Snd(arg):
-            s = f"snd {_atom(arg, memo)}"
+        case Fst(arg) | Snd(arg) | Unbox(arg):
+            s = f"{KEYWORD_OF[type(t)]} {_atom(arg, memo)}"
         case If(c, a, b):
             s = f"if {pretty(c, memo)} then {pretty(a, memo)} else {pretty(b, memo)}"
-        case TT():
-            return "tt"
-        case FF():
-            return "ff"
-        case NatLit(n):
-            return str(n)
         case BoxT(grade, body):
             s = f"box[{grade.instance.format(grade)}] {_atom(body, memo)}"
-        case Unbox(arg):
-            s = f"unbox {_atom(arg, memo)}"
         case _:
             raise TypeError(f"not a term: {t!r}")
     if memo is not None:
@@ -481,10 +423,8 @@ def pretty_value(v: Term) -> str:
 
 def pretty_type(ty: Type) -> str:
     match ty:
-        case Bool():
-            return "Bool"
-        case Nat():
-            return "Nat"
+        case Bool() | Nat():
+            return KEYWORD_OF[type(ty)]
         case Prod(left, right):
             ls = _type_factor(left) if isinstance(left, (Prod, Arrow)) else pretty_type(left)
             rs = _type_factor(right) if isinstance(right, Arrow) else pretty_type(right)
@@ -515,10 +455,7 @@ class ParseError(Exception):
         self.col = col
 
 
-_KEYWORDS = {
-    "lam", "tt", "ff", "if", "then", "else", "fst", "snd", "box", "unbox",
-    "Bool", "Nat", "Box",
-}
+RESERVED = frozenset({"lam", "if", "then", "else", "box", "Box", *KEYWORD_FORMS})
 
 
 # Slots, not a NamedTuple: the parser reads tok.kind often, and a slot reads faster.
@@ -550,7 +487,7 @@ def _tokenize(source: str) -> list[_Token]:
             if kind == "symbol":
                 kind = text
             elif kind == "word" and (text[0].isalpha() or text[0] == "_"):
-                kind = text if text in _KEYWORDS else "IDENT"
+                kind = text if text in RESERVED else "IDENT"
             elif kind != "NAT":  # a word that is no identifier, or no token at all
                 ch = text[0]
                 message = "stray '-'" if ch == "-" else f"unexpected character {ch!r}"
@@ -564,6 +501,10 @@ def _tokenize(source: str) -> list[_Token]:
 
 # ---------------------------------------------------------------------------
 # Parser
+
+
+_TERM_WORDS = {word: cls for word, cls in KEYWORD_FORMS.items() if issubclass(cls, Term)}
+_TYPE_WORDS = {word: cls for word, cls in KEYWORD_FORMS.items() if issubclass(cls, Type)}
 
 
 class _Parser:
@@ -650,12 +591,10 @@ class _Parser:
 
     def parse_type_factor(self) -> Type:
         tok = self.peek()
-        if tok.kind == "Bool":
+        cls = _TYPE_WORDS.get(tok.kind)
+        if cls is not None:
             self.next()
-            return Bool()
-        if tok.kind == "Nat":
-            self.next()
-            return Nat()
+            return cls()
         if tok.kind == "Box":
             self.next()
             self.expect("[")
@@ -681,7 +620,7 @@ class _Parser:
             return Lam(name, annot, self.parse_term())
         return self.parse_app()
 
-    _ATOM_START = {"tt", "ff", "NAT", "IDENT", "(", "fst", "snd", "if", "box", "unbox"}
+    _ATOM_START = {"NAT", "IDENT", "(", "if", "box", *_TERM_WORDS}
 
     def parse_app(self) -> Term:
         term = self.parse_atom()
@@ -691,17 +630,15 @@ class _Parser:
 
     def parse_atom(self) -> Term:
         tok = self.peek()
-        if tok.kind == "tt":
-            self.next()
-            return TT()
-        if tok.kind == "ff":
-            self.next()
-            return FF()
-        if tok.kind == "NAT":
-            return NatLit(self.natural())
         if tok.kind == "IDENT":
             self.next()
             return Var(tok.text)
+        if tok.kind == "NAT":
+            return NatLit(self.natural())
+        cls = _TERM_WORDS.get(tok.kind)
+        if cls is not None:  # a constant, or a prefix form and its one operand
+            self.next()
+            return cls(self.parse_atom()) if cls.__match_args__ else cls()
         if tok.kind == "(":
             self.next()
             first = self.parse_term()
@@ -712,12 +649,6 @@ class _Parser:
                 return Pair(first, second)
             self.expect(")")
             return first
-        if tok.kind == "fst":
-            self.next()
-            return Fst(self.parse_atom())
-        if tok.kind == "snd":
-            self.next()
-            return Snd(self.parse_atom())
         if tok.kind == "if":
             self.next()
             cond = self.parse_term()
@@ -731,9 +662,6 @@ class _Parser:
             grade = self.parse_element()
             self.expect("]")
             return BoxT(grade, self.parse_atom())
-        if tok.kind == "unbox":
-            self.next()
-            return Unbox(self.parse_atom())
         self.fail(f"expected a term, found {tok.text or 'end of input'!r}")
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from rblam.lattice import LatticeElement, LatticeInstance
+from rblam.lattice import LatticeElement, LatticeInstance, record
 from rblam.syntax import (
     App,
     Arrow,
@@ -36,6 +36,7 @@ from rblam.syntax import (
     FF,
     Fst,
     If,
+    KEYWORD_OF,
     Lam,
     Nat,
     NatLit,
@@ -49,7 +50,6 @@ from rblam.syntax import (
     Var,
     pretty,
     pretty_type,
-    record,
 )
 
 
@@ -165,9 +165,7 @@ def type_lub(a: Type, b: Type, mode: Mode, inst: LatticeInstance) -> Type:
     """Least common supertype used to unify if-branches: box grades and
     (in sound mode) arrow latents are joined; arrow domains must agree."""
     match (a, b):
-        case (Bool(), Bool()):
-            return a
-        case (Nat(), Nat()):
+        case (Bool(), Bool()) | (Nat(), Nat()):
             return a
         case (Prod(l1, r1), Prod(l2, r2)):
             return Prod(type_lub(l1, l2, mode, inst), type_lub(r1, r2, mode, inst))
@@ -292,17 +290,13 @@ def derive(
                 "Pair", t, Prod(ad.type, bd.type), inst.combine(ad.bound, bd.bound), (ad, bd)
             )
 
-        case Fst(arg):
+        case Fst(arg) | Snd(arg):
             ad = kids[0] if kids else derive(ctx, arg, mode, d, inst)
-            if not isinstance(ad.type, Prod):
-                raise TypingError(f"fst of a non-pair type {pretty_type(ad.type)}")
-            return Derivation("Fst", t, ad.type.left, inst.combine(ad.bound, d.proj), (ad,))
-
-        case Snd(arg):
-            ad = kids[0] if kids else derive(ctx, arg, mode, d, inst)
-            if not isinstance(ad.type, Prod):
-                raise TypingError(f"snd of a non-pair type {pretty_type(ad.type)}")
-            return Derivation("Snd", t, ad.type.right, inst.combine(ad.bound, d.proj), (ad,))
+            ty = ad.type
+            if not isinstance(ty, Prod):
+                raise TypingError(f"{KEYWORD_OF[type(t)]} of a non-pair type {pretty_type(ty)}")
+            part = ty.left if type(t) is Fst else ty.right
+            return Derivation(type(t).__name__, t, part, inst.combine(ad.bound, d.proj), (ad,))
 
         case If(cond, then, other):
             cd = kids[0] if kids else derive(ctx, cond, mode, d, inst)

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import io
 import json
@@ -215,6 +216,34 @@ class TestModel:
         assert code == 0
         assert docs[0]["universe"]["exhaustive"] is False
 
+    @pytest.mark.parametrize("command", ["check", "eval", "fuzz", "model"])
+    def test_all_bottom_default_deltas_are_an_input_error(self, program, data_dir, capsys, command):
+        # diamond's two atoms leave no unit step, so each default delta is
+        # bottom and nothing would cost anything
+        argv = [command] + ([program(IF_EXAMPLE)] if command in ("check", "eval") else [])
+        argv += ["--lattice-file", str(data_dir / "diamond.lat")] + (["--count", "5"] if command == "fuzz" else [])
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("error: lattice 'diamond' has no unique least step above bottom")
+        assert "--delta-app, --delta-if, --delta-unbox and --delta-proj" in captured.err
+
+    @pytest.mark.parametrize("how", ["flags", "config"])
+    def test_given_deltas_run_on_a_lattice_without_a_unit_step(self, program, data_dir, tmp_path, capsys, how):
+        argv = ["eval", program(IF_EXAMPLE), "--lattice-file", str(data_dir / "diamond.lat")]
+        if how == "flags":
+            argv += ["--delta-if", "b"]
+        else:
+            cfg = tmp_path / "session.cfg"
+            cfg.write_text("delta.if = b\n")
+            argv += ["--config", str(cfg)]
+        assert main(argv) == 0
+        assert "cost: b\n" in capsys.readouterr().out
+
+    def test_a_one_element_lattice_needs_no_deltas(self, capsys):
+        # sat0's unit step is bottom too, but nothing sits above bottom
+        assert main(["model", "--lattice", "sat0"]) == 0
+
     @pytest.mark.parametrize("mode", ["paper", "sound"])
     def test_mode_is_an_input_error(self, capsys, mode):
         # the tabulation types in paper mode and --interp-corpus in sound
@@ -241,8 +270,10 @@ class TestGoldenReports:
              "bc28c03b6e58f865692c528a041c09fc5b4eabde840229b83718df3b4437be93"),
             (["model", "--lattice", "sat2", "--interp-corpus", "300", "--format", "json"],
              "88e644dd7e286f623f5ea49704cd199ad5d0fb63db9dcf7d629fbc15d84ccf1f"),
-            (["model", "--lattice-file", "DATA/diamond.lat", "--format", "json"],
-             "f3a2e410b0ccf8c1b2d6e479e9592cfb13865e4fc4fc75b244fdaeca8b7e4824"),
+            # diamond has no unique atom, so its deltas are given: one atom, a
+            (["model", "--lattice-file", "DATA/diamond.lat", "--delta-app", "a", "--delta-if", "a",
+              "--delta-unbox", "a", "--delta-proj", "a", "--format", "json"],
+             "015f93aee94c7d22cb7e39b1392cd52f5b3c05e98b8b065cebc153de6ae0599f"),
             (["laws", "--lattice", "triple", "--sample", "0..6", "--format", "json"],
              "3532086b65e6e76ab4a923d399290eaa3bef99f32927d1de37c41b934c23c092"),
             (["laws", "--lattice-file", "DATA/diamond.lat", "--format", "json"],
@@ -361,6 +392,16 @@ class TestConfigFile:
         [listed] = re.findall(r"lines \(keys: ([^)]*)\)", readme.replace("\n", " "))
         keys = [k.strip(" `") for k in listed.split(",")]
         assert sorted(keys) == sorted(cli.CONFIG_KEYS) and len(set(keys)) == len(keys)
+
+
+class TestSettingsTable:
+    def test_mode_and_format_flags_offer_what_the_config_accepts(self):
+        sub = argparse.ArgumentParser()
+        cli._session_flags(sub)
+        flags = {action.dest: action for action in sub._actions}
+        assert tuple(flags["mode"].choices) == cli.MODES == ("paper", "sound")
+        assert tuple(flags["format"].choices) == cli.FORMATS == ("text", "json")
+        assert all(flags[flag].help for flag, _, _, _ in cli.SETTINGS)
 
 
 class TestClosedStdout:

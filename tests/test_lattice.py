@@ -140,18 +140,31 @@ class TestElementContract:
 
     @pytest.mark.parametrize("name", ["nat", "triple", "sat3", "product", "diamond"])
     def test_pickle_keeps_equality_and_ownership(self, data_dir, name):
+        # a builtin instance unpickles as itself; sat3 here is built directly,
+        # not by builtin_lattice, so it unpickles as a copy, as the others do
         inst = some_instances(data_dir)[name]
         els = inst.enumerate() if inst.is_finite else [inst.bottom(), inst.unit_step(), inst.large_budget()]
         inst2, els2 = pickle.loads(pickle.dumps((inst, els)))
-        assert inst2 is not inst and repr(els2) == repr(els)
+        builtin = name in ("nat", "triple")
+        assert (inst2 is inst) == builtin and repr(els2) == repr(els)
+        assert (els2 == els) == builtin
         assert all(el.instance is inst2 for el in els2)
         assert els2 == [inst2.element(el.payload) for el in els2]
         assert [repr(inst2.combine(x, y)) for x in els2 for y in els2] == [
             repr(inst.combine(x, y)) for x in els for y in els
         ]
         assert inst2.bottom() is inst2.bottom() and inst2.bottom().instance is inst2
-        with pytest.raises(LatticeError):
-            inst2.leq(els[0], els2[0])
+        if not builtin:
+            with pytest.raises(LatticeError):
+                inst2.leq(els[0], els2[0])
+
+    @pytest.mark.parametrize("name", ["nat", "gas", "triple", "sat3"])
+    def test_builtin_elements_unpickle_equal(self, name):
+        inst = builtin_lattice(name)
+        el = inst.large_budget()
+        assert builtin_lattice(name) is inst
+        assert pickle.loads(pickle.dumps(el)) == el
+        assert pickle.loads(pickle.dumps(inst)) is inst
 
 
 @pytest.mark.parametrize("spec", ["sat1_0", "sat 2", "sat+2", "sat٣", "sat", "sat-1"])
@@ -164,6 +177,7 @@ def test_sat_cap_is_ascii_digits_only(spec):
 def test_builtin_lattices_resolve():
     assert builtin_lattice("nat") is NAT and builtin_lattice("triple") is TRIPLE
     assert [builtin_lattice(s).cap for s in ("sat0", "sat3", "sat12")] == [0, 3, 12]
+    assert builtin_lattice("sat3") is builtin_lattice("sat03") and builtin_lattice("sat3").name == "sat3"
 
 
 def test_element_payload_validation():

@@ -1,12 +1,14 @@
 import dataclasses
+import pathlib
 import pickle
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rblam.harness import GenConfig, gen_typed_term
-from rblam.lattice import NAT, TRIPLE
+from rblam.lattice import NAT, TRIPLE, LatticeElement
 from rblam.syntax import (
     App,
     Arrow,
@@ -16,15 +18,18 @@ from rblam.syntax import (
     FF,
     Fst,
     If,
+    KEYWORD_FORMS,
     Lam,
     Nat,
     NatLit,
     Pair,
     ParseError,
     Prod,
+    RESERVED,
     Snd,
     TT,
     Term,
+    Type,
     Unbox,
     Var,
     _tokenize,
@@ -150,6 +155,26 @@ class TestPrint:
     def test_round_trip(self, src):
         term = parse(src, NAT)
         assert alpha_eq(parse(pretty(term), NAT), term)
+
+
+class TestKeywords:
+    def test_readme_lists_the_reserved_words(self):
+        readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
+        [listed] = re.findall(r"the keywords \(`([^`]*)`\)", readme.replace("\n", " "))
+        assert listed == "lam tt ff if then else fst snd box unbox Bool Nat Box"
+        assert set(listed.split()) == RESERVED and len(listed.split()) == len(RESERVED)
+
+    @pytest.mark.parametrize("word", sorted(KEYWORD_FORMS))
+    def test_each_keyword_form_round_trips(self, word):
+        cls = KEYWORD_FORMS[word]
+        if issubclass(cls, Type):
+            assert parse_type(word, NAT) == cls() and pretty_type(cls()) == word
+        elif cls.__match_args__:  # a prefix form over an atom
+            node = cls(Var("p"))
+            assert parse(f"{word} p", NAT) == node and pretty(node) == f"{word} p"
+            assert pretty(cls(Pair(TT(), FF()))) == f"{word} (tt, ff)"
+        else:
+            assert parse(word, NAT) == cls() and pretty(cls()) == word
 
 
 class TestSubstitution:
@@ -339,6 +364,14 @@ class TestRecords:
         assert repr(Lam("x", Bool(), Var("x"))) == "Lam(name='x', annot=Bool(), body=Var(name='x'))"
         assert dataclasses.replace(Var("x"), name="y") == Var("y")
 
+    def test_make_builds_what_the_class_call_builds(self):
+        # make sets the slots as __init__ does, caches included
+        arrow = Arrow.make(Bool(), Nat(), NAT.element(1))
+        assert arrow == Arrow(Bool(), Nat(), NAT.element(1)) and hash(arrow) == hash(Arrow(Bool(), Nat(), NAT.element(1)))
+        app = App.make(Var("f"), TT())
+        assert app == App(Var("f"), TT()) and free_vars(app) == {"f"} and TT.make() == TT()
+        assert LatticeElement.make(NAT, 2) == NAT.element(2)
+
     def test_equal_types_built_apart_hash_equal(self):
         src = "Box[2] (Bool -> Nat) * Nat -> Bool"
         a, b = parse_type(src, NAT), parse_type(src, NAT)
@@ -353,10 +386,9 @@ class TestRecords:
         t2, deriv2 = pickle.loads(pickle.dumps((t, deriv)))
         assert t2 == t and deriv2.term == t and deriv2.type == deriv.type
         assert hash(deriv2.type) == hash(deriv.type)
-        # the bounds' lattice is unpickled as a copy, so compare in that copy
-        inst2 = deriv2.bound.instance
-        assert deriv2 == derive(Context(), t2, Mode.PAPER, DeltaProfile.default(inst2), inst2)
-        assert inst2.format(deriv2.bound) == NAT.format(deriv.bound)
+        # a builtin lattice unpickles as itself, so its bounds compare equal
+        assert deriv2.bound.instance is NAT and deriv2 == deriv
+        assert deriv2 == derive(Context(), t2, Mode.PAPER, DeltaProfile.default(NAT), NAT)
 
 
 nat_terms = st.recursive(
