@@ -24,7 +24,6 @@ from rblam.harness import (
     gen_typed_term,
     report_json,
     run_properties,
-    run_property,
 )
 from rblam.interp import DEFAULT_FUEL, EvalError, Stuck, evaluate, evaluate_trace, format_trace, format_tree
 from rblam.lattice import (
@@ -293,22 +292,18 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         allow_fn_var_reuse=args.fn_var_reuse,
         deltas=session.deltas,
     )
-    if args.hunt:
-        report = run_property(cfg, "cost_soundness", workers=args.workers)
-        if session.format == "json":
-            print(report_json([report], cfg))
-        else:
-            print(report)
-            for failure in report.failures[:5]:
-                print(f"  trial {failure.trial}: {failure.observed} minimized to {failure.minimized}")
-        return OK if report.failure_count > 0 else VIOLATION
-    reports = run_properties(cfg, props, workers=args.workers)
+    reports = run_properties(cfg, ["cost_soundness"] if args.hunt else props, workers=args.workers)
     if session.format == "json":
         print(report_json(reports, cfg))
     else:
         for r in reports:
             print(r)
-    return OK if all(r.passed for r in reports) else VIOLATION
+            if args.hunt:
+                for failure in r.failures[:5]:
+                    print(f"  trial {failure.trial}: {failure.observed} minimized to {failure.minimized}")
+    passed = all(r.passed for r in reports)
+    # the hunt succeeds when it finds a violation
+    return OK if passed != args.hunt else VIOLATION
 
 
 def cmd_model(args: argparse.Namespace) -> int:

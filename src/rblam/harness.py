@@ -12,7 +12,8 @@ generate (an evaluation result, a substituted term) and the budget
 verdicts. The minimizer derives its input once; each shrink candidate
 then re-derives only the replaced node's spine, the path from it to the
 root, and reuses the derivations of the subterms off that path. A canonical
-inhabitant is typed once per trial and once per minimize call.
+inhabitant is typed once per trial and once per minimize call: the
+minimizer runs on a generator state and shares its inhabitant memo.
 
 With ``allow_fn_var_reuse`` off, the generator stays inside the fragment
 where the paper-mode rules are observed cost-sound: each variable whose
@@ -29,7 +30,7 @@ import os
 import random
 from bisect import bisect
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import accumulate, islice
 from typing import Callable
 
@@ -213,23 +214,22 @@ def _draw(rng: random.Random, table: _Table) -> str:
     return names[bisect(cum, rng.random() * (cum[-1] + 0.0), 0, len(cum) - 1)]
 
 
-def sample_type(rng: random.Random, depth: int, weights: dict[str, float], inst: LatticeInstance) -> Type:
-    return _sample_type(rng, depth, _table(weights.items()), inst)
+_TYPES = _table(DEFAULT_TYPE_WEIGHTS.items())
 
 
-def _sample_type(rng: random.Random, depth: int, table: _Table, inst: LatticeInstance) -> Type:
+def sample_type(rng: random.Random, depth: int, inst: LatticeInstance) -> Type:
     if depth <= 0:
         return Bool() if rng.random() < 0.75 else Nat()
-    picked = _draw(rng, table)
+    picked = _draw(rng, _TYPES)
     if picked == "bool":
         return Bool()
     if picked == "nat":
         return Nat()
     if picked == "prod":
-        return Prod(_sample_type(rng, depth - 1, table, inst), _sample_type(rng, depth - 1, table, inst))
+        return Prod(sample_type(rng, depth - 1, inst), sample_type(rng, depth - 1, inst))
     if picked == "arrow":
-        return Arrow(_sample_type(rng, depth - 1, table, inst), _sample_type(rng, depth - 1, table, inst), None)
-    return Box(inst.random_element(rng), _sample_type(rng, depth - 1, table, inst))
+        return Arrow(sample_type(rng, depth - 1, inst), sample_type(rng, depth - 1, inst), None)
+    return Box(inst.random_element(rng), sample_type(rng, depth - 1, inst))
 
 
 # _gen's weighted productions, one table for each combination of a usable
@@ -255,7 +255,7 @@ _PRODUCTIONS: dict[tuple[bool, bool, str], _Table] = {
 
 
 class _GenState:
-    def __init__(self, cfg: GenConfig, rng: random.Random):
+    def __init__(self, cfg: GenConfig, rng: random.Random | None):
         self.cfg = cfg
         self.rng = rng
         self.inst = cfg.lattice
@@ -386,7 +386,7 @@ def _try_production(
         return branching if branching.type is not None else None
 
     if production == "redex":
-        arg_ty = sample_type(rng, min(depth - 1, 2), DEFAULT_TYPE_WEIGHTS, inst)
+        arg_ty = sample_type(rng, min(depth - 1, 2), inst)
         arg = _gen(st, ctx, arg_ty, depth - 1)
         if arg.type is None:
             return None
@@ -396,7 +396,7 @@ def _try_production(
         return st.derive(ctx, App(fn.term, arg.term), fn, arg)
 
     if production == "proj":
-        other_ty = sample_type(rng, min(depth - 1, 1), DEFAULT_TYPE_WEIGHTS, inst)
+        other_ty = sample_type(rng, min(depth - 1, 1), inst)
         left = rng.random() < 0.5
         pair_goal = Prod(goal, other_ty) if left else Prod(other_ty, goal)
         inner = _gen(st, ctx, pair_goal, depth - 1)
@@ -479,10 +479,7 @@ def _generate(
             base = Bool() if rng.random() < 0.75 else Nat()
             goal = Prod(base, base)
         else:
-            goal = sample_type(rng, min(cfg.max_depth, 3), DEFAULT_TYPE_WEIGHTS, cfg.lattice)
-    for name, ty in ctx.bindings:
-        if not st.cfg.allow_fn_var_reuse and type_contains_arrow(ty):
-            st.uses.setdefault(name, 0)
+            goal = sample_type(rng, min(cfg.max_depth, 3), cfg.lattice)
     return _gen(st, ctx, goal, cfg.max_depth)
 
 
@@ -542,16 +539,15 @@ def minimize(term: Term, failing_property: Callable[[Derivation], bool], cfg: Ge
     every subterm off that path, so an accepted candidate's derivation starts
     the next pass. A term that does not typecheck as a closed term is
     returned unchanged; every harness caller's does."""
-    mode, deltas, inst = cfg.mode, cfg.resolved_deltas(), cfg.lattice
+    st = _GenState(cfg, None)
     try:
-        current = derive(Context(), term, mode, deltas, inst)
+        current = derive(Context(), term, cfg.mode, st.deltas, st.inst)
     except TypingError:
         return term
-    inhabitants: dict[Type, tuple[Derivation | None, int]] = {}
     while True:
-        for path, cand in _candidates(current, mode, deltas, inst, inhabitants):
+        for path, cand in _candidates(current, st):
             try:
-                replaced = _respine(current, path, cand, mode, deltas, inst)
+                replaced = _respine(current, path, cand, st)
             except TypingError:
                 continue
             try:
@@ -564,13 +560,7 @@ def minimize(term: Term, failing_property: Callable[[Derivation], bool], cfg: Ge
             return current.term
 
 
-def _candidates(
-    root: Derivation,
-    mode: Mode,
-    deltas: DeltaProfile,
-    inst: LatticeInstance,
-    inhabitants: dict[Type, tuple[Derivation | None, int]] | None = None,
-):
+def _candidates(root: Derivation, st: _GenState):
     """(path, derivation) for every shrink move on root, lazily and in the
     minimizer's order: at each subterm position u in preorder, u's type's
     minimal inhabitant when it is smaller than u, then every strictly smaller
@@ -579,22 +569,12 @@ def _candidates(
     variables; then it is derived again in u's context, where that name is
     unbound or means an outer binding.
 
-    inhabitants maps a type to its minimal inhabitant's derivation (None
-    where that does not typecheck) and size; a type missing from it is
-    derived once and added."""
-    if inhabitants is None:
-        inhabitants = {}
+    Each minimal inhabitant comes from st's memo, and is skipped where it
+    does not typecheck."""
+    mode = st.cfg.mode
     for path, ctx, u in _paths(root):
-        entry = inhabitants.get(u.type)
-        if entry is None:
-            term = minimal_inhabitant(u.type)
-            try:
-                mini = derive(Context(), term, mode, deltas, inst)
-            except TypingError:
-                mini = None
-            entry = inhabitants[u.type] = mini, term_size(term)
-        mini, size = entry
-        if mini is not None and size < term_size(u.term):
+        mini = st.inhabitant(u.type, concrete=False)
+        if mini.type is not None and term_size(mini.term) < term_size(u.term):
             yield path, mini
         for _, between, s in islice(_paths(u), 1, None):
             fv = free_vars(s.term) if between else frozenset()
@@ -603,10 +583,10 @@ def _candidates(
                 if any(outer.lookup(name) is None for name in fv):
                     continue
                 try:
-                    s = derive(outer, s.term, mode, deltas, inst)
+                    s = derive(outer, s.term, mode, st.deltas, st.inst)
                 except TypingError:
                     continue
-            if is_subtype(s.type, u.type, mode, inst):
+            if is_subtype(s.type, u.type, mode, st.inst):
                 yield path, s
 
 
@@ -621,14 +601,7 @@ def _paths(d: Derivation, prefix: tuple[int, ...] = (), ctx: tuple[tuple[str, Ty
         yield from _paths(kid, prefix + (i,), ctx)
 
 
-def _respine(
-    root: Derivation,
-    path: tuple[int, ...],
-    new: Derivation,
-    mode: Mode,
-    deltas: DeltaProfile,
-    inst: LatticeInstance,
-) -> Derivation:
+def _respine(root: Derivation, path: tuple[int, ...], new: Derivation, st: _GenState) -> Derivation:
     """The derivation of root's term, a closed term, with the subterm at path
     replaced by new's, where new is derived in the context at path. Only the
     nodes on the path are derived again, each from its kids' derivations.
@@ -645,7 +618,7 @@ def _respine(
         d = d.children[i]
     for ctx, d, i in reversed(spine):
         kids = d.children[:i] + (new,) + d.children[i + 1:]
-        new = derive(ctx, rebuild(d.term, [k.term for k in kids]), mode, deltas, inst, kids)
+        new = derive(ctx, rebuild(d.term, [k.term for k in kids]), st.cfg.mode, st.deltas, st.inst, kids)
     return new
 
 
@@ -661,16 +634,6 @@ class Failure:
     observed: dict[str, str]
     minimized: str
     minimized_observed: dict[str, str]
-
-    def to_dict(self) -> dict:
-        return {
-            "trial": self.trial,
-            "term": self.term,
-            "relation": self.relation,
-            "observed": self.observed,
-            "minimized": self.minimized,
-            "minimized_observed": self.minimized_observed,
-        }
 
 
 @dataclass
@@ -691,7 +654,7 @@ class PropertyReport:
             "trials": self.trials,
             "failure_count": self.failure_count,
             "truncated": self.truncated,
-            "failures": [f.to_dict() for f in self.failures],
+            "failures": [asdict(f) for f in self.failures],
         }
 
     def __str__(self) -> str:
@@ -855,7 +818,7 @@ def _trial_box_laws(cfg: GenConfig, trial: int) -> Failure | None:
     inst = cfg.lattice
     deltas = cfg.resolved_deltas()
     rng = _trial_rng(cfg.seed ^ 0xB0C5, trial)
-    body_ty = sample_type(rng, 1, DEFAULT_TYPE_WEIGHTS, inst)
+    body_ty = sample_type(rng, 1, inst)
     grade = inst.random_element(rng)
     goal = Box(grade, body_ty)
     j = _generate(cfg, goal=goal, trial=trial)
@@ -932,14 +895,14 @@ def _trial_substitution(cfg: GenConfig, trial: int) -> Failure | None:
     budget = inst.large_budget()
     rng = _trial_rng(cfg.seed ^ 0x5B57, trial)
 
-    val_ty = sample_type(rng, 2, DEFAULT_TYPE_WEIGHTS, inst)
+    val_ty = sample_type(rng, 2, inst)
     v = gen_value(cfg, val_ty, rng, 3)
     try:
         annot = _typed(cfg, v).type
     except TypingError as exc:
         return _fail(cfg, trial, v.term, "generated value typechecks", {"type_error": str(exc)})
 
-    goal = sample_type(rng, 2, DEFAULT_TYPE_WEIGHTS, inst)
+    goal = sample_type(rng, 2, inst)
     ctx = Context((("x", annot),))
     j_open = _generate(cfg, ctx, goal, trial)
     open_term = j_open.term
@@ -982,7 +945,7 @@ PROPERTIES: dict[str, Callable[[GenConfig, int], Failure | None]] = {
 }
 
 
-def _run_range(cfg: GenConfig, name: str, start: int, stop: int) -> list[dict]:
+def _run_range(cfg: GenConfig, name: str, start: int, stop: int) -> list[Failure]:
     """Run trials start..stop-1. A trial that raises is recorded as a failure
     of its own, with no term, so one misbehaving trial does not end the run."""
     prop = PROPERTIES[name]
@@ -995,7 +958,7 @@ def _run_range(cfg: GenConfig, name: str, start: int, stop: int) -> list[dict]:
                               observed={"error": f"{type(exc).__name__}: {exc}"},
                               minimized="", minimized_observed={})
         if failure is not None:
-            out.append(failure.to_dict())
+            out.append(failure)
     return out
 
 
@@ -1014,22 +977,21 @@ def run_property(cfg: GenConfig, name: str, workers: int = 1) -> PropertyReport:
         raise KeyError(f"unknown property {name!r}")
     workers = min(workers, _usable_cpus())
     if workers <= 1 or cfg.count < workers * 2:
-        raw = _run_range(cfg, name, 0, cfg.count)
+        failures = _run_range(cfg, name, 0, cfg.count)
     else:
         bounds = [(cfg.count * i) // workers for i in range(workers + 1)]
         chunks = [(bounds[i], bounds[i + 1]) for i in range(workers)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_run_range, [cfg] * workers, [name] * workers,
                                   [c[0] for c in chunks], [c[1] for c in chunks]))
-        raw = [f for part in parts for f in part]
-    raw.sort(key=lambda f: f["trial"])
-    failures = [Failure(**f) for f in raw[:MAX_REPORTED_FAILURES]]
+        failures = [f for part in parts for f in part]
+    failures.sort(key=lambda f: f.trial)
     return PropertyReport(
         name=name,
         trials=cfg.count,
-        failure_count=len(raw),
-        failures=failures,
-        truncated=len(raw) > MAX_REPORTED_FAILURES,
+        failure_count=len(failures),
+        failures=failures[:MAX_REPORTED_FAILURES],
+        truncated=len(failures) > MAX_REPORTED_FAILURES,
     )
 
 

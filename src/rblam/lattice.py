@@ -271,11 +271,11 @@ class SaturatingNatLattice(NatLattice):
     """Naturals 0..cap with cap-clamped addition. Finite, so usable by the
     exhaustive model checker while keeping combine distinct from join."""
 
-    def __init__(self, cap: int, name: str | None = None):
+    def __init__(self, cap: int):
         if cap < 0:
             raise LatticeError("saturating cap must be a natural")
         self.cap = cap
-        self.name = name or f"sat{cap}"
+        self.name = f"sat{cap}"
 
     def _check_payload(self, payload):
         if not isinstance(payload, int) or not (0 <= payload <= self.cap):
@@ -308,8 +308,7 @@ class SaturatingNatLattice(NatLattice):
 class TripleLattice(LatticeInstance):
     """(time, memory, depth) triples with pointwise order, + and max."""
 
-    def __init__(self, name: str = "triple"):
-        self.name = name
+    name = "triple"
 
     def _check_payload(self, payload):
         if (

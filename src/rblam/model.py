@@ -542,8 +542,8 @@ def _probe_values(ty: Type, max_nat: int = 2) -> list[Term]:
                 for b in _probe_values(right, max_nat)
             ]
             return probes[:4]
-        case Arrow(dom, cod, _):
-            return [Lam("u", dom, minimal_inhabitant(cod))]
+        case Arrow():
+            return [minimal_inhabitant(ty)]
         case Box(grade, body):
             return [BoxT(grade, p) for p in _probe_values(body, max_nat)][:3]
     raise TypeError(f"no probes for {ty!r}")

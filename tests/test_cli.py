@@ -527,3 +527,9 @@ class TestInputErrors:
     def test_arabic_indic_digit_still_parses(self, program, capsys):
         assert main(["eval", program("(lam x : Nat . x) ٣"), "--lattice", "nat"]) == 0
         assert "value: 3" in capsys.readouterr().out
+
+
+def test_readme_library_example_runs():
+    readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
+    [example] = re.findall(r"```python\n(.*?)```", readme, re.DOTALL)
+    exec(compile(example, "README.md", "exec"), {})

@@ -107,7 +107,7 @@ class TestGenerator:
         cfg = GenConfig(lattice=NAT, seed=77, mode=Mode.SOUND)
         rng = random.Random(5)
         for i in range(120):
-            goal = sample_type(rng, 2, DEFAULT_TYPE_WEIGHTS, NAT)
+            goal = sample_type(rng, 2, NAT)
             term = gen_typed_term(cfg, goal=goal, trial=i)
             j = synthesize(Context(), term, BIG, Mode.SOUND, D)
             assert goal_matches(j.type, goal, NAT), (pretty(term), goal)
@@ -178,7 +178,7 @@ class TestGenerator:
         monkeypatch.setattr(harness, "minimal_inhabitant", lambda ty: built.append(ty) or real(ty))
         cfg = GenConfig(lattice=TRIPLE, seed=7, max_depth=6, mode=Mode.SOUND)
         rng = random.Random(7)
-        goals = [sample_type(rng, 2, DEFAULT_TYPE_WEIGHTS, TRIPLE) for _ in range(20)]
+        goals = [sample_type(rng, 2, TRIPLE) for _ in range(20)]
 
         def generate():
             value_rng = random.Random(3)
@@ -255,6 +255,16 @@ class TestWeightedDraws:
         cfg = GenConfig(lattice=NAT, seed=7, count=20, max_depth=5, mode=Mode.SOUND)
         assert all(r.passed for r in run_properties(cfg))
 
+    def test_type_table_is_built_once_at_import(self, monkeypatch):
+        assert harness._TYPES == harness._table(DEFAULT_TYPE_WEIGHTS.items())
+
+        def refuse(weighted):
+            raise AssertionError("weight table built during a run")
+
+        monkeypatch.setattr(harness, "_table", refuse)
+        cfg = GenConfig(lattice=NAT, seed=7, count=20, max_depth=5, mode=Mode.SOUND)
+        assert all(r.passed for r in run_properties(cfg))
+
 
 def _max_fn_var_occurrences(term):
     from rblam.harness import type_contains_arrow
@@ -288,7 +298,7 @@ class TestValues:
         cfg = GenConfig(lattice=NAT, seed=17, mode=Mode.SOUND)
         rng = random.Random(17)
         for _ in range(80):
-            ty = sample_type(rng, 2, DEFAULT_TYPE_WEIGHTS, NAT)
+            ty = sample_type(rng, 2, NAT)
             v = gen_value(cfg, ty, rng, 3).term
             assert not free_vars(v)
             j = synthesize(Context(), v, BIG, Mode.SOUND, D)
@@ -303,14 +313,14 @@ class TestValues:
         cfg = GenConfig(lattice=inst, seed=19, mode=mode, allow_fn_var_reuse=reuse)
         rng = random.Random(19)
         for _ in range(150):
-            ty = sample_type(rng, 2, DEFAULT_TYPE_WEIGHTS, inst)
+            ty = sample_type(rng, 2, inst)
             v = gen_value(cfg, ty, rng, 3)
             assert v == synthesize(Context(), v.term, inst.large_budget(), mode, cfg.resolved_deltas()).trace
 
     def test_minimal_inhabitants_cost_nothing(self):
         rng = random.Random(3)
         for _ in range(40):
-            ty = concretize(sample_type(rng, 3, DEFAULT_TYPE_WEIGHTS, NAT), NAT)
+            ty = concretize(sample_type(rng, 3, NAT), NAT)
             term = minimal_inhabitant(ty)
             j = synthesize(Context(), term, BIG, Mode.SOUND, D)
             assert j.bound == NAT.element(0)
@@ -407,12 +417,13 @@ class TestMinimizer:
         # derivation of the replaced term, and fail exactly where it fails
         cfg = GenConfig(lattice=inst, seed=23, max_depth=5, mode=mode, allow_fn_var_reuse=reuse)
         deltas = cfg.resolved_deltas()
+        state = harness._GenState(cfg, None)
         tt = derive(Context(), TT(), mode, deltas, inst)
         outcomes = set()
         for i in range(40):
             term = gen_typed_term(cfg, trial=i)
             root = derive(Context(), term, mode, deltas, inst)
-            moves = list(harness._candidates(root, mode, deltas, inst))
+            moves = list(harness._candidates(root, state))
             moves += [(path, tt) for path, _, _ in harness._paths(root)]
             for path, cand in moves:
                 replaced = replace_at(term, path, cand.term)
@@ -421,7 +432,7 @@ class TestMinimizer:
                 except TypingError:
                     full = None
                 try:
-                    spine = harness._respine(root, path, cand, mode, deltas, inst)
+                    spine = harness._respine(root, path, cand, state)
                 except TypingError:
                     spine = None
                 assert spine == full, (pretty(term), path, pretty(cand.term))
@@ -452,11 +463,12 @@ class TestMinimizer:
         app = parse("(lam x : Bool . x) (if tt then ff else tt)", NAT)
         root = derive(Context(), app, Mode.PAPER, D, NAT)
         ff = derive(Context(), FF(), Mode.PAPER, D, NAT)
-        replaced = harness._respine(root, (1, 2), ff, Mode.PAPER, D, NAT)
+        state = harness._GenState(GenConfig(lattice=NAT, mode=Mode.PAPER), None)
+        replaced = harness._respine(root, (1, 2), ff, state)
         assert replaced.term == parse("(lam x : Bool . x) (if tt then ff else ff)", NAT)
         for path in [(2,), (-1,), (1, 3), (0, 0, 0)]:
             with pytest.raises(IndexError):
-                harness._respine(root, path, ff, Mode.PAPER, D, NAT)
+                harness._respine(root, path, ff, state)
 
     def test_compensated_double_use_is_sound(self):
         # a costful else-branch inflates the bound enough to cover the
@@ -681,9 +693,12 @@ class TestReports:
 
         inst = {"triple": TRIPLE, "sat3": SaturatingNatLattice(3),
                 "diamond": load_lattice(str(data_dir / "diamond.lat"))}[name]
+        # diamond has no unique atom, so its default deltas are all bottom:
+        # charge one of its atoms for every operation instead
+        deltas = DeltaProfile.uniform(inst.element("a")) if name == "diamond" else None
         monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
         cfg = GenConfig(lattice=inst, seed=42, count=120, max_depth=5, mode=Mode.PAPER,
-                        allow_fn_var_reuse=True)
+                        allow_fn_var_reuse=True, deltas=deltas)
         seq = report_json(run_properties(cfg, workers=1), cfg)
         par = report_json(run_properties(cfg, workers=2), cfg)
         assert seq == par

@@ -168,10 +168,10 @@ class TestValueFixpoint:
     def test_generated_values_evaluate_to_themselves(self):
         cfg = GenConfig(lattice=NAT, seed=9, mode=Mode.SOUND)
         rng = random.Random(4)
-        from rblam.harness import DEFAULT_TYPE_WEIGHTS, sample_type
+        from rblam.harness import sample_type
 
         for i in range(40):
-            ty = sample_type(rng, 2, DEFAULT_TYPE_WEIGHTS, NAT)
+            ty = sample_type(rng, 2, NAT)
             v = gen_value(cfg, ty, rng, 3).term
             assert is_value(v)
             result = evaluate(v, D)

@@ -448,7 +448,9 @@ class TestRunModelChecks:
             run_model_checks(sat(2), enum=enum_for(sat(3)))
 
     def test_diamond_all_pass(self, data_dir):
-        report = run_model_checks(load_lattice(str(data_dir / "diamond.lat")))
+        # diamond's default deltas are all bottom: charge its atom a instead
+        inst = load_lattice(str(data_dir / "diamond.lat"))
+        report = run_model_checks(inst, enum=EnumBudget(DeltaProfile.uniform(inst.element("a"))))
         assert report.passed, str(report)
 
     def test_report_serializes(self, data_dir):
