@@ -15,6 +15,12 @@ root, and reuses the derivations of the subterms off that path. A canonical
 inhabitant is typed once per trial and once per minimize call: the
 minimizer runs on a generator state and shares its inhabitant memo.
 
+Each suite is a check: straight-line code that raises a violation at the
+first relation it sees broken. Its ``PROPERTIES`` entry returns ``Failure |
+None``: the violation's failure, its term minimized when the violation
+carries a predicate. An entry never raises a violation, and is timed as one
+operation (perfbench's ``trial_ops``), minimization included.
+
 With ``allow_fn_var_reuse`` off, the generator stays inside the fragment
 where the paper-mode rules are observed cost-sound: each variable whose
 type mentions an arrow occurs at most once, and application heads are only
@@ -30,6 +36,7 @@ import os
 import random
 from bisect import bisect
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from itertools import accumulate, islice
 from typing import Callable
@@ -72,6 +79,7 @@ from rblam.typecheck import (
     GradeExceeded,
     Mode,
     TypingError,
+    check_deltas,
     derive,
     derive_or_untyped,
     is_subtype,
@@ -98,10 +106,15 @@ class GenConfig:
     max_depth: int = 5
     mode: Mode = Mode.SOUND
     allow_fn_var_reuse: bool = False
-    deltas: DeltaProfile | None = None
+    deltas: DeltaProfile | None = None  # None: the lattice's default profile
+
+    def __post_init__(self):
+        if self.deltas is None:
+            object.__setattr__(self, "deltas", DeltaProfile.default(self.lattice))
+        check_deltas(self.deltas, self.lattice)
 
     def resolved_deltas(self) -> DeltaProfile:
-        return self.deltas if self.deltas is not None else DeltaProfile.default(self.lattice)
+        return self.deltas
 
 
 def _trial_rng(seed: int, trial: int) -> random.Random:
@@ -259,7 +272,7 @@ class _GenState:
         self.cfg = cfg
         self.rng = rng
         self.inst = cfg.lattice
-        self.deltas = cfg.resolved_deltas()
+        self.deltas = cfg.deltas
         self.uses: dict[str, int] = {}
         self.fresh = 0
         self.inhabitants: dict[tuple[Type, bool], Derivation] = {}
@@ -664,16 +677,15 @@ class PropertyReport:
 
 def _observe_cost(cfg: GenConfig, term: Term) -> dict[str, str]:
     inst = cfg.lattice
-    deltas = cfg.resolved_deltas()
     out: dict[str, str] = {}
     try:
-        j = synthesize(Context(), term, inst.large_budget(), cfg.mode, deltas)
+        j = synthesize(Context(), term, inst.large_budget(), cfg.mode, cfg.deltas)
         out["bound"] = inst.format(j.bound)
     except TypingError as exc:
         out["type_error"] = str(exc)
         return out
     try:
-        r = evaluate(term, deltas)
+        r = evaluate(term, cfg.deltas)
         out["cost"] = inst.format(r.cost)
     except EvalError as exc:
         out["eval_error"] = str(exc)
@@ -682,11 +694,10 @@ def _observe_cost(cfg: GenConfig, term: Term) -> dict[str, str]:
 
 def _cost_soundness_violation(cfg: GenConfig) -> Callable[[Derivation], bool]:
     inst = cfg.lattice
-    deltas = cfg.resolved_deltas()
 
     def violated(d: Derivation) -> bool:
         try:
-            r = evaluate(d.term, deltas)
+            r = evaluate(d.term, cfg.deltas)
         except EvalError:
             return False
         return not inst.leq(r.cost, d.bound)
@@ -694,19 +705,42 @@ def _cost_soundness_violation(cfg: GenConfig) -> Callable[[Derivation], bool]:
     return violated
 
 
-def _fail(cfg: GenConfig, trial: int, term: Term, relation: str, observed: dict[str, str],
-          predicate: Callable[[Derivation], bool] | None = None) -> Failure:
-    minimized = term
-    if predicate is not None:
-        minimized = minimize(term, predicate, cfg)
-    return Failure(
-        trial=trial,
-        term=pretty(term),
-        relation=relation,
-        observed=observed,
-        minimized=pretty(minimized),
-        minimized_observed=_observe_cost(cfg, minimized),
-    )
+@dataclass(eq=False)
+class _Violation(Exception):
+    """The first relation a check sees broken, on term. With a predicate, the
+    minimizer shrinks term while the predicate still holds."""
+
+    term: Term
+    relation: str
+    observed: dict[str, str]
+    predicate: Callable[[Derivation], bool] | None = None
+
+
+@contextmanager
+def _guard(term: Term, relation: str, key: str):
+    """Raise a TypingError or EvalError of the block as a violation of
+    relation on term, with the error's message observed under key."""
+    try:
+        yield
+    except (TypingError, EvalError) as exc:
+        raise _Violation(term, relation, {key: str(exc)})
+
+
+def _property(check: Callable[[GenConfig, int], None]) -> Callable[[GenConfig, int], Failure | None]:
+    """check as a PROPERTIES entry: None when the trial passes, else the
+    Failure of the violation check raises, minimized when it carries a
+    predicate. The entry returns a violation and never raises it."""
+
+    def entry(cfg: GenConfig, trial: int) -> Failure | None:
+        try:
+            check(cfg, trial)
+            return None
+        except _Violation as v:
+            minimized = v.term if v.predicate is None else minimize(v.term, v.predicate, cfg)
+            return Failure(trial, pretty(v.term), v.relation, v.observed, pretty(minimized),
+                           _observe_cost(cfg, minimized))
+
+    return entry
 
 
 def _typed(cfg: GenConfig, d: Derivation, ctx: Context = Context()) -> Derivation:
@@ -715,108 +749,78 @@ def _typed(cfg: GenConfig, d: Derivation, ctx: Context = Context()) -> Derivatio
     TypingError that synthesize gives for its term."""
     if d.type is not None:
         return d
-    return derive(ctx, d.term, cfg.mode, cfg.resolved_deltas(), cfg.lattice)
+    return derive(ctx, d.term, cfg.mode, cfg.deltas, cfg.lattice)
 
 
-def _trial_cost_soundness(cfg: GenConfig, trial: int) -> Failure | None:
+def _check_cost_soundness(cfg: GenConfig, trial: int) -> None:
     inst = cfg.lattice
-    deltas = cfg.resolved_deltas()
     budget = inst.large_budget()
     j = _generate(cfg, trial=trial)
-    term = j.term
-    try:
+    with _guard(j.term, "generated term typechecks", "type_error"):
         j = _typed(cfg, j)
-    except TypingError as exc:
-        return _fail(cfg, trial, term, "generated term typechecks", {"type_error": str(exc)})
-    try:
-        r = evaluate(term, deltas)
-    except EvalError as exc:
-        return _fail(cfg, trial, term, "typed terms evaluate", {"eval_error": str(exc)})
+    with _guard(j.term, "typed terms evaluate", "eval_error"):
+        r = evaluate(j.term, cfg.deltas)
     if not inst.leq(r.cost, j.bound) or not inst.leq(j.bound, budget):
-        return _fail(
-            cfg, trial, term, "cost <= bound <= budget",
+        raise _Violation(
+            j.term, "cost <= bound <= budget",
             {"cost": inst.format(r.cost), "bound": inst.format(j.bound), "budget": inst.format(budget)},
             _cost_soundness_violation(cfg),
         )
-    return None
 
 
-def _trial_determinism(cfg: GenConfig, trial: int) -> Failure | None:
+def _check_determinism(cfg: GenConfig, trial: int) -> None:
     inst = cfg.lattice
-    deltas = cfg.resolved_deltas()
     term = gen_typed_term(cfg, trial=trial)
-    try:
-        r1 = evaluate(term, deltas)
-        r2 = evaluate(term, deltas)
-        renamed = rename_binders(term)
-        r3 = evaluate(renamed, deltas)
-    except EvalError as exc:
-        return _fail(cfg, trial, term, "typed terms evaluate", {"eval_error": str(exc)})
+    with _guard(term, "typed terms evaluate", "eval_error"):
+        r1 = evaluate(term, cfg.deltas)
+        r2 = evaluate(term, cfg.deltas)
+        r3 = evaluate(rename_binders(term), cfg.deltas)
     if r1 != r2:
-        return _fail(cfg, trial, term, "evaluation is deterministic",
-                     {"cost1": inst.format(r1.cost), "cost2": inst.format(r2.cost)})
+        raise _Violation(term, "evaluation is deterministic",
+                         {"cost1": inst.format(r1.cost), "cost2": inst.format(r2.cost)})
     if r1.cost != r3.cost or not alpha_eq(r1.value, r3.value):
-        return _fail(
-            cfg, trial, term, "evaluation is alpha-invariant",
-            {"cost": inst.format(r1.cost), "renamed_cost": inst.format(r3.cost)},
-        )
-    return None
+        raise _Violation(term, "evaluation is alpha-invariant",
+                         {"cost": inst.format(r1.cost), "renamed_cost": inst.format(r3.cost)})
 
 
-def _trial_preservation(cfg: GenConfig, trial: int) -> Failure | None:
+def _check_preservation(cfg: GenConfig, trial: int) -> None:
     inst = cfg.lattice
-    deltas = cfg.resolved_deltas()
-    budget = inst.large_budget()
     j = _generate(cfg, trial=trial)
     term = j.term
-    try:
+    with _guard(term, "typed terms evaluate and retype", "error"):
         j = _typed(cfg, j)
-        r = evaluate(term, deltas)
-        j2 = synthesize(Context(), r.value, budget, cfg.mode, deltas)
-    except (TypingError, EvalError) as exc:
-        return _fail(cfg, trial, term, "typed terms evaluate and retype", {"error": str(exc)})
+        r = evaluate(term, cfg.deltas)
+        j2 = synthesize(Context(), r.value, inst.large_budget(), cfg.mode, cfg.deltas)
     if not is_subtype(j2.type, j.type, cfg.mode, inst):
-        return _fail(
-            cfg, trial, term, "result type preserved up to grade subsumption",
-            {"type": pretty_type(j.type), "result_type": pretty_type(j2.type)},
-        )
+        raise _Violation(term, "result type preserved up to grade subsumption",
+                         {"type": pretty_type(j.type), "result_type": pretty_type(j2.type)})
     if not inst.leq(j2.bound, j.bound):
-        return _fail(
-            cfg, trial, term, "result bound below original",
-            {"bound": inst.format(j.bound), "result_bound": inst.format(j2.bound)},
-        )
-    return None
+        raise _Violation(term, "result bound below original",
+                         {"bound": inst.format(j.bound), "result_bound": inst.format(j2.bound)})
 
 
-def _trial_budget_weakening(cfg: GenConfig, trial: int) -> Failure | None:
+def _check_budget_weakening(cfg: GenConfig, trial: int) -> None:
     inst = cfg.lattice
-    deltas = cfg.resolved_deltas()
     rng = _trial_rng(cfg.seed ^ 0x5EED, trial)
     term = gen_typed_term(cfg, trial=trial)
     r1 = inst.random_element(rng)
     r2 = inst.join(r1, inst.random_element(rng))
-    try:
-        j1 = synthesize(Context(), term, r1, cfg.mode, deltas)
-        j2 = synthesize(Context(), term, r2, cfg.mode, deltas)
-    except TypingError as exc:
-        return _fail(cfg, trial, term, "generated term typechecks", {"type_error": str(exc)})
+    with _guard(term, "generated term typechecks", "type_error"):
+        j1 = synthesize(Context(), term, r1, cfg.mode, cfg.deltas)
+        j2 = synthesize(Context(), term, r2, cfg.mode, cfg.deltas)
     if j1.bound != j2.bound:
-        return _fail(
-            cfg, trial, term, "bound independent of budget",
+        raise _Violation(
+            term, "bound independent of budget",
             {"budget1": inst.format(r1), "bound1": inst.format(j1.bound),
              "budget2": inst.format(r2), "bound2": inst.format(j2.bound)},
         )
     if j1.within_budget and not j2.within_budget:
-        return _fail(
-            cfg, trial, term, "verdict monotone in the budget",
-            {"budget1": inst.format(r1), "budget2": inst.format(r2)},
-        )
-    return None
+        raise _Violation(term, "verdict monotone in the budget",
+                         {"budget1": inst.format(r1), "budget2": inst.format(r2)})
 
 
-def _trial_box_laws(cfg: GenConfig, trial: int) -> Failure | None:
+def _check_box_laws(cfg: GenConfig, trial: int) -> None:
     inst = cfg.lattice
-    deltas = cfg.resolved_deltas()
     rng = _trial_rng(cfg.seed ^ 0xB0C5, trial)
     body_ty = sample_type(rng, 1, inst)
     grade = inst.random_element(rng)
@@ -825,47 +829,39 @@ def _trial_box_laws(cfg: GenConfig, trial: int) -> Failure | None:
     term = j.term
 
     def rule(t: Term, *kids: Derivation) -> Derivation:
-        return derive(Context(), t, cfg.mode, deltas, inst, kids)
+        return derive(Context(), t, cfg.mode, cfg.deltas, inst, kids)
 
-    try:
+    with _guard(term, "box term and its unboxing typecheck", "type_error"):
         j = _typed(cfg, j)
         ju = rule(Unbox(term), j)
-    except TypingError as exc:
-        return _fail(cfg, trial, term, "box term and its unboxing typecheck", {"type_error": str(exc)})
-    expected = inst.combine(j.bound, deltas.unbox)
+    expected = inst.combine(j.bound, cfg.deltas.unbox)
     if ju.bound != expected or not isinstance(j.type, Box) or ju.type != j.type.body:
-        return _fail(
-            cfg, trial, term, "counit: unbox typechecks at the body type, bound + delta_unbox",
+        raise _Violation(
+            term, "counit: unbox typechecks at the body type, bound + delta_unbox",
             {"bound": inst.format(j.bound), "unbox_bound": inst.format(ju.bound),
              "expected": inst.format(expected)},
         )
 
     # grade monotone acceptance
     v = gen_value(cfg, goal, rng, 3)
-    try:
+    with _guard(v.term, "grade monotone acceptance", "error"):
         jv = _typed(cfg, v)
-    except TypingError as exc:
-        return _fail(cfg, trial, v.term, "grade monotone acceptance", {"error": str(exc)})
     wider = goal
     if isinstance(jv.type, Box):
         wider = Box(inst.join(jv.type.grade, inst.random_element(rng)), jv.type.body)
     if not isinstance(jv.type, Box) or not is_subtype(jv.type, wider, cfg.mode, inst):
-        return _fail(
-            cfg, trial, v.term, "grade monotone acceptance",
+        raise _Violation(
+            v.term, "grade monotone acceptance",
             {"error": f"synthesized type {pretty_type(jv.type)} does not match expected {pretty_type(wider)}"},
         )
 
     # grade bounds evaluation cost of the boxed term
     if isinstance(term, BoxT):
-        try:
-            inner = evaluate(term.body, deltas)
-        except EvalError as exc:
-            return _fail(cfg, trial, term, "boxed body evaluates", {"eval_error": str(exc)})
+        with _guard(term, "boxed body evaluates", "eval_error"):
+            inner = evaluate(term.body, cfg.deltas)
         if not inst.leq(inner.cost, term.grade):
-            return _fail(
-                cfg, trial, term, "boxed body cost within grade",
-                {"cost": inst.format(inner.cost), "grade": inst.format(term.grade)},
-            )
+            raise _Violation(term, "boxed body cost within grade",
+                             {"cost": inst.format(inner.cost), "grade": inst.format(term.grade)})
 
     # no unconditional promotion
     plain = _generate(cfg, goal=body_ty, trial=trial + 1)
@@ -874,74 +870,57 @@ def _trial_box_laws(cfg: GenConfig, trial: int) -> Failure | None:
         if candidate.bound == inst.bottom():
             candidate = rule(If(TT(), candidate.term, candidate.term), rule(TT()), candidate, candidate)
     except TypingError:
-        return None
+        return
     if candidate.bound == inst.bottom():
-        return None  # degenerate delta profile: nothing to reject
-    try:
-        rule(BoxT(inst.bottom(), candidate.term), candidate)
-    except GradeExceeded:
-        return None
-    except TypingError as exc:
-        return _fail(cfg, trial, candidate.term, "rejection is a GradeExceeded", {"error": str(exc)})
-    return _fail(
-        cfg, trial, candidate.term, "no unconditional promotion",
-        {"bound": inst.format(candidate.bound), "grade": inst.format(inst.bottom())},
-    )
+        return  # degenerate delta profile: nothing to reject
+    with _guard(candidate.term, "rejection is a GradeExceeded", "error"):
+        try:
+            rule(BoxT(inst.bottom(), candidate.term), candidate)
+        except GradeExceeded:
+            return
+    raise _Violation(candidate.term, "no unconditional promotion",
+                     {"bound": inst.format(candidate.bound), "grade": inst.format(inst.bottom())})
 
 
-def _trial_substitution(cfg: GenConfig, trial: int) -> Failure | None:
+def _check_substitution(cfg: GenConfig, trial: int) -> None:
     inst = cfg.lattice
-    deltas = cfg.resolved_deltas()
-    budget = inst.large_budget()
     rng = _trial_rng(cfg.seed ^ 0x5B57, trial)
 
     val_ty = sample_type(rng, 2, inst)
     v = gen_value(cfg, val_ty, rng, 3)
-    try:
+    with _guard(v.term, "generated value typechecks", "type_error"):
         annot = _typed(cfg, v).type
-    except TypingError as exc:
-        return _fail(cfg, trial, v.term, "generated value typechecks", {"type_error": str(exc)})
 
     goal = sample_type(rng, 2, inst)
     ctx = Context((("x", annot),))
     j_open = _generate(cfg, ctx, goal, trial)
-    open_term = j_open.term
-    try:
+    with _guard(j_open.term, "open term typechecks", "type_error"):
         j_open = _typed(cfg, j_open, ctx)
-    except TypingError as exc:
-        return _fail(cfg, trial, open_term, "open term typechecks", {"type_error": str(exc)})
 
-    closed = substitute(open_term, "x", v.term)
-    try:
-        j_closed = synthesize(Context(), closed, budget, cfg.mode, deltas)
-    except TypingError as exc:
-        return _fail(cfg, trial, closed, "substituted term typechecks", {"type_error": str(exc)})
+    closed = substitute(j_open.term, "x", v.term)
+    with _guard(closed, "substituted term typechecks", "type_error"):
+        j_closed = synthesize(Context(), closed, inst.large_budget(), cfg.mode, cfg.deltas)
     if j_closed.type != j_open.type or j_closed.bound != j_open.bound:
-        return _fail(
-            cfg, trial, closed, "substitution preserves type and bound",
+        raise _Violation(
+            closed, "substitution preserves type and bound",
             {"type": pretty_type(j_open.type), "sub_type": pretty_type(j_closed.type),
              "bound": inst.format(j_open.bound), "sub_bound": inst.format(j_closed.bound)},
         )
     if cfg.mode is Mode.SOUND:
-        try:
-            r = evaluate(closed, deltas)
-        except EvalError as exc:
-            return _fail(cfg, trial, closed, "substituted term evaluates", {"eval_error": str(exc)})
+        with _guard(closed, "substituted term evaluates", "eval_error"):
+            r = evaluate(closed, cfg.deltas)
         if not inst.leq(r.cost, j_open.bound):
-            return _fail(
-                cfg, trial, closed, "substituted cost within open bound",
-                {"cost": inst.format(r.cost), "bound": inst.format(j_open.bound)},
-            )
-    return None
+            raise _Violation(closed, "substituted cost within open bound",
+                             {"cost": inst.format(r.cost), "bound": inst.format(j_open.bound)})
 
 
 PROPERTIES: dict[str, Callable[[GenConfig, int], Failure | None]] = {
-    "cost_soundness": _trial_cost_soundness,
-    "determinism": _trial_determinism,
-    "preservation": _trial_preservation,
-    "budget_weakening": _trial_budget_weakening,
-    "box_laws": _trial_box_laws,
-    "substitution": _trial_substitution,
+    "cost_soundness": _property(_check_cost_soundness),
+    "determinism": _property(_check_determinism),
+    "preservation": _property(_check_preservation),
+    "budget_weakening": _property(_check_budget_weakening),
+    "box_laws": _property(_check_box_laws),
+    "substitution": _property(_check_substitution),
 }
 
 

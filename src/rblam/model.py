@@ -76,6 +76,7 @@ from rblam.typecheck import (
     Derivation,
     Mode,
     TypingError,
+    check_deltas,
     derive_or_untyped,
     synthesize,
 )
@@ -166,7 +167,7 @@ class _Interpreter:
     def __init__(self, inst: LatticeInstance, enum: EnumBudget):
         if not inst.is_finite:
             raise ValueError(f"lattice {inst.name!r} must be finite for tabulation")
-        _check_deltas(enum.deltas, inst)
+        check_deltas(enum.deltas, inst)
         self.inst = inst
         self.enum = enum
         self.els = inst.enumerate()
@@ -466,20 +467,13 @@ class BoxDen:
 Den = Any
 
 
-def _check_deltas(deltas: DeltaProfile, lattice: LatticeInstance) -> None:
-    if deltas.instance is not lattice:
-        owner = deltas.instance.name
-        other = f"another instance of {owner!r}" if owner == lattice.name else f"lattice {owner!r}"
-        raise ValueError(f"delta profile belongs to {other}, not to {lattice.name!r}")
-
-
 class DenModel:
     """Sets of cost-annotated values: products are pairs, functions are
     cost-tracking maps built by currying, boxes are grade-tagged subsets,
     and the internal lattice is the session lattice itself."""
 
     def __init__(self, lattice: LatticeInstance, deltas: DeltaProfile):
-        _check_deltas(deltas, lattice)
+        check_deltas(deltas, lattice)
         self.lattice = lattice
         self.deltas = deltas
 

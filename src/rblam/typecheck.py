@@ -98,6 +98,13 @@ class DeltaProfile:
         return self.app.instance
 
 
+def check_deltas(deltas: DeltaProfile, lattice: LatticeInstance) -> None:
+    if deltas.instance is not lattice:
+        owner = deltas.instance.name
+        other = f"another instance of {owner!r}" if owner == lattice.name else f"lattice {owner!r}"
+        raise ValueError(f"delta profile belongs to {other}, not to {lattice.name!r}")
+
+
 @record(bindings=())
 class Context:
     __slots__ = ("bindings",)
@@ -163,7 +170,7 @@ def is_subtype(a: Type, b: Type, mode: Mode, inst: LatticeInstance) -> bool:
 
 def type_lub(a: Type, b: Type, mode: Mode, inst: LatticeInstance) -> Type:
     """Least common supertype used to unify if-branches: box grades and
-    (in sound mode) arrow latents are joined; arrow domains must agree."""
+    (in sound mode) arrow latents are joined; arrow domains must be mutual subtypes."""
     match (a, b):
         case (Bool(), Bool()) | (Nat(), Nat()):
             return a
@@ -175,7 +182,7 @@ def type_lub(a: Type, b: Type, mode: Mode, inst: LatticeInstance) -> Type:
             if mode is Mode.PAPER:
                 if a == b:
                     return a
-            elif d1 == d2:
+            elif is_subtype(d1, d2, mode, inst) and is_subtype(d2, d1, mode, inst):
                 return Arrow(
                     d1,
                     type_lub(c1, c2, mode, inst),

@@ -357,14 +357,20 @@ class TestMinimizer:
     def test_input_derived_once_and_each_candidate_along_its_path(self, monkeypatch):
         # minimize never synthesizes: it derives its input once, and each
         # candidate costs its own derivation plus at most one derive per node
-        # on its path; the property evaluates each candidate once
+        # on its path; the property evaluates each candidate once. A minimal
+        # inhabitant is derived through the generator state's binding,
+        # derive_or_untyped, so both bindings are counted, each at the top
+        # level only
         real_derive, real_respine, real_evaluate = harness.derive, harness._respine, harness.evaluate
-        real_candidates = harness._candidates
+        real_derive_or_untyped, real_candidates = harness.derive_or_untyped, harness._candidates
         synthesized, derived, yielded, spines, evaluated, offered = [], [], [], [], [], []
 
-        def counted_derive(ctx, t, mode, d, inst, kids=()):
-            derived.append((t, bool(kids)))
-            return real_derive(ctx, t, mode, d, inst, kids)
+        def counted(real):
+            def counted_derive(ctx, t, mode, d, inst, kids=()):
+                derived.append((t, bool(kids)))
+                return real(ctx, t, mode, d, inst, kids)
+
+            return counted_derive
 
         def counted_respine(root, path, new, *rest):
             start = len(derived)
@@ -383,7 +389,8 @@ class TestMinimizer:
             return real_evaluate(t, deltas)
 
         monkeypatch.setattr(harness, "synthesize", lambda *args: synthesized.append(args))
-        monkeypatch.setattr(harness, "derive", counted_derive)
+        monkeypatch.setattr(harness, "derive", counted(real_derive))
+        monkeypatch.setattr(harness, "derive_or_untyped", counted(real_derive_or_untyped))
         monkeypatch.setattr(harness, "_respine", counted_respine)
         monkeypatch.setattr(harness, "_candidates", recorded_candidates)
         monkeypatch.setattr(harness, "evaluate", counted_evaluate)
@@ -532,6 +539,37 @@ class TestProperties:
         assert "cost" in failure.observed and "bound" in failure.observed
         minimized = parse(failure.minimized, NAT)
         assert canonical_violation(minimized)
+
+    def test_violating_entry_returns_its_failure(self):
+        # a check raises its violation; the PROPERTIES entry returns the
+        # minimized Failure instead of raising, so that timing each entry as
+        # one operation times the minimization and counts no failed one
+        cfg = GenConfig(lattice=NAT, seed=6, count=150, max_depth=5, mode=Mode.PAPER, allow_fn_var_reuse=True)
+        first = run_property(cfg, "cost_soundness").failures[0]
+        failure = PROPERTIES["cost_soundness"](cfg, first.trial)
+        assert failure == first and failure.relation == "cost <= bound <= budget"
+        assert canonical_violation(parse(failure.minimized, NAT))
+
+    def test_raising_minimization_is_a_raising_trial(self, monkeypatch):
+        cfg = GenConfig(lattice=NAT, seed=6, count=150, max_depth=5, mode=Mode.PAPER, allow_fn_var_reuse=True)
+        violating = [f.trial for f in run_property(cfg, "cost_soundness").failures]
+
+        def broken(*args):
+            raise RuntimeError("minimizer down")
+
+        monkeypatch.setattr(harness, "minimize", broken)
+        report = run_property(cfg, "cost_soundness")
+        assert violating and [f.trial for f in report.failures] == violating
+        for f in report.failures:
+            assert f.relation == "trial raises no exception"
+            assert f.observed == {"error": "RuntimeError: minimizer down"}
+
+    def test_deltas_resolved_once_for_their_own_lattice(self):
+        cfg = GenConfig(lattice=TRIPLE)
+        assert cfg.deltas == DeltaProfile.default(TRIPLE) and cfg.resolved_deltas() is cfg.deltas
+        # another lattice's profile would fail every trial as a raising one
+        with pytest.raises(ValueError, match="^delta profile belongs to lattice 'triple', not to 'nat'$"):
+            GenConfig(lattice=NAT, deltas=DeltaProfile.default(TRIPLE))
 
     def test_faulty_lattice_still_yields_the_generated_terms(self, monkeypatch):
         # an off-by-one in nat composition pushes some generated box bodies

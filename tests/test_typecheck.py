@@ -216,6 +216,17 @@ class TestSubtyping:
         )
         assert j.type == Arrow(Bool(), Bool(), NAT.element(1))
 
+    def test_if_branches_unify_arrow_domains_up_to_latent_bottom(self):
+        # in sound mode `->` is latent bottom, so the two domains are one type
+        j = synth(
+            "if tt then (lam f : Bool -> Bool . f tt) else (lam f : Bool -[0]-> Bool . f tt)",
+            mode=Mode.SOUND,
+        )
+        assert j.type == parse_type("(Bool -> Bool) -[1]-> Bool", NAT)
+        assert j.bound == NAT.element(1)
+        with pytest.raises(TypingError, match="do not unify"):
+            synth("if tt then (lam f : Bool -> Bool . f tt) else (lam f : Bool -[1]-> Bool . f tt)", mode=Mode.SOUND)
+
     def test_lub_rejects_mismatched_shapes(self):
         with pytest.raises(TypingError):
             type_lub(Bool(), Nat(), Mode.PAPER, NAT)
