@@ -21,6 +21,11 @@ None``: the violation's failure, its term minimized when the violation
 carries a predicate. An entry never raises a violation, and is timed as one
 operation (perfbench's ``trial_ops``), minimization included.
 
+The suites of a run go trial-major, every suite on trial t before trial
+t+1, and share generations within one trial only: a suite that generates
+with another's arguments reads its derivation. Outside a run, each
+generation is built afresh.
+
 With ``allow_fn_var_reuse`` off, the generator stays inside the fragment
 where the paper-mode rules are observed cost-sound: each variable whose
 type mentions an arrow occurs at most once, and application heads are only
@@ -476,24 +481,32 @@ def _try_production(
     return None
 
 
+_generations: dict[tuple, Derivation] | None = None  # the running trial's, by _generate's arguments
+
+
 def _generate(
     cfg: GenConfig,
     ctx: Context = Context(),
     goal: Type | None = None,
     trial: int = 0,
 ) -> Derivation:
-    """The derivation of gen_typed_term's term, built as it was generated."""
-    rng = _trial_rng(cfg.seed, trial)
-    st = _GenState(cfg, rng)
-    if goal is None:
-        if cfg.allow_fn_var_reuse and rng.random() < 0.3:
-            # steer the hunter toward square products, where shared-function
-            # double application lives
-            base = Bool() if rng.random() < 0.75 else Nat()
-            goal = Prod(base, base)
-        else:
-            goal = sample_type(rng, min(cfg.max_depth, 3), cfg.lattice)
-    return _gen(st, ctx, goal, cfg.max_depth)
+    """The derivation of gen_typed_term's term, built as it was generated.
+    While _run_range runs a trial, it is built once per trial for the same
+    arguments."""
+    key = (cfg, ctx, goal, trial)
+    memo = {} if _generations is None else _generations
+    if key not in memo:
+        rng = _trial_rng(cfg.seed, trial)
+        if goal is None:
+            if cfg.allow_fn_var_reuse and rng.random() < 0.3:
+                # steer the hunter toward square products, where
+                # shared-function double application lives
+                base = Bool() if rng.random() < 0.75 else Nat()
+                goal = Prod(base, base)
+            else:
+                goal = sample_type(rng, min(cfg.max_depth, 3), cfg.lattice)
+        memo[key] = _gen(_GenState(cfg, rng), ctx, goal, cfg.max_depth)
+    return memo[key]
 
 
 def gen_typed_term(
@@ -924,20 +937,27 @@ PROPERTIES: dict[str, Callable[[GenConfig, int], Failure | None]] = {
 }
 
 
-def _run_range(cfg: GenConfig, name: str, start: int, stop: int) -> list[Failure]:
-    """Run trials start..stop-1. A trial that raises is recorded as a failure
+def _run_range(cfg: GenConfig, names: list[str], start: int, stop: int) -> list[list[Failure]]:
+    """Each name's failures in trials start..stop-1, run trial-major on one
+    generation memo per trial. A trial that raises is recorded as a failure
     of its own, with no term, so one misbehaving trial does not end the run."""
-    prop = PROPERTIES[name]
-    out = []
-    for trial in range(start, stop):
-        try:
-            failure = prop(cfg, trial)
-        except Exception as exc:
-            failure = Failure(trial=trial, term="", relation="trial raises no exception",
-                              observed={"error": f"{type(exc).__name__}: {exc}"},
-                              minimized="", minimized_observed={})
-        if failure is not None:
-            out.append(failure)
+    global _generations
+    props = [PROPERTIES[name] for name in names]
+    out: list[list[Failure]] = [[] for _ in names]
+    try:
+        for trial in range(start, stop):
+            _generations = {}
+            for prop, failures in zip(props, out):
+                try:
+                    failure = prop(cfg, trial)
+                except Exception as exc:
+                    failure = Failure(trial=trial, term="", relation="trial raises no exception",
+                                      observed={"error": f"{type(exc).__name__}: {exc}"},
+                                      minimized="", minimized_observed={})
+                if failure is not None:
+                    failures.append(failure)
+    finally:
+        _generations = None
     return out
 
 
@@ -949,33 +969,33 @@ def _usable_cpus() -> int:
 
 
 def run_property(cfg: GenConfig, name: str, workers: int = 1) -> PropertyReport:
-    """Run one suite. Reports are identical at any worker count: trials are
-    seeded independently and merged in trial order. At most one worker
-    process runs per CPU this process may use."""
-    if name not in PROPERTIES:
-        raise KeyError(f"unknown property {name!r}")
-    workers = min(workers, _usable_cpus())
-    if workers <= 1 or cfg.count < workers * 2:
-        failures = _run_range(cfg, name, 0, cfg.count)
-    else:
-        bounds = [(cfg.count * i) // workers for i in range(workers + 1)]
-        chunks = [(bounds[i], bounds[i + 1]) for i in range(workers)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_run_range, [cfg] * workers, [name] * workers,
-                                  [c[0] for c in chunks], [c[1] for c in chunks]))
-        failures = [f for part in parts for f in part]
-    failures.sort(key=lambda f: f.trial)
-    return PropertyReport(
-        name=name,
-        trials=cfg.count,
-        failure_count=len(failures),
-        failures=failures[:MAX_REPORTED_FAILURES],
-        truncated=len(failures) > MAX_REPORTED_FAILURES,
-    )
+    """Run one suite; see run_properties."""
+    return run_properties(cfg, [name], workers)[0]
 
 
 def run_properties(cfg: GenConfig, names: list[str] | None = None, workers: int = 1) -> list[PropertyReport]:
-    return [run_property(cfg, name, workers) for name in (names or list(PROPERTIES))]
+    """One report per listed suite (all when names is empty), duplicates
+    included; every name is checked first. Suites run trial-major and share
+    a generation within one trial only. Reports are identical at any worker
+    count: trials are seeded independently and merged in trial order. One
+    pool serves every suite, at most one worker per CPU this process may use."""
+    names = names or list(PROPERTIES)
+    for name in names:
+        if name not in PROPERTIES:
+            raise KeyError(f"unknown property {name!r}")
+    workers = min(workers, _usable_cpus())
+    if workers <= 1 or cfg.count < workers * 2:
+        parts = [_run_range(cfg, names, 0, cfg.count)]
+    else:
+        bounds = [(cfg.count * i) // workers for i in range(workers + 1)]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(_run_range, [cfg] * workers, [names] * workers, bounds[:-1], bounds[1:]))
+    reports = []
+    for i, name in enumerate(names):
+        failures = [f for part in parts for f in part[i]]  # parts are consecutive trial ranges
+        reports.append(PropertyReport(name, cfg.count, len(failures), failures[:MAX_REPORTED_FAILURES],
+                                      truncated=len(failures) > MAX_REPORTED_FAILURES))
+    return reports
 
 
 def report_json(reports: list[PropertyReport], cfg: GenConfig) -> str:

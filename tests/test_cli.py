@@ -146,6 +146,15 @@ class TestFuzz:
     def test_unknown_property(self, capsys):
         assert main(["fuzz", "--count", "10", "--props", "bogus"]) == 2
 
+    def test_suite_listed_twice_reports_twice(self, capsys):
+        # one report per listed name: the two runs share each trial's
+        # generation, not their failures
+        code = main(["fuzz", "--props", "cost_soundness,cost_soundness", "--mode", "paper",
+                     "--fn-var-reuse", "--count", "200", "--seed", "7", "--format", "json"])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 1
+        assert [(p["property"], p["failure_count"]) for p in doc["properties"]] == [("cost_soundness", 29)] * 2
+
     def test_hunt_finds_violations(self, capsys):
         code = main([
             "fuzz", "--count", "400", "--seed", "6", "--mode", "paper",

@@ -147,6 +147,11 @@ class TestGenerator:
         second = [pretty(gen_typed_term(cfg, trial=i)) for i in range(50)]
         assert first == second
 
+    def test_generation_outside_a_run_is_fresh(self):
+        cfg = GenConfig(lattice=NAT, seed=99, mode=Mode.SOUND)
+        first, second = harness._generate(cfg, trial=4), harness._generate(cfg, trial=4)
+        assert first == second and first is not second
+
     def test_trials_vary(self):
         cfg = GenConfig(lattice=NAT, seed=99, mode=Mode.SOUND)
         terms = {pretty(gen_typed_term(cfg, trial=i)) for i in range(30)}
@@ -654,6 +659,32 @@ class TestProperties:
         with pytest.raises(KeyError):
             run_property(cfg, "nope")
 
+    def test_every_name_checked_before_any_trial(self, monkeypatch):
+        ran = []
+        monkeypatch.setitem(PROPERTIES, "determinism", lambda cfg, trial: ran.append(trial))
+        cfg = GenConfig(lattice=NAT, seed=0, count=5)
+        with pytest.raises(KeyError, match="nope"):
+            run_properties(cfg, ["determinism", "nope"])
+        assert ran == []
+
+    def test_suites_share_each_trials_generation(self, monkeypatch):
+        # determinism, preservation and budget_weakening each generate the
+        # trial's term with the same arguments: it is built once per trial
+        roots = []
+        real = harness._gen
+
+        def recorded(st, ctx, goal, depth):
+            if depth == st.cfg.max_depth:
+                roots.append(goal)
+            return real(st, ctx, goal, depth)
+
+        monkeypatch.setattr(harness, "_gen", recorded)
+        cfg = GenConfig(lattice=NAT, seed=7, count=40, max_depth=5, mode=Mode.SOUND)
+        reports = run_properties(cfg, ["determinism", "preservation", "budget_weakening"])
+        assert all(r.passed for r in reports)
+        assert len(roots) == cfg.count
+        assert harness._generations is None
+
 
 def count_derives(monkeypatch, run) -> int:
     """Every typecheck.derive call run() makes, recursion included: the
@@ -686,6 +717,13 @@ class TestDeriveCounts:
         cfg = GenConfig(lattice=TRIPLE, seed=7, count=150, max_depth=5, mode=Mode.SOUND)
         calls = count_derives(monkeypatch, lambda: run_properties(cfg))
         assert 0 < calls <= 54199 * 85 // 100  # (54,199)
+
+    def test_suites_share_each_trials_generation(self, monkeypatch):
+        # suites that generate the same trial's term share its derivation;
+        # bound 25% below the count when each suite generated its own
+        cfg = GenConfig(lattice=TRIPLE, seed=7, count=150, max_depth=5, mode=Mode.SOUND)
+        calls = count_derives(monkeypatch, lambda: run_properties(cfg))
+        assert 0 < calls <= 45966 * 75 // 100  # (45,966)
 
     def test_hunt(self, monkeypatch):
         # the paper-mode hunt: generation, and minimize on every violation
