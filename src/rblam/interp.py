@@ -11,6 +11,11 @@ corresponding delta: application, conditionals, projections, and unboxing.
 Evaluation is deterministic and total on well-typed closed terms; the fuel
 guard turns ill-typed or runaway inputs into clean errors instead of
 divergence. The trace printer prints each shared term once.
+
+The rules live in one table, `RULES`: a handler per rule, called once per
+derivation node. It spends one unit of fuel first, `next(fuel)`, builds its
+trace node only when tracing, and evaluates a subterm through the table, not
+through `evaluate`, so a nesting level costs one Python frame.
 """
 
 from __future__ import annotations
@@ -26,7 +31,9 @@ from rblam.syntax import (
     If,
     KEYWORD_OF,
     Lam,
+    NatLit,
     Pair,
+    RuleTable,
     Snd,
     TT,
     Term,
@@ -76,7 +83,7 @@ class EvalTrace:
 
 def evaluate(term: Term, deltas: DeltaProfile, fuel: int = DEFAULT_FUEL) -> CostedResult:
     """Evaluate a closed term, returning its value and accumulated cost."""
-    value, cost, _ = _eval(term, deltas, deltas.instance, [fuel], False)
+    value, cost, _ = RULES[term.__class__](term, deltas, deltas.instance, _fuel(fuel), False)
     return CostedResult(value, cost)
 
 
@@ -84,68 +91,91 @@ def evaluate_trace(
     term: Term, deltas: DeltaProfile, fuel: int = DEFAULT_FUEL
 ) -> tuple[CostedResult, EvalTrace]:
     """As evaluate, but also return the derivation tree."""
-    value, cost, trace = _eval(term, deltas, deltas.instance, [fuel], True)
+    value, cost, trace = RULES[term.__class__](term, deltas, deltas.instance, _fuel(fuel), True)
     return CostedResult(value, cost), trace
 
 
-def _eval(
-    t: Term, d: DeltaProfile, inst: LatticeInstance, counter: list[int], tracing: bool
-) -> tuple[Term, LatticeElement, EvalTrace | None]:
-    """The operational rules: one call per derivation node, each spending one
-    unit of fuel. The node's EvalTrace is built only when `tracing` is set;
-    otherwise the third result is None."""
-    counter[0] -= 1
-    if counter[0] < 0:
-        raise FuelExhausted("evaluation fuel exhausted")
+def _fuel(units: int):
+    """One unit of fuel per next(); the next after the last raises FuelExhausted."""
+    yield from range(units)
+    raise FuelExhausted("evaluation fuel exhausted")
+
+
+def _value(t, d, inst, fuel, tracing):
+    next(fuel)
+    return t, inst.bottom(), EvalTrace.make("Val", t, inst.bottom(), ()) if tracing else None
+
+
+def _pair(t, d, inst, fuel, tracing):
     if is_value(t):
-        bot = inst.bottom()
-        return t, bot, EvalTrace("Val", t, bot) if tracing else None
-    match t:
-        case Pair(a, b):
-            va, ka, ta = _eval(a, d, inst, counter, tracing)
-            vb, kb, tb = _eval(b, d, inst, counter, tracing)
-            node = EvalTrace("Pair", t, inst.bottom(), (ta, tb)) if tracing else None
-            return Pair(va, vb), inst.combine(ka, kb), node
-        case Fst(arg) | Snd(arg):
-            va, k, tr = _eval(arg, d, inst, counter, tracing)
-            if not isinstance(va, Pair):
-                raise Stuck(f"{KEYWORD_OF[type(t)]} of non-pair value {pretty(va)}")
-            node = EvalTrace(type(t).__name__, t, d.proj, (tr,)) if tracing else None
-            return va.fst if type(t) is Fst else va.snd, inst.combine(k, d.proj), node
-        case If(cond, then, other):
-            vc, kc, tc = _eval(cond, d, inst, counter, tracing)
-            if isinstance(vc, TT):
-                rule = "IfT"
-                vb, kb, tb = _eval(then, d, inst, counter, tracing)
-            elif isinstance(vc, FF):
-                rule = "IfF"
-                vb, kb, tb = _eval(other, d, inst, counter, tracing)
-            else:
-                raise Stuck(f"if on non-boolean value {pretty(vc)}")
-            cost = inst.combine(inst.combine(kc, kb), d.iff)
-            return vb, cost, EvalTrace(rule, t, d.iff, (tc, tb)) if tracing else None
-        case App(fn, arg):
-            vf, kf, tf = _eval(fn, d, inst, counter, tracing)
-            if not isinstance(vf, Lam):
-                raise Stuck(f"application of non-function value {pretty(vf)}")
-            va, ka, ta = _eval(arg, d, inst, counter, tracing)
-            body = substitute(vf.body, vf.name, va)
-            vb, kb, tb = _eval(body, d, inst, counter, tracing)
-            cost = inst.combine(inst.combine(inst.combine(kf, ka), d.app), kb)
-            return vb, cost, EvalTrace("App", t, d.app, (tf, ta, tb)) if tracing else None
-        case BoxT(grade, body):
-            vb, k, tb = _eval(body, d, inst, counter, tracing)
-            node = EvalTrace("Box", t, inst.bottom(), (tb,)) if tracing else None
-            return BoxT(grade, vb), k, node
-        case Unbox(arg):
-            va, k, tr = _eval(arg, d, inst, counter, tracing)
-            if not isinstance(va, BoxT):
-                raise Stuck(f"unbox of non-box value {pretty(va)}")
-            node = EvalTrace("Unbox", t, d.unbox, (tr,)) if tracing else None
-            return va.body, inst.combine(k, d.unbox), node
-        case Var(name):
-            raise Stuck(f"unbound variable {name!r}: term is not closed")
+        return _value(t, d, inst, fuel, tracing)
+    next(fuel)
+    va, ka, ta = RULES[t.fst.__class__](t.fst, d, inst, fuel, tracing)
+    vb, kb, tb = RULES[t.snd.__class__](t.snd, d, inst, fuel, tracing)
+    node = EvalTrace.make("Pair", t, inst.bottom(), (ta, tb)) if tracing else None
+    return Pair.make(va, vb), inst.combine(ka, kb), node
+
+
+def _proj(t, d, inst, fuel, tracing):
+    next(fuel)
+    va, k, tr = RULES[t.arg.__class__](t.arg, d, inst, fuel, tracing)
+    if not isinstance(va, Pair):
+        raise Stuck(f"{KEYWORD_OF[t.__class__]} of non-pair value {pretty(va)}")
+    node = EvalTrace.make(t.__class__.__name__, t, d.proj, (tr,)) if tracing else None
+    return va.fst if t.__class__ is Fst else va.snd, inst.combine(k, d.proj), node
+
+
+def _if(t, d, inst, fuel, tracing):
+    next(fuel)
+    vc, kc, tc = RULES[t.cond.__class__](t.cond, d, inst, fuel, tracing)
+    if isinstance(vc, TT):
+        rule, taken = "IfT", t.then
+    elif isinstance(vc, FF):
+        rule, taken = "IfF", t.other
+    else:
+        raise Stuck(f"if on non-boolean value {pretty(vc)}")
+    vb, kb, tb = RULES[taken.__class__](taken, d, inst, fuel, tracing)
+    cost = inst.combine(inst.combine(kc, kb), d.iff)
+    return vb, cost, EvalTrace.make(rule, t, d.iff, (tc, tb)) if tracing else None
+
+
+def _app(t, d, inst, fuel, tracing):
+    next(fuel)
+    vf, kf, tf = RULES[t.fn.__class__](t.fn, d, inst, fuel, tracing)
+    if not isinstance(vf, Lam):
+        raise Stuck(f"application of non-function value {pretty(vf)}")
+    va, ka, ta = RULES[t.arg.__class__](t.arg, d, inst, fuel, tracing)
+    body = substitute(vf.body, vf.name, va)
+    vb, kb, tb = RULES[body.__class__](body, d, inst, fuel, tracing)
+    cost = inst.combine(inst.combine(inst.combine(kf, ka), d.app), kb)
+    return vb, cost, EvalTrace.make("App", t, d.app, (tf, ta, tb)) if tracing else None
+
+
+def _box(t, d, inst, fuel, tracing):
+    if is_value(t):
+        return _value(t, d, inst, fuel, tracing)
+    next(fuel)
+    vb, k, tb = RULES[t.body.__class__](t.body, d, inst, fuel, tracing)
+    return BoxT.make(t.grade, vb), k, EvalTrace.make("Box", t, inst.bottom(), (tb,)) if tracing else None
+
+
+def _unbox(t, d, inst, fuel, tracing):
+    next(fuel)
+    va, k, tr = RULES[t.arg.__class__](t.arg, d, inst, fuel, tracing)
+    if not isinstance(va, BoxT):
+        raise Stuck(f"unbox of non-box value {pretty(va)}")
+    return va.body, inst.combine(k, d.unbox), EvalTrace.make("Unbox", t, d.unbox, (tr,)) if tracing else None
+
+
+def _stuck(t, d, inst, fuel, tracing):
+    next(fuel)
+    if t.__class__ is Var:
+        raise Stuck(f"unbound variable {t.name!r}: term is not closed")
     raise Stuck(f"no rule applies to {pretty(t)}")
+
+
+RULES = RuleTable({Lam: _value, TT: _value, FF: _value, NatLit: _value, Pair: _pair, Fst: _proj, Snd: _proj,
+                   If: _if, App: _app, BoxT: _box, Unbox: _unbox, Var: _stuck}, _stuck)
 
 
 def trace_cost(trace: EvalTrace, inst: LatticeInstance) -> LatticeElement:

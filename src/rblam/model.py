@@ -59,6 +59,7 @@ from rblam.syntax import (
     NatLit,
     Pair,
     Prod,
+    RuleTable,
     Snd,
     TT,
     Term,
@@ -479,48 +480,59 @@ class DenModel:
 
     def denote(self, t: Term, env: dict[str, Den]) -> tuple[Den, LatticeElement]:
         """Compositional denotation of a term under `env`, with the
-        model-side cost."""
+        model-side cost: t's clause in CLAUSES, which recurses through it."""
+        return self.CLAUSES[t.__class__](self, t, env)
+
+    def _var(self, t: Var, env):
+        return env[t.name], self.lattice.bottom()
+
+    def _literal(self, t: Term, env):
+        return t.value if t.__class__ is NatLit else t.__class__ is TT, self.lattice.bottom()
+
+    def _lam(self, t: Lam, env):
+        name, body, captured = t.name, t.body, dict(env)
+
+        def apply(arg: Den):
+            return self.CLAUSES[body.__class__](self, body, {**captured, name: arg})
+
+        return apply, self.lattice.bottom()
+
+    def _app(self, t: App, env):
         inst = self.lattice
-        d = self.deltas
-        bot = inst.bottom()
-        match t:
-            case Var(name):
-                return env[name], bot
-            case TT() | FF():
-                return type(t) is TT, bot
-            case NatLit(n):
-                return n, bot
-            case Lam(name, _, body):
-                captured = dict(env)
+        df, cf = self.CLAUSES[t.fn.__class__](self, t.fn, env)
+        da, ca = self.CLAUSES[t.arg.__class__](self, t.arg, env)
+        db, cb = df(da)
+        return db, inst.combine(inst.combine(inst.combine(cf, ca), self.deltas.app), cb)
 
-                def apply(arg: Den, _name=name, _body=body, _env=captured):
-                    return self.denote(_body, {**_env, _name: arg})
+    def _pair(self, t: Pair, env):
+        da, ca = self.CLAUSES[t.fst.__class__](self, t.fst, env)
+        db, cb = self.CLAUSES[t.snd.__class__](self, t.snd, env)
+        return (da, db), self.lattice.combine(ca, cb)
 
-                return apply, bot
-            case App(fn, arg):
-                df, cf = self.denote(fn, env)
-                da, ca = self.denote(arg, env)
-                db, cb = df(da)
-                return db, inst.combine(inst.combine(inst.combine(cf, ca), d.app), cb)
-            case Pair(a, b):
-                da, ca = self.denote(a, env)
-                db, cb = self.denote(b, env)
-                return (da, db), inst.combine(ca, cb)
-            case Fst(arg) | Snd(arg):
-                da, ca = self.denote(arg, env)
-                return da[0] if type(t) is Fst else da[1], inst.combine(ca, d.proj)
-            case If(cond, then, other):
-                dc, cc = self.denote(cond, env)
-                db, cb = self.denote(then if dc else other, env)
-                return db, inst.combine(inst.combine(cc, cb), d.iff)
-            case BoxT(grade, body):
-                db, cb = self.denote(body, env)
-                return BoxDen(grade, db), cb
-            case Unbox(arg):
-                da, ca = self.denote(arg, env)
-                assert isinstance(da, BoxDen)
-                return da.inner, inst.combine(ca, d.unbox)
+    def _proj(self, t: Term, env):
+        da, ca = self.CLAUSES[t.arg.__class__](self, t.arg, env)
+        return da[0] if t.__class__ is Fst else da[1], self.lattice.combine(ca, self.deltas.proj)
+
+    def _if(self, t: If, env):
+        dc, cc = self.CLAUSES[t.cond.__class__](self, t.cond, env)
+        taken = t.then if dc else t.other
+        db, cb = self.CLAUSES[taken.__class__](self, taken, env)
+        return db, self.lattice.combine(self.lattice.combine(cc, cb), self.deltas.iff)
+
+    def _box(self, t: BoxT, env):
+        db, cb = self.CLAUSES[t.body.__class__](self, t.body, env)
+        return BoxDen(t.grade, db), cb
+
+    def _unbox(self, t: Unbox, env):
+        da, ca = self.CLAUSES[t.arg.__class__](self, t.arg, env)
+        assert isinstance(da, BoxDen)
+        return da.inner, self.lattice.combine(ca, self.deltas.unbox)
+
+    def _no_clause(self, t: Term, env):
         raise TypeError(f"no interpretation clause for {pretty(t)}")
+
+    CLAUSES = RuleTable({Var: _var, TT: _literal, FF: _literal, NatLit: _literal, Lam: _lam, App: _app,
+                         Pair: _pair, Fst: _proj, Snd: _proj, If: _if, BoxT: _box, Unbox: _unbox}, _no_clause)
 
 
 def _probe_values(ty: Type, max_nat: int = 2) -> list[Term]:

@@ -214,6 +214,17 @@ def rebuild(t: Term, kids: Sequence[Term]) -> Term:
     return type(t)(*_LABELS[type(t)](t), *kids) if kids else t
 
 
+class RuleTable(dict):
+    """A rule set's handler by node class; any other class gets `refuse`."""
+
+    def __init__(self, rules: dict[type, Callable], refuse: Callable):
+        super().__init__(rules)
+        self.refuse = refuse
+
+    def __missing__(self, cls: type) -> Callable:
+        return self.refuse
+
+
 _VALUE_LEAVES = (Lam, TT, FF, NatLit)
 
 

@@ -15,10 +15,12 @@ Grade subsumption (boxes covariant in the grade, and in sound mode arrows
 contravariant in domain, covariant in codomain and latent) is applied at
 application arguments and if-branch unification.
 
-The rules live in ``derive``, which applies the rule at one node. It takes
-the premises from the subterms' derivations when given (the generator and the
-model's body enumerator build terms this way, through ``derive_or_untyped``)
-and derives them recursively otherwise (``synthesize``).
+The rules live in one table, ``RULES``, one handler per rule; ``derive``
+applies the rule at one node. It takes the premises from the subterms'
+derivations when given (the generator and the model's body enumerator build
+terms this way, through ``derive_or_untyped``) and derives them otherwise
+through the table, not through ``derive``, so a nesting level costs one
+Python frame (``synthesize``).
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from rblam.syntax import (
     NatLit,
     Pair,
     Prod,
+    RuleTable,
     Snd,
     TT,
     Term,
@@ -248,87 +251,93 @@ def derive(
     derivations of t's immediate subterms in order, or derived recursively
     when kids is empty. Either way the side conditions are checked in the
     same order, so an ill-typed term raises the same TypingError."""
-    match t:
-        case Var(name):
-            ty = ctx.lookup(name)
-            if ty is None:
-                raise TypingError(f"unbound variable {name!r}")
-            return Derivation("Var", t, ty, inst.bottom())
+    return RULES[t.__class__](ctx, t, mode, d, inst, kids)
 
-        case TT() | FF():
-            return Derivation("Const", t, Bool(), inst.bottom())
 
-        case NatLit(_):
-            return Derivation("Const", t, Nat(), inst.bottom())
+_BOOL, _NAT = Bool(), Nat()
 
-        case Lam(name, annot, body):
-            if mode is Mode.PAPER:
-                _reject_latents(annot)
-            bd = kids[0] if kids else derive(ctx.extend(name, annot), body, mode, d, inst)
-            if mode is Mode.PAPER:
-                ty: Type = Arrow(annot, bd.type, None)
-                bound = bd.bound
-            else:
-                ty = Arrow(annot, bd.type, bd.bound)
-                bound = inst.bottom()
-            return Derivation("Lam", t, ty, bound, (bd,))
 
-        case App(fn, arg):
-            fd = kids[0] if kids else derive(ctx, fn, mode, d, inst)
-            fty = fd.type
-            if not isinstance(fty, Arrow):
-                raise TypingError(
-                    f"cannot apply a term of type {pretty_type(fty)}: not an arrow"
-                )
-            ad = kids[1] if kids else derive(ctx, arg, mode, d, inst)
-            if not is_subtype(ad.type, fty.dom, mode, inst):
-                raise TypingError(
-                    f"argument type {pretty_type(ad.type)} does not match domain {pretty_type(fty.dom)}"
-                )
-            bound = inst.combine(inst.combine(fd.bound, ad.bound), d.app)
-            if mode is Mode.SOUND:
-                bound = inst.combine(bound, latent_of(fty, inst))
-            return Derivation("App", t, fty.cod, bound, (fd, ad))
+def _var(ctx, t, mode, d, inst, kids):
+    ty = ctx.lookup(t.name)
+    if ty is None:
+        raise TypingError(f"unbound variable {t.name!r}")
+    return Derivation.make("Var", t, ty, inst.bottom(), ())
 
-        case Pair(a, b):
-            ad = kids[0] if kids else derive(ctx, a, mode, d, inst)
-            bd = kids[1] if kids else derive(ctx, b, mode, d, inst)
-            return Derivation(
-                "Pair", t, Prod(ad.type, bd.type), inst.combine(ad.bound, bd.bound), (ad, bd)
-            )
 
-        case Fst(arg) | Snd(arg):
-            ad = kids[0] if kids else derive(ctx, arg, mode, d, inst)
-            ty = ad.type
-            if not isinstance(ty, Prod):
-                raise TypingError(f"{KEYWORD_OF[type(t)]} of a non-pair type {pretty_type(ty)}")
-            part = ty.left if type(t) is Fst else ty.right
-            return Derivation(type(t).__name__, t, part, inst.combine(ad.bound, d.proj), (ad,))
+def _const(ctx, t, mode, d, inst, kids):
+    return Derivation.make("Const", t, _NAT if t.__class__ is NatLit else _BOOL, inst.bottom(), ())
 
-        case If(cond, then, other):
-            cd = kids[0] if kids else derive(ctx, cond, mode, d, inst)
-            if not isinstance(cd.type, Bool):
-                raise TypingError(f"condition has type {pretty_type(cd.type)}, expected Bool")
-            td = kids[1] if kids else derive(ctx, then, mode, d, inst)
-            ed = kids[2] if kids else derive(ctx, other, mode, d, inst)
-            ty = type_lub(td.type, ed.type, mode, inst)
-            bound = inst.combine(inst.combine(cd.bound, inst.join(td.bound, ed.bound)), d.iff)
-            return Derivation("If", t, ty, bound, (cd, td, ed))
 
-        case BoxT(grade, body):
-            inst._own(grade)
-            bd = kids[0] if kids else derive(ctx, body, mode, d, inst)
-            if not inst.leq(bd.bound, grade):
-                raise GradeExceeded(bd.bound, grade)
-            return Derivation("Box", t, Box(grade, bd.type), bd.bound, (bd,))
+def _lam(ctx, t, mode, d, inst, kids):
+    if mode is Mode.PAPER:
+        _reject_latents(t.annot)
+    bd = kids[0] if kids else RULES[t.body.__class__](ctx.extend(t.name, t.annot), t.body, mode, d, inst, ())
+    if mode is Mode.PAPER:
+        return Derivation.make("Lam", t, Arrow.make(t.annot, bd.type, None), bd.bound, (bd,))
+    return Derivation.make("Lam", t, Arrow.make(t.annot, bd.type, bd.bound), inst.bottom(), (bd,))
 
-        case Unbox(arg):
-            ad = kids[0] if kids else derive(ctx, arg, mode, d, inst)
-            if not isinstance(ad.type, Box):
-                raise TypingError(f"unbox of a non-box type {pretty_type(ad.type)}")
-            return Derivation("Unbox", t, ad.type.body, inst.combine(ad.bound, d.unbox), (ad,))
 
+def _app(ctx, t, mode, d, inst, kids):
+    fd = kids[0] if kids else RULES[t.fn.__class__](ctx, t.fn, mode, d, inst, ())
+    fty = fd.type
+    if not isinstance(fty, Arrow):
+        raise TypingError(f"cannot apply a term of type {pretty_type(fty)}: not an arrow")
+    ad = kids[1] if kids else RULES[t.arg.__class__](ctx, t.arg, mode, d, inst, ())
+    if not is_subtype(ad.type, fty.dom, mode, inst):
+        raise TypingError(f"argument type {pretty_type(ad.type)} does not match domain {pretty_type(fty.dom)}")
+    bound = inst.combine(inst.combine(fd.bound, ad.bound), d.app)
+    if mode is Mode.SOUND:
+        bound = inst.combine(bound, latent_of(fty, inst))
+    return Derivation.make("App", t, fty.cod, bound, (fd, ad))
+
+
+def _pair(ctx, t, mode, d, inst, kids):
+    ad = kids[0] if kids else RULES[t.fst.__class__](ctx, t.fst, mode, d, inst, ())
+    bd = kids[1] if kids else RULES[t.snd.__class__](ctx, t.snd, mode, d, inst, ())
+    return Derivation.make("Pair", t, Prod.make(ad.type, bd.type), inst.combine(ad.bound, bd.bound), (ad, bd))
+
+
+def _proj(ctx, t, mode, d, inst, kids):
+    ad = kids[0] if kids else RULES[t.arg.__class__](ctx, t.arg, mode, d, inst, ())
+    ty = ad.type
+    if not isinstance(ty, Prod):
+        raise TypingError(f"{KEYWORD_OF[t.__class__]} of a non-pair type {pretty_type(ty)}")
+    part = ty.left if t.__class__ is Fst else ty.right
+    return Derivation.make(t.__class__.__name__, t, part, inst.combine(ad.bound, d.proj), (ad,))
+
+
+def _if(ctx, t, mode, d, inst, kids):
+    cd = kids[0] if kids else RULES[t.cond.__class__](ctx, t.cond, mode, d, inst, ())
+    if not isinstance(cd.type, Bool):
+        raise TypingError(f"condition has type {pretty_type(cd.type)}, expected Bool")
+    td = kids[1] if kids else RULES[t.then.__class__](ctx, t.then, mode, d, inst, ())
+    ed = kids[2] if kids else RULES[t.other.__class__](ctx, t.other, mode, d, inst, ())
+    ty = type_lub(td.type, ed.type, mode, inst)
+    bound = inst.combine(inst.combine(cd.bound, inst.join(td.bound, ed.bound)), d.iff)
+    return Derivation.make("If", t, ty, bound, (cd, td, ed))
+
+
+def _box(ctx, t, mode, d, inst, kids):
+    inst._own(t.grade)
+    bd = kids[0] if kids else RULES[t.body.__class__](ctx, t.body, mode, d, inst, ())
+    if not inst.leq(bd.bound, t.grade):
+        raise GradeExceeded(bd.bound, t.grade)
+    return Derivation.make("Box", t, Box.make(t.grade, bd.type), bd.bound, (bd,))
+
+
+def _unbox(ctx, t, mode, d, inst, kids):
+    ad = kids[0] if kids else RULES[t.arg.__class__](ctx, t.arg, mode, d, inst, ())
+    if not isinstance(ad.type, Box):
+        raise TypingError(f"unbox of a non-box type {pretty_type(ad.type)}")
+    return Derivation.make("Unbox", t, ad.type.body, inst.combine(ad.bound, d.unbox), (ad,))
+
+
+def _untypable(ctx, t, mode, d, inst, kids):
     raise TypingError(f"cannot type {pretty(t)}")
+
+
+RULES = RuleTable({Var: _var, TT: _const, FF: _const, NatLit: _const, Lam: _lam, App: _app, Pair: _pair,
+                   Fst: _proj, Snd: _proj, If: _if, BoxT: _box, Unbox: _unbox}, _untypable)
 
 
 def derive_or_untyped(

@@ -1,15 +1,18 @@
 """Deep programs through the CLI, trace text against a per-node reference
 printer, and the cost of evaluation and trace printing measured in calls."""
 
+import sys
+
 import pytest
 
 from rblam import interp, syntax
 from rblam.cli import main
 from rblam.harness import GenConfig, gen_typed_term
-from rblam.interp import evaluate, evaluate_trace, format_trace, format_tree
+from rblam.interp import CostedResult, evaluate, evaluate_trace, format_trace, format_tree
 from rblam.lattice import NAT, TRIPLE
 from rblam.syntax import (
     App,
+    Bool,
     BoxT,
     FF,
     Fst,
@@ -24,7 +27,7 @@ from rblam.syntax import (
     parse,
     pretty_type,
 )
-from rblam.typecheck import Context, DeltaProfile, Mode, synthesize
+from rblam.typecheck import Context, DeltaProfile, Mode, derive, synthesize
 
 N = 225  # the largest let-chain the recursive parser and evaluator take
 
@@ -196,3 +199,33 @@ def test_evaluation_and_trace_printing_scale_linearly(monkeypatch, capsys):
     capsys.readouterr()
     for counts in (substs, eval_prints, check_prints):
         assert counts[1] <= 2.2 * counts[0], counts
+
+
+def nested_if_term(n):
+    """nested_if(n), built without the parser."""
+    body = FF()
+    for i in range(n):
+        body = If(TT(), body, TT()) if i % 2 == 0 else If(FF(), FF(), body)
+    return body
+
+
+def let_chain_term(n):
+    """let_chain(n), built without the parser: 2n nesting levels."""
+    body = Var(f"v{n}")
+    for i in range(n, 0, -1):
+        body = App(Lam(f"v{i}", Bool(), body), TT() if i == 1 else Var(f"v{i - 1}"))
+    return body
+
+
+@pytest.mark.parametrize("build, n, value", [(nested_if_term, 900, FF()), (let_chain_term, 450, TT())])
+def test_rules_take_one_frame_per_nesting_level(build, n, value):
+    # 900 levels fit below the default recursion limit only if typing and
+    # evaluation spend one frame per level: rules that recursed through
+    # derive or evaluate would need twice as many. The parser takes more
+    # frames per level, so the CLI stops at N and at 300 nested ifs
+    assert sys.getrecursionlimit() == 1000
+    term = build(n)
+    deltas = DeltaProfile.default(NAT)
+    deriv = derive(Context(), term, Mode.SOUND, deltas, NAT)
+    assert (deriv.type, deriv.bound) == (Bool(), NAT.element(n))
+    assert evaluate(term, deltas) == CostedResult(value, NAT.element(n))

@@ -687,18 +687,21 @@ class TestProperties:
 
 
 def count_derives(monkeypatch, run) -> int:
-    """Every typecheck.derive call run() makes, recursion included: the
-    harness's own binding of derive and typecheck's are both counted."""
+    """Every typing rule applied while run() runs: each derive call applies
+    one rule from typecheck.RULES, and each premise it derives applies one
+    more through the table, so every entry is wrapped and counted."""
     calls = 0
-    real = typecheck.derive
 
-    def counted(*args, **kwargs):
-        nonlocal calls
-        calls += 1
-        return real(*args, **kwargs)
+    def counted(rule):
+        def counted_rule(*args):
+            nonlocal calls
+            calls += 1
+            return rule(*args)
 
-    monkeypatch.setattr(typecheck, "derive", counted)
-    monkeypatch.setattr(harness, "derive", counted)
+        return counted_rule
+
+    for cls, rule in list(typecheck.RULES.items()):
+        monkeypatch.setitem(typecheck.RULES, cls, counted(rule))
     run()
     return calls
 

@@ -50,6 +50,14 @@ def sat(cap):
     return SaturatingNatLattice(cap)
 
 
+def wrap_rules(monkeypatch, wrap, *classes):
+    """Replace typecheck.RULES's rule for each class (every class when none
+    is named) with wrap(rule) for the test. Rules derive their premises
+    through the table, so the wrapped rule applies at every depth."""
+    for cls in classes or list(typecheck.RULES):
+        monkeypatch.setitem(typecheck.RULES, cls, wrap(typecheck.RULES[cls]))
+
+
 def enum_for(inst, **kw):
     return EnumBudget(deltas=DeltaProfile.default(inst), **kw)
 
@@ -285,14 +293,16 @@ class TestBodyEnumerator:
         # 36,205 derive calls before each body was derived once from its
         # kids, and before box goals too deep to fill were skipped
         calls = 0
-        real = typecheck.derive
 
-        def counted(*args, **kwargs):
-            nonlocal calls
-            calls += 1
-            return real(*args, **kwargs)
+        def counted(rule):
+            def counted_rule(*args):
+                nonlocal calls
+                calls += 1
+                return rule(*args)
 
-        monkeypatch.setattr(typecheck, "derive", counted)
+            return counted_rule
+
+        wrap_rules(monkeypatch, counted)
         assert run_model_checks(sat(3)).passed
         assert 0 < calls <= 36205 // 2
 
@@ -346,15 +356,13 @@ class TestSectionFamilyChecks:
         # derive charges a unit step for every literal: the tabulated
         # literal, pair and box sections keep bound bottom, so each retypes
         # at another bound
-        real = typecheck.derive
+        def literal_unit_bound(rule):
+            def unit_bound(ctx, t, mode, d, inst, kids):
+                return dataclasses.replace(rule(ctx, t, mode, d, inst, kids), bound=inst.unit_step())
 
-        def literal_unit_bound(ctx, t, mode, d, inst, kids=()):
-            deriv = real(ctx, t, mode, d, inst, kids)
-            if isinstance(t, (TT, FF, NatLit)):
-                return dataclasses.replace(deriv, bound=inst.unit_step())
-            return deriv
+            return unit_bound
 
-        monkeypatch.setattr(typecheck, "derive", literal_unit_bound)
+        wrap_rules(monkeypatch, literal_unit_bound, TT, FF, NatLit)
         report = run_model_checks(sat(3))
         failed = {c.name for c in report.checks if not c.ok}
         assert {"sections[Bool]", "sections[Nat]", "sections[Bool * Bool]", "sections[Box[0] Bool]"} <= failed
@@ -396,13 +404,13 @@ class TestRunModelChecks:
     def test_lambda_bound_bottom_fails_arrow_families(self, monkeypatch):
         # derive gives every lambda the bound bottom: the families stay
         # self-consistent, but a substituted body's bound escapes the lambda's
-        real = typecheck.derive
+        def lam_bound_bottom(rule):
+            def bound_bottom(ctx, t, mode, d, inst, kids):
+                return dataclasses.replace(rule(ctx, t, mode, d, inst, kids), bound=inst.bottom())
 
-        def lam_bound_bottom(ctx, t, mode, d, inst, kids=()):
-            deriv = real(ctx, t, mode, d, inst, kids)
-            return dataclasses.replace(deriv, bound=inst.bottom()) if isinstance(t, Lam) else deriv
+            return bound_bottom
 
-        monkeypatch.setattr(typecheck, "derive", lam_bound_bottom)
+        wrap_rules(monkeypatch, lam_bound_bottom, Lam)
         report = run_model_checks(sat(3))
         assert report.passed is False
         [arrow] = [c for c in report.checks if c.name == "sections[Bool -> Bool]"]
@@ -413,13 +421,14 @@ class TestRunModelChecks:
         # derive gives unbox the box's type, not its body's: a lambda whose
         # body unboxes synthesizes another arrow type, which is a finding of
         # its family, not a lambda silently left out
-        real = typecheck.derive
+        def unbox_keeps_box(rule):
+            def keeps_box(ctx, t, mode, d, inst, kids):
+                deriv = rule(ctx, t, mode, d, inst, kids)
+                return dataclasses.replace(deriv, type=deriv.children[0].type)
 
-        def unbox_keeps_box(ctx, t, mode, d, inst, kids=()):
-            deriv = real(ctx, t, mode, d, inst, kids)
-            return dataclasses.replace(deriv, type=deriv.children[0].type) if isinstance(t, Unbox) else deriv
+            return keeps_box
 
-        monkeypatch.setattr(typecheck, "derive", unbox_keeps_box)
+        wrap_rules(monkeypatch, unbox_keeps_box, Unbox)
         report = run_model_checks(sat(3))
         arrows = [c for c in report.checks if "->" in c.name]
         assert len(arrows) == 5 and not any(c.ok for c in arrows)
