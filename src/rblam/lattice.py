@@ -14,8 +14,12 @@ instance's identity and its payload, and pickles together with its
 instance, so that it can cross a process pool. A builtin instance, one
 that `builtin_lattice` returns, pickles as its name and unpickles as the
 same shared instance, so its elements come back equal; any other instance
-pickles by value. Each instance builds its bottom once and returns that
-one element from every `bottom()` call.
+pickles by value. Each instance shares one element per payload for its
+bottom and the first `SHARED_ELEMENTS` payloads it yields, so `sat<N>` and
+table lattices build each element once and `nat` each small cost. A later
+payload or a pickled element is a copy, `==` to the shared one: callers
+compare elements with `==`. Every operation runs its payload hook (`_leq`,
+`_combine`, `_join`, `_bottom`), the one definition of the lattice.
 
 Elements are `record`s, the frozen slot classes that the term, type and
 derivation classes of the other modules are built from too.
@@ -115,7 +119,8 @@ class LatticeElement:
         return f"<{self.instance.name}:{self.instance.format(self)}>"
 
 
-_element = LatticeElement.make  # each operation builds one; a global call costs less than the class call
+_element = LatticeElement.make  # a global call costs less than the class call
+SHARED_ELEMENTS = 256  # shared payloads per instance; a bound keeps construction O(1) in a sat cap
 
 
 class LatticeInstance:
@@ -124,15 +129,26 @@ class LatticeInstance:
 
     `leq`, `combine` and `join` test each operand once: an element of
     exactly `LatticeElement` whose `instance` is this one. Any other operand
-    goes to `_own`, which raises the error. Their results are new immutable,
-    hashable and picklable elements owned by this instance. `bottom()`
-    returns one element, built on its first call and shared by every later
-    one. The four operations are defined here alone and call the
-    subclass's `_leq`, `_combine`, `_join` and `_bottom` hooks on payloads.
+    goes to `_own`, which raises the error. The four operations are defined
+    here alone, and each call runs the subclass's `_leq`, `_combine`, `_join`
+    or `_bottom` hook, the one definition of the lattice, on payloads. Results
+    are shared elements up to `SHARED_ELEMENTS` payloads and copies past
+    them, so callers compare elements with `==`. A subclass sets its fields,
+    then calls `LatticeInstance.__init__`, which shares the bottom first.
     """
 
     name: str
-    _bottom_element: LatticeElement | None = None
+
+    def __init__(self):
+        self._shared: dict[Any, LatticeElement] = {}
+        self._new(self._bottom())
+
+    def _new(self, payload: Any) -> LatticeElement:
+        """A new element of a valid payload, shared while the table has room."""
+        el = _element(self, payload)
+        if len(self._shared) < SHARED_ELEMENTS:
+            self._shared[payload] = el
+        return el
 
     def _own(self, el: LatticeElement) -> Any:
         if el.__class__ is not LatticeElement or el.instance is not self:
@@ -146,7 +162,8 @@ class LatticeInstance:
         return el.payload
 
     def element(self, payload: Any) -> LatticeElement:
-        return _element(self, self._check_payload(payload))
+        p = self._check_payload(payload)
+        return self._shared.get(p) or self._new(p)
 
     def _check_payload(self, payload: Any) -> Any:
         raise NotImplementedError
@@ -159,18 +176,18 @@ class LatticeInstance:
     def combine(self, a: LatticeElement, b: LatticeElement) -> LatticeElement:
         pa = a.payload if a.__class__ is LatticeElement and a.instance is self else self._own(a)
         pb = b.payload if b.__class__ is LatticeElement and b.instance is self else self._own(b)
-        return _element(self, self._combine(pa, pb))
+        p = self._combine(pa, pb)
+        return self._shared.get(p) or self._new(p)
 
     def join(self, a: LatticeElement, b: LatticeElement) -> LatticeElement:
         pa = a.payload if a.__class__ is LatticeElement and a.instance is self else self._own(a)
         pb = b.payload if b.__class__ is LatticeElement and b.instance is self else self._own(b)
-        return _element(self, self._join(pa, pb))
+        p = self._join(pa, pb)
+        return self._shared.get(p) or self._new(p)
 
     def bottom(self) -> LatticeElement:
-        el = self._bottom_element
-        if el is None:
-            el = self._bottom_element = _element(self, self._bottom())
-        return el
+        p = self._bottom()
+        return self._shared.get(p) or self._new(p)
 
     def _leq(self, a: Any, b: Any) -> bool:
         raise NotImplementedError
@@ -231,9 +248,10 @@ class NatLattice(LatticeInstance):
 
     def __init__(self, name: str = "nat"):
         self.name = name
+        super().__init__()
 
     def _check_payload(self, payload):
-        if not isinstance(payload, int) or payload < 0:
+        if type(payload) is not int or payload < 0:  # not a bool, which would share 0 and 1
             raise LatticeError(f"{self.name}: expected a natural, got {payload!r}")
         return payload
 
@@ -275,15 +293,16 @@ class SaturatingNatLattice(NatLattice):
         if cap < 0:
             raise LatticeError("saturating cap must be a natural")
         self.cap = cap
-        self.name = f"sat{cap}"
+        super().__init__(f"sat{cap}")
 
     def _check_payload(self, payload):
-        if not isinstance(payload, int) or not (0 <= payload <= self.cap):
+        if type(payload) is not int or not (0 <= payload <= self.cap):
             raise LatticeError(f"{self.name}: expected 0..{self.cap}, got {payload!r}")
         return payload
 
     def _combine(self, a, b):
-        return min(a + b, self.cap)
+        c = a + b
+        return c if c <= self.cap else self.cap  # min(a + b, cap), without the builtin's call
 
     @property
     def is_finite(self):
@@ -314,7 +333,7 @@ class TripleLattice(LatticeInstance):
         if (
             not isinstance(payload, tuple)
             or len(payload) != 3
-            or not all(isinstance(c, int) and c >= 0 for c in payload)
+            or not all(type(c) is int and c >= 0 for c in payload)
         ):
             raise LatticeError(f"{self.name}: expected a triple of naturals, got {payload!r}")
         return payload
@@ -381,7 +400,6 @@ class FiniteLattice(LatticeInstance):
         for a, b in leq_pairs:
             if a not in known or b not in known:
                 raise LatticeError(f"{name}: leq pair ({a}, {b}) mentions unknown element")
-        self.leq_set = frozenset(leq_pairs)
         for label, table in (("combine", combine_table), ("join", join_table)):
             for (a, b), c in table.items():
                 if a not in known or b not in known or c not in known:
@@ -394,23 +412,36 @@ class FiniteLattice(LatticeInstance):
                 raise LatticeError(
                     f"{name}: {detail}{label} table missing entry for {missing[0][0]} {missing[0][1]}"
                 )
-        self.combine_table = dict(combine_table)
-        self.join_table = dict(join_table)
+        # rows: leq_rows[a][b] is a <= b; combine_rows and join_rows name a (+) b and a join b
+        pairs = set(leq_pairs)
+        names = self.names
+        leq = self.leq_rows = {a: {b: (a, b) in pairs for b in names} for a in names}
+        self.combine_rows = {a: {b: combine_table[a, b] for b in names} for a in names}
+        self.join_rows = {a: {b: join_table[a, b] for b in names} for a in names}
         self.bottom_name = bottom_name
+        # the unique top or None; the unique atom or bottom; the top or the first maximal element
+        tops = [n for n in names if all(leq[m][n] for m in names)]
+        self._top = tops[0] if len(tops) == 1 else None
+        above = [n for n in names if n != bottom_name and leq[bottom_name][n]]
+        atoms = [n for n in above if not any(m != n and leq[m][n] for m in above)]
+        self._unit = atoms[0] if len(atoms) == 1 else bottom_name
+        maximal = (n for n in names if not any(m != n and leq[n][m] for m in names))
+        self._large = self._top if self._top is not None else next(maximal, names[-1])
+        super().__init__()
 
     def _check_payload(self, payload):
-        if payload not in self.names:
+        if not isinstance(payload, str) or payload not in self.leq_rows:
             raise LatticeError(f"{self.name}: unknown element {payload!r}")
         return payload
 
     def _leq(self, a, b):
-        return (a, b) in self.leq_set
+        return self.leq_rows[a][b]
 
     def _combine(self, a, b):
-        return self.combine_table[(a, b)]
+        return self.combine_rows[a][b]
 
     def _join(self, a, b):
-        return self.join_table[(a, b)]
+        return self.join_rows[a][b]
 
     def _bottom(self):
         return self.bottom_name
@@ -423,13 +454,7 @@ class FiniteLattice(LatticeInstance):
         return [self.element(n) for n in self.names]
 
     def top(self):
-        maximal = [
-            n for n in self.names
-            if all((m, n) in self.leq_set for m in self.names)
-        ]
-        if len(maximal) == 1:
-            return self.element(maximal[0])
-        return None
+        return None if self._top is None else self.element(self._top)
 
     def from_literal(self, lit):
         if not isinstance(lit, str):
@@ -440,30 +465,13 @@ class FiniteLattice(LatticeInstance):
         return self._own(el)
 
     def unit_step(self):
-        # unique minimal element strictly above bottom, when there is one
-        above = [
-            n for n in self.names
-            if n != self.bottom_name and (self.bottom_name, n) in self.leq_set
-        ]
-        minimal = [
-            n for n in above
-            if not any(m != n and (m, n) in self.leq_set for m in above)
-        ]
-        if len(minimal) == 1:
-            return self.element(minimal[0])
-        return self.bottom()
+        return self.element(self._unit)
 
     def random_element(self, rng):
         return self.element(rng.choice(self.names))
 
     def large_budget(self):
-        t = self.top()
-        if t is not None:
-            return t
-        for n in self.names:  # first maximal element, deterministically
-            if not any(m != n and (n, m) in self.leq_set for m in self.names):
-                return self.element(n)
-        return self.element(self.names[-1])
+        return self.element(self._large)
 
 
 class ProductLattice(LatticeInstance):
@@ -475,6 +483,7 @@ class ProductLattice(LatticeInstance):
             raise LatticeError("product lattice needs at least one component")
         self.components = list(components)
         self.name = name or "product({})".format(",".join(c.name for c in components))
+        super().__init__()
 
     def _check_payload(self, payload):
         if not isinstance(payload, tuple) or len(payload) != len(self.components):

@@ -7,10 +7,11 @@ interpretation checked against the operational semantics.
 Only checks that can fail on a faulty lattice, typechecker or evaluator are
 run. A family is stored once, as its need map: each section comes with its
 need, the least budget that admits it, and the family at budget r is
-`{s | need(s) <= r}`. Its monotonicity in r, the embedding of a boxed family
-into its body's, and each bound sitting below its budget (a bound is below
-its need) follow from the lattice laws; the laws are checked instead, with
-`lattice.check_laws` over every element.
+`{s | need(s) <= r}`; its section count is read per need, comparing each
+distinct need with each budget once. Its monotonicity in r, the embedding of
+a boxed family into its body's, and each bound sitting below its budget (a
+bound is below its need) follow from the lattice laws; the laws are checked
+instead, with `lattice.check_laws` over every element.
 
 A section is a (value, bound) pair, and a value is a term in normal form,
 so a section is already its own reification. The model interprets a value
@@ -30,15 +31,17 @@ The body enumerator yields each body's derivation, every node derived once
 from its kids' with `typecheck.derive_or_untyped`, as the generator builds
 terms, and memoized per (context, goal, size). A lambda is one `Lam` node
 over its body's derivation. A substituted body re-derives only the nodes
-above an occurrence of x and shares the rest of the body's derivation. A goal
-is skipped when the size left is below `boxes(goal) - max boxes(T in ctx) + 1`
-(`boxes` counts leading `Box` constructors): `box` adds a node per layer and
-`unbox` needs an inner body with one more, so no body that small exists.
-Only an evaluation result is typed whole, once per distinct value.
+above an occurrence of x; a node without x is returned as it is, unvisited.
+A goal is skipped when the size left is below
+`boxes(goal) - max boxes(T in ctx) + 1` (`boxes` counts leading `Box`
+constructors): `box` adds a node per layer and `unbox` needs an inner body
+with one more, so no body that small exists. Only an evaluation result is
+typed whole, once per distinct value.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterable
 
@@ -66,6 +69,7 @@ from rblam.syntax import (
     Type,
     Unbox,
     Var,
+    free_vars,
     pretty,
     pretty_type,
     rebuild,
@@ -156,7 +160,10 @@ class PresheafRep:
         return {(v, b) for v, b, need in self.entries if self.lattice.leq(need, r)}
 
     def section_count(self) -> int:
-        return max((len(self.at(r)) for r in self.lattice.enumerate()), default=0)
+        """The largest family's size, read per need: each distinct need meets each budget once."""
+        per_need, leq = Counter(need for _, _, need in self.entries), self.lattice.leq
+        sizes = (sum(n for need, n in per_need.items() if leq(need, r)) for r in self.lattice.enumerate())
+        return max(sizes, default=0)
 
 
 def _fmt_section(inst: LatticeInstance, s: Section) -> str:
@@ -330,9 +337,12 @@ class _Interpreter:
     def _substituted(self, d: Derivation, v: Derivation, memo: dict[int, Derivation]) -> Derivation:
         """The closed derivation of d's body term with x := v, where v is a
         closed value's derivation. Bodies bind nothing, so every variable is
-        x. A node without x is its own derivation; a node above x is derived
-        again from its substituted kids, once per body node (memo, keyed by
-        the node's identity, which body_memo keeps alive) and argument."""
+        x. A node without x is its own derivation, and its kids are not
+        visited; a node above x is derived again from its substituted kids,
+        once per body node (memo, keyed by the node's identity, which
+        body_memo keeps alive) and argument."""
+        if not free_vars(d.term):
+            return d
         hit = memo.get(id(d))
         if hit is not None:
             return hit
@@ -340,10 +350,7 @@ class _Interpreter:
             out = v
         else:
             kids = tuple(self._substituted(k, v, memo) for k in d.children)
-            if all(new is old for new, old in zip(kids, d.children)):
-                out = d
-            else:
-                out = self.node(Context(), rebuild(d.term, [k.term for k in kids]), *kids)
+            out = self.node(Context(), rebuild(d.term, [k.term for k in kids]), *kids)
         memo[id(d)] = out
         return out
 

@@ -71,6 +71,12 @@ class TestCheck:
         assert code == 0
         assert "bound: (1,0,0)" in capsys.readouterr().out
 
+    def test_huge_saturating_cap(self, program, capsys):
+        # a sat<N> lattice builds its elements as they are used, not all N + 1
+        code = main(["check", program(IF_EXAMPLE), "--lattice", "sat1000000000"])
+        assert code == 0
+        assert "budget: 1000000000" in capsys.readouterr().out
+
 
 class TestEval:
     def test_value_and_cost(self, program, capsys):

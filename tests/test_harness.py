@@ -21,7 +21,7 @@ from rblam.harness import (
     sample_type,
 )
 from rblam.interp import evaluate
-from rblam.lattice import NAT, TRIPLE, NatLattice
+from rblam.lattice import NAT, TRIPLE, NatLattice, SaturatingNatLattice, builtin_lattice
 from rblam.syntax import (
     App,
     Arrow,
@@ -544,6 +544,21 @@ class TestProperties:
         assert "cost" in failure.observed and "bound" in failure.observed
         minimized = parse(failure.minimized, NAT)
         assert canonical_violation(minimized)
+
+    def test_short_lattices_cannot_show_the_paper_mode_undercount(self, monkeypatch):
+        # the smallest known undercount has (k, b) = (5, 4), so it needs a
+        # chain of 6 levels: sat3 and sat4 saturate below it. Shared
+        # elements change no report: an instance that shares none gives
+        # the same one
+        def report(inst):
+            cfg = GenConfig(lattice=inst, seed=7, count=1000, mode=Mode.PAPER, allow_fn_var_reuse=True)
+            return run_property(cfg, "cost_soundness")
+
+        reports = {cap: report(builtin_lattice(f"sat{cap}")) for cap in (3, 4, 5, 6)}
+        assert {cap: r.failure_count for cap, r in reports.items()} == {3: 0, 4: 0, 5: 2, 6: 4}
+        assert all(int(f.observed["cost"]) > int(f.observed["bound"]) for f in reports[6].failures)
+        monkeypatch.setattr("rblam.lattice.SHARED_ELEMENTS", 0)
+        assert report(SaturatingNatLattice(5)).to_dict() == reports[5].to_dict()
 
     def test_violating_entry_returns_its_failure(self):
         # a check raises its violation; the PROPERTIES entry returns the

@@ -1,15 +1,21 @@
+import ast
+import pathlib
 import pickle
+import time
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from rblam import lattice
 from rblam.lattice import (
     GAS,
     NAT,
+    SHARED_ELEMENTS,
     TRIPLE,
     FiniteLattice,
     LatticeError,
+    NatLattice,
     ProductLattice,
     SaturatingNatLattice,
     builtin_lattice,
@@ -187,6 +193,10 @@ def test_element_payload_validation():
         TRIPLE.element((1, 2))
     with pytest.raises(LatticeError):
         SaturatingNatLattice(3).element(4)
+    # a bool equals and hashes as 0 or 1, so it would take their shared element
+    for inst, payload in [(NatLattice(), True), (SaturatingNatLattice(3), False), (TRIPLE, (True, 0, 0))]:
+        with pytest.raises(LatticeError):
+            inst.element(payload)
 
 
 class TestLiterals:
@@ -396,3 +406,136 @@ class TestDerivedStructure:
     def test_product_enumerate(self):
         prod = ProductLattice([SaturatingNatLattice(1), SaturatingNatLattice(2)])
         assert prod.is_finite and len(prod.enumerate()) == 6
+
+
+class TestSharedElements:
+    """Each instance hands out one element per payload, up to
+    SHARED_ELEMENTS payloads; past that an element is a copy, equal to any
+    other element of its payload."""
+
+    @staticmethod
+    def lattices(data_dir):
+        return {
+            "nat": (NatLattice("nat"), list(range(6))),
+            "sat3": (builtin_lattice("sat3"), list(range(4))),
+            "chain3": (load_lattice(str(data_dir / "chain3.lat")), ["low", "mid", "high"]),
+            "diamond": (load_lattice(str(data_dir / "diamond.lat")), ["bot", "a", "b", "top"]),
+        }
+
+    @pytest.mark.parametrize("name", ["nat", "sat3", "chain3", "diamond"])
+    def test_every_operation_returns_the_shared_elements(self, data_dir, name):
+        inst, payloads = self.lattices(data_dir)[name]
+        els = [inst.element(p) for p in payloads]
+        assert all(inst.element(p) is el for p, el in zip(payloads, els))
+        for a in els:
+            for b in els:
+                assert inst.combine(a, b) is inst.element(inst.combine(a, b).payload)
+                assert inst.join(a, b) is inst.element(inst.join(a, b).payload)
+        assert inst.bottom() is els[0]
+        if inst.is_finite:
+            assert all(x is y for x, y in zip(inst.enumerate(), els))
+            assert inst.top() is els[-1]
+        else:
+            assert inst.top() is None
+
+    @pytest.mark.parametrize("spec", ["direct", "builtin"])
+    def test_a_huge_saturating_cap_builds_at_once(self, spec):
+        start = time.perf_counter()
+        inst = SaturatingNatLattice(10**9) if spec == "direct" else builtin_lattice("sat1000000000")
+        assert time.perf_counter() - start < 0.5
+        assert inst.top() == inst.large_budget() == inst.element(10**9)
+        assert inst.combine(inst.top(), inst.unit_step()) == inst.top()
+
+    def test_elements_past_the_cap_equal_the_payloads_they_carry(self):
+        inst = NatLattice("nat")
+        shared = [inst.element(n) for n in range(SHARED_ELEMENTS)]
+        big, bigger = inst.element(10**6), inst.element(10**6 + 1)
+        assert big is not inst.element(10**6)  # the table is full: a copy each time
+        assert big == inst.element(10**6) and hash(big) == hash(inst.element(10**6))
+        assert big != bigger and len({big, inst.element(10**6), bigger}) == 2
+        assert inst.combine(big, bigger) == inst.element(2 * 10**6 + 1)
+        assert inst.join(big, bigger) == bigger and inst.leq(big, bigger)
+        assert inst.combine(big, inst.bottom()) == big
+        # the shared ones are still shared
+        assert inst.combine(shared[1], shared[2]) is shared[3] and inst.bottom() is shared[0]
+
+    @pytest.mark.parametrize("hook", ["_leq", "_combine", "_join"])
+    @pytest.mark.parametrize("cls", [SaturatingNatLattice, FiniteLattice])
+    def test_a_hook_patched_on_the_class_reaches_every_instance(self, data_dir, monkeypatch, cls, hook):
+        # the hooks are the one definition of each operation: a patch after
+        # the instance was built, and its undoing, take effect at once
+        inst = builtin_lattice("sat3") if cls is SaturatingNatLattice else load_lattice(str(data_dir / "chain3.lat"))
+        bot, top = inst.bottom(), inst.top()
+
+        def observe():
+            return inst.leq(top, bot), inst.combine(bot, bot), inst.join(bot, bot)
+
+        before = observe()
+        assert before == (False, bot, bot)
+        if hook == "_leq":
+            monkeypatch.setattr(cls, hook, lambda self, a, b: True)
+        else:
+            monkeypatch.setattr(cls, hook, lambda self, a, b: top.payload)
+        after = observe()
+        assert after == {"_leq": (True, bot, bot), "_combine": (False, top, bot), "_join": (False, bot, top)}[hook]
+        monkeypatch.undo()
+        assert observe() == before
+
+    def test_no_module_but_lattice_compares_elements_by_identity(self):
+        # an element past the cap or out of a pickle is a copy, so only `==`
+        # tells elements apart; an identity test elsewhere may be against
+        # None, a bool, a class, an enum member or a lattice instance only
+        def allowed(e):
+            return (
+                (isinstance(e, ast.Constant) and e.value is None)
+                or isinstance(e, ast.Compare)
+                or (isinstance(e, ast.Call) and isinstance(e.func, ast.Name) and e.func.id == "type")
+                or (isinstance(e, ast.Attribute) and e.attr in ("__class__", "instance"))
+                or (isinstance(e, ast.Attribute) and isinstance(e.value, ast.Name) and e.value.id[0].isupper())
+                or (isinstance(e, ast.Name) and e.id[0].isupper())
+            )
+
+        src = pathlib.Path(lattice.__file__).parent
+        offending = []
+        for path in sorted(src.glob("*.py")):
+            if path.name == "lattice.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Compare):
+                    operands = [node.left, *node.comparators]
+                    for op, left, right in zip(node.ops, operands, operands[1:]):
+                        if isinstance(op, (ast.Is, ast.IsNot)) and not (allowed(left) or allowed(right)):
+                            offending.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+        assert offending == []
+
+
+class TestFiniteLatticeFacts:
+    """top, unit_step and large_budget are computed once, at construction,
+    and answer as a scan of the order would."""
+
+    @staticmethod
+    def no_unique_top():
+        names = ["z", "a", "b"]
+        leq = [("z", "z"), ("z", "a"), ("z", "b"), ("a", "a"), ("b", "b")]
+        table = {(x, y): y if x == "z" else x for x in names for y in names}
+        return FiniteLattice("fork", names, leq, table, table, "z")
+
+    @pytest.mark.parametrize("name, top, unit, large", [
+        ("chain2", "top", "top", "top"),
+        ("chain3", "high", "mid", "high"),
+        ("diamond", "top", "bot", "top"),
+        ("fork", None, "z", "a"),
+    ])
+    def test_facts(self, data_dir, name, top, unit, large):
+        inst = self.no_unique_top() if name == "fork" else load_lattice(str(data_dir / f"{name}.lat"))
+        assert (inst.top() and inst.top().payload) == top
+        assert inst.unit_step() is inst.element(unit)
+        assert inst.large_budget() is inst.element(large)
+        if top is not None:
+            assert inst.top() is inst.element(top)
+        # the scans the facts replace, over leq
+        els = inst.enumerate()
+        tops = [t for t in els if all(inst.leq(e, t) for e in els)]
+        assert [inst.top()] == tops if top is not None else len(tops) != 1
+        maximal = [m for m in els if not any(e != m and inst.leq(m, e) for e in els)]
+        assert inst.large_budget() == (tops[0] if len(tops) == 1 else maximal[0])
