@@ -88,6 +88,7 @@ from rblam.typecheck import (
     derive,
     derive_or_untyped,
     is_subtype,
+    latent_of,
     synthesize,
 )
 
@@ -178,40 +179,23 @@ def concretize(
             return ty
 
 
-def goal_matches(syn: Type, goal: Type, inst: LatticeInstance) -> bool:
+def goal_matches(syn: Type, goal: Type, inst: LatticeInstance, *, exact: bool = False) -> bool:
     """Does a synthesized type fit a generation goal? Absent latents in the
-    goal are wildcards; otherwise grade subsumption applies covariantly."""
+    goal are wildcards; otherwise grade subsumption applies covariantly. An
+    arrow's domain fits exactly (`exact`): equal box grades and latents."""
     match (syn, goal):
         case (Bool(), Bool()) | (Nat(), Nat()):
             return True
         case (Prod(l1, r1), Prod(l2, r2)):
-            return goal_matches(l1, l2, inst) and goal_matches(r1, r2, inst)
+            return goal_matches(l1, l2, inst, exact=exact) and goal_matches(r1, r2, inst, exact=exact)
         case (Box(g1, b1), Box(g2, b2)):
-            return inst.leq(g1, g2) and goal_matches(b1, b2, inst)
+            return (g1 == g2 if exact else inst.leq(g1, g2)) and goal_matches(b1, b2, inst, exact=exact)
         case (Arrow(d1, c1, l1), Arrow(d2, c2, l2)):
-            if not _dom_matches(d1, d2, inst) or not goal_matches(c1, c2, inst):
+            if not goal_matches(d1, d2, inst, exact=True) or not goal_matches(c1, c2, inst, exact=exact):
                 return False
             if l2 is None:
                 return True
-            lat = l1 if l1 is not None else inst.bottom()
-            return inst.leq(lat, l2)
-    return False
-
-
-def _dom_matches(a: Type, g: Type, inst: LatticeInstance) -> bool:
-    match (a, g):
-        case (Bool(), Bool()) | (Nat(), Nat()):
-            return True
-        case (Prod(l1, r1), Prod(l2, r2)):
-            return _dom_matches(l1, l2, inst) and _dom_matches(r1, r2, inst)
-        case (Box(g1, b1), Box(g2, b2)):
-            return g1 == g2 and _dom_matches(b1, b2, inst)
-        case (Arrow(d1, c1, l1), Arrow(d2, c2, l2)):
-            return (
-                _dom_matches(d1, d2, inst)
-                and _dom_matches(c1, c2, inst)
-                and (l2 is None or l1 == l2)
-            )
+            return l1 == l2 if exact else inst.leq(latent_of(syn, inst), l2)
     return False
 
 

@@ -213,9 +213,10 @@ class LatticeInstance:
         return None
 
     def from_literal(self, lit: Any) -> LatticeElement:
-        """Build an element from a parsed surface literal
-        (a natural, an element name, or a tuple of literals)."""
-        raise NotImplementedError
+        """Build an element from a parsed surface literal (a natural, an
+        element name, or a tuple of literals): by default the literal is the
+        payload, which `element` validates."""
+        return self.element(lit)
 
     def format(self, el: LatticeElement) -> str:
         """Render an element as a surface literal."""
@@ -266,11 +267,6 @@ class NatLattice(LatticeInstance):
 
     def _bottom(self):
         return 0
-
-    def from_literal(self, lit):
-        if not isinstance(lit, int):
-            raise LatticeError(f"{self.name}: literal must be a natural, got {lit!r}")
-        return self.element(lit)
 
     def format(self, el):
         return str(self._own(el))
@@ -353,11 +349,6 @@ class TripleLattice(LatticeInstance):
 
     def _bottom(self):
         return (0, 0, 0)
-
-    def from_literal(self, lit):
-        if not (isinstance(lit, tuple) and len(lit) == 3 and all(isinstance(c, int) for c in lit)):
-            raise LatticeError(f"{self.name}: literal must be (t,m,d), got {lit!r}")
-        return self.element(lit)
 
     def format(self, el):
         return "({},{},{})".format(*self._own(el))
@@ -456,11 +447,6 @@ class FiniteLattice(LatticeInstance):
     def top(self):
         return None if self._top is None else self.element(self._top)
 
-    def from_literal(self, lit):
-        if not isinstance(lit, str):
-            raise LatticeError(f"{self.name}: literal must be an element name, got {lit!r}")
-        return self.element(lit)
-
     def format(self, el):
         return self._own(el)
 
@@ -521,6 +507,7 @@ class ProductLattice(LatticeInstance):
         return self.element(tuple(tops))
 
     def from_literal(self, lit):
+        """A tuple of component literals, whose elements are the payload."""
         if not isinstance(lit, tuple) or len(lit) != len(self.components):
             raise LatticeError(
                 f"{self.name}: literal must be a {len(self.components)}-tuple, got {lit!r}"

@@ -17,14 +17,19 @@ A section is a (value, bound) pair, and a value is a term in normal form,
 so a section is already its own reification. The model interprets a value
 with the same `DenModel.denote` clauses as any other term.
 
-Section families are tabulated with paper-mode judgments: a value's
-synthesized bound under those rules is exactly the bound stored in its
-section (a lambda's bound is its body bound). Tabulating an arrow family
-evaluates each lambda body on every argument and compares the substituted
-body's bound, its cost and its result's bound; those comparisons are the
-family's check, and each failed one is a finding. The term interpretation
-and cost-preservation check run in sound mode, where the synthesized bound
-dominates the model cost under arbitrary function reuse.
+Each family is checked as it is built: its `sections[T]` report is
+`PresheafRep.check`. Families are tabulated with paper-mode judgments: a
+value's synthesized bound under those rules is exactly the bound stored in
+its section (a lambda's bound is its body bound). A literal, pair or box
+section is derived whole once, which is one case of the check, and its
+entry keeps that derivation. Tabulating an arrow family evaluates each
+lambda body on every argument of the domain family and compares the
+substituted body's bound, its cost and its result's bound; those
+comparisons are the family's cases, and each failed one is a finding. The
+term interpretation and cost-preservation check run in sound mode, where
+the synthesized bound dominates the model cost under arbitrary function
+reuse. The model types only through `typecheck.derive` and
+`derive_or_untyped`.
 
 An arrow family is typed from derivations, and no body node is typed twice.
 The body enumerator yields each body's derivation, every node derived once
@@ -35,14 +40,15 @@ above an occurrence of x; a node without x is returned as it is, unvisited.
 A goal is skipped when the size left is below
 `boxes(goal) - max boxes(T in ctx) + 1` (`boxes` counts leading `Box`
 constructors): `box` adds a node per layer and `unbox` needs an inner body
-with one more, so no body that small exists. Only an evaluation result is
-typed whole, once per distinct value.
+with one more, so no body that small exists. An argument's derivation is
+read from its domain family, and an evaluation result is typed whole, once
+per distinct value.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
 from rblam.harness import minimal_inhabitant, type_contains_arrow
@@ -82,13 +88,13 @@ from rblam.typecheck import (
     Mode,
     TypingError,
     check_deltas,
+    derive,
     derive_or_untyped,
-    synthesize,
 )
 
 
 Section = tuple[Term, LatticeElement]  # a value and its bound
-Entry = tuple[Term, LatticeElement, LatticeElement]  # a value, its bound and its need
+Entry = tuple[Term, LatticeElement, LatticeElement, Derivation]  # a section, its need and its derivation
 
 # Tabulated entries per family, and lambdas per arrow corpus, before a
 # family is cut there and flagged non-exhaustive.
@@ -146,29 +152,27 @@ class CheckReport:
 @dataclass
 class PresheafRep:
     """A type's section family as its need map: `entries` holds each section
-    with its need, and the family at budget r is `at(r)`."""
+    with its need and its paper-mode derivation, and the family at budget r
+    is `at(r)`. The family is checked as it is built: `check` is its
+    `sections[T]` report, one case per literal, pair or box section (its
+    value derived whole) or three per lambda and argument of an arrow
+    family. The model types only through `derive` and `derive_or_untyped`."""
 
     lattice: LatticeInstance
     type: Type
     entries: list[Entry]
     exhaustive: bool
-    notes: dict[str, Any] = field(default_factory=dict)
-    tabulation: CheckReport | None = None  # an arrow family's comparisons and findings
+    check: CheckReport
 
     def at(self, r: LatticeElement) -> set[Section]:
         """The sections admitted at budget r: those whose need sits below r."""
-        return {(v, b) for v, b, need in self.entries if self.lattice.leq(need, r)}
+        return {(v, b) for v, b, need, _ in self.entries if self.lattice.leq(need, r)}
 
     def section_count(self) -> int:
         """The largest family's size, read per need: each distinct need meets each budget once."""
-        per_need, leq = Counter(need for _, _, need in self.entries), self.lattice.leq
+        per_need, leq = Counter(need for _, _, need, _ in self.entries), self.lattice.leq
         sizes = (sum(n for need, n in per_need.items() if leq(need, r)) for r in self.lattice.enumerate())
         return max(sizes, default=0)
-
-
-def _fmt_section(inst: LatticeInstance, s: Section) -> str:
-    v, b = s
-    return f"({pretty(v)}, {inst.format(b)})"
 
 
 class _Interpreter:
@@ -179,7 +183,6 @@ class _Interpreter:
         self.inst = inst
         self.enum = enum
         self.els = inst.enumerate()
-        self.budget = inst.large_budget()
         self.memo: dict[Type, PresheafRep] = {}
         self.body_memo: dict[tuple, list[Derivation]] = {}
         self.value_bounds: dict[Term, LatticeElement] = {}
@@ -190,7 +193,7 @@ class _Interpreter:
 
     def synth_bound(self, t: Term) -> LatticeElement:
         """The paper-mode bound of a closed term, derived whole."""
-        return synthesize(Context(), t, self.budget, Mode.PAPER, self.enum.deltas).bound
+        return derive(Context(), t, Mode.PAPER, self.enum.deltas, self.inst).bound
 
     def value_bound(self, v: Term) -> LatticeElement:
         """synth_bound of an evaluation result, read once per value (memo)."""
@@ -200,75 +203,88 @@ class _Interpreter:
         return b
 
     def interpret(self, ty: Type) -> PresheafRep:
+        """ty's family and its `sections[T]` check, built once (memo)."""
         if ty in self.memo:
             return self.memo[ty]
         exhaustive = True
-        notes: dict[str, Any] = {}
-        tabulation = None
+        check = CheckReport(f"sections[{pretty_type(ty)}]")
         inst = self.inst
         bot = inst.bottom()
 
-        entries: list[Entry]
-        match ty:
+        match ty:  # a literal, pair or box entry is (value, bound, need) until it is certified
             case Bool():
                 entries = [(TT(), bot, bot), (FF(), bot, bot)]
             case Nat():
                 entries = [(NatLit(n), bot, bot) for n in range(self.enum.max_nat + 1)]
-                notes["max_nat"] = self.enum.max_nat
+                check.notes["max_nat"] = self.enum.max_nat
             case Prod(left, right):
                 lrep = self.interpret(left)
                 rrep = self.interpret(right)
                 exhaustive = lrep.exhaustive and rrep.exhaustive
                 entries = []
-                for (v1, b1, n1) in lrep.entries:
-                    for (v2, b2, n2) in rrep.entries:
+                for (v1, b1, n1, _) in lrep.entries:
+                    for (v2, b2, n2, _) in rrep.entries:
                         b = inst.combine(b1, b2)
                         entries.append((Pair(v1, v2), b, inst.join(inst.join(n1, n2), b)))
             case Box(grade, body):
                 brep = self.interpret(body)
                 exhaustive = brep.exhaustive
-                entries = [(BoxT(grade, v), b, need) for (v, b, need) in brep.entries if inst.leq(b, grade)]
+                entries = [(BoxT(grade, v), b, need) for (v, b, need, _) in brep.entries if inst.leq(b, grade)]
             case Arrow(dom, cod, None):
-                entries, exhaustive, notes, tabulation = self._arrow_sections(dom, cod)
+                entries, exhaustive = self._arrow_sections(dom, cod, check)
             case _:
                 raise ValueError(f"cannot tabulate type {pretty_type(ty)}")
 
         if len(entries) > MAX_SECTIONS:
             exhaustive = False
-            notes["section_cap"] = MAX_SECTIONS
+            check.notes["section_cap"] = MAX_SECTIONS
             entries = sorted(entries, key=lambda e: pretty(e[0]))[:MAX_SECTIONS]
+        if ty.__class__ is not Arrow:
+            entries = [self._certified(ty, *e, check) for e in entries]
+        check.notes["exhaustive"] = exhaustive
 
-        rep = PresheafRep(
-            lattice=inst,
-            type=ty,
-            entries=entries,
-            exhaustive=exhaustive,
-            notes=notes,
-            tabulation=tabulation,
-        )
-        self.memo[ty] = rep
+        rep = self.memo[ty] = PresheafRep(inst, ty, entries, exhaustive, check)
         return rep
+
+    def _certified(self, ty: Type, v: Term, b: LatticeElement, need: LatticeElement, check: CheckReport) -> Entry:
+        """A literal, pair or box entry with its value's whole derivation, or
+        an untyped node where it does not type: one case of `check`, which
+        fails unless the value types at exactly ty and the stored bound."""
+        inst = self.inst
+        try:
+            d = derive(Context(), v, Mode.PAPER, self.enum.deltas, inst)
+        except TypingError as exc:
+            check.expect(False, lambda: f"section does not retype: ({pretty(v)}, {inst.format(b)}): {exc}")
+            return v, b, need, Derivation("untyped", v, None, None)
+        check.expect(
+            d.type == ty and d.bound == b,
+            lambda: f"section judgment mismatch: ({pretty(v)}, {inst.format(b)}) retypes at "
+            f"({pretty_type(d.type)}, {inst.format(d.bound)})",
+        )
+        return v, b, need, d
 
     # arrow corpora ---------------------------------------------------------
 
-    def _arrow_sections(self, dom: Type, cod: Type):
-        """An arrow family's entries and the comparisons that tabulate it.
-        Each lambda is one Lam node over its body's derivation. For each
-        argument, the substituted body's derivation re-derives only the
+    def _arrow_sections(self, dom: Type, cod: Type, tab: CheckReport) -> tuple[list[Entry], bool]:
+        """An arrow family's entries and whether they are exhaustive; its
+        comparisons are the cases of `tab`. Each lambda is one Lam node over
+        its body's derivation. For each argument of the domain family, the
+        substituted body's derivation re-derives from the argument's only the
         nodes above an occurrence of x (`_substituted`); the rest is the
         body's own derivation, as `substitute` shares those subterms."""
         inst = self.inst
-        notes: dict[str, Any] = {"max_term_size": self.enum.max_term_size}
+        notes = tab.notes
+        notes["max_term_size"] = self.enum.max_term_size
         arrow = Arrow(dom, cod, None)
-        tab = CheckReport(f"sections[{pretty_type(arrow)}]")
 
         top = inst.top()
         if top is None or type_contains_arrow(dom):
             notes["skipped"] = "argument space not enumerable"
-            return [], False, notes, tab
+            return [], False
 
         dom_rep = self.interpret(dom)
-        args = sorted(dom_rep.at(top), key=lambda p: pretty(p[0]))
+        args = sorted(((v, b, d) for v, b, need, d in dom_rep.entries if inst.leq(need, top)),
+                      key=lambda a: pretty(a[0]))
         exhaustive = dom_rep.exhaustive
 
         entries: list[Entry] = []
@@ -283,7 +299,6 @@ class _Interpreter:
             notes["corpus_cap"] = MAX_SECTIONS
 
         closed = Context()
-        arg_derivs = [self.node(closed, v) for v, _ in args]
         sub_memos: list[dict[int, Derivation]] = [{} for _ in args]
         for body in bodies:
             lam = Lam("x", dom, body.term)
@@ -299,7 +314,7 @@ class _Interpreter:
             # definable argument the application-condition budget
             need = b_body
             admissible = True
-            for (v, b_a), v_deriv, sub_memo in zip(args, arg_derivs, sub_memos):
+            for (v, b_a, v_deriv), sub_memo in zip(args, sub_memos):
                 sub = self._substituted(body, v_deriv, sub_memo)
                 try:
                     b_sub = sub.bound if sub.type is not None else self.synth_bound(sub.term)
@@ -328,11 +343,11 @@ class _Interpreter:
                 )
                 need = inst.join(need, inst.combine(inst.combine(b_a, b_sub), self.enum.deltas.app))
             if admissible:
-                entries.append((lam, b_body, need))
+                entries.append((lam, b_body, need, j))
 
         notes["corpus_size"] = len(entries)
         notes["argument_count"] = len(args)
-        return entries, exhaustive, notes, tab
+        return entries, exhaustive
 
     def _substituted(self, d: Derivation, v: Derivation, memo: dict[int, Derivation]) -> Derivation:
         """The closed derivation of d's body term with x := v, where v is a
@@ -415,49 +430,12 @@ def _boxes(ty: Type) -> int:
     return n
 
 
-def interpret_type(ty: Type, inst: LatticeInstance, enum: EnumBudget) -> PresheafRep:
-    """Tabulate the section family of a type over a finite lattice: its
-    (value, bound, need) entries, read at budget r as `rep.at(r)`."""
-    return _Interpreter(inst, enum).interpret(ty)
-
-
 def interpret_types(types: Iterable[Type], inst: LatticeInstance, enum: EnumBudget) -> dict[Type, PresheafRep]:
+    """Tabulate the section family of each type over a finite lattice, each
+    family built and checked once: its entries, read at budget r as
+    `rep.at(r)`, and its `sections[T]` check, `rep.check`."""
     interp = _Interpreter(inst, enum)
     return {ty: interp.interpret(ty) for ty in types}
-
-
-# ---------------------------------------------------------------------------
-# Section family checks
-
-
-def check_presheaf(rep: PresheafRep, deltas: DeltaProfile) -> CheckReport:
-    """Sections are certified. A literal, pair or box section retypes at
-    exactly the stored type and bound: one case per entry. An arrow
-    family's cases are its tabulation's comparisons, three for each lambda
-    and argument (the substituted body's bound below the lambda's, its
-    cost below that bound, its result's bound below it), and each finding
-    is one failed case; so is a lambda that synthesizes another type than
-    the family's. A lambda's stored bound is the judgment the tabulation
-    derived, so it is not retyped."""
-    notes = dict(rep.notes, exhaustive=rep.exhaustive)
-    if rep.tabulation is not None:
-        return replace(rep.tabulation, notes=notes)
-    inst = rep.lattice
-    c = CheckReport(f"sections[{pretty_type(rep.type)}]", notes=notes)
-    budget = inst.large_budget()
-    for (v, b, _) in rep.entries:
-        sec = (v, b)
-        try:
-            j = synthesize(Context(), v, budget, Mode.PAPER, deltas)
-        except TypingError as exc:
-            c.expect(False, lambda: f"section does not retype: {_fmt_section(inst, sec)}: {exc}")
-            continue
-        c.expect(
-            j.type == rep.type and j.bound == b,
-            lambda: f"section judgment mismatch: {_fmt_section(inst, sec)} retypes at "
-            f"({pretty_type(j.type)}, {inst.format(j.bound)})",
-        )
-    return c
 
 
 # ---------------------------------------------------------------------------
@@ -605,10 +583,9 @@ def check_cost_preservation(
     cost sits below the synthesized bound."""
     inst = m.lattice
     c = CheckReport(f"cost-preservation[{mode.value}]", notes={"corpus": len(corpus)})
-    budget = inst.large_budget()
     for term in corpus:
         try:
-            j = synthesize(Context(), term, budget, mode, m.deltas)
+            j = derive(Context(), term, mode, m.deltas, inst)
         except TypingError as exc:
             c.expect(False, lambda: f"{pretty(term)}: does not typecheck: {exc}")
             continue
@@ -693,8 +670,8 @@ def run_model_checks(
 ) -> ModelReport:
     """Run every finite-model check over one lattice: `lattice-laws`, the
     lattice axioms over every element, then one `sections[T]` check per
-    type (`check_presheaf`): a retype of each literal, pair and box section,
-    or the comparisons an arrow family's tabulation made."""
+    type (`PresheafRep.check`): the derivation of each literal, pair and box
+    section, or the comparisons an arrow family's tabulation made."""
     enum = enum or EnumBudget(deltas=DeltaProfile.default(inst))
     types = types if types is not None else default_type_suite(inst)
     reps = interpret_types(types, inst, enum)
@@ -707,7 +684,7 @@ def run_model_checks(
             f"{r.law} fails at ({', '.join(inst.format(w) for w in r.witness)})" for r in laws.failures()
         ],
     )]
-    checks.extend(check_presheaf(rep, enum.deltas) for rep in reps.values())
+    checks.extend(rep.check for rep in reps.values())
 
     universe = {
         "elements": len(inst.enumerate()),

@@ -519,6 +519,30 @@ class TestInputErrors:
         assert captured.err.startswith(head.replace("PROG", path)) and captured.err.count("\n") == 1
 
     @pytest.mark.parametrize(
+        "lattice, literal, message",
+        [
+            ("nat", "foo", "nat: expected a natural, got 'foo'"),
+            ("nat", "(1,2)", "nat: expected a natural, got (1, 2)"),
+            ("triple", "3", "triple: expected a triple of naturals, got 3"),
+            ("triple", "(1,a,2)", "triple: expected a triple of naturals, got (1, 'a', 2)"),
+            ("sat3", "x", "sat3: expected 0..3, got 'x'"),
+            ("diamond.lat", "(a,b)", "diamond: unknown element ('a', 'b')"),
+            ("diamond.lat", "3", "diamond: unknown element 3"),
+        ],
+    )
+    def test_budget_literal_is_validated_by_its_element(self, program, data_dir, capsys, lattice, literal, message):
+        # a literal is the payload, so the lattice's element check words the error
+        argv = ["check", program(IF_EXAMPLE), "--budget", literal]
+        if lattice.endswith(".lat"):
+            argv += ["--lattice-file", str(data_dir / lattice), "--delta-app", "a"]
+        else:
+            argv += ["--lattice", lattice]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: 1:1: {message}\n"
+
+    @pytest.mark.parametrize(
         "case",
         ["missing lattice file", "directory as lattice file", "non-UTF-8 program", "non-UTF-8 config",
          "non-UTF-8 lattice file"],

@@ -17,10 +17,8 @@ from rblam.model import (
     DenModel,
     EnumBudget,
     check_cost_preservation,
-    check_presheaf,
     default_type_suite,
     den_matches_value,
-    interpret_type,
     interpret_types,
     run_model_checks,
 )
@@ -41,6 +39,7 @@ from rblam.syntax import (
     Var,
     is_value,
     parse,
+    pretty_type,
     substitute,
 )
 from rblam.typecheck import Context, DeltaProfile, Mode, TypingError, synthesize
@@ -95,21 +94,21 @@ class TestLatticeLaws:
 class TestTypeInterpretation:
     def test_bool_sections_constant(self):
         inst = sat(3)
-        rep = interpret_type(Bool(), inst, enum_for(inst))
+        rep = interpret_types([Bool()], inst, enum_for(inst))[Bool()]
         expected = {(TT(), inst.bottom()), (FF(), inst.bottom())}
         for r in inst.enumerate():
             assert rep.at(r) == expected
 
     def test_product_at_bottom_has_four_pairs(self):
         inst = sat(3)
-        rep = interpret_type(Prod(Bool(), Bool()), inst, enum_for(inst))
+        rep = interpret_types([Prod(Bool(), Bool())], inst, enum_for(inst))[Prod(Bool(), Bool())]
         at_bottom = rep.at(inst.bottom())
         assert len(at_bottom) == 4
         assert all(b == inst.bottom() for _, b in at_bottom)
 
     def test_box_at_grade_bottom(self):
         inst = sat(3)
-        rep = interpret_type(Box(inst.bottom(), Bool()), inst, enum_for(inst))
+        rep = interpret_types([Box(inst.bottom(), Bool())], inst, enum_for(inst))[Box(inst.bottom(), Bool())]
         for r in inst.enumerate():
             assert rep.at(r) == {
                 (BoxT(inst.bottom(), TT()), inst.bottom()),
@@ -118,15 +117,15 @@ class TestTypeInterpretation:
 
     def test_nat_truncated(self):
         inst = sat(2)
-        rep = interpret_type(Nat(), inst, enum_for(inst, max_nat=3))
+        rep = interpret_types([Nat()], inst, enum_for(inst, max_nat=3))[Nat()]
         assert len(rep.at(inst.bottom())) == 4
-        assert rep.notes["max_nat"] == 3
+        assert rep.check.notes["max_nat"] == 3
 
     def test_arrow_admission_threshold(self):
         # the branching lambda needs budget 2: body bound 1 joined with
         # bottom + 1 + delta_app
         inst = sat(4)
-        rep = interpret_type(Arrow(Bool(), Bool(), None), inst, enum_for(inst))
+        rep = interpret_types([Arrow(Bool(), Bool(), None)], inst, enum_for(inst))[Arrow(Bool(), Bool(), None)]
         lam = parse("lam x : Bool . if x then ff else tt", inst)
         target = (lam, inst.element(1))
         assert target in rep.at(inst.element(2))
@@ -134,7 +133,7 @@ class TestTypeInterpretation:
 
     def test_identity_lambda_admitted_at_delta_app(self):
         inst = sat(4)
-        rep = interpret_type(Arrow(Bool(), Bool(), None), inst, enum_for(inst))
+        rep = interpret_types([Arrow(Bool(), Bool(), None)], inst, enum_for(inst))[Arrow(Bool(), Bool(), None)]
         ident = (parse("lam x : Bool . x", inst), inst.element(0))
         assert ident in rep.at(inst.element(1))
         assert ident not in rep.at(inst.element(0))
@@ -326,8 +325,34 @@ class TestSectionFamilyChecks:
         inst = sat(3)
         enum = enum_for(inst)
         for ty in [Bool(), Prod(Bool(), Bool()), Box(inst.element(2), Bool()), Arrow(Bool(), Bool(), None)]:
-            rep = interpret_type(ty, inst, enum)
-            assert check_presheaf(rep, enum.deltas).ok
+            rep = interpret_types([ty], inst, enum)[ty]
+            assert rep.check.ok
+
+    @pytest.mark.parametrize("faulty", [False, True], ids=["plain", "literal-unit-bound"])
+    @pytest.mark.parametrize("lattice", ["sat2", "sat3", "diamond.lat"])
+    def test_a_family_built_alone_has_its_suite_check(self, monkeypatch, data_dir, lattice, faulty):
+        # each family is checked where it is built, so its cases cannot
+        # depend on which families were built before it. The fault charges
+        # every literal one application step: sat's unit step, diamond's atom
+        inst = lattice_named(lattice, data_dir)
+        enum = EnumBudget(DeltaProfile.uniform(inst.element("a"))) if lattice == "diamond.lat" else enum_for(inst)
+        if faulty:
+            def literal_step_bound(rule):
+                def step_bound(ctx, t, mode, d, inst, kids):
+                    return dataclasses.replace(rule(ctx, t, mode, d, inst, kids), bound=d.app)
+
+                return step_bound
+
+            wrap_rules(monkeypatch, literal_step_bound, TT, FF, NatLit)
+        report = run_model_checks(inst, enum=enum)
+        assert report.passed is not faulty
+        suite = {c.name: c for c in report.checks}
+        for ty in default_type_suite(inst):
+            alone = interpret_types([ty], inst, enum)[ty].check
+            together = suite[alone.name]
+            assert alone.name == f"sections[{pretty_type(ty)}]"
+            assert (alone.checked, alone.counterexamples, alone.notes) == (
+                together.checked, together.counterexamples, together.notes), alone.name
 
     @pytest.mark.parametrize("lattice", ["sat2", "sat3", "diamond"])
     def test_need_map_reads_are_the_per_budget_families(self, data_dir, lattice):
