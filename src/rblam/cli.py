@@ -121,17 +121,19 @@ SETTINGS = (
 CONFIG_KEYS = tuple(key for _, key, _, _ in SETTINGS)
 
 
-def _setting_texts(args: argparse.Namespace) -> dict[str, object]:
-    """Each given setting's text by flag name: the flag's, or else the config
-    file's. A lattice named by a flag drops both of the file's lattice keys."""
-    texts: dict[str, object] = {}
+def _setting_texts(args: argparse.Namespace) -> dict[str, tuple[str, object]]:
+    """Each given setting's origin and text by flag name: the flag's, or else
+    the config file's key. A lattice named by a flag drops both of the file's
+    lattice keys."""
+    texts: dict[str, tuple[str, object]] = {}
     if getattr(args, "config", None):
         settings = _read_config(args.config)
         for key in settings:
             if key not in CONFIG_KEYS:
                 raise InputError(f"{args.config}: unknown key {key!r}; keys: {', '.join(CONFIG_KEYS)}")
-        texts = {flag: settings[key] for flag, key, _, _ in SETTINGS if key in settings}
-    flags = {flag: value for flag, _, _, _ in SETTINGS if (value := getattr(args, flag, None)) is not None}
+        texts = {flag: (f"{args.config}: {key}", settings[key]) for flag, key, _, _ in SETTINGS if key in settings}
+    flags = {flag: ("--" + flag.replace("_", "-"), value)
+             for flag, _, _, _ in SETTINGS if (value := getattr(args, flag, None)) is not None}
     if "lattice_file" in flags or "lattice" in flags:
         texts.pop("lattice_file", None)
         texts.pop("lattice", None)
@@ -151,7 +153,13 @@ class Session:
         lattice = None
 
         def pick(flag: str, default=None):
-            return parsers[flag](texts[flag], lattice) if flag in texts else default
+            if flag not in texts:
+                return default
+            origin, text = texts[flag]
+            try:
+                return parsers[flag](text, lattice)
+            except ParseError as exc:  # a literal's line:col is inside its own text
+                raise InputError(f"{origin}: {exc}") from exc
 
         lattice = pick("lattice_file") if "lattice_file" in texts else pick("lattice", NAT)
         self.lattice: LatticeInstance = lattice

@@ -50,7 +50,8 @@ Grammar (whitespace-insensitive):
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, fields
+from dataclasses import fields
+from itertools import islice
 from typing import Callable, Sequence, TypeVar
 
 from rblam.lattice import LatticeElement, LatticeError, LatticeInstance, _getter, record
@@ -468,46 +469,49 @@ class ParseError(Exception):
 
 RESERVED = frozenset({"lam", "if", "then", "else", "box", "Box", *KEYWORD_FORMS})
 
+# One scan finds every token: blanks, newlines and comments match outside the
+# one group, so `findall` gives them as "", and a token is the group's text.
+# Alternatives are tried in order. `\d` is a decimal digit of any script, `\w`
+# what str.isalnum() accepts or `_`. No token keeps its position: `_position`
+# finds it again with this same pattern, only for an error.
+_TOKEN = re.compile(r"[ \t\r\n]+|#[^\n]*|(\d+|\w+|-\[|->|\]->|[().,:*\[\]]|.)")
 
-# Slots, not a NamedTuple: the parser reads tok.kind often, and a slot reads faster.
-@dataclass(slots=True)
-class _Token:
-    kind: str  # IDENT NAT keyword or a symbol
-    text: str
-    line: int
-    col: int
-
-
-# Alternatives are tried in order; blanks and comments have no group. `\d` is
-# a decimal digit of any script, `\w` what str.isalnum() accepts or `_`.
-_TOKEN = re.compile(
-    r"[ \t\r]+|#[^\n]*|(?P<newline>\n)|(?P<NAT>\d+)|(?P<word>\w+)"
-    r"|(?P<symbol>-\[|->|\]->|[().,:*\[\]])|(?P<bad>.)"
-)
+# A keyword or a symbol is its own kind; any other token's first character decides.
+_KINDS = {text: text for text in (*RESERVED, "-[", "->", "]->", *"().,:*[]")}
 
 
-def _tokenize(source: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    line, line_start = 1, 0
-    for m in _TOKEN.finditer(source):
-        kind = m.lastgroup
-        if kind == "newline":
-            line, line_start = line + 1, m.end()
-        elif kind is not None:
-            text, col = m.group(), m.start() - line_start + 1
-            if kind == "symbol":
-                kind = text
-            elif kind == "word" and (text[0].isalpha() or text[0] == "_"):
-                kind = text if text in RESERVED else "IDENT"
-            elif kind != "NAT":  # a word that is no identifier, or no token at all
-                ch = text[0]
-                message = "stray '-'" if ch == "-" else f"unexpected character {ch!r}"
-                if ch.isdigit():  # but not decimal: a superscript or a circled digit
-                    message = f"bad natural literal {ch!r}"
-                raise ParseError(message, line, col)
-            tokens.append(_Token(kind, text, line, col))
-    tokens.append(_Token("EOF", "", line, len(source) - line_start + 1))
-    return tokens
+def _tokenize(source: str) -> tuple[list[str], list[str]]:
+    """The kinds and the texts of source's tokens, as two flat lists that end
+    with an EOF token of text "". A token that is no keyword or symbol is an
+    IDENT if it starts with a letter or `_`, a NAT if with a decimal digit,
+    and an error otherwise. No position is kept: one is computed only for an
+    error, by `_position`."""
+    texts = list(filter(None, _TOKEN.findall(source)))
+    kind = _KINDS.get
+    kinds = [
+        kind(text) or ("IDENT" if text[0].isalpha() or text[0] == "_" else "NAT" if text[0].isdecimal() else "")
+        for text in texts
+    ]
+    if "" in kinds:
+        index = kinds.index("")
+        ch = texts[index][0]  # a word that is no identifier, or no token at all
+        message = "stray '-'" if ch == "-" else f"unexpected character {ch!r}"
+        if ch.isdigit():  # but not decimal: a superscript or a circled digit
+            message = f"bad natural literal {ch!r}"
+        raise ParseError(message, *_position(source, index))
+    kinds.append("EOF")
+    texts.append("")
+    return kinds, texts
+
+
+def _position(source: str, index: int) -> tuple[int, int]:
+    """The line and column of token number `index` in source (the EOF token
+    when index is the number of tokens). It scans again with the lexer's own
+    pattern, so it is called only when an error is raised."""
+    starts = (m.start() for m in _TOKEN.finditer(source) if m.lastindex)
+    start = next(islice(starts, index, None), len(source))
+    line_start = source.rfind("\n", 0, start) + 1
+    return source.count("\n", 0, start) + 1, start - line_start + 1
 
 
 # ---------------------------------------------------------------------------
@@ -519,75 +523,73 @@ _TYPE_WORDS = {word: cls for word, cls in KEYWORD_FORMS.items() if issubclass(cl
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], inst: LatticeInstance):
-        self.tokens = tokens
+    """A cursor `pos` over the token lists of `_tokenize`."""
+
+    def __init__(self, source: str, inst: LatticeInstance):
+        self.source = source
+        self.kinds, self.texts = _tokenize(source)
         self.pos = 0
         self.inst = inst
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def expect(self, kind: str) -> str:
+        """Step over a token of this kind and return its text."""
+        pos = self.pos
+        if self.kinds[pos] != kind:
+            self.fail_expected(repr(kind))
+        self.pos = pos + 1
+        return self.texts[pos]
 
-    def next(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+    def fail(self, message: str, index: int):
+        raise ParseError(message, *_position(self.source, index))
 
-    def expect(self, kind: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            self.fail(f"expected {kind!r}, found {tok.text or 'end of input'!r}", tok)
-        return self.next()
-
-    def fail(self, message: str, tok: _Token | None = None):
-        tok = tok or self.peek()
-        raise ParseError(message, tok.line, tok.col)
+    def fail_expected(self, what: str):
+        self.fail(f"expected {what}, found {self.texts[self.pos] or 'end of input'!r}", self.pos)
 
     # literals ------------------------------------------------------------
 
     def natural(self) -> int:
         """The value of the NAT token at the cursor. int() takes decimal
         digits of any script, but no numeral of more than 4300 digits."""
-        tok = self.next()
+        text = self.expect("NAT")
         try:
-            return int(tok.text)
+            return int(text)
         except ValueError:
-            self.fail(f"natural literal of {len(tok.text)} digits is too long", tok)
+            self.fail(f"natural literal of {len(text)} digits is too long", self.pos - 1)
 
     def parse_raw_literal(self):
-        tok = self.peek()
-        if tok.kind == "NAT":
+        kind = self.kinds[self.pos]
+        if kind == "NAT":
             return self.natural()
-        if tok.kind == "IDENT":
-            self.next()
-            return tok.text
-        if tok.kind == "(":
-            self.next()
+        if kind == "IDENT":
+            return self.expect("IDENT")
+        if kind == "(":
+            self.pos += 1
             parts = [self.parse_raw_literal()]
-            while self.peek().kind == ",":
-                self.next()
+            while self.kinds[self.pos] == ",":
+                self.pos += 1
                 parts.append(self.parse_raw_literal())
             self.expect(")")
             return tuple(parts)
-        self.fail(f"expected a lattice literal, found {tok.text!r}")
+        self.fail_expected("a lattice literal")
 
     def parse_element(self) -> LatticeElement:
-        tok = self.peek()
+        start = self.pos
         lit = self.parse_raw_literal()
         try:
             return self.inst.from_literal(lit)
         except LatticeError as exc:
-            raise ParseError(str(exc), tok.line, tok.col) from exc
+            raise ParseError(str(exc), *_position(self.source, start)) from exc
 
     # types ---------------------------------------------------------------
 
     def parse_type(self) -> Type:
         left = self.parse_btype()
-        tok = self.peek()
-        if tok.kind == "->":
-            self.next()
+        kind = self.kinds[self.pos]
+        if kind == "->":
+            self.pos += 1
             return Arrow(left, self.parse_type(), None)
-        if tok.kind == "-[":
-            self.next()
+        if kind == "-[":
+            self.pos += 1
             latent = self.parse_element()
             self.expect("]->")
             return Arrow(left, self.parse_type(), latent)
@@ -595,36 +597,36 @@ class _Parser:
 
     def parse_btype(self) -> Type:
         left = self.parse_type_factor()
-        if self.peek().kind == "*":
-            self.next()
+        if self.kinds[self.pos] == "*":
+            self.pos += 1
             return Prod(left, self.parse_btype())
         return left
 
     def parse_type_factor(self) -> Type:
-        tok = self.peek()
-        cls = _TYPE_WORDS.get(tok.kind)
+        kind = self.kinds[self.pos]
+        cls = _TYPE_WORDS.get(kind)
         if cls is not None:
-            self.next()
+            self.pos += 1
             return cls()
-        if tok.kind == "Box":
-            self.next()
+        if kind == "Box":
+            self.pos += 1
             self.expect("[")
             grade = self.parse_element()
             self.expect("]")
             return Box(grade, self.parse_type_factor())
-        if tok.kind == "(":
-            self.next()
+        if kind == "(":
+            self.pos += 1
             inner = self.parse_type()
             self.expect(")")
             return inner
-        self.fail(f"expected a type, found {tok.text or 'end of input'!r}")
+        self.fail_expected("a type")
 
     # terms ---------------------------------------------------------------
 
     def parse_term(self) -> Term:
-        if self.peek().kind == "lam":
-            self.next()
-            name = self.expect("IDENT").text
+        if self.kinds[self.pos] == "lam":
+            self.pos += 1
+            name = self.expect("IDENT")
             self.expect(":")
             annot = self.parse_type()
             self.expect(".")
@@ -635,45 +637,47 @@ class _Parser:
 
     def parse_app(self) -> Term:
         term = self.parse_atom()
-        while self.peek().kind in self._ATOM_START:
+        kinds = self.kinds
+        while kinds[self.pos] in self._ATOM_START:
             term = App(term, self.parse_atom())
         return term
 
     def parse_atom(self) -> Term:
-        tok = self.peek()
-        if tok.kind == "IDENT":
-            self.next()
-            return Var(tok.text)
-        if tok.kind == "NAT":
+        pos = self.pos
+        kind = self.kinds[pos]
+        if kind == "IDENT":
+            self.pos = pos + 1
+            return Var(self.texts[pos])
+        if kind == "NAT":
             return NatLit(self.natural())
-        cls = _TERM_WORDS.get(tok.kind)
+        cls = _TERM_WORDS.get(kind)
         if cls is not None:  # a constant, or a prefix form and its one operand
-            self.next()
+            self.pos = pos + 1
             return cls(self.parse_atom()) if cls.__match_args__ else cls()
-        if tok.kind == "(":
-            self.next()
+        if kind == "(":
+            self.pos = pos + 1
             first = self.parse_term()
-            if self.peek().kind == ",":
-                self.next()
+            if self.kinds[self.pos] == ",":
+                self.pos += 1
                 second = self.parse_term()
                 self.expect(")")
                 return Pair(first, second)
             self.expect(")")
             return first
-        if tok.kind == "if":
-            self.next()
+        if kind == "if":
+            self.pos = pos + 1
             cond = self.parse_term()
             self.expect("then")
             then = self.parse_term()
             self.expect("else")
             return If(cond, then, self.parse_term())
-        if tok.kind == "box":
-            self.next()
+        if kind == "box":
+            self.pos = pos + 1
             self.expect("[")
             grade = self.parse_element()
             self.expect("]")
             return BoxT(grade, self.parse_atom())
-        self.fail(f"expected a term, found {tok.text or 'end of input'!r}")
+        self.fail_expected("a term")
 
 
 _P = TypeVar("_P")
@@ -681,11 +685,10 @@ _P = TypeVar("_P")
 
 def _parse_all(source: str, inst: LatticeInstance, production: Callable[[_Parser], _P]) -> _P:
     """Run one production over the whole source; input left after it is an error."""
-    parser = _Parser(_tokenize(source), inst)
+    parser = _Parser(source, inst)
     result = production(parser)
-    tok = parser.peek()
-    if tok.kind != "EOF":
-        parser.fail(f"trailing input starting at {tok.text!r}", tok)
+    if parser.kinds[parser.pos] != "EOF":
+        parser.fail(f"trailing input starting at {parser.texts[parser.pos]!r}", parser.pos)
     return result
 
 

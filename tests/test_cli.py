@@ -540,7 +540,25 @@ class TestInputErrors:
         code = main(argv)
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
-        assert captured.err == f"error: 1:1: {message}\n"
+        assert captured.err == f"error: --budget: 1:1: {message}\n"
+
+    @pytest.mark.parametrize(
+        "line, flags, origin, message",
+        [
+            ("budget = foo", [], "CFG: budget", "1:1: nat: expected a natural, got 'foo'"),
+            ("delta.if = (1,", [], "CFG: delta.if", "1:4: expected a lattice literal, found 'end of input'"),
+            ("budget = 100", ["--delta-if", "x"], "--delta-if", "1:1: nat: expected a natural, got 'x'"),
+        ],
+        ids=["config budget", "config delta", "flag over config"],
+    )
+    def test_literal_setting_error_names_its_origin(self, program, tmp_path, capsys, line, flags, origin, message):
+        # the line:col that follows is inside the setting's text, not the program
+        cfg = tmp_path / "session.cfg"
+        cfg.write_text(line + "\n")
+        code = main(["check", program(IF_EXAMPLE), "--lattice", "nat", "--config", str(cfg)] + flags)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: {origin.replace('CFG', str(cfg))}: {message}\n"
 
     @pytest.mark.parametrize(
         "case",

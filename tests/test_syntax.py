@@ -32,6 +32,7 @@ from rblam.syntax import (
     Type,
     Unbox,
     Var,
+    _position,
     _tokenize,
     alpha_eq,
     children,
@@ -125,6 +126,58 @@ class TestParseErrors:
         assert parse_literal_text("(1,2,0)", TRIPLE) == TRIPLE.element((1, 2, 0))
         with pytest.raises(ParseError):
             parse_literal_text("1 2", TRIPLE)
+
+
+# Each program spans lines with `#` comments and `\r\n` endings; a `\r` is a
+# blank, so it counts as a column. The texts are the ones the lexer gave when
+# every token kept its own line and column.
+LEXER_CASE = "# lexer case\r\n\r\n  "
+
+
+class TestErrorPositions:
+    @pytest.mark.parametrize(
+        "source, lattice, error",
+        [
+            ("# a comment\r\nlam x : Bool . # why\r\n  if x then ) else tt\r\n", NAT,
+             "3:13: expected a term, found ')'"),
+            ("(tt, ff) # a pair\r\n\r\n  ) tt\r\n", NAT, "3:3: trailing input starting at ')'"),
+            ("# c\r\nlam x : Bool # no body\r\n", NAT, "3:1: expected '.', found 'end of input'"),
+            ("# c\r\nlam x : Box[(1,2)] Nat . x\r\n", NAT, "2:13: nat: expected a natural, got (1, 2)"),
+            ("# c\r\nlam x : Box[(1,2)] Nat . x\r\n", TRIPLE,
+             "2:13: triple: expected a triple of naturals, got (1, 2)"),
+            ("# c\r\n(tt,\r\n " + "9" * 4301 + ")\r\n", NAT, "3:2: natural literal of 4301 digits is too long"),
+            (LEXER_CASE + "box[²] tt", NAT, "3:7: bad natural literal '²'"),
+            (LEXER_CASE + "①", NAT, "3:3: bad natural literal '①'"),
+            (LEXER_CASE + "tt\n  ²x", NAT, "4:3: bad natural literal '²'"),
+            (LEXER_CASE + "½", NAT, "3:3: unexpected character '½'"),
+            (LEXER_CASE + "Ⅷ", NAT, "3:3: unexpected character 'Ⅷ'"),
+            (LEXER_CASE + "tt - ff", NAT, "3:6: stray '-'"),
+        ],
+        ids=["unexpected token", "trailing input", "end of input", "grade on nat", "grade on triple",
+             "long natural", "lexer ²", "lexer ①", "lexer ² on line 4", "lexer ½", "lexer Ⅷ", "lexer -"],
+    )
+    def test_multi_line_error_positions(self, source, lattice, error):
+        with pytest.raises(ParseError) as exc:
+            parse(source, lattice)
+        assert str(exc.value) == error
+
+    def test_a_natural_of_4300_digits_parses(self):
+        assert parse("# c\r\n(tt,\r\n " + "9" * 4300 + ")\r\n", NAT) == Pair(TT(), NatLit(int("9" * 4300)))
+
+    @pytest.mark.parametrize(
+        "parse_it, source, error",
+        [
+            (parse, "box[", "1:5: expected a lattice literal, found 'end of input'"),
+            (parse, "box[(1,", "1:8: expected a lattice literal, found 'end of input'"),
+            (parse_literal_text, "(1,", "1:4: expected a lattice literal, found 'end of input'"),
+            (parse_literal_text, "", "1:1: expected a lattice literal, found 'end of input'"),
+        ],
+        ids=["box[", "box[(1,", "(1,", "empty literal"],
+    )
+    def test_end_of_input_in_a_lattice_literal(self, parse_it, source, error):
+        with pytest.raises(ParseError) as exc:
+            parse_it(source, NAT)
+        assert str(exc.value) == error
 
 
 class TestPrint:
@@ -502,7 +555,8 @@ def _reference_tokenize(source: str) -> list[tuple[str, str, int, int]]:
 
 
 def _pattern_tokenize(source: str) -> list[tuple[str, str, int, int]]:
-    return [(tok.kind, tok.text, tok.line, tok.col) for tok in _tokenize(source)]
+    kinds, texts = _tokenize(source)
+    return [(kind, text, *_position(source, i)) for i, (kind, text) in enumerate(zip(kinds, texts))]
 
 
 def _tokens_or_error(tokenize, source):
