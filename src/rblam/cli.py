@@ -180,13 +180,16 @@ class Session:
         self.format = pick("format", "text")
 
 
-def _int_at_least(lo: int):
-    """argparse type for an integer flag that must be at least `lo`."""
+def _int_at_least(lo: int, hi: int | None = None):
+    """argparse type for an integer flag that must be at least `lo`, and at
+    most `hi` if given."""
 
     def parse_int(text: str) -> int:
         value = int(text)
         if value < lo:
             raise argparse.ArgumentTypeError(f"must be at least {lo}, got {value}")
+        if hi is not None and value > hi:
+            raise argparse.ArgumentTypeError(f"must be at most {hi}, got {value}")
         return value
 
     parse_int.__name__ = "int"  # argparse names the type in "invalid int value"
@@ -409,7 +412,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuzz = sub.add_parser("fuzz", help="run metatheory property suites")
     p_fuzz.add_argument("--count", type=_int_at_least(1), default=1000)
     p_fuzz.add_argument("--seed", type=int, default=0)
-    p_fuzz.add_argument("--depth", type=_int_at_least(1), default=5)
+    # generation time grows about 1.5x per level, and far deeper terms
+    # outgrow the recursion limit
+    p_fuzz.add_argument("--depth", type=_int_at_least(1, 32), default=5, help="term depth, 1..32")
     p_fuzz.add_argument("--props", help="comma-separated property names")
     p_fuzz.add_argument("--workers", type=_int_at_least(1), default=1)
     p_fuzz.add_argument("--fn-var-reuse", dest="fn_var_reuse", action="store_true",

@@ -103,7 +103,7 @@ def _fuel(units: int):
 
 def _value(t, d, inst, fuel, tracing):
     next(fuel)
-    return t, inst.bottom(), EvalTrace.make("Val", t, inst.bottom(), ()) if tracing else None
+    return t, inst.bottom(), EvalTrace("Val", t, inst.bottom(), ()) if tracing else None
 
 
 def _pair(t, d, inst, fuel, tracing):
@@ -112,8 +112,8 @@ def _pair(t, d, inst, fuel, tracing):
     next(fuel)
     va, ka, ta = RULES[t.fst.__class__](t.fst, d, inst, fuel, tracing)
     vb, kb, tb = RULES[t.snd.__class__](t.snd, d, inst, fuel, tracing)
-    node = EvalTrace.make("Pair", t, inst.bottom(), (ta, tb)) if tracing else None
-    return Pair.make(va, vb), inst.combine(ka, kb), node
+    node = EvalTrace("Pair", t, inst.bottom(), (ta, tb)) if tracing else None
+    return Pair(va, vb), inst.combine(ka, kb), node
 
 
 def _proj(t, d, inst, fuel, tracing):
@@ -121,7 +121,7 @@ def _proj(t, d, inst, fuel, tracing):
     va, k, tr = RULES[t.arg.__class__](t.arg, d, inst, fuel, tracing)
     if not isinstance(va, Pair):
         raise Stuck(f"{KEYWORD_OF[t.__class__]} of non-pair value {pretty(va)}")
-    node = EvalTrace.make(t.__class__.__name__, t, d.proj, (tr,)) if tracing else None
+    node = EvalTrace(t.__class__.__name__, t, d.proj, (tr,)) if tracing else None
     return va.fst if t.__class__ is Fst else va.snd, inst.combine(k, d.proj), node
 
 
@@ -136,7 +136,7 @@ def _if(t, d, inst, fuel, tracing):
         raise Stuck(f"if on non-boolean value {pretty(vc)}")
     vb, kb, tb = RULES[taken.__class__](taken, d, inst, fuel, tracing)
     cost = inst.combine(inst.combine(kc, kb), d.iff)
-    return vb, cost, EvalTrace.make(rule, t, d.iff, (tc, tb)) if tracing else None
+    return vb, cost, EvalTrace(rule, t, d.iff, (tc, tb)) if tracing else None
 
 
 def _app(t, d, inst, fuel, tracing):
@@ -148,7 +148,7 @@ def _app(t, d, inst, fuel, tracing):
     body = substitute(vf.body, vf.name, va)
     vb, kb, tb = RULES[body.__class__](body, d, inst, fuel, tracing)
     cost = inst.combine(inst.combine(inst.combine(kf, ka), d.app), kb)
-    return vb, cost, EvalTrace.make("App", t, d.app, (tf, ta, tb)) if tracing else None
+    return vb, cost, EvalTrace("App", t, d.app, (tf, ta, tb)) if tracing else None
 
 
 def _box(t, d, inst, fuel, tracing):
@@ -156,7 +156,7 @@ def _box(t, d, inst, fuel, tracing):
         return _value(t, d, inst, fuel, tracing)
     next(fuel)
     vb, k, tb = RULES[t.body.__class__](t.body, d, inst, fuel, tracing)
-    return BoxT.make(t.grade, vb), k, EvalTrace.make("Box", t, inst.bottom(), (tb,)) if tracing else None
+    return BoxT(t.grade, vb), k, EvalTrace("Box", t, inst.bottom(), (tb,)) if tracing else None
 
 
 def _unbox(t, d, inst, fuel, tracing):
@@ -164,7 +164,7 @@ def _unbox(t, d, inst, fuel, tracing):
     va, k, tr = RULES[t.arg.__class__](t.arg, d, inst, fuel, tracing)
     if not isinstance(va, BoxT):
         raise Stuck(f"unbox of non-box value {pretty(va)}")
-    return va.body, inst.combine(k, d.unbox), EvalTrace.make("Unbox", t, d.unbox, (tr,)) if tracing else None
+    return va.body, inst.combine(k, d.unbox), EvalTrace("Unbox", t, d.unbox, (tr,)) if tracing else None
 
 
 def _stuck(t, d, inst, fuel, tracing):

@@ -21,8 +21,13 @@ payload or a pickled element is a copy, `==` to the shared one: callers
 compare elements with `==`. Every operation runs its payload hook (`_leq`,
 `_combine`, `_join`, `_bottom`), the one definition of the lattice.
 
+Every payload is plain data (a natural, a tuple of naturals, an element
+name, or a product's tuple of component payloads), and a parsed literal is
+its payload: `element`, which validates it, is the one constructor from data.
+
 Elements are `record`s, the frozen slot classes that the term, type and
-derivation classes of the other modules are built from too.
+derivation classes of the other modules are built from too; a record has
+one constructor, its class call.
 """
 
 from __future__ import annotations
@@ -52,10 +57,9 @@ def record(cls: type | None = None, /, **defaults):
     give trailing fields defaults. The class body declares `__slots__` as
     its annotated fields, in order. The class keeps the frozen-dataclass
     contract and gains an `__init__` that writes each slot through its
-    descriptor, past the refusing `__setattr__`, and a static `make` that
-    builds an instance the same way as a plain call, without the class
-    call's second interpreter frame. Slots that a base class declares are
-    caches, which both set to None; a class that inherits a `_hash` slot
+    descriptor, past the refusing `__setattr__`; the class call is a
+    record's one constructor. Slots that a base class declares are caches,
+    which `__init__` sets to None; a class that inherits a `_hash` slot
     computes its hash once and keeps it there."""
     if cls is None:
         return lambda cls: record(cls, **defaults)
@@ -68,15 +72,13 @@ def record(cls: type | None = None, /, **defaults):
         raise TypeError(f"{cls.__name__}: defaults must name trailing fields")
     caches = [n for base in cls.__mro__[1:] for n in base.__dict__.get("__slots__", ())]
     env = {f"_set_{n}": getattr(cls, n).__set__ for n in names + tuple(caches)}
-    env.update({f"_default_{n}": v for n, v in defaults.items()}, _new=object.__new__, _cls=cls)
+    env.update({f"_default_{n}": v for n, v in defaults.items()})
     params = ", ".join(["self"] + [f"{n}=_default_{n}" if n in defaults else n for n in names])
     body = [f"    _set_{n}(self, {n})" for n in names] + [f"    _set_{n}(self, None)" for n in caches]
-    make = [f"def make({', '.join(names)}):", "    self = _new(_cls)"] + body + ["    return self"]
-    exec("\n".join([f"def __init__({params}):"] + (body or ["    pass"]) + make), env)
+    exec("\n".join([f"def __init__({params}):"] + (body or ["    pass"])), env)
     init = cls.__init__ = env["__init__"]
     init.__qualname__ = f"{cls.__qualname__}.__init__"
     init.__annotations__ = dict(cls.__dict__.get("__annotations__", {}))
-    cls.make = staticmethod(env["make"])
     # after __init__: the dataclass docstring is read off its signature
     dataclass(init=False, frozen=True)(cls)
     for f in fields(cls):
@@ -119,7 +121,6 @@ class LatticeElement:
         return f"<{self.instance.name}:{self.instance.format(self)}>"
 
 
-_element = LatticeElement.make  # a global call costs less than the class call
 SHARED_ELEMENTS = 256  # shared payloads per instance; a bound keeps construction O(1) in a sat cap
 
 
@@ -145,7 +146,7 @@ class LatticeInstance:
 
     def _new(self, payload: Any) -> LatticeElement:
         """A new element of a valid payload, shared while the table has room."""
-        el = _element(self, payload)
+        el = LatticeElement(self, payload)
         if len(self._shared) < SHARED_ELEMENTS:
             self._shared[payload] = el
         return el
@@ -162,6 +163,8 @@ class LatticeInstance:
         return el.payload
 
     def element(self, payload: Any) -> LatticeElement:
+        """The element of a payload, which `_check_payload` validates: the one
+        constructor from data, surface literals included."""
         p = self._check_payload(payload)
         return self._shared.get(p) or self._new(p)
 
@@ -211,12 +214,6 @@ class LatticeInstance:
     def top(self) -> LatticeElement | None:
         """Greatest element, if the instance has a unique one."""
         return None
-
-    def from_literal(self, lit: Any) -> LatticeElement:
-        """Build an element from a parsed surface literal (a natural, an
-        element name, or a tuple of literals): by default the literal is the
-        payload, which `element` validates."""
-        return self.element(lit)
 
     def format(self, el: LatticeElement) -> str:
         """Render an element as a surface literal."""
@@ -461,8 +458,9 @@ class FiniteLattice(LatticeInstance):
 
 
 class ProductLattice(LatticeInstance):
-    """Componentwise product of lattices; payloads are tuples of the
-    component instances' elements."""
+    """Componentwise product of lattices. A payload is the tuple of its
+    components' payloads, and each operation applies the components' payload
+    hooks coordinate by coordinate."""
 
     def __init__(self, components: Sequence[LatticeInstance], name: str | None = None):
         if not components:
@@ -473,22 +471,23 @@ class ProductLattice(LatticeInstance):
 
     def _check_payload(self, payload):
         if not isinstance(payload, tuple) or len(payload) != len(self.components):
-            raise LatticeError(f"{self.name}: expected a {len(self.components)}-tuple of elements")
-        for comp, el in zip(self.components, payload):
-            comp._own(el)
-        return payload
+            raise LatticeError(f"{self.name}: expected a {len(self.components)}-tuple, got {payload!r}")
+        return tuple([c._check_payload(x) for c, x in zip(self.components, payload)])
 
     def _leq(self, a, b):
-        return all(c.leq(x, y) for c, x, y in zip(self.components, a, b))
+        for c, x, y in zip(self.components, a, b):
+            if not c._leq(x, y):
+                return False
+        return True
 
     def _combine(self, a, b):
-        return tuple(c.combine(x, y) for c, x, y in zip(self.components, a, b))
+        return tuple([c._combine(x, y) for c, x, y in zip(self.components, a, b)])
 
     def _join(self, a, b):
-        return tuple(c.join(x, y) for c, x, y in zip(self.components, a, b))
+        return tuple([c._join(x, y) for c, x, y in zip(self.components, a, b)])
 
     def _bottom(self):
-        return tuple(c.bottom() for c in self.components)
+        return tuple([c._bottom() for c in self.components])
 
     @property
     def is_finite(self):
@@ -497,38 +496,29 @@ class ProductLattice(LatticeInstance):
     def enumerate(self):
         if not self.is_finite:
             raise LatticeError(f"lattice {self.name!r} is not finite")
-        parts = [c.enumerate() for c in self.components]
-        return [self.element(tuple(combo)) for combo in itertools.product(*parts)]
+        parts = [[el.payload for el in c.enumerate()] for c in self.components]
+        return [self.element(combo) for combo in itertools.product(*parts)]
 
     def top(self):
         tops = [c.top() for c in self.components]
         if any(t is None for t in tops):
             return None
-        return self.element(tuple(tops))
-
-    def from_literal(self, lit):
-        """A tuple of component literals, whose elements are the payload."""
-        if not isinstance(lit, tuple) or len(lit) != len(self.components):
-            raise LatticeError(
-                f"{self.name}: literal must be a {len(self.components)}-tuple, got {lit!r}"
-            )
-        return self.element(tuple(c.from_literal(x) for c, x in zip(self.components, lit)))
+        return self.element(tuple([t.payload for t in tops]))
 
     def format(self, el):
-        parts = (c.format(x) for c, x in zip(self.components, self._own(el)))
+        parts = (c.format(c.element(x)) for c, x in zip(self.components, self._own(el)))
         return "({})".format(",".join(parts))
 
     def unit_step(self):
         # one step in the first component, like the triple's time tick
-        first = self.components[0].unit_step()
-        rest = tuple(c.bottom() for c in self.components[1:])
-        return self.element((first,) + rest)
+        first = self.components[0].unit_step().payload
+        return self.element((first,) + tuple([c._bottom() for c in self.components[1:]]))
 
     def random_element(self, rng):
-        return self.element(tuple(c.random_element(rng) for c in self.components))
+        return self.element(tuple([c.random_element(rng).payload for c in self.components]))
 
     def large_budget(self):
-        return self.element(tuple(c.large_budget() for c in self.components))
+        return self.element(tuple([c.large_budget().payload for c in self.components]))
 
 
 NAT = NatLattice("nat")

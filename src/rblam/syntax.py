@@ -12,9 +12,10 @@ Terms, types and the typing and evaluation records built over them are
 `record`s (`lattice.record`): frozen dataclasses with slots. Each keeps the
 dataclass contract (`dataclasses.fields`, `__match_args__`, structural `==`
 and hash, `repr`, `FrozenInstanceError` on assignment or deletion), has no
-`__dict__`, and pickles as its class applied to its fields. Its `__init__` writes each slot
-through the slot's descriptor, which costs about half of a frozen
-dataclass's `object.__setattr__` per field. The class body declares
+`__dict__`, and pickles as its class applied to its fields. The class call
+is its one constructor: its `__init__` writes each slot through the slot's
+descriptor, which costs about half of a frozen dataclass's
+`object.__setattr__` per field. The class body declares
 `__slots__` itself, so the decorator changes the class in place and leaves
 no second class behind (`dataclass(slots=True)` would).
 
@@ -576,7 +577,7 @@ class _Parser:
         start = self.pos
         lit = self.parse_raw_literal()
         try:
-            return self.inst.from_literal(lit)
+            return self.inst.element(lit)
         except LatticeError as exc:
             raise ParseError(str(exc), *_position(self.source, start)) from exc
 

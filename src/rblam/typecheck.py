@@ -261,11 +261,11 @@ def _var(ctx, t, mode, d, inst, kids):
     ty = ctx.lookup(t.name)
     if ty is None:
         raise TypingError(f"unbound variable {t.name!r}")
-    return Derivation.make("Var", t, ty, inst.bottom(), ())
+    return Derivation("Var", t, ty, inst.bottom(), ())
 
 
 def _const(ctx, t, mode, d, inst, kids):
-    return Derivation.make("Const", t, _NAT if t.__class__ is NatLit else _BOOL, inst.bottom(), ())
+    return Derivation("Const", t, _NAT if t.__class__ is NatLit else _BOOL, inst.bottom(), ())
 
 
 def _lam(ctx, t, mode, d, inst, kids):
@@ -273,8 +273,8 @@ def _lam(ctx, t, mode, d, inst, kids):
         _reject_latents(t.annot)
     bd = kids[0] if kids else RULES[t.body.__class__](ctx.extend(t.name, t.annot), t.body, mode, d, inst, ())
     if mode is Mode.PAPER:
-        return Derivation.make("Lam", t, Arrow.make(t.annot, bd.type, None), bd.bound, (bd,))
-    return Derivation.make("Lam", t, Arrow.make(t.annot, bd.type, bd.bound), inst.bottom(), (bd,))
+        return Derivation("Lam", t, Arrow(t.annot, bd.type, None), bd.bound, (bd,))
+    return Derivation("Lam", t, Arrow(t.annot, bd.type, bd.bound), inst.bottom(), (bd,))
 
 
 def _app(ctx, t, mode, d, inst, kids):
@@ -288,13 +288,13 @@ def _app(ctx, t, mode, d, inst, kids):
     bound = inst.combine(inst.combine(fd.bound, ad.bound), d.app)
     if mode is Mode.SOUND:
         bound = inst.combine(bound, latent_of(fty, inst))
-    return Derivation.make("App", t, fty.cod, bound, (fd, ad))
+    return Derivation("App", t, fty.cod, bound, (fd, ad))
 
 
 def _pair(ctx, t, mode, d, inst, kids):
     ad = kids[0] if kids else RULES[t.fst.__class__](ctx, t.fst, mode, d, inst, ())
     bd = kids[1] if kids else RULES[t.snd.__class__](ctx, t.snd, mode, d, inst, ())
-    return Derivation.make("Pair", t, Prod.make(ad.type, bd.type), inst.combine(ad.bound, bd.bound), (ad, bd))
+    return Derivation("Pair", t, Prod(ad.type, bd.type), inst.combine(ad.bound, bd.bound), (ad, bd))
 
 
 def _proj(ctx, t, mode, d, inst, kids):
@@ -303,7 +303,7 @@ def _proj(ctx, t, mode, d, inst, kids):
     if not isinstance(ty, Prod):
         raise TypingError(f"{KEYWORD_OF[t.__class__]} of a non-pair type {pretty_type(ty)}")
     part = ty.left if t.__class__ is Fst else ty.right
-    return Derivation.make(t.__class__.__name__, t, part, inst.combine(ad.bound, d.proj), (ad,))
+    return Derivation(t.__class__.__name__, t, part, inst.combine(ad.bound, d.proj), (ad,))
 
 
 def _if(ctx, t, mode, d, inst, kids):
@@ -314,7 +314,7 @@ def _if(ctx, t, mode, d, inst, kids):
     ed = kids[2] if kids else RULES[t.other.__class__](ctx, t.other, mode, d, inst, ())
     ty = type_lub(td.type, ed.type, mode, inst)
     bound = inst.combine(inst.combine(cd.bound, inst.join(td.bound, ed.bound)), d.iff)
-    return Derivation.make("If", t, ty, bound, (cd, td, ed))
+    return Derivation("If", t, ty, bound, (cd, td, ed))
 
 
 def _box(ctx, t, mode, d, inst, kids):
@@ -322,14 +322,14 @@ def _box(ctx, t, mode, d, inst, kids):
     bd = kids[0] if kids else RULES[t.body.__class__](ctx, t.body, mode, d, inst, ())
     if not inst.leq(bd.bound, t.grade):
         raise GradeExceeded(bd.bound, t.grade)
-    return Derivation.make("Box", t, Box.make(t.grade, bd.type), bd.bound, (bd,))
+    return Derivation("Box", t, Box(t.grade, bd.type), bd.bound, (bd,))
 
 
 def _unbox(ctx, t, mode, d, inst, kids):
     ad = kids[0] if kids else RULES[t.arg.__class__](ctx, t.arg, mode, d, inst, ())
     if not isinstance(ad.type, Box):
         raise TypingError(f"unbox of a non-box type {pretty_type(ad.type)}")
-    return Derivation.make("Unbox", t, ad.type.body, inst.combine(ad.bound, d.unbox), (ad,))
+    return Derivation("Unbox", t, ad.type.body, inst.combine(ad.bound, d.unbox), (ad,))
 
 
 def _untypable(ctx, t, mode, d, inst, kids):

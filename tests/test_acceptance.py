@@ -53,11 +53,7 @@ def test_criterion_1_lattice_laws(data_dir):
     assert check_laws(TRIPLE, corners).passed
 
     prod = ProductLattice([NAT, NAT])
-    sample = [
-        prod.element((NAT.element(i), NAT.element(j)))
-        for i in (0, 1, 2, 5)
-        for j in (0, 1, 2, 5)
-    ]
+    sample = [prod.element((i, j)) for i in (0, 1, 2, 5) for j in (0, 1, 2, 5)]
     assert check_laws(prod, sample).passed
 
     names = ["0", "1", "2"]

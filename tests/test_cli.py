@@ -469,6 +469,8 @@ class TestInputErrors:
             ["fuzz", "--count", "-5"],
             ["fuzz", "--count", "0"],
             ["fuzz", "--depth", "0"],
+            ["fuzz", "--depth", "33"],
+            ["fuzz", "--depth", "600"],
             ["fuzz", "--workers", "0"],
             ["fuzz", "--hunt", "--props", "determinism"],
             ["fuzz", "--hunt", "--props", "cost_soundness,determinism"],

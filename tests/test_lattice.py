@@ -23,6 +23,7 @@ from rblam.lattice import (
     load_lattice,
     parse_lattice_table,
 )
+from rblam.syntax import ParseError, parse, parse_literal_text, pretty
 
 
 def nat_el(n):
@@ -77,7 +78,7 @@ class TestBottom:
 
     def test_product_componentwise(self):
         prod = ProductLattice([NAT, TRIPLE])
-        assert prod.bottom() == prod.element((NAT.element(0), TRIPLE.element((0, 0, 0))))
+        assert prod.bottom() == prod.element((0, (0, 0, 0)))
 
 
 def operands(own, foreign, position):
@@ -164,6 +165,16 @@ class TestElementContract:
             with pytest.raises(LatticeError):
                 inst2.leq(els[0], els2[0])
 
+    def test_product_element_pickles_alone(self):
+        # the instance is pickled by value, its builtin components by name
+        prod = ProductLattice([NAT, TRIPLE])
+        el = pickle.loads(pickle.dumps(parse_literal_text("(1,(0,2,0))", prod)))
+        inst = el.instance
+        assert inst is not prod and inst.components == [NAT, TRIPLE]
+        assert repr(el) == "<product(nat,triple):(1,(0,2,0))>"
+        assert inst.combine(el, el) == parse_literal_text("(2,(0,4,0))", inst)
+        assert inst.join(el, inst.unit_step()) == el and inst.leq(inst.bottom(), el)
+
     @pytest.mark.parametrize("name", ["nat", "gas", "triple", "sat3"])
     def test_builtin_elements_unpickle_equal(self, name):
         inst = builtin_lattice(name)
@@ -201,23 +212,36 @@ def test_element_payload_validation():
 
 class TestLiterals:
     def test_nat(self):
-        assert NAT.from_literal(3) == nat_el(3)
+        assert parse_literal_text("3", NAT) == nat_el(3)
 
     def test_triple(self):
-        assert TRIPLE.from_literal((1, 2, 0)) == trip(1, 2, 0)
+        assert parse_literal_text("(1,2,0)", TRIPLE) == trip(1, 2, 0)
 
     def test_product(self):
         prod = ProductLattice([NAT, NAT])
-        assert prod.from_literal((1, 2)) == prod.element((nat_el(1), nat_el(2)))
+        assert parse_literal_text("(1,2)", prod) == prod.element((1, 2))
 
     def test_wrong_shape(self):
-        with pytest.raises(LatticeError):
-            TRIPLE.from_literal(3)
-        with pytest.raises(LatticeError):
-            NAT.from_literal("x")
+        with pytest.raises(ParseError):
+            parse_literal_text("3", TRIPLE)
+        with pytest.raises(ParseError):
+            parse_literal_text("x", NAT)
 
     def test_format_round_trip(self):
         assert TRIPLE.format(trip(1, 2, 0)) == "(1,2,0)"
+
+    def test_product_literal_nests_component_literals(self):
+        prod = ProductLattice([NAT, TRIPLE])
+        el = parse_literal_text("(1,(0,2,0))", prod)
+        assert prod.format(el) == "(1,(0,2,0))"
+        assert prod.leq(prod.unit_step(), el) and not prod.leq(el, prod.unit_step())
+        term = parse("box[(1,(0,2,0))] tt", prod)
+        assert term.grade == el and pretty(term) == "box[(1,(0,2,0))] tt"
+
+    def test_bad_component_literal_names_the_component(self):
+        with pytest.raises(ParseError) as exc:
+            parse_literal_text("(1,(0,x,0))", ProductLattice([NAT, TRIPLE]))
+        assert str(exc.value) == "1:1: triple: expected a triple of naturals, got (0, 'x', 0)"
 
 
 class TestLawChecker:
@@ -235,7 +259,7 @@ class TestLawChecker:
 
     def test_product_of_lawful_is_lawful(self):
         prod = ProductLattice([NAT, NAT])
-        sample = [prod.element((nat_el(i), nat_el(j))) for i in (0, 1, 2, 5) for j in (0, 1, 2, 5)]
+        sample = [prod.element((i, j)) for i in (0, 1, 2, 5) for j in (0, 1, 2, 5)]
         assert check_laws(prod, sample).passed
 
     def test_broken_associativity_flagged_with_witness(self):

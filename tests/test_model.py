@@ -6,6 +6,7 @@ from rblam.harness import GenConfig, gen_typed_term
 from rblam.lattice import (
     NAT,
     FiniteLattice,
+    ProductLattice,
     SaturatingNatLattice,
     load_lattice,
 )
@@ -401,6 +402,29 @@ class TestRunModelChecks:
     def test_saturating_all_pass(self, cap):
         report = run_model_checks(sat(cap))
         assert report.passed, str(report)
+
+    def test_product_of_finite_lattices_is_exhaustive(self):
+        # a product's grades are tuples of its components' literals
+        report = run_model_checks(ProductLattice([sat(1), sat(2)]))
+        assert report.passed, str(report)
+        assert report.universe["exhaustive"] and report.universe["elements"] == 6
+        assert {c.name: c.checked for c in report.checks} == {
+            "lattice-laws": 904,
+            "sections[Bool]": 2,
+            "sections[Nat]": 4,
+            "sections[Bool * Bool]": 4,
+            "sections[Bool * Nat]": 8,
+            "sections[Box[(0,0)] Bool]": 2,
+            "sections[Box[(1,0)] Bool]": 2,
+            "sections[Box[(1,2)] Bool]": 2,
+            "sections[Box[(1,2)] (Bool * Bool)]": 4,
+            "sections[Bool -> Bool]": 4662,
+            "sections[Nat -> Bool]": 3576,
+            "sections[Bool * Bool -> Bool]": 3576,
+            "sections[Bool -> Box[(1,2)] Bool]": 2826,
+            "sections[Box[(1,2)] Bool -> Bool]": 2562,
+        }
+        assert list(report.universe["sections"].values()) == [2, 4, 4, 8, 2, 2, 2, 4, 777, 298, 298, 471, 427]
 
     def test_checks_are_the_laws_then_one_section_family_per_type(self):
         inst = sat(2)

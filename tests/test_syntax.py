@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rblam.harness import GenConfig, gen_typed_term
-from rblam.lattice import NAT, TRIPLE, LatticeElement
+from rblam.lattice import NAT, TRIPLE
 from rblam.syntax import (
     App,
     Arrow,
@@ -416,14 +416,6 @@ class TestRecords:
         assert Arrow(Bool(), Nat()) == Arrow(Bool(), Nat(), None) != Arrow(Nat(), Nat())
         assert repr(Lam("x", Bool(), Var("x"))) == "Lam(name='x', annot=Bool(), body=Var(name='x'))"
         assert dataclasses.replace(Var("x"), name="y") == Var("y")
-
-    def test_make_builds_what_the_class_call_builds(self):
-        # make sets the slots as __init__ does, caches included
-        arrow = Arrow.make(Bool(), Nat(), NAT.element(1))
-        assert arrow == Arrow(Bool(), Nat(), NAT.element(1)) and hash(arrow) == hash(Arrow(Bool(), Nat(), NAT.element(1)))
-        app = App.make(Var("f"), TT())
-        assert app == App(Var("f"), TT()) and free_vars(app) == {"f"} and TT.make() == TT()
-        assert LatticeElement.make(NAT, 2) == NAT.element(2)
 
     def test_equal_types_built_apart_hash_equal(self):
         src = "Box[2] (Bool -> Nat) * Nat -> Bool"
