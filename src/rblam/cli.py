@@ -311,7 +311,8 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
             print(r)
             if args.hunt:
                 for failure in r.failures[:5]:
-                    print(f"  trial {failure.trial}: {failure.observed} minimized to {failure.minimized}")
+                    print(f"  trial {failure.trial}: {failure.observed} minimized to {failure.minimized}"
+                          f" with {failure.minimized_observed}")
     passed = all(r.passed for r in reports)
     # the hunt succeeds when it finds a violation
     return OK if passed != args.hunt else VIOLATION

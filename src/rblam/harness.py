@@ -11,9 +11,10 @@ value from that derivation; they synthesize only terms they did not
 generate (an evaluation result, a substituted term) and the budget
 verdicts. The minimizer derives its input once; each shrink candidate
 then re-derives only the replaced node's spine, the path from it to the
-root, and reuses the derivations of the subterms off that path. A canonical
-inhabitant is typed once per trial and once per minimize call: the
-minimizer runs on a generator state and shares its inhabitant memo.
+root, and reuses the derivations of the subterms off that path. It tries
+each distinct candidate term once per call. A canonical inhabitant is
+typed once per trial and once per minimize call: the minimizer runs on a
+generator state and shares its inhabitant memo.
 
 Each suite is a check: straight-line code that raises a violation at the
 first relation it sees broken. Its ``PROPERTIES`` entry returns ``Failure |
@@ -43,7 +44,7 @@ from bisect import bisect
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
-from itertools import accumulate, islice
+from itertools import accumulate
 from typing import Callable
 
 from rblam.interp import EvalError, evaluate
@@ -70,12 +71,12 @@ from rblam.syntax import (
     Var,
     alpha_eq,
     free_vars,
+    labels,
     pretty,
     pretty_type,
     rebuild,
     rename_binders,
     substitute,
-    term_size,
 )
 from rblam.typecheck import (
     Context,
@@ -548,16 +549,31 @@ def minimize(term: Term, failing_property: Callable[[Derivation], bool], cfg: Ge
     node's spine, the path from it to the root, and reuses the derivation of
     every subterm off that path, so an accepted candidate's derivation starts
     the next pass. A term that does not typecheck as a closed term is
-    returned unchanged; every harness caller's does."""
+    returned unchanged; every harness caller's does.
+
+    Each distinct candidate term is tried once per call. A candidate is
+    strictly smaller than the term it shrinks, so an accepted term never
+    comes up again, and a term tried before was rejected: it did not
+    typecheck, or the property returned False or raised. Terms are numbered
+    by structure for the call (`_Numbering`), a candidate's number costs one
+    lookup per node on its spine, and a candidate whose number was tried is
+    skipped before its spine is derived. Nothing outlives the call."""
     st = _GenState(cfg, None)
     try:
         current = derive(Context(), term, cfg.mode, st.deltas, st.inst)
     except TypingError:
         return term
+    numbering = _Numbering()
+    tried: set[int] = set()  # the numbers of the candidate terms tried
     while True:
-        for path, cand in _candidates(current, st):
+        table = _Preorder(current, numbering)
+        for i, cand, number in _candidates(table, st):
+            whole = table.replaced(i, number)
+            if whole in tried:
+                continue
+            tried.add(whole)
             try:
-                replaced = _respine(current, path, cand, st)
+                replaced = _respine(current, table.paths[i], cand, st)
             except TypingError:
                 continue
             try:
@@ -570,45 +586,128 @@ def minimize(term: Term, failing_property: Callable[[Derivation], bool], cfg: Ge
             return current.term
 
 
-def _candidates(root: Derivation, st: _GenState):
-    """(path, derivation) for every shrink move on root, lazily and in the
-    minimizer's order: at each subterm position u in preorder, u's type's
-    minimal inhabitant when it is smaller than u, then every strictly smaller
-    subterm of u in preorder whose type fits u's. A hoisted subterm keeps its
-    derivation unless a binder it is hoisted past captures one of its free
-    variables; then it is derived again in u's context, where that name is
-    unbound or means an outer binding.
+class _Numbering:
+    """Hash-consing for one minimize call: each distinct term gets one
+    number, keyed by its node's class and labels and its kids' numbers, so
+    two terms are equal exactly when their numbers are. No key holds a term,
+    so no comparison walks one.
+
+    A derivation is numbered once, through `of`, which keeps its node: the
+    derivation itself (which keeps its id its own), its head (class and
+    labels), its kids' numbers, its number and its term's size. The
+    subterms that one pass's root shares with the next pass's keep their
+    nodes."""
+
+    def __init__(self):
+        self.numbers: dict[tuple, int] = {}
+        self.nodes: dict[int, tuple] = {}
+
+    def number(self, head: tuple, kids: tuple[int, ...]) -> int:
+        """The number of the node with this head over kids numbered so."""
+        return self.numbers.setdefault(head + kids, len(self.numbers))
+
+    def of(self, d: Derivation) -> tuple[Derivation, tuple, tuple[int, ...], int, int]:
+        """d's node. It recurses into the kids not numbered yet, so a deep
+        term is numbered from its leaves up (`_Preorder`)."""
+        node = self.nodes.get(id(d))
+        if node is None:
+            head, kids, size = (type(d.term), *labels(d.term)), (), 1
+            for kid in d.children:
+                _, _, _, number, kid_size = self.of(kid)
+                kids += (number,)
+                size += kid_size
+            node = self.nodes[id(d)] = (d, head, kids, self.number(head, kids), size)
+        return node
+
+
+class _Preorder:
+    """One minimize pass's table of the root's subterm positions in
+    preorder, built with an explicit stack. Position i holds its path from
+    the root, the binders passed above it (the context its term is typed
+    in), its derivation, its parent position and its numbered node. Its
+    subterms fill positions i through i + sizes[i] - 1."""
+
+    def __init__(self, root: Derivation, numbering: _Numbering):
+        self.numbering = numbering
+        self.paths: list[tuple[int, ...]] = []
+        self.ctxs: list[tuple[tuple[str, Type], ...]] = []
+        self.derivs: list[Derivation] = []
+        self.parents: list[int] = []
+        stack = [(root, (), (), -1)]
+        while stack:
+            d, path, ctx, parent = stack.pop()
+            i = len(self.derivs)
+            self.paths.append(path)
+            self.ctxs.append(ctx)
+            self.derivs.append(d)
+            self.parents.append(parent)
+            if isinstance(d.term, Lam):
+                ctx = ctx + ((d.term.name, d.term.annot),)
+            for k in range(len(d.children) - 1, -1, -1):
+                stack.append((d.children[k], path + (k,), ctx, i))
+        # last position first: a position's kids follow it, so they are numbered before it
+        known, of = numbering.nodes.get, numbering.of
+        self.nodes = [known(id(d)) or of(d) for d in reversed(self.derivs)]
+        self.nodes.reverse()
+        self.sizes = [node[4] for node in self.nodes]
+        self.numbers = [node[3] for node in self.nodes]
+
+    def replaced(self, i: int, number: int) -> int:
+        """The number of the root's term with the subterm at position i
+        replaced by the term numbered `number`: one lookup per node on i's
+        spine."""
+        for k in reversed(self.paths[i]):
+            i = self.parents[i]
+            _, head, kids, _, _ = self.nodes[i]
+            number = self.numbering.number(head, kids[:k] + (number,) + kids[k + 1:])
+        return number
+
+
+def _candidates(table: _Preorder, st: _GenState):
+    """(position, derivation, number) for every shrink move on the table's
+    root, lazily and in the minimizer's order; the number is the
+    derivation's term's. At each subterm position u in preorder: u's type's
+    minimal inhabitant when it is smaller than u, then every strictly
+    smaller subterm of u, the positions after u's in the table, whose type
+    fits u's. A hoisted subterm keeps its derivation unless a binder it is
+    hoisted past captures one of its free variables; then it is derived
+    again in u's context, where that name is unbound or means an outer
+    binding.
 
     Each minimal inhabitant comes from st's memo, and is skipped where it
-    does not typecheck."""
+    does not typecheck. A term met again at the same position is the same
+    move, and whether it fits depends only on the term and u's context, so
+    it is not offered again there. Moves at different positions may still
+    build one term; minimize skips the repeats."""
     mode = st.cfg.mode
-    for path, ctx, u in _paths(root):
+    for i, u in enumerate(table.derivs):
+        offered = set()  # the numbers of the terms met at u
         mini = st.inhabitant(u.type, concrete=False)
-        if mini.type is not None and term_size(mini.term) < term_size(u.term):
-            yield path, mini
-        for _, between, s in islice(_paths(u), 1, None):
-            fv = free_vars(s.term) if between else frozenset()
-            if not fv.isdisjoint(name for name, _ in between):
-                outer = Context(ctx)
-                if any(outer.lookup(name) is None for name in fv):
-                    continue
-                try:
-                    s = derive(outer, s.term, mode, st.deltas, st.inst)
-                except TypingError:
-                    continue
+        if mini.type is not None:
+            _, _, _, number, size = table.numbering.of(mini)
+            if size < table.sizes[i]:
+                offered.add(number)
+                yield i, mini, number
+        ctx = table.ctxs[i]
+        for j in range(i + 1, i + table.sizes[i]):
+            number = table.numbers[j]
+            if number in offered:
+                continue
+            offered.add(number)
+            s = table.derivs[j]
+            between = table.ctxs[j][len(ctx):]
+            if between:
+                fv = free_vars(s.term)
+                if not fv.isdisjoint(name for name, _ in between):
+                    outer = Context(ctx)
+                    if any(outer.lookup(name) is None for name in fv):
+                        continue
+                    try:
+                        s = derive(outer, s.term, mode, st.deltas, st.inst)
+                    except TypingError:
+                        continue
             if is_subtype(s.type, u.type, mode, st.inst):
-                yield path, s
-
-
-def _paths(d: Derivation, prefix: tuple[int, ...] = (), ctx: tuple[tuple[str, Type], ...] = ()):
-    """Preorder (path, binding context, derivation) triples for every subterm
-    position of a derivation's term. The context holds the binders passed
-    on the way down from d."""
-    yield prefix, ctx, d
-    if isinstance(d.term, Lam):
-        ctx = ctx + ((d.term.name, d.term.annot),)
-    for i, kid in enumerate(d.children):
-        yield from _paths(kid, prefix + (i,), ctx)
+                yield i, s, number
 
 
 def _respine(root: Derivation, path: tuple[int, ...], new: Derivation, st: _GenState) -> Derivation:

@@ -210,6 +210,11 @@ def children(t: Term) -> tuple[Term, ...]:
     return _CHILDREN[type(t)](t)
 
 
+def labels(t: Term) -> tuple:
+    """The fields of t that are not subterms, in field order."""
+    return _LABELS[type(t)](t)
+
+
 def rebuild(t: Term, kids: Sequence[Term]) -> Term:
     """t's node over new subterms, given in the order of children(t). A leaf
     has none and is returned as it is."""

@@ -169,6 +169,17 @@ class TestFuzz:
         assert code == 0
         assert "FAIL" in capsys.readouterr().out
 
+    def test_hunt_line_gives_the_minimized_terms_own_cost_and_bound(self, capsys):
+        code = main(["fuzz", "--hunt", "--mode", "paper", "--fn-var-reuse", "--count", "50", "--lattice", "triple"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert lines[0] == "cost_soundness: FAIL (4 failures) over 50 trials"
+        assert lines[1] == (
+            "  trial 14: {'cost': '(12,0,0)', 'bound': '(8,0,0)', 'budget': '(1000000,1000000,1000000)'}"
+            " minimized to (lam x2 : Bool -> Bool . (tt, x2 (x2 ff))) (lam x1 : Bool . if x1 then ff else tt)"
+            " with {'bound': '(4,0,0)', 'cost': '(5,0,0)'}"
+        )
+
     def test_hunt_without_reuse_reports_none(self, capsys):
         code = main([
             "fuzz", "--count", "200", "--seed", "6", "--mode", "paper", "--hunt",

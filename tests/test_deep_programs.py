@@ -7,7 +7,7 @@ import pytest
 
 from rblam import interp, syntax
 from rblam.cli import main
-from rblam.harness import GenConfig, gen_typed_term
+from rblam.harness import GenConfig, gen_typed_term, minimize
 from rblam.interp import CostedResult, evaluate, evaluate_trace, format_trace, format_tree
 from rblam.lattice import NAT, TRIPLE
 from rblam.syntax import (
@@ -229,3 +229,21 @@ def test_rules_take_one_frame_per_nesting_level(build, n, value):
     deriv = derive(Context(), term, Mode.SOUND, deltas, NAT)
     assert (deriv.type, deriv.bound) == (Bool(), NAT.element(n))
     assert evaluate(term, deltas) == CostedResult(value, NAT.element(n))
+
+
+def test_minimize_a_deep_term_at_the_default_recursion_limit():
+    # a nested if of depth 300, the deepest program CI checks. Each pass
+    # rejects the leaves and the three deep hoists bound 4m + 3, 4m + 2 and
+    # 4m + 1, then accepts the hoist bound 4m, down to nested_if(4). Keying
+    # and comparing candidates must spend no frame per nesting level
+    assert sys.getrecursionlimit() == 1000
+    bounds = []
+
+    def bound_a_positive_multiple_of_four(d):
+        bounds.append(d.bound.payload)
+        return d.bound.payload % 4 == 0 < d.bound.payload
+
+    cfg = GenConfig(lattice=NAT, seed=0, mode=Mode.PAPER)
+    minimized = minimize(nested_if_term(300), bound_a_positive_multiple_of_four, cfg)
+    assert minimized == nested_if_term(4)
+    assert [b for b in bounds if b > 4] == list(range(299, 4, -1))

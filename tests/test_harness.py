@@ -382,12 +382,13 @@ class TestMinimizer:
             try:
                 return real_respine(root, path, new, *rest)
             finally:
-                spines.append((path, derived[start:]))
+                spines.append((path, derived[start:], replace_at(root.term, path, new.term)))
 
-        def recorded_candidates(*args):
-            for path, cand in real_candidates(*args):
-                yielded.append(path)
-                yield path, cand
+        def recorded_candidates(table, *rest):
+            for i, cand, number in real_candidates(table, *rest):
+                path = table.paths[i]
+                yielded.append((path, replace_at(table.derivs[0].term, path, cand.term)))
+                yield i, cand, number
 
         def counted_evaluate(t, deltas):
             evaluated.append(t)
@@ -409,13 +410,20 @@ class TestMinimizer:
         assert alpha_eq(minimize(NOISY, prop, cfg), CANONICAL)
         assert synthesized == []
         assert derived[0] == (NOISY, False)
-        assert all(kids for _, calls in spines for _, kids in calls)
-        assert all(len(calls) <= len(path) for path, calls in spines)
-        assert sum(kids for _, kids in derived) == sum(len(calls) for _, calls in spines)
+        assert all(kids for _, calls, _ in spines for _, kids in calls)
+        assert all(len(calls) <= len(path) for path, calls, _ in spines)
+        assert sum(kids for _, kids in derived) == sum(len(calls) for _, calls, _ in spines)
         # every other derive is at most one per candidate, its own; each
         # candidate is re-derived along its spine once and evaluated once
         assert sum(not kids for _, kids in derived) - 1 <= len(yielded)
-        assert [path for path, _ in spines] == yielded
+        # the spines are the yielded moves minus those whose term this call
+        # already tried, so no two spines build equal terms
+        first_tries = []
+        for path, term in yielded:
+            if term not in [t for _, t in first_tries]:
+                first_tries.append((path, term))
+        assert [(path, term) for path, _, term in spines] == first_tries
+        assert len({term for _, _, term in spines}) == len(spines) < len(yielded)
         assert evaluated == offered and len(offered) <= len(yielded)
 
     @pytest.mark.parametrize(
@@ -435,8 +443,9 @@ class TestMinimizer:
         for i in range(40):
             term = gen_typed_term(cfg, trial=i)
             root = derive(Context(), term, mode, deltas, inst)
-            moves = list(harness._candidates(root, state))
-            moves += [(path, tt) for path, _, _ in harness._paths(root)]
+            table = harness._Preorder(root, harness._Numbering())
+            moves = [(table.paths[j], cand) for j, cand, _ in harness._candidates(table, state)]
+            moves += [(path, tt) for path in table.paths]
             for path, cand in moves:
                 replaced = replace_at(term, path, cand.term)
                 try:
@@ -450,6 +459,30 @@ class TestMinimizer:
                 assert spine == full, (pretty(term), path, pretty(cand.term))
                 outcomes.add(full is None)
         assert outcomes == {True, False}
+
+    def test_each_distinct_candidate_is_offered_once_per_call(self):
+        # a term the call already tried was rejected, so the property sees
+        # each distinct candidate at most once: on NOISY, and on the first 20
+        # violations of the hunt at seed 7
+        cfg = GenConfig(lattice=NAT, seed=7, count=999, max_depth=5, mode=Mode.PAPER, allow_fn_var_reuse=True)
+        witnesses = [(NOISY, violating)]
+        trial = 0
+        while len(witnesses) < 21:
+            try:
+                harness._check_cost_soundness(cfg, trial)
+            except harness._Violation as v:
+                witnesses.append((v.term, v.predicate))
+            trial += 1
+        for term, predicate in witnesses:
+            offered = []
+
+            def recorded(d):
+                offered.append(d.term)
+                return predicate(d)
+
+            minimized = minimize(term, recorded, cfg)
+            assert predicate(derive(Context(), minimized, cfg.mode, cfg.deltas, NAT))
+            assert len(set(offered)) == len(offered) > 0
 
     def test_hoist_types_a_shadowed_variable_in_the_outer_context(self):
         # inside u = (lam x : Nat . x) 3 the variable x is a Nat, but hoisted
@@ -721,6 +754,24 @@ def count_derives(monkeypatch, run) -> int:
     return calls
 
 
+def count_property_calls(monkeypatch, run) -> int:
+    """Every call minimize makes to its property while run() runs."""
+    calls = 0
+    real = harness.minimize
+
+    def counted_minimize(term, prop, cfg):
+        def counted(d):
+            nonlocal calls
+            calls += 1
+            return prop(d)
+
+        return real(term, counted, cfg)
+
+    monkeypatch.setattr(harness, "minimize", counted_minimize)
+    run()
+    return calls
+
+
 class TestDeriveCounts:
     """Canonical inhabitants are typed once per generation and once per
     minimize call. Each bound is 15% below the count made when every
@@ -757,9 +808,30 @@ class TestDeriveCounts:
         assert 0 < calls <= 76018 * 85 // 100  # (76,018)
 
     def test_minimize_memo_lives_one_call(self, monkeypatch):
+        # no inhabitant, number or tried term outlives a call
         cfg = GenConfig(lattice=NAT, seed=0, mode=Mode.PAPER, allow_fn_var_reuse=True)
         counts = [count_derives(monkeypatch, lambda: minimize(NOISY, violating, cfg)) for _ in range(2)]
         assert counts[0] == counts[1] > 0
+        calls = [count_property_calls(monkeypatch, lambda: harness.minimize(NOISY, violating, cfg)) for _ in range(2)]
+        assert calls[0] == calls[1] > 0
+
+
+class TestMinimizeCounts:
+    """Each distinct candidate term is tried once per minimize call. The
+    bound is 45% of the property calls made when every candidate was tried,
+    repeats included (in parentheses)."""
+
+    def test_hunt(self, monkeypatch):
+        cfg = GenConfig(lattice=NAT, seed=7, count=999, max_depth=5, mode=Mode.PAPER, allow_fn_var_reuse=True)
+        report = None
+
+        def hunt():
+            nonlocal report
+            report = run_property(cfg, "cost_soundness")
+
+        calls = count_property_calls(monkeypatch, hunt)
+        assert report.failure_count == 136
+        assert 0 < calls <= 7025 * 45 // 100  # (7,025)
 
 
 class TestReports:
