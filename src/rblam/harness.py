@@ -12,9 +12,10 @@ generate (an evaluation result, a substituted term) and the budget
 verdicts. The minimizer derives its input once; each shrink candidate
 then re-derives only the replaced node's spine, the path from it to the
 root, and reuses the derivations of the subterms off that path. It tries
-each distinct candidate term once per call. A canonical inhabitant is
-typed once per trial and once per minimize call: the minimizer runs on a
-generator state and shares its inhabitant memo.
+each distinct candidate term once per call, telling terms apart by their
+own `==` and kept hash. A canonical inhabitant is typed once per trial
+and once per minimize call: the minimizer runs on a generator state and
+shares its inhabitant memo.
 
 Each suite is a check: straight-line code that raises a violation at the
 first relation it sees broken. Its ``PROPERTIES`` entry returns ``Failure |
@@ -47,7 +48,7 @@ from dataclasses import asdict, dataclass, field
 from itertools import accumulate
 from typing import Callable
 
-from rblam.interp import EvalError, evaluate
+from rblam.interp import EvalError, FuelExhausted, evaluate
 from rblam.lattice import LatticeInstance
 from rblam.syntax import (
     App,
@@ -70,13 +71,14 @@ from rblam.syntax import (
     Unbox,
     Var,
     alpha_eq,
+    children,
     free_vars,
-    labels,
     pretty,
     pretty_type,
     rebuild,
     rename_binders,
     substitute,
+    term_size,
 )
 from rblam.typecheck import (
     Context,
@@ -554,26 +556,27 @@ def minimize(term: Term, failing_property: Callable[[Derivation], bool], cfg: Ge
     Each distinct candidate term is tried once per call. A candidate is
     strictly smaller than the term it shrinks, so an accepted term never
     comes up again, and a term tried before was rejected: it did not
-    typecheck, or the property returned False or raised. Terms are numbered
-    by structure for the call (`_Numbering`), a candidate's number costs one
-    lookup per node on its spine, and a candidate whose number was tried is
-    skipped before its spine is derived. Nothing outlives the call."""
+    typecheck, or the property returned False or raised. A candidate's term
+    is rebuilt along its spine (`_Preorder.spine`) and looked up among the
+    terms tried before its spine is derived; off the spine, each subterm
+    keeps its hash, so the lookup costs work along the spine only. Nothing
+    outlives the call."""
     st = _GenState(cfg, None)
     try:
         current = derive(Context(), term, cfg.mode, st.deltas, st.inst)
     except TypingError:
         return term
-    numbering = _Numbering()
-    tried: set[int] = set()  # the numbers of the candidate terms tried
+    tried: set[Term] = set()
+    mini_sizes: dict[Type, int] = {}  # each minimal inhabitant's size, by its type
     while True:
-        table = _Preorder(current, numbering)
-        for i, cand, number in _candidates(table, st):
-            whole = table.replaced(i, number)
-            if whole in tried:
+        table = _Preorder(current)
+        for i, cand in _candidates(table, st, mini_sizes):
+            spine = table.spine(i, cand.term)
+            if spine[-1] in tried:
                 continue
-            tried.add(whole)
+            tried.add(spine[-1])
             try:
-                replaced = _respine(current, table.paths[i], cand, st)
+                replaced = _respine(table, i, spine, cand, st)
             except TypingError:
                 continue
             try:
@@ -586,148 +589,107 @@ def minimize(term: Term, failing_property: Callable[[Derivation], bool], cfg: Ge
             return current.term
 
 
-class _Numbering:
-    """Hash-consing for one minimize call: each distinct term gets one
-    number, keyed by its node's class and labels and its kids' numbers, so
-    two terms are equal exactly when their numbers are. No key holds a term,
-    so no comparison walks one.
-
-    A derivation is numbered once, through `of`, which keeps its node: the
-    derivation itself (which keeps its id its own), its head (class and
-    labels), its kids' numbers, its number and its term's size. The
-    subterms that one pass's root shares with the next pass's keep their
-    nodes."""
-
-    def __init__(self):
-        self.numbers: dict[tuple, int] = {}
-        self.nodes: dict[int, tuple] = {}
-
-    def number(self, head: tuple, kids: tuple[int, ...]) -> int:
-        """The number of the node with this head over kids numbered so."""
-        return self.numbers.setdefault(head + kids, len(self.numbers))
-
-    def of(self, d: Derivation) -> tuple[Derivation, tuple, tuple[int, ...], int, int]:
-        """d's node. It recurses into the kids not numbered yet, so a deep
-        term is numbered from its leaves up (`_Preorder`)."""
-        node = self.nodes.get(id(d))
-        if node is None:
-            head, kids, size = (type(d.term), *labels(d.term)), (), 1
-            for kid in d.children:
-                _, _, _, number, kid_size = self.of(kid)
-                kids += (number,)
-                size += kid_size
-            node = self.nodes[id(d)] = (d, head, kids, self.number(head, kids), size)
-        return node
-
-
 class _Preorder:
     """One minimize pass's table of the root's subterm positions in
-    preorder, built with an explicit stack. Position i holds its path from
-    the root, the binders passed above it (the context its term is typed
-    in), its derivation, its parent position and its numbered node. Its
-    subterms fill positions i through i + sizes[i] - 1."""
+    preorder, built with an explicit stack. Position i holds its derivation,
+    the context its term is typed in, its parent position (-1 at the root)
+    and its index among the parent's kids. Its subterms fill positions i
+    through i + sizes[i] - 1."""
 
-    def __init__(self, root: Derivation, numbering: _Numbering):
-        self.numbering = numbering
-        self.paths: list[tuple[int, ...]] = []
-        self.ctxs: list[tuple[tuple[str, Type], ...]] = []
+    def __init__(self, root: Derivation):
         self.derivs: list[Derivation] = []
+        self.ctxs: list[Context] = []
         self.parents: list[int] = []
-        stack = [(root, (), (), -1)]
+        self.slots: list[int] = []
+        stack = [(root, Context(), -1, 0)]
         while stack:
-            d, path, ctx, parent = stack.pop()
+            d, ctx, parent, slot = stack.pop()
             i = len(self.derivs)
-            self.paths.append(path)
-            self.ctxs.append(ctx)
             self.derivs.append(d)
+            self.ctxs.append(ctx)
             self.parents.append(parent)
+            self.slots.append(slot)
             if isinstance(d.term, Lam):
-                ctx = ctx + ((d.term.name, d.term.annot),)
+                ctx = ctx.extend(d.term.name, d.term.annot)
             for k in range(len(d.children) - 1, -1, -1):
-                stack.append((d.children[k], path + (k,), ctx, i))
-        # last position first: a position's kids follow it, so they are numbered before it
-        known, of = numbering.nodes.get, numbering.of
-        self.nodes = [known(id(d)) or of(d) for d in reversed(self.derivs)]
-        self.nodes.reverse()
-        self.sizes = [node[4] for node in self.nodes]
-        self.numbers = [node[3] for node in self.nodes]
+                stack.append((d.children[k], ctx, i, k))
+        self.sizes = [1] * len(self.derivs)
+        for i in range(len(self.derivs) - 1, 0, -1):  # a position's kids follow it
+            self.sizes[self.parents[i]] += self.sizes[i]
 
-    def replaced(self, i: int, number: int) -> int:
-        """The number of the root's term with the subterm at position i
-        replaced by the term numbered `number`: one lookup per node on i's
-        spine."""
-        for k in reversed(self.paths[i]):
-            i = self.parents[i]
-            _, head, kids, _, _ = self.nodes[i]
-            number = self.numbering.number(head, kids[:k] + (number,) + kids[k + 1:])
-        return number
+    def spine(self, i: int, term: Term) -> list[Term]:
+        """term, then each ancestor of position i rebuilt over the term
+        below it, up to the root's: the last is the root's term with the
+        subterm at i replaced by term."""
+        spine = [term]
+        while i:
+            k, i = self.slots[i], self.parents[i]
+            above = self.derivs[i].term
+            kids = children(above)
+            term = rebuild(above, kids[:k] + (term,) + kids[k + 1:])
+            spine.append(term)
+        return spine
 
 
-def _candidates(table: _Preorder, st: _GenState):
-    """(position, derivation, number) for every shrink move on the table's
-    root, lazily and in the minimizer's order; the number is the
-    derivation's term's. At each subterm position u in preorder: u's type's
-    minimal inhabitant when it is smaller than u, then every strictly
-    smaller subterm of u, the positions after u's in the table, whose type
-    fits u's. A hoisted subterm keeps its derivation unless a binder it is
-    hoisted past captures one of its free variables; then it is derived
-    again in u's context, where that name is unbound or means an outer
-    binding.
+def _candidates(table: _Preorder, st: _GenState, mini_sizes: dict[Type, int]):
+    """(position, derivation) for every shrink move on the table's root,
+    lazily and in the minimizer's order. At each subterm position u in
+    preorder: u's type's minimal inhabitant when it is smaller than u, then
+    every strictly smaller subterm of u, the positions after u's in the
+    table, whose type fits u's. A hoisted subterm keeps its derivation
+    unless a binder it is hoisted past captures one of its free variables;
+    then it is derived again in u's context, where that name is unbound or
+    means an outer binding.
 
-    Each minimal inhabitant comes from st's memo, and is skipped where it
-    does not typecheck. A term met again at the same position is the same
-    move, and whether it fits depends only on the term and u's context, so
-    it is not offered again there. Moves at different positions may still
-    build one term; minimize skips the repeats."""
+    Each minimal inhabitant comes from st's memo, its size from
+    `mini_sizes`, and it is skipped where it does not typecheck. A term met
+    again at the same position is the same move, and whether it fits depends
+    only on the term and u's context, so it is not offered again there.
+    Moves at different positions may still build one term; minimize skips
+    the repeats."""
     mode = st.cfg.mode
     for i, u in enumerate(table.derivs):
-        offered = set()  # the numbers of the terms met at u
+        if table.sizes[i] == 1:
+            continue  # a leaf: no term is smaller
+        offered = set()  # the terms met at u
         mini = st.inhabitant(u.type, concrete=False)
         if mini.type is not None:
-            _, _, _, number, size = table.numbering.of(mini)
+            size = mini_sizes.get(u.type)
+            if size is None:
+                size = mini_sizes[u.type] = term_size(mini.term)
             if size < table.sizes[i]:
-                offered.add(number)
-                yield i, mini, number
+                offered.add(mini.term)
+                yield i, mini
         ctx = table.ctxs[i]
         for j in range(i + 1, i + table.sizes[i]):
-            number = table.numbers[j]
-            if number in offered:
-                continue
-            offered.add(number)
             s = table.derivs[j]
-            between = table.ctxs[j][len(ctx):]
+            if s.term in offered:
+                continue
+            offered.add(s.term)
+            between = table.ctxs[j].bindings[len(ctx.bindings):]
             if between:
                 fv = free_vars(s.term)
                 if not fv.isdisjoint(name for name, _ in between):
-                    outer = Context(ctx)
-                    if any(outer.lookup(name) is None for name in fv):
+                    if any(ctx.lookup(name) is None for name in fv):
                         continue
                     try:
-                        s = derive(outer, s.term, mode, st.deltas, st.inst)
+                        s = derive(ctx, s.term, mode, st.deltas, st.inst)
                     except TypingError:
                         continue
             if is_subtype(s.type, u.type, mode, st.inst):
-                yield i, s, number
+                yield i, s
 
 
-def _respine(root: Derivation, path: tuple[int, ...], new: Derivation, st: _GenState) -> Derivation:
-    """The derivation of root's term, a closed term, with the subterm at path
-    replaced by new's, where new is derived in the context at path. Only the
-    nodes on the path are derived again, each from its kids' derivations.
-    Raises TypingError where the result does not typecheck, and IndexError
-    for a path that leaves the term."""
-    spine: list[tuple[Context, Derivation, int]] = []
-    ctx, d = Context(), root
-    for i in path:
-        if not 0 <= i < len(d.children):
-            raise IndexError(path)
-        spine.append((ctx, d, i))
-        if isinstance(d.term, Lam):
-            ctx = ctx.extend(d.term.name, d.term.annot)
-        d = d.children[i]
-    for ctx, d, i in reversed(spine):
-        kids = d.children[:i] + (new,) + d.children[i + 1:]
-        new = derive(ctx, rebuild(d.term, [k.term for k in kids]), st.cfg.mode, st.deltas, st.inst, kids)
+def _respine(table: _Preorder, i: int, spine: list[Term], new: Derivation, st: _GenState) -> Derivation:
+    """The derivation of spine[-1], the table's root term with the subterm at
+    position i replaced by new's, where new is derived in the context at i
+    and spine is `table.spine(i, new.term)`. Only the spine's nodes above i
+    are derived again, each from its kids' derivations. Raises TypingError
+    where the result does not typecheck."""
+    for term in spine[1:]:
+        k, i = table.slots[i], table.parents[i]
+        kids = table.derivs[i].children
+        new = derive(table.ctxs[i], term, st.cfg.mode, st.deltas, st.inst, kids[:k] + (new,) + kids[k + 1:])
     return new
 
 
@@ -815,11 +777,14 @@ class _Violation(Exception):
 @contextmanager
 def _guard(term: Term, relation: str, key: str):
     """Raise a TypingError or EvalError of the block as a violation of
-    relation on term, with the error's message observed under key."""
+    relation on term, with the error's message observed under key. Running
+    out of fuel breaks no relation of the block: it is a violation of
+    "evaluation within fuel" instead."""
     try:
         yield
     except (TypingError, EvalError) as exc:
-        raise _Violation(term, relation, {key: str(exc)})
+        broken = "evaluation within fuel" if isinstance(exc, FuelExhausted) else relation
+        raise _Violation(term, broken, {key: str(exc)})
 
 
 def _property(check: Callable[[GenConfig, int], None]) -> Callable[[GenConfig, int], Failure | None]:

@@ -738,18 +738,17 @@ def parse_lattice_table(text: str, name: str = "finite") -> FiniteLattice:
     return FiniteLattice(name, elements, leq_pairs, combine, join, bottom)
 
 
-def load_lattice(path: str, check: bool = True) -> FiniteLattice:
-    """Load a finite lattice from a table file; by default also run the law
-    checker and refuse unlawful tables."""
+def load_lattice(path: str) -> FiniteLattice:
+    """Load a finite lattice from a table file, run the law checker and
+    refuse an unlawful table. `parse_lattice_table` reads one unchecked."""
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise LatticeError(f"cannot read {path}: {exc}") from exc
     inst = parse_lattice_table(text, name=os.path.splitext(os.path.basename(path))[0])
-    if check:
-        report = check_laws(inst)
-        if not report.passed:
-            bad = report.failures()[0]
-            raise LatticeError(f"{inst.name}: law {bad.law} fails at {bad.witness!r}")
+    report = check_laws(inst)
+    if not report.passed:
+        bad = report.failures()[0]
+        raise LatticeError(f"{inst.name}: law {bad.law} fails at {bad.witness!r}")
     return inst

@@ -20,12 +20,13 @@ descriptor, which costs about half of a frozen dataclass's
 no second class behind (`dataclass(slots=True)` would).
 
 Terms are immutable and may share subterms. Each node keeps its free
-variables once computed, in its `_fv` slot, and a type keeps its hash once
-computed, in its `_hash` slot; neither is a field. Substituting a closed
-value shares every subterm where the name is not free, so it rebuilds only
-the paths down to the name's occurrences. A printer of many terms that
-share subterms (the evaluation and derivation traces) passes one memo to
-`pretty` and prints each node once.
+variables once computed, in its `_fv` slot, and a term or a type keeps its
+hash once computed, in its `_hash` slot; neither is a field, so a pickled
+node carries neither. Substituting a closed value shares every subterm
+where the name is not free, so it rebuilds only the paths down to the
+name's occurrences. A printer of many terms that share subterms (the
+evaluation and derivation traces) passes one memo to `pretty` and prints
+each node once.
 
 Lexical rules: an identifier is a letter or `_`, then letters, digits or
 `_`, in any script, and the keywords are reserved. A natural is decimal
@@ -99,7 +100,7 @@ class Box(Type):
 
 
 class Term:
-    __slots__ = ("_fv",)
+    __slots__ = ("_fv", "_hash")
 
 
 @record
@@ -208,11 +209,6 @@ for _cls in Term.__subclasses__():
 def children(t: Term) -> tuple[Term, ...]:
     """The immediate subterms of t, in field order."""
     return _CHILDREN[type(t)](t)
-
-
-def labels(t: Term) -> tuple:
-    """The fields of t that are not subterms, in field order."""
-    return _LABELS[type(t)](t)
 
 
 def rebuild(t: Term, kids: Sequence[Term]) -> Term:

@@ -27,7 +27,6 @@ from rblam.syntax import (
     Arrow,
     Bool,
     Box,
-    FF,
     If,
     Lam,
     Nat,
@@ -345,6 +344,15 @@ def replace_at(t, path, new):
     return rebuild(t, kids)
 
 
+def path_of(table, i):
+    """The path from the root to position i of a minimizer table, read off
+    its parent links and slots."""
+    path = ()
+    while i:
+        path, i = (table.slots[i],) + path, table.parents[i]
+    return path
+
+
 class TestMinimizer:
     def test_canonical_witness_is_fixpoint(self):
         cfg = GenConfig(lattice=NAT, seed=0, mode=Mode.PAPER, allow_fn_var_reuse=True)
@@ -377,18 +385,18 @@ class TestMinimizer:
 
             return counted_derive
 
-        def counted_respine(root, path, new, *rest):
-            start = len(derived)
+        def counted_respine(table, i, spine, new, *rest):
+            start, path = len(derived), path_of(table, i)
             try:
-                return real_respine(root, path, new, *rest)
+                return real_respine(table, i, spine, new, *rest)
             finally:
-                spines.append((path, derived[start:], replace_at(root.term, path, new.term)))
+                spines.append((path, derived[start:], replace_at(table.derivs[0].term, path, new.term)))
 
         def recorded_candidates(table, *rest):
-            for i, cand, number in real_candidates(table, *rest):
-                path = table.paths[i]
+            for i, cand in real_candidates(table, *rest):
+                path = path_of(table, i)
                 yielded.append((path, replace_at(table.derivs[0].term, path, cand.term)))
-                yield i, cand, number
+                yield i, cand
 
         def counted_evaluate(t, deltas):
             evaluated.append(t)
@@ -443,17 +451,20 @@ class TestMinimizer:
         for i in range(40):
             term = gen_typed_term(cfg, trial=i)
             root = derive(Context(), term, mode, deltas, inst)
-            table = harness._Preorder(root, harness._Numbering())
-            moves = [(table.paths[j], cand) for j, cand, _ in harness._candidates(table, state)]
-            moves += [(path, tt) for path in table.paths]
-            for path, cand in moves:
+            table = harness._Preorder(root)
+            moves = list(harness._candidates(table, state, {}))
+            moves += [(j, tt) for j in range(len(table.derivs))]
+            for j, cand in moves:
+                path = path_of(table, j)
                 replaced = replace_at(term, path, cand.term)
                 try:
                     full = derive(Context(), replaced, mode, deltas, inst)
                 except TypingError:
                     full = None
+                terms = table.spine(j, cand.term)
+                assert terms[-1] == replaced and len(terms) == len(path) + 1
                 try:
-                    spine = harness._respine(root, path, cand, state)
+                    spine = harness._respine(table, j, terms, cand, state)
                 except TypingError:
                     spine = None
                 assert spine == full, (pretty(term), path, pretty(cand.term))
@@ -504,17 +515,6 @@ class TestMinimizer:
         term = parse("(if tt then ff else tt) tt", NAT)
         assert minimize(term, lambda d: True, cfg) == term
 
-    def test_respine_rejects_a_path_past_the_children(self):
-        app = parse("(lam x : Bool . x) (if tt then ff else tt)", NAT)
-        root = derive(Context(), app, Mode.PAPER, D, NAT)
-        ff = derive(Context(), FF(), Mode.PAPER, D, NAT)
-        state = harness._GenState(GenConfig(lattice=NAT, mode=Mode.PAPER), None)
-        replaced = harness._respine(root, (1, 2), ff, state)
-        assert replaced.term == parse("(lam x : Bool . x) (if tt then ff else ff)", NAT)
-        for path in [(2,), (-1,), (1, 3), (0, 0, 0)]:
-            with pytest.raises(IndexError):
-                harness._respine(root, path, ff, state)
-
     def test_compensated_double_use_is_sound(self):
         # a costful else-branch inflates the bound enough to cover the
         # second application: not a violation, so not huntable
@@ -558,6 +558,22 @@ class TestProperties:
         cfg = GenConfig(lattice=NAT, seed=6, count=150, max_depth=5, mode=Mode.SOUND)
         report = run_property(cfg, name)
         assert report.passed, report.failures[:1]
+
+    @pytest.mark.parametrize(
+        "name, key", [("cost_soundness", "eval_error"), ("determinism", "eval_error"), ("preservation", "error")]
+    )
+    def test_fuel_exhaustion_breaks_only_the_fuel_relation(self, monkeypatch, name, key):
+        # a term that outruns its fuel may still terminate, so it breaks no
+        # relation of the suite: it is reported as out of fuel, under the
+        # suite's own observed key
+        real_evaluate = harness.evaluate
+        monkeypatch.setattr(harness, "evaluate", lambda t, deltas: real_evaluate(t, deltas, 3))
+        cfg = GenConfig(lattice=NAT, seed=6, count=40, max_depth=5, mode=Mode.SOUND)
+        report = run_property(cfg, name)
+        assert 0 < report.failure_count < cfg.count
+        for failure in report.failures:
+            assert failure.relation == "evaluation within fuel"
+            assert failure.observed == {key: "evaluation fuel exhausted"}
 
     def test_paper_single_use_clean(self):
         cfg = GenConfig(
@@ -808,7 +824,7 @@ class TestDeriveCounts:
         assert 0 < calls <= 76018 * 85 // 100  # (76,018)
 
     def test_minimize_memo_lives_one_call(self, monkeypatch):
-        # no inhabitant, number or tried term outlives a call
+        # no inhabitant, inhabitant size or tried term outlives a call
         cfg = GenConfig(lattice=NAT, seed=0, mode=Mode.PAPER, allow_fn_var_reuse=True)
         counts = [count_derives(monkeypatch, lambda: minimize(NOISY, violating, cfg)) for _ in range(2)]
         assert counts[0] == counts[1] > 0

@@ -423,6 +423,14 @@ class TestRecords:
         assert a is not b and a == b and hash(a) == hash(b)
         assert hash(a) == hash(a) == hash((a.dom, a.cod, a.latent))
         assert len({a, b, Prod(Nat(), Bool())}) == 2
+        # a term keeps its hash the same way, and a pickle does not carry it
+        program = "(lam f : Bool -> Bool . (f tt, f tt)) (lam x : Bool . if x then ff else tt)"
+        s, t = parse(program, NAT), parse(program, NAT)
+        assert s._hash is None
+        assert s is not t and s == t and hash(s) == hash(t)
+        assert s._hash == hash(s) == hash((s.fn, s.arg)) and s.fn._hash == hash(s.fn)
+        t2 = pickle.loads(pickle.dumps(t))
+        assert t2 == t and t2._hash is None and hash(t2) == hash(t)
 
     def test_grade_free_term_and_derivation_round_trip_through_pickle(self):
         t = parse("(lam f : Bool -> Bool . f (f tt)) (lam x : Bool . if x then ff else tt)", NAT)
