@@ -8,6 +8,9 @@ property violation, 2 input error, 141 stdout closed before the output was
 written (as by `| head -1`). Commands raise input errors; `main` alone
 prints each as one `error:` line and returns 2, and turns a closed stdout
 into 141 without a traceback.
+
+Each command loads its own layers: `fuzz` and `model` import `harness` and
+`model` when they run, so `check`, `eval` and `laws` never load them.
 """
 
 from __future__ import annotations
@@ -18,13 +21,6 @@ import json
 import os
 import sys
 
-from rblam.harness import (
-    GenConfig,
-    PROPERTIES,
-    gen_typed_term,
-    report_json,
-    run_properties,
-)
 from rblam.interp import DEFAULT_FUEL, EvalError, Stuck, evaluate, evaluate_trace, format_trace, format_tree
 from rblam.lattice import (
     NAT,
@@ -38,7 +34,6 @@ from rblam.lattice import (
     check_laws,
     load_lattice,
 )
-from rblam.model import DenModel, EnumBudget, check_cost_preservation, run_model_checks
 from rblam.syntax import (
     ParseError,
     parse,
@@ -288,6 +283,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_fuzz(args: argparse.Namespace) -> int:
+    from rblam.harness import PROPERTIES, GenConfig, report_json, run_properties
+
     session = Session(args)
     props = args.props.split(",") if args.props else list(PROPERTIES)
     for name in props:
@@ -320,6 +317,9 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
 
 
 def cmd_model(args: argparse.Namespace) -> int:
+    from rblam.harness import GenConfig, gen_typed_term
+    from rblam.model import DenModel, EnumBudget, check_cost_preservation, run_model_checks
+
     if args.mode is not None:
         raise InputError("model takes no --mode: it tabulates sections with the paper rules "
                          "and checks --interp-corpus with the sound rules")

@@ -26,7 +26,12 @@ operation (perfbench's ``trial_ops``), minimization included.
 The suites of a run go trial-major, every suite on trial t before trial
 t+1, and share generations within one trial only: a suite that generates
 with another's arguments reads its derivation. Outside a run, each
-generation is built afresh. A run's memos serve its one config.
+generation is built afresh. A run's memos serve its one config; the
+inhabitant memo stores its first `MEMO_INHABITANTS` keys only, so a long
+run's memory stays bounded.
+
+`run_properties` splits a run over a process pool only at more than one
+worker; the pool's modules load then, and not at import or in a serial run.
 
 With ``allow_fn_var_reuse`` off, the generator stays inside the fragment
 where the paper-mode rules are observed cost-sound: each variable whose
@@ -42,7 +47,6 @@ import json
 import os
 import random
 from bisect import bisect
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from itertools import accumulate
@@ -265,6 +269,7 @@ _PRODUCTIONS: dict[tuple[bool, bool, str], _Table] = {
 
 
 _inhabitants: dict[tuple[Type, bool], Derivation] | None = None  # the running _run_range call's
+MEMO_INHABITANTS = 1024  # keys per inhabitant memo; a bound keeps a long run's memory flat
 
 
 class _GenState:
@@ -290,12 +295,15 @@ class _GenState:
         """The derivation of goal's canonical inhabitant, of goal's
         concretization when concrete. Each is derived once per run, and
         outside a run once per state: the inhabitant holds no variable, so
-        its derivation is the same in every context."""
+        its derivation is the same in every context. A full memo derives a
+        new goal's inhabitant without storing it."""
         key = (goal, concrete)
         d = self.inhabitants.get(key)
         if d is None:
             ty = concretize(goal, self.inst, mode=self.cfg.mode) if concrete else goal
-            d = self.inhabitants[key] = self.derive(Context(), minimal_inhabitant(ty))
+            d = self.derive(Context(), minimal_inhabitant(ty))
+            if len(self.inhabitants) < MEMO_INHABITANTS:
+                self.inhabitants[key] = d
         return d
 
     def var_usable(self, name: str, ty: Type) -> bool:
@@ -1030,6 +1038,14 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _pool(workers: int):
+    """A process pool of workers. Only a parallel run loads the pool's
+    modules, so a serial run and an import of this module never do."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=workers)
+
+
 def run_property(cfg: GenConfig, name: str, workers: int = 1) -> PropertyReport:
     """Run one suite; see run_properties."""
     return run_properties(cfg, [name], workers)[0]
@@ -1050,7 +1066,7 @@ def run_properties(cfg: GenConfig, names: list[str] | None = None, workers: int 
         parts = [_run_range(cfg, names, 0, cfg.count)]
     else:
         bounds = [(cfg.count * i) // workers for i in range(workers + 1)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with _pool(workers) as pool:
             parts = list(pool.map(_run_range, [cfg] * workers, [names] * workers, bounds[:-1], bounds[1:]))
     reports = []
     for i, name in enumerate(names):

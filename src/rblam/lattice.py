@@ -37,33 +37,38 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from dataclasses import dataclass, field, fields
-from operator import attrgetter
-from typing import Any, Callable, Iterable, Sequence
+from dataclasses import FrozenInstanceError, dataclass, field, fields
+from typing import Any, Iterable, Sequence
 
 
 class LatticeError(Exception):
     """Malformed lattice, foreign element, or unparseable literal."""
 
 
-def _getter(names: Sequence[str]) -> Callable[[object], tuple]:
-    if not names:
-        return lambda t: ()
-    if len(names) == 1:
-        get = attrgetter(names[0])
-        return lambda t: (get(t),)
-    return attrgetter(*names)
+def _frozen_setattr(self, name, value):
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self, name):
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 def record(cls: type | None = None, /, **defaults):
     """Make cls a frozen record with slots: `@record`, or `@record(f=v)` to
     give trailing fields defaults. The class body declares `__slots__` as
-    its annotated fields, in order. The class keeps the frozen-dataclass
-    contract and gains an `__init__` that writes each slot through its
-    descriptor, past the refusing `__setattr__`; the class call is a
-    record's one constructor. Slots that a base class declares are caches,
-    which `__init__` sets to None; a class that inherits a `_hash` slot
-    computes its hash once and keeps it there."""
+    its annotated fields, in order. One `exec` generates the class's
+    methods: `__init__`, which writes each slot through its descriptor,
+    past the refusing `__setattr__`, so the class call is a record's one
+    constructor; `__eq__`, which checks the class and then compares field
+    by field, each by identity first; `__hash__`, the hash of the field
+    tuple; `__repr__`, dataclass's text without its recursion guard, since
+    records are acyclic; and `__reduce__`, the class applied to the fields.
+    `__setattr__` and `__delattr__` raise `FrozenInstanceError` with
+    dataclass's messages. A method that the class body defines itself is
+    kept. Slots that a base class declares are caches, which `__init__`
+    sets to None; a class that inherits a `_hash` slot computes its hash
+    once and keeps it there. `dataclass` then supplies only `fields`,
+    `__match_args__`, `replace` and the docstring."""
     if cls is None:
         return lambda cls: record(cls, **defaults)
     names = tuple(cls.__dict__.get("__annotations__", ()))
@@ -77,29 +82,33 @@ def record(cls: type | None = None, /, **defaults):
     env = {f"_set_{n}": getattr(cls, n).__set__ for n in names + tuple(caches)}
     env.update({f"_default_{n}": v for n, v in defaults.items()})
     params = ", ".join(["self"] + [f"{n}=_default_{n}" if n in defaults else n for n in names])
-    body = [f"    _set_{n}(self, {n})" for n in names] + [f"    _set_{n}(self, None)" for n in caches]
-    exec("\n".join([f"def __init__({params}):"] + (body or ["    pass"])), env)
-    init = cls.__init__ = env["__init__"]
-    init.__qualname__ = f"{cls.__qualname__}.__init__"
-    init.__annotations__ = dict(cls.__dict__.get("__annotations__", {}))
+    sets = [f"_set_{n}(self, {n})" for n in names] + [f"_set_{n}(self, None)" for n in caches]
+    values = f"({', '.join(f'self.{n}' for n in names)}{',' if len(names) == 1 else ''})"
+    same = " and ".join(f"(self.{n} is other.{n} or self.{n} == other.{n})" for n in names)
+    text = ", ".join(f"{n}={{self.{n}!r}}" for n in names)
+    kept_hash = ["h = self._hash", "if h is None:", f"    h = hash({values})", "    _set__hash(self, h)", "return h"]
+    methods = {
+        "__init__": (params, sets or ["pass"]),
+        "__eq__": ("self, other", ["if other.__class__ is not self.__class__:", "    return NotImplemented",
+                                   f"return {same or True}"]),
+        "__hash__": ("self", kept_hash if "_hash" in caches else [f"return hash({values})"]),
+        "__repr__": ("self", [f'return f"{{self.__class__.__qualname__}}({text})"']),
+        "__reduce__": ("self", [f"return self.__class__, {values}"]),
+    }
+    exec("\n".join(f"def {name}({args}):\n    " + "\n    ".join(body)
+                   for name, (args, body) in methods.items()), env)
+    for name in methods:
+        env[name].__qualname__ = f"{cls.__qualname__}.{name}"
+    env["__init__"].__annotations__ = dict(cls.__dict__.get("__annotations__", {}))
+    env.update(__setattr__=_frozen_setattr, __delattr__=_frozen_delattr)
+    for name in [*methods, "__setattr__", "__delattr__"]:
+        if cls.__dict__.get(name) is None:  # a body's `__eq__` alone leaves `__hash__` None
+            setattr(cls, name, env[name])
     # after __init__: the dataclass docstring is read off its signature
-    dataclass(init=False, frozen=True)(cls)
+    dataclass(init=False, repr=False, eq=False)(cls)
     for f in fields(cls):
         if f.name in defaults:
             f.default = defaults[f.name]
-    key = _getter(names)
-    cls.__reduce__ = lambda self: (self.__class__, key(self))
-    if "_hash" in caches:
-        set_hash = env["_set__hash"]
-
-        def __hash__(self):  # the dataclass hash of the fields, kept
-            h = self._hash
-            if h is None:
-                h = hash(key(self))
-                set_hash(self, h)
-            return h
-
-        cls.__hash__ = __hash__
     return cls
 
 

@@ -12,12 +12,17 @@ Terms, types and the typing and evaluation records built over them are
 `record`s (`lattice.record`): frozen dataclasses with slots. Each keeps the
 dataclass contract (`dataclasses.fields`, `__match_args__`, structural `==`
 and hash, `repr`, `FrozenInstanceError` on assignment or deletion), has no
-`__dict__`, and pickles as its class applied to its fields. The class call
-is its one constructor: its `__init__` writes each slot through the slot's
-descriptor, which costs about half of a frozen dataclass's
-`object.__setattr__` per field. The class body declares
-`__slots__` itself, so the decorator changes the class in place and leaves
-no second class behind (`dataclass(slots=True)` would).
+`__dict__`, and pickles as its class applied to its fields. `record`
+generates `__init__`, `__eq__`, `__hash__`, `__repr__` and `__reduce__` in
+one `exec` and sets the refusing `__setattr__` and `__delattr__`;
+`dataclass` supplies only `fields`, `__match_args__` and `replace`. The
+class call is a record's one constructor: its `__init__` writes each slot
+through the slot's descriptor, which costs about half of a frozen
+dataclass's `object.__setattr__` per field. `==` compares field by field,
+each by identity first, and `repr` has no recursion guard, so both spend
+one frame per nesting level. The class body declares `__slots__` itself,
+so the decorator changes the class in place and leaves no second class
+behind (`dataclass(slots=True)` would).
 
 Terms are immutable and may share subterms. Each node keeps its free
 variables once computed, in its `_fv` slot, and a term or a type keeps its
@@ -54,9 +59,10 @@ from __future__ import annotations
 import re
 from dataclasses import fields
 from itertools import islice
+from operator import attrgetter
 from typing import Callable, Sequence, TypeVar
 
-from rblam.lattice import LatticeElement, LatticeError, LatticeInstance, _getter, record
+from rblam.lattice import LatticeElement, LatticeError, LatticeInstance, record
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +199,15 @@ KEYWORD_OF = {cls: word for word, cls in KEYWORD_FORMS.items()}
 # One traversal: every node class lists its labels (name, annotation, grade,
 # literal) before its subterms, so its children and its rebuild are read off
 # its dataclass fields once, here.
+
+
+def _getter(names: Sequence[str]) -> Callable[[Term], tuple]:
+    if not names:
+        return lambda t: ()
+    if len(names) == 1:
+        get = attrgetter(names[0])
+        return lambda t: (get(t),)
+    return attrgetter(*names)
 
 
 _LABELS: dict[type, Callable[[Term], tuple]] = {}

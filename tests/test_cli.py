@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from rblam import cli
+from rblam import cli, model
 from rblam.cli import main
 from rblam.lattice import MAX_CHECKED_ELEMENTS, SaturatingNatLattice
 
@@ -221,13 +221,13 @@ class TestModel:
 
     def test_interp_corpus_uses_session_lattice_and_deltas(self, monkeypatch, capsys):
         seen = []
-        real = cli.check_cost_preservation
+        real = model.check_cost_preservation
 
         def spy(corpus, m, mode):
             seen.append((corpus, m))
             return real(corpus, m, mode)
 
-        monkeypatch.setattr(cli, "check_cost_preservation", spy)
+        monkeypatch.setattr(model, "check_cost_preservation", spy)
         code = main(["model", "--lattice", "sat3", "--delta-app", "2", "--interp-corpus", "30"])
         assert code == 0
         [(corpus, m)] = seen
@@ -279,6 +279,33 @@ class TestModel:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert captured.err.startswith("error: model takes no --mode") and captured.err.count("\n") == 1
+
+
+class TestStartUp:
+    """A process loads the modules its command uses, and no others."""
+
+    def test_importing_every_layer_loads_no_process_pool(self, fresh_python):
+        code = """
+import sys
+import rblam.cli, rblam.harness, rblam.interp, rblam.lattice, rblam.model, rblam.syntax, rblam.typecheck
+pools = sorted(m for m in sys.modules if m.split(".")[0] in ("concurrent", "multiprocessing"))
+assert not pools, pools
+"""
+        run = fresh_python(code)
+        assert run.returncode == 0, run.stderr
+
+    @pytest.mark.parametrize("command", ["check", "eval", "laws"])
+    def test_check_eval_and_laws_load_neither_harness_nor_model(self, fresh_python, program, command):
+        argv = [command] + ([program(APP_EXAMPLE)] if command != "laws" else ["--sample", "0..5"])
+        code = """
+import json, sys
+from rblam.cli import main
+status = main(json.load(sys.stdin))
+loaded = sorted(m for m in ("rblam.harness", "rblam.model") if m in sys.modules)
+assert status == 0 and not loaded, (status, loaded)
+"""
+        run = fresh_python(code, json.dumps(argv))
+        assert run.returncode == 0, run.stderr
 
 
 class TestGoldenReports:

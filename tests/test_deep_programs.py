@@ -1,6 +1,7 @@
 """Deep programs through the CLI, trace text against a per-node reference
 printer, and the cost of evaluation and trace printing measured in calls."""
 
+import json
 import sys
 
 import pytest
@@ -229,6 +230,23 @@ def test_rules_take_one_frame_per_nesting_level(build, n, value):
     deriv = derive(Context(), term, Mode.SOUND, deltas, NAT)
     assert (deriv.type, deriv.bound) == (Bool(), NAT.element(n))
     assert evaluate(term, deltas) == CostedResult(value, NAT.element(n))
+
+
+def test_deep_parses_compare_hash_and_print_alike(fresh_python):
+    # the largest let-chain the parser takes and a deep nested if: `==` and
+    # `repr` of two parses must fit below the default recursion limit. A
+    # fresh interpreter runs them, so pytest's own frames do not count
+    code = """
+import json, sys
+from rblam.lattice import NAT
+from rblam.syntax import parse
+assert sys.getrecursionlimit() == 1000
+for source in json.load(sys.stdin):
+    a, b = parse(source, NAT), parse(source, NAT)
+    assert a is not b and a == b and hash(a) == hash(b) and repr(a) == repr(b)
+"""
+    run = fresh_python(code, json.dumps([let_chain(246), nested_if(330)]))
+    assert run.returncode == 0, run.stderr[-2000:]
 
 
 def test_minimize_a_deep_term_at_the_default_recursion_limit():

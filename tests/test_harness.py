@@ -805,6 +805,24 @@ class TestProperties:
         assert misses == len(got) > 0
         assert all(len(ids) == 1 for ids in got.values())
 
+    def test_a_full_inhabitant_memo_derives_without_storing(self, monkeypatch):
+        # a memo capped at 8 keys stores its first 8 only, and the report
+        # does not change
+        cfg = GenConfig(lattice=TRIPLE, seed=7, count=150, max_depth=5, mode=Mode.SOUND)
+        uncapped = report_json(run_properties(cfg), cfg)
+        real = harness._GenState.inhabitant
+        sizes = []
+
+        def recorded(st, goal, concrete=True):
+            d = real(st, goal, concrete)
+            sizes.append(len(st.inhabitants))
+            return d
+
+        monkeypatch.setattr(harness._GenState, "inhabitant", recorded)
+        monkeypatch.setattr(harness, "MEMO_INHABITANTS", 8)
+        assert report_json(run_properties(cfg), cfg) == uncapped
+        assert max(sizes) == 8
+
 
 def count_derives(monkeypatch, run) -> int:
     """Every typing rule applied while run() runs: each derive call applies
@@ -963,7 +981,7 @@ class TestReports:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(harness, "_pool", SerialPool)
         if affinity:
             monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
         else:
