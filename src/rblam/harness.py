@@ -186,8 +186,6 @@ def concretize(
             return Prod(concretize(left, inst, rng), concretize(right, inst, rng))
         case Box(grade, body):
             return Box(grade, concretize(body, inst, rng))
-        case _:
-            return ty
 
 
 def goal_matches(syn: Type, goal: Type, inst: LatticeInstance, *, exact: bool = False) -> bool:

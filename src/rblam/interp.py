@@ -8,9 +8,9 @@ every subterm that does not mention the parameter: one application rebuilds
 only the paths down to the parameter's occurrences, and a chain of nested
 applications evaluates in time linear in its size. Each rule charges the
 corresponding delta: application, conditionals, projections, and unboxing.
-Evaluation is deterministic and total on well-typed closed terms; the fuel
-guard turns ill-typed or runaway inputs into clean errors instead of
-divergence. The trace printer prints each shared term once.
+Evaluation is deterministic and total on well-typed closed terms. Fuel
+does not end a divergent `--unsafe-eval` run: each application nests a
+frame, so the recursion limit does (exit 1, `RecursionError` traceback).
 
 The rules live in one table, `RULES`: a handler per rule, called once per
 derivation node. It spends one unit of fuel first, `next(fuel)`, builds its

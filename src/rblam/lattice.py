@@ -121,14 +121,6 @@ class LatticeElement:
     instance: "LatticeInstance"
     payload: Any
 
-    def __eq__(self, other):
-        if other.__class__ is not LatticeElement:
-            return NotImplemented
-        return self.instance is other.instance and self.payload == other.payload
-
-    def __hash__(self):
-        return hash((self.instance, self.payload))
-
     def __repr__(self) -> str:
         return f"<{self.instance.name}:{self.instance.format(self)}>"
 

@@ -7,11 +7,12 @@ interpretation checked against the operational semantics.
 Only checks that can fail on a faulty lattice, typechecker or evaluator are
 run. A family is stored once, as its need map: each section comes with its
 need, the least budget that admits it, and the family at budget r is
-`{s | need(s) <= r}`; its section count is read per need, comparing each
-distinct need with each budget once. Its monotonicity in r, the embedding of
-a boxed family into its body's, and each bound sitting below its budget (a
-bound is below its need) follow from the lattice laws; the laws are checked
-instead, with `lattice.check_laws` over every element.
+`{s | need(s) <= r}`. Its monotonicity in r, the embedding of a boxed family
+into its body's, each bound sitting below its budget (a bound is below its
+need), and every need sitting below the top follow from the lattice laws,
+which `lattice.check_laws` checks over every element in the same report. So
+the family at the top holds every entry, and an arrow family takes every
+domain section as an argument.
 
 A section is a (value, bound) pair, and a value is a term in normal form,
 so a section is already its own reification. The model interprets a value
@@ -47,7 +48,6 @@ per distinct value.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
@@ -156,7 +156,8 @@ class PresheafRep:
     is `at(r)`. The family is checked as it is built: `check` is its
     `sections[T]` report, one case per literal, pair or box section (its
     value derived whole) or three per lambda and argument of an arrow
-    family. The model types only through `derive` and `derive_or_untyped`."""
+    family. The model types only through `derive` and `derive_or_untyped`.
+    By the laws checked in the same report, every need sits below the top."""
 
     lattice: LatticeInstance
     type: Type
@@ -169,10 +170,8 @@ class PresheafRep:
         return {(v, b) for v, b, need, _ in self.entries if self.lattice.leq(need, r)}
 
     def section_count(self) -> int:
-        """The largest family's size, read per need: each distinct need meets each budget once."""
-        per_need, leq = Counter(need for _, _, need, _ in self.entries), self.lattice.leq
-        sizes = (sum(n for need, n in per_need.items() if leq(need, r)) for r in self.lattice.enumerate())
-        return max(sizes, default=0)
+        """The largest family's size: the family at the top, which holds every entry."""
+        return len(self.entries)
 
 
 class _Interpreter:
@@ -271,20 +270,20 @@ class _Interpreter:
         its body's derivation. For each argument of the domain family, the
         substituted body's derivation re-derives from the argument's only the
         nodes above an occurrence of x (`_substituted`); the rest is the
-        body's own derivation, as `substitute` shares those subterms."""
+        body's own derivation, as `substitute` shares those subterms. Every
+        domain section is an argument, since by the laws checked in the same
+        report its need sits below the top."""
         inst = self.inst
         notes = tab.notes
         notes["max_term_size"] = self.enum.max_term_size
         arrow = Arrow(dom, cod, None)
 
-        top = inst.top()
-        if top is None or type_contains_arrow(dom):
+        if type_contains_arrow(dom):
             notes["skipped"] = "argument space not enumerable"
             return [], False
 
         dom_rep = self.interpret(dom)
-        args = sorted(((v, b, d) for v, b, need, d in dom_rep.entries if inst.leq(need, top)),
-                      key=lambda a: pretty(a[0]))
+        args = sorted(((v, b, d) for v, b, _, d in dom_rep.entries), key=lambda a: pretty(a[0]))
         exhaustive = dom_rep.exhaustive
 
         entries: list[Entry] = []
@@ -520,23 +519,23 @@ class DenModel:
                          Pair: _pair, Fst: _proj, Snd: _proj, If: _if, BoxT: _box, Unbox: _unbox}, _no_clause)
 
 
-def _probe_values(ty: Type, max_nat: int = 2) -> list[Term]:
+def _probe_values(ty: Type) -> list[Term]:
     match ty:
         case Bool():
             return [TT(), FF()]
         case Nat():
-            return [NatLit(n) for n in range(max_nat + 1)]
+            return [NatLit(n) for n in range(3)]
         case Prod(left, right):
             probes = [
                 Pair(a, b)
-                for a in _probe_values(left, max_nat)
-                for b in _probe_values(right, max_nat)
+                for a in _probe_values(left)
+                for b in _probe_values(right)
             ]
             return probes[:4]
         case Arrow():
             return [minimal_inhabitant(ty)]
         case Box(grade, body):
-            return [BoxT(grade, p) for p in _probe_values(body, max_nat)][:3]
+            return [BoxT(grade, p) for p in _probe_values(body)][:3]
     raise TypeError(f"no probes for {ty!r}")
 
 
@@ -663,11 +662,7 @@ def default_type_suite(inst: LatticeInstance) -> list[Type]:
     return types
 
 
-def run_model_checks(
-    inst: LatticeInstance,
-    types: list[Type] | None = None,
-    enum: EnumBudget | None = None,
-) -> ModelReport:
+def run_model_checks(inst: LatticeInstance, enum: EnumBudget | None = None) -> ModelReport:
     """Run every finite-model check over one lattice: `lattice-laws`, the
     lattice axioms over every element, then one `sections[T]` check per
     type (`PresheafRep.check`): the derivation of each literal, pair and box
@@ -677,7 +672,7 @@ def run_model_checks(
     if inst.is_finite:
         check_element_count(f"lattice {inst.name!r}", inst.size())
     enum = enum or EnumBudget(deltas=DeltaProfile.default(inst))
-    types = types if types is not None else default_type_suite(inst)
+    types = default_type_suite(inst)
     reps = interpret_types(types, inst, enum)
 
     laws = check_laws(inst)
@@ -691,7 +686,7 @@ def run_model_checks(
     checks.extend(rep.check for rep in reps.values())
 
     universe = {
-        "elements": len(inst.enumerate()),
+        "elements": inst.size(),
         "types": [pretty_type(t) for t in types],
         "sections": {pretty_type(t): reps[t].section_count() for t in types},
         "exhaustive": all(reps[t].exhaustive for t in types),

@@ -8,9 +8,10 @@ import sys
 
 import pytest
 
-from rblam import cli, model
+from rblam import cli, interp, model
 from rblam.cli import main
 from rblam.lattice import MAX_CHECKED_ELEMENTS, SaturatingNatLattice
+from rblam.syntax import BoxT
 
 IF_EXAMPLE = "if tt then ff else tt\n"
 APP_EXAMPLE = "(lam x : Bool . if x then ff else tt) tt\n"
@@ -111,6 +112,15 @@ class TestEval:
         captured = capsys.readouterr()
         assert code == 2
         assert "stuck" in captured.err
+
+    def test_typed_term_that_gets_stuck_is_an_internal_failure(self, program, monkeypatch, capsys):
+        # an evaluator whose box rule drops the box: the typed unbox gets
+        # stuck, which is the evaluator's fault, not the input's
+        monkeypatch.setitem(interp.RULES, BoxT, lambda t, *rest: interp.RULES[t.body.__class__](t.body, *rest))
+        code = main(["eval", program("unbox (box[0] tt)"), "--lattice", "nat"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == "internal invariant failure: typed term got stuck: unbox of non-box value tt\n"
 
     def test_eval_trace(self, program, capsys):
         code = main(["eval", program(APP_EXAMPLE), "--lattice", "nat", "--trace"])
@@ -379,14 +389,20 @@ class TestLaws:
     def test_bad_range(self, capsys):
         assert main(["laws", "--lattice", "nat", "--sample", "oops"]) == 2
 
-    @pytest.mark.parametrize("spec", ["0..1_0", "0..٣", "0..+3", " 0..3", "0..3 ", "-1..3", "0..", "0x1..3"])
+    @pytest.mark.parametrize("spec", ["0..1_0", "0..٣", "0..+3", " 0..3", "0..3 ", "-1..3", "0..", "0x1..3",
+                                      pytest.param("0.." + "7" * 5000, id="0..5000 digits")])
     def test_range_bounds_are_ascii_digits(self, capsys, spec):
         # int() reads "1_0" as 10 and takes signs, blanks and other scripts'
-        # digits; a bound is ASCII digits only
+        # digits; a bound is ASCII digits only, and no more than int() converts
         assert main(["laws", "--lattice", "nat", f"--sample={spec}"]) == 2
         captured = capsys.readouterr()
         assert captured.err == f"error: bad sample range {spec!r}; expected LO..HI\n"
         assert captured.out == ""
+
+    def test_reversed_range(self, capsys):
+        assert main(["laws", "--lattice", "nat", "--sample", "5..3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: bad sample range '5..3'\n" and captured.out == ""
 
     def test_infinite_without_sample(self, capsys):
         assert main(["laws", "--lattice", "nat"]) == 2
@@ -570,9 +586,11 @@ class TestInputErrors:
             ("if tt then", [], "error: PROG:1:11: expected a term"),
             ("tt ff", [], "error: type error: "),
             ("fst tt", ["--unsafe-eval"], "error: stuck: "),
+            ("tt tt", ["--unsafe-eval"], "error: stuck: application of non-function value tt"),
+            ("unbox tt", ["--unsafe-eval"], "error: stuck: unbox of non-box value tt"),
             (APP_EXAMPLE, ["--fuel", "1"], "error: evaluation error: "),
         ],
-        ids=["parse", "type", "stuck", "fuel"],
+        ids=["parse", "type", "stuck", "stuck application", "stuck unbox", "fuel"],
     )
     def test_program_errors_are_one_error_line(self, program, capsys, source, flags, head):
         path = program(source)
@@ -643,6 +661,36 @@ class TestInputErrors:
         assert code == 2 and captured.out == ""
         assert captured.err.startswith("error: cannot read ") and captured.err.count("\n") == 1
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("elements: low mid high", "elements: low mid low", "bad: duplicate element names"),
+            ("leq:\n", "leq:\nmid top\n", "bad: leq pair (mid, top) mentions unknown element"),
+            ("combine:\nlow low -> low", "combine:\nlow low -> top", "bad: combine entry low low -> top mentions "
+             "unknown element"),
+            ("# three", "low\n#", "line 1: entry before any section header"),
+            ("bottom: low\n", "bottom: low\nmid\n", "line 4: bottom declared twice"),
+            ("leq:\n", "leq:\nlow mid high\n", "line 5: leq entries are 'a b', got 'low mid high'"),
+            ("combine:\n", "combine:\nlow low\n", "line 12: table entries are 'a b -> c', got 'low low'"),
+            ("combine:\n", "combine:\nlow -> low\n", "line 12: table entries are 'a b -> c', got 'low -> low'"),
+            ("join:\n", "join:\nlow mid -> mid\n", "line 24: duplicate join entry for low mid"),
+            ("elements: low mid high\n", "", "table declares no elements"),
+            ("bottom: low\n", "", "table declares no bottom"),
+        ],
+        ids=["duplicate element", "unknown in leq", "unknown in combine", "entry before header", "bottom twice",
+             "bad leq entry", "entry without arrow", "malformed entry", "duplicate entry", "no elements",
+             "no bottom"],
+    )
+    def test_malformed_lattice_file_is_one_error_line(self, data_dir, tmp_path, capsys, old, new, message):
+        text = (data_dir / "chain3.lat").read_text()
+        assert text.count(old) == 1
+        path = tmp_path / "bad.lat"
+        path.write_text(text.replace(old, new))
+        code = main(["laws", "--lattice-file", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     def test_arabic_indic_digit_still_parses(self, program, capsys):
         assert main(["eval", program("(lam x : Nat . x) ٣"), "--lattice", "nat"]) == 0

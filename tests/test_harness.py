@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import random
 
 import pytest
@@ -27,11 +29,14 @@ from rblam.syntax import (
     Arrow,
     Bool,
     Box,
+    BoxT,
     If,
     Lam,
     Nat,
     Pair,
+    Prod,
     TT,
+    Unbox,
     Var,
     alpha_eq,
     children,
@@ -41,7 +46,7 @@ from rblam.syntax import (
     rebuild,
     term_size,
 )
-from rblam.typecheck import Context, DeltaProfile, Mode, TypingError, derive, synthesize
+from rblam.typecheck import Context, DeltaProfile, Derivation, GradeExceeded, Mode, TypingError, derive, synthesize
 
 D = DeltaProfile.default(NAT)
 BIG = NAT.element(10**6)
@@ -549,6 +554,49 @@ class TestMinimizer:
         assert minimize(sound, violating, cfg) == sound
 
 
+def _charging(extra):
+    """A fault in evaluate: each result costs extra(term) more."""
+    def fault(real):
+        def evaluate(t, deltas):
+            r = real(t, deltas)
+            return dataclasses.replace(r, cost=NAT.combine(r.cost, extra(t)))
+
+        return evaluate
+
+    return fault
+
+
+def _nondeterministic(real):
+    calls = itertools.count()
+    return _charging(lambda t: NAT.element(next(calls)))(real)
+
+
+def _judging(change):
+    """A fault in synthesize: each judgment is change(judgment, budget)."""
+    return lambda real: lambda ctx, t, budget, *rest: change(real(ctx, t, budget, *rest), budget)
+
+
+def _unbox_charges_nothing(rule):
+    def unbox(ctx, t, mode, d, inst, kids):
+        j = rule(ctx, t, mode, d, inst, kids)
+        return dataclasses.replace(j, bound=j.children[0].bound)
+
+    return unbox
+
+
+def _box_promotes_at_bottom(rule):
+    def box(ctx, t, mode, d, inst, kids):
+        try:
+            return rule(ctx, t, mode, d, inst, kids)
+        except GradeExceeded:
+            if t.grade != inst.bottom():
+                raise
+            body = kids[0] if kids else typecheck.RULES[t.body.__class__](ctx, t.body, mode, d, inst, ())
+            return Derivation("Box", t, Box(t.grade, body.type), body.bound, (body,))
+
+    return box
+
+
 class TestProperties:
     @pytest.mark.parametrize(
         "name",
@@ -697,6 +745,46 @@ class TestProperties:
         for f in report.failures:
             assert f.relation == "grade monotone acceptance" and f.term == "tt"
             assert f.observed["error"].startswith("synthesized type Bool does not match expected Box")
+
+    @pytest.mark.parametrize(
+        "suite, target, fault, relation",
+        [
+            ("determinism", "evaluate", _nondeterministic, "evaluation is deterministic"),
+            # rename_binders names every binder v<N>, which the generator never does
+            ("determinism", "evaluate", _charging(lambda t: NAT.element(int("lam v" in pretty(t)))),
+             "evaluation is alpha-invariant"),
+            ("preservation", "synthesize", _judging(lambda j, r: dataclasses.replace(j, type=Prod(j.type, j.type))),
+             "result type preserved up to grade subsumption"),
+            ("preservation", "synthesize",
+             _judging(lambda j, r: dataclasses.replace(j, bound=NAT.combine(j.bound, NAT.large_budget()))),
+             "result bound below original"),
+            ("budget_weakening", "synthesize",
+             _judging(lambda j, r: dataclasses.replace(j, bound=NAT.join(j.bound, r))),
+             "bound independent of budget"),
+            ("budget_weakening", "synthesize",
+             _judging(lambda j, r: dataclasses.replace(j, within_budget=NAT.leq(r, j.bound))),
+             "verdict monotone in the budget"),
+            ("box_laws", Unbox, _unbox_charges_nothing,
+             "counit: unbox typechecks at the body type, bound + delta_unbox"),
+            ("box_laws", "evaluate", _charging(lambda t: NAT.large_budget()), "boxed body cost within grade"),
+            ("box_laws", BoxT, _box_promotes_at_bottom, "no unconditional promotion"),
+            ("substitution", "evaluate", _charging(lambda t: NAT.large_budget()),
+             "substituted cost within open bound"),
+        ],
+        ids=["determinism", "alpha-invariance", "result type", "result bound", "bound independent of budget",
+             "verdict monotone", "counit", "boxed-body cost", "no unconditional promotion", "substituted cost"],
+    )
+    def test_each_relation_can_fail(self, monkeypatch, suite, target, fault, relation):
+        # one fault in evaluate, synthesize or a typing rule breaks exactly
+        # the relation the suite states for it
+        if isinstance(target, str):
+            monkeypatch.setattr(harness, target, fault(getattr(harness, target)))
+        else:
+            monkeypatch.setitem(typecheck.RULES, target, fault(typecheck.RULES[target]))
+        cfg = GenConfig(lattice=NAT, seed=6, count=30, max_depth=5, mode=Mode.SOUND)
+        report = run_property(cfg, suite)
+        assert report.failure_count > 0
+        assert {f.relation for f in report.failures} == {relation}
 
     def test_triple_lattice_clean(self):
         deltas = DeltaProfile.uniform(TRIPLE.element((1, 0, 0)))

@@ -301,6 +301,12 @@ class TestLawChecker:
                 for law, checked, names in laws
             ],
         }
+        # the text report prints one line per law, a failing one with its witness
+        assert str(report).splitlines() == ["laws for broken over 3 elements"] + [
+            f"  {law}: pass ({checked} cases)" if names is None
+            else f"  {law}: FAIL at ({', '.join(f'<broken:{n}>' for n in names)})"
+            for law, checked, names in laws
+        ]
 
     def test_each_pair_is_combined_once(self, monkeypatch):
         # one table of combine(a, b) over the sample serves commutativity,
@@ -564,6 +570,17 @@ class TestFiniteLatticeFacts:
         assert [inst.top()] == tops if top is not None else len(tops) != 1
         maximal = [m for m in els if not any(e != m and inst.leq(m, e) for e in els)]
         assert inst.large_budget() == (tops[0] if len(tops) == 1 else maximal[0])
+
+    def test_model_checks_on_a_top_less_table_fail_only_on_the_laws(self):
+        # the model relies on the laws it checks in the same report (every
+        # need sits below the top); without a top they fail, and the section
+        # families are still tabulated, arrows included, without raising
+        report = run_model_checks(self.no_unique_top())
+        assert report.passed is False
+        laws, *families = report.checks
+        assert laws.name == "lattice-laws" and not laws.ok
+        assert all(c.ok for c in families)
+        assert all(c.checked > 0 for c in families if "->" in c.name)
 
 
 class TestCheckedElementLimit:

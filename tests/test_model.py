@@ -496,6 +496,18 @@ class TestRunModelChecks:
         report = run_model_checks(inst, enum=enum_for(inst, max_term_size=size))
         assert report.universe["exhaustive"] is False
 
+    def test_families_past_the_cap_are_cut_and_not_exhaustive(self, monkeypatch):
+        # a family of more than MAX_SECTIONS entries, or an arrow corpus of
+        # more than as many lambda bodies, is cut there and flagged
+        monkeypatch.setattr(model, "MAX_SECTIONS", 3)
+        report = run_model_checks(sat(2))
+        notes = {c.name: c.notes for c in report.checks}
+        assert notes["sections[Nat]"]["section_cap"] == 3 and notes["sections[Nat]"]["exhaustive"] is False
+        assert "section_cap" not in notes["sections[Bool]"] and notes["sections[Bool]"]["exhaustive"] is True
+        assert notes["sections[Bool -> Bool]"]["corpus_cap"] == 3
+        assert notes["sections[Bool -> Bool]"]["exhaustive"] is False
+        assert report.universe["sections"]["Nat"] == 3 and report.universe["exhaustive"] is False
+
     def test_deltas_of_another_instance_rejected_up_front(self):
         inst = sat(2)
         with pytest.raises(ValueError, match="^delta profile belongs to another instance of 'sat2', not to 'sat2'$"):
