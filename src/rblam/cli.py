@@ -9,8 +9,8 @@ written (as by `| head -1`). Commands raise input errors; `main` alone
 prints each as one `error:` line and returns 2, and turns a closed stdout
 into 141 without a traceback.
 
-Each command loads its own layers: `fuzz` and `model` import `harness` and
-`model` when they run, so `check`, `eval` and `laws` never load them.
+Each command loads its own layers when it runs: `harness` only for `fuzz`
+and `model --interp-corpus`, `model` only for `model`.
 """
 
 from __future__ import annotations
@@ -317,7 +317,6 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
 
 
 def cmd_model(args: argparse.Namespace) -> int:
-    from rblam.harness import GenConfig, gen_typed_term
     from rblam.model import DenModel, EnumBudget, check_cost_preservation, run_model_checks
 
     if args.mode is not None:
@@ -336,6 +335,7 @@ def cmd_model(args: argparse.Namespace) -> int:
     docs = [report.to_dict()]
     ok = report.passed
     if args.interp_corpus:
+        from rblam.harness import GenConfig, gen_typed_term
         cfg = GenConfig(lattice=inst, seed=args.seed, count=args.interp_corpus, mode=Mode.SOUND,
                         deltas=session.deltas)
         corpus = [gen_typed_term(cfg, trial=i) for i in range(args.interp_corpus)]

@@ -1,8 +1,8 @@
 """Resource lattices: partially ordered cost domains with sequential
 composition (combine), worst-case branching (join), and a least element.
 
-Shipped instances: naturals, saturating naturals, (time, memory, depth)
-triples, gas, finite table-driven lattices, and products of instances.
+Shipped instances: naturals, saturating naturals, gas, (time, memory, depth)
+triples (the product of three naturals), table lattices, and products.
 `check_laws` executes every axiom over a sample and reports witnesses
 for failures instead of assuming lawfulness.
 
@@ -23,9 +23,9 @@ compare elements with `==`. Every operation runs its payload hook (`_leq`,
 the element of `_bottom`'s payload that the instance shares at construction,
 without running the hook again.
 
-Every payload is plain data (a natural, a tuple of naturals, an element
-name, or a product's tuple of component payloads), and a parsed literal is
-its payload: `element`, which validates it, is the one constructor from data.
+Every payload is plain data (a natural, an element name, or a product's
+tuple of component payloads), and is its literal: `format` prints it, and
+`element`, which validates a parsed one, is the one constructor from data.
 
 Elements are `record`s, the frozen slot classes that the term, type and
 derivation classes of the other modules are built from too; a record has
@@ -128,6 +128,14 @@ class LatticeElement:
 SHARED_ELEMENTS = 256  # shared payloads per instance; a bound keeps construction O(1) in a sat cap
 
 
+def _literal(payload: Any) -> str:
+    """A payload's literal, the inverse of the parser's: a natural's digits, an
+    element name itself, a tuple's parts joined by commas in parentheses."""
+    if payload.__class__ is not tuple:
+        return str(payload)
+    return f"({','.join([_literal(p) if p.__class__ is tuple else str(p) for p in payload])})"
+
+
 class LatticeInstance:
     """Base class for concrete lattices. Instances compare by identity;
     elements are only usable with the instance that created them.
@@ -226,8 +234,8 @@ class LatticeInstance:
         return None
 
     def format(self, el: LatticeElement) -> str:
-        """Render an element as a surface literal."""
-        raise NotImplementedError
+        """Render an element as a surface literal, printed from its payload."""
+        return _literal(self._own(el))
 
     def unit_step(self) -> LatticeElement:
         """Smallest nonzero step where one exists; bottom otherwise.
@@ -275,9 +283,6 @@ class NatLattice(LatticeInstance):
     def _bottom(self):
         return 0
 
-    def format(self, el):
-        return str(self._own(el))
-
     def unit_step(self):
         return self.element(1)
 
@@ -324,50 +329,6 @@ class SaturatingNatLattice(NatLattice):
 
     def large_budget(self):
         return self.element(self.cap)
-
-
-class TripleLattice(LatticeInstance):
-    """(time, memory, depth) triples with pointwise order, + and max."""
-
-    name = "triple"
-
-    def _check_payload(self, payload):
-        if (
-            not isinstance(payload, tuple)
-            or len(payload) != 3
-            or not all(type(c) is int and c >= 0 for c in payload)
-        ):
-            raise LatticeError(f"{self.name}: expected a triple of naturals, got {payload!r}")
-        return payload
-
-    def _leq(self, a, b):
-        return a[0] <= b[0] and a[1] <= b[1] and a[2] <= b[2]
-
-    def _combine(self, a, b):
-        return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
-
-    def _join(self, a, b):
-        return (
-            a[0] if a[0] >= b[0] else b[0],
-            a[1] if a[1] >= b[1] else b[1],
-            a[2] if a[2] >= b[2] else b[2],
-        )
-
-    def _bottom(self):
-        return (0, 0, 0)
-
-    def format(self, el):
-        return "({},{},{})".format(*self._own(el))
-
-    def unit_step(self):
-        # one time tick, no memory or depth
-        return self.element((1, 0, 0))
-
-    def random_element(self, rng):
-        return self.element((rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 3)))
-
-    def large_budget(self):
-        return self.element((10**6, 10**6, 10**6))
 
 
 class FiniteLattice(LatticeInstance):
@@ -452,9 +413,6 @@ class FiniteLattice(LatticeInstance):
     def top(self):
         return None if self._top is None else self.element(self._top)
 
-    def format(self, el):
-        return self._own(el)
-
     def unit_step(self):
         return self.element(self._unit)
 
@@ -509,18 +467,10 @@ class ProductLattice(LatticeInstance):
 
     def top(self):
         tops = [c.top() for c in self.components]
-        if any(t is None for t in tops):
-            return None
-        return self.element(tuple([t.payload for t in tops]))
+        return None if None in tops else self.element(tuple([t.payload for t in tops]))
 
-    def format(self, el):
-        parts = (c.format(c.element(x)) for c, x in zip(self.components, self._own(el)))
-        return "({})".format(",".join(parts))
-
-    def unit_step(self):
-        # one step in the first component, like the triple's time tick
-        first = self.components[0].unit_step().payload
-        return self.element((first,) + tuple([c._bottom() for c in self.components[1:]]))
+    def unit_step(self):  # bottom but one step in the first component, as the triple's time tick
+        return self.element((self.components[0].unit_step().payload, *self._bot.payload[1:]))
 
     def random_element(self, rng):
         return self.element(tuple([c.random_element(rng).payload for c in self.components]))
@@ -530,6 +480,37 @@ class ProductLattice(LatticeInstance):
 
 
 NAT = NatLattice("nat")
+
+
+class TripleLattice(ProductLattice):
+    """(time, memory, depth): the product of three `nat`s, one hook call per operation."""
+
+    def __init__(self):
+        super().__init__([NAT, NAT, NAT], "triple")
+
+    def _check_payload(self, payload):
+        try:
+            return super()._check_payload(payload)
+        except LatticeError:
+            raise LatticeError(f"{self.name}: expected a triple of naturals, got {payload!r}") from None
+
+    def _leq(self, a, b):
+        return a[0] <= b[0] and a[1] <= b[1] and a[2] <= b[2]
+
+    def _combine(self, a, b):
+        return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
+
+    def _join(self, a, b):
+        return (
+            a[0] if a[0] >= b[0] else b[0],
+            a[1] if a[1] >= b[1] else b[1],
+            a[2] if a[2] >= b[2] else b[2],
+        )
+
+    def random_element(self, rng):  # 0..3 in each coordinate, not nat's 0..6
+        return self.element((rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 3)))
+
+
 GAS = NatLattice("gas")
 TRIPLE = TripleLattice()
 _BUILTINS: dict[str, LatticeInstance] = {inst.name: inst for inst in (NAT, GAS, TRIPLE)}

@@ -51,7 +51,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
-from rblam.harness import minimal_inhabitant, type_contains_arrow
 from rblam.interp import EvalError, evaluate
 from rblam.lattice import LatticeElement, LatticeInstance, check_element_count, check_laws
 from rblam.syntax import (
@@ -90,6 +89,8 @@ from rblam.typecheck import (
     check_deltas,
     derive,
     derive_or_untyped,
+    minimal_inhabitant,
+    type_contains_arrow,
 )
 
 

@@ -212,6 +212,33 @@ def _reject_latents(ty: Type):
             _reject_latents(body)
 
 
+def type_contains_arrow(ty: Type) -> bool:
+    match ty:
+        case Arrow():
+            return True
+        case Prod(left, right):
+            return type_contains_arrow(left) or type_contains_arrow(right)
+        case Box(_, body):
+            return type_contains_arrow(body)
+    return False
+
+
+def minimal_inhabitant(goal: Type) -> Term:
+    """Canonical cheapest closed term of a type; synthesizes bound bottom."""
+    match goal:
+        case Bool():
+            return TT()
+        case Nat():
+            return NatLit(0)
+        case Prod(left, right):
+            return Pair(minimal_inhabitant(left), minimal_inhabitant(right))
+        case Arrow(dom, cod, _):
+            return Lam("u", dom, minimal_inhabitant(cod))
+        case Box(grade, body):
+            return BoxT(grade, minimal_inhabitant(body))
+    raise TypeError(f"no inhabitant rule for {goal!r}")
+
+
 # ---------------------------------------------------------------------------
 # Synthesis
 

@@ -304,17 +304,21 @@ assert not pools, pools
         run = fresh_python(code)
         assert run.returncode == 0, run.stderr
 
-    @pytest.mark.parametrize("command", ["check", "eval", "laws"])
+    @pytest.mark.parametrize("command", ["check", "eval", "laws", "model"])
     def test_check_eval_and_laws_load_neither_harness_nor_model(self, fresh_python, program, command):
-        argv = [command] + ([program(APP_EXAMPLE)] if command != "laws" else ["--sample", "0..5"])
+        # the model, an oracle independent of the generator, loads no harness
+        argv = [command] + {"laws": ["--sample", "0..5"], "model": ["--lattice", "sat2"]}.get(
+            command, [program(APP_EXAMPLE)])
+        unloaded = ["rblam.harness"] + (["rblam.model"] if command != "model" else [])
         code = """
 import json, sys
 from rblam.cli import main
-status = main(json.load(sys.stdin))
-loaded = sorted(m for m in ("rblam.harness", "rblam.model") if m in sys.modules)
+argv, unloaded = json.load(sys.stdin)
+status = main(argv)
+loaded = sorted(m for m in unloaded if m in sys.modules)
 assert status == 0 and not loaded, (status, loaded)
 """
-        run = fresh_python(code, json.dumps(argv))
+        run = fresh_python(code, json.dumps([argv, unloaded]))
         assert run.returncode == 0, run.stderr
 
 

@@ -1,4 +1,5 @@
 import ast
+import itertools
 import pathlib
 import pickle
 import time
@@ -26,6 +27,11 @@ from rblam.lattice import (
 )
 from rblam.model import run_model_checks
 from rblam.syntax import ParseError, parse, parse_literal_text, pretty
+
+
+NATURALS = st.integers(min_value=0, max_value=10**30)
+TRIPLES = st.tuples(NATURALS, NATURALS, NATURALS)
+NAT_TRIPLE = ProductLattice([NAT, TRIPLE])
 
 
 def nat_el(n):
@@ -244,6 +250,69 @@ class TestLiterals:
         with pytest.raises(ParseError) as exc:
             parse_literal_text("(1,(0,x,0))", ProductLattice([NAT, TRIPLE]))
         assert str(exc.value) == "1:1: triple: expected a triple of naturals, got (0, 'x', 0)"
+
+    @pytest.mark.parametrize("spec", ["sat3", "chain3.lat", "diamond.lat", "sat1*diamond.lat"])
+    def test_every_element_of_a_finite_lattice_round_trips(self, data_dir, spec):
+        insts = [builtin_lattice(s) if s.startswith("sat") else load_lattice(str(data_dir / s))
+                 for s in spec.split("*")]
+        inst = insts[0] if len(insts) == 1 else ProductLattice(insts)
+        for el in inst.enumerate():
+            assert parse_literal_text(inst.format(el), inst) == el
+
+    @given(data=st.data())
+    @pytest.mark.parametrize("inst, payloads", [
+        (NAT, NATURALS), (GAS, NATURALS), (TRIPLE, TRIPLES), (NAT_TRIPLE, st.tuples(NATURALS, TRIPLES)),
+    ], ids=["nat", "gas", "triple", "nat*triple"])
+    def test_sampled_elements_of_an_infinite_lattice_round_trip(self, inst, payloads, data):
+        el = inst.element(data.draw(payloads))
+        assert parse_literal_text(inst.format(el), inst) == el
+
+    @pytest.mark.parametrize("inst, el", [
+        (NAT, GAS.element(1)), (TRIPLE, nat_el(1)), (NAT_TRIPLE, trip(0, 0, 0)),
+        (ProductLattice([NAT, NAT, NAT]), trip(0, 0, 0)), (NAT, 1),
+    ], ids=["gas-in-nat", "nat-in-triple", "triple-in-product", "triple-in-nat3", "int-in-nat"])
+    def test_format_refuses_a_foreign_element(self, inst, el):
+        with pytest.raises(LatticeError, match="used with lattice"):
+            inst.format(el)
+
+
+class TestTripleIsTheProductOfThreeNats:
+    """The triple inherits what the product of three `nat`s derives from its
+    components and inlines only the three hooks. The generic product is the
+    reference the inlined hooks are pinned to."""
+
+    GENERIC = ProductLattice([NAT, NAT, NAT])
+    PAYLOADS = list(itertools.product((0, 1, 2, 5), repeat=3))
+
+    def test_components_and_derived_elements(self):
+        assert isinstance(TRIPLE, ProductLattice) and TRIPLE.components == [NAT, NAT, NAT]
+        g = self.GENERIC
+        for name in ("bottom", "unit_step", "large_budget"):
+            assert getattr(TRIPLE, name)().payload == getattr(g, name)().payload
+        assert TRIPLE.size() is None and TRIPLE.top() is None and not TRIPLE.is_finite
+
+    def test_hooks_agree_with_the_generic_product(self):
+        g = self.GENERIC
+        pairs = [(TRIPLE.element(a), TRIPLE.element(b), g.element(a), g.element(b))
+                 for a in self.PAYLOADS for b in self.PAYLOADS]
+        assert len(pairs) == 4096
+        for a, b, ga, gb in pairs:
+            assert TRIPLE.leq(a, b) == g.leq(ga, gb)
+            assert TRIPLE.combine(a, b).payload == g.combine(ga, gb).payload
+            assert TRIPLE.join(a, b).payload == g.join(ga, gb).payload
+
+    def test_laws_count_the_same_cases(self):
+        g = self.GENERIC
+        reports = [check_laws(inst, [inst.element(p) for p in self.PAYLOADS]) for inst in (TRIPLE, g)]
+        assert [(r.law, r.ok, r.checked) for r in reports[0].results] == \
+            [(r.law, r.ok, r.checked) for r in reports[1].results]
+        assert reports[0].passed
+
+    @pytest.mark.parametrize("payload", [3, (1, "a", 2), (1, 2), (1, 2, 3, 4), (1, -1, 0), (True, 0, 0)])
+    def test_a_bad_payload_is_not_a_triple_of_naturals(self, payload):
+        with pytest.raises(LatticeError) as exc:
+            TRIPLE.element(payload)
+        assert str(exc.value) == f"triple: expected a triple of naturals, got {payload!r}"
 
 
 class TestLawChecker:

@@ -272,20 +272,43 @@ class TestTypeRelationLaws:
             assert goal_matches(a, a, inst)
             assert type_lub(a, a, mode, inst) == a
 
+    @classmethod
+    def lubs(cls, lattice, mode):
+        """Each concretization paired with its regrading and with the next
+        one, and the lub of every pair that has one."""
+        inst, rng, _, concrete = cls.types(lattice, mode)
+        pairs = [(a, regraded(a, inst, rng, mode)) for a in concrete] + list(zip(concrete, concrete[1:]))
+        found = []
+        for a, b in pairs:
+            try:
+                found.append((a, b, type_lub(a, b, mode, inst)))
+            except TypingError:
+                continue
+        assert len(found) > len(concrete) // 2
+        return inst, rng, pairs, found
+
     @pytest.mark.parametrize("mode", list(Mode))
     @pytest.mark.parametrize("lattice", ["nat", "triple", "sat3"])
     def test_lub_is_an_upper_bound(self, lattice, mode):
-        inst, rng, _, concrete = self.types(lattice, mode)
-        pairs = [(a, regraded(a, inst, rng, mode)) for a in concrete] + list(zip(concrete, concrete[1:]))
-        found = 0
-        for a, b in pairs:
-            try:
-                lub = type_lub(a, b, mode, inst)
-            except TypingError:
-                continue
-            found += 1
+        inst, _, _, found = self.lubs(lattice, mode)
+        for a, b, lub in found:
             assert is_subtype(a, lub, mode, inst) and is_subtype(b, lub, mode, inst)
-        assert found > len(concrete) // 2
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    @pytest.mark.parametrize("lattice", ["nat", "triple", "sat3"])
+    def test_lub_is_least(self, lattice, mode):
+        # every sampled type above both sides of a pair is above their lub;
+        # the pairs' types and four more regradings of each are sampled
+        inst, rng, pairs, found = self.lubs(lattice, mode)
+        paired = [t for pair in pairs for t in pair]
+        sampled = list(dict.fromkeys(paired + [regraded(t, inst, rng, mode) for t in paired for _ in range(4)]))
+        above_both = 0
+        for a, b, lub in found:
+            for d in sampled:
+                if is_subtype(a, d, mode, inst) and is_subtype(b, d, mode, inst):
+                    above_both += d != lub
+                    assert is_subtype(lub, d, mode, inst)
+        assert above_both > len(found) // 10  # sampled types strictly above a lub
 
 
 class TestDeterminismAndBudgetIrrelevance:
