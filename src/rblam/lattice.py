@@ -688,8 +688,12 @@ def parse_lattice_table(text: str, name: str = "finite") -> FiniteLattice:
         a b -> c
 
     Entries may follow the header on the same line or on subsequent lines;
-    `#` starts a comment. The constructor validates totality.
+    `#` starts a comment. An element name must lex as one identifier, so
+    that a program can name it as a literal. The constructor validates
+    totality.
     """
+    from rblam.syntax import _TOKEN, RESERVED  # syntax imports this module
+
     elements: list[str] = []
     bottom: str | None = None
     leq_pairs: list[tuple[str, str]] = []
@@ -713,7 +717,10 @@ def parse_lattice_table(text: str, name: str = "finite") -> FiniteLattice:
         if section is None:
             raise LatticeError(f"line {lineno}: entry before any section header")
         if section == "elements":
-            elements.extend(line.split())
+            for word in line.split():
+                if _TOKEN.findall(word) != [word] or not (word[0].isalpha() or word[0] == "_") or word in RESERVED:
+                    raise LatticeError(f"line {lineno}: element name {word!r} is not an identifier")
+                elements.append(word)
         elif section == "bottom":
             if bottom is not None:
                 raise LatticeError(f"line {lineno}: bottom declared twice")

@@ -37,13 +37,13 @@ The body enumerator yields each body's derivation, every node derived once
 from its kids' with `typecheck.derive_or_untyped`, as the generator builds
 terms, and memoized per (context, goal, size). A lambda is one `Lam` node
 over its body's derivation. A substituted body re-derives only the nodes
-above an occurrence of x; a node without x is returned as it is, unvisited.
-A goal is skipped when the size left is below
-`boxes(goal) - max boxes(T in ctx) + 1` (`boxes` counts leading `Box`
-constructors): `box` adds a node per layer and `unbox` needs an inner body
-with one more, so no body that small exists. An argument's derivation is
-read from its domain family, and an evaluation result is typed whole, once
-per distinct value.
+above an occurrence of x; a node without x is returned as it is, unvisited,
+and each distinct substituted body is evaluated once per family. A goal is
+skipped when the size left is below `boxes(goal) - max boxes(T in ctx) + 1`
+(`boxes` counts leading `Box` constructors): `box` adds a node per layer
+and `unbox` needs an inner body with one more, so no body that small
+exists. An argument's derivation is read from its domain family, and an
+evaluation result is typed whole, once per distinct value.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
-from rblam.interp import EvalError, evaluate
+from rblam.interp import CostedResult, EvalError, evaluate
 from rblam.lattice import LatticeElement, LatticeInstance, check_element_count, check_laws
 from rblam.syntax import (
     App,
@@ -183,6 +183,7 @@ class _Interpreter:
         self.inst = inst
         self.enum = enum
         self.els = inst.enumerate()
+        self.closed = Context()
         self.memo: dict[Type, PresheafRep] = {}
         self.body_memo: dict[tuple, list[Derivation]] = {}
         self.value_bounds: dict[Term, LatticeElement] = {}
@@ -193,7 +194,7 @@ class _Interpreter:
 
     def synth_bound(self, t: Term) -> LatticeElement:
         """The paper-mode bound of a closed term, derived whole."""
-        return derive(Context(), t, Mode.PAPER, self.enum.deltas, self.inst).bound
+        return derive(self.closed, t, Mode.PAPER, self.enum.deltas, self.inst).bound
 
     def value_bound(self, v: Term) -> LatticeElement:
         """synth_bound of an evaluation result, read once per value (memo)."""
@@ -273,7 +274,13 @@ class _Interpreter:
         nodes above an occurrence of x (`_substituted`); the rest is the
         body's own derivation, as `substitute` shares those subterms. Every
         domain section is an argument, since by the laws checked in the same
-        report its need sits below the top."""
+        report its need sits below the top.
+
+        Each distinct substituted body is evaluated once per family: a body
+        without x substitutes to itself for every argument, so results are
+        memoized by the substituted term's identity (`sub_memos` and
+        `body_memo` keep those terms alive). The comparisons still run, and
+        count, once per lambda and argument."""
         inst = self.inst
         notes = tab.notes
         notes["max_term_size"] = self.enum.max_term_size
@@ -298,11 +305,11 @@ class _Interpreter:
             exhaustive = False
             notes["corpus_cap"] = MAX_SECTIONS
 
-        closed = Context()
         sub_memos: list[dict[int, Derivation]] = [{} for _ in args]
+        results: dict[int, CostedResult] = {}
         for body in bodies:
             lam = Lam("x", dom, body.term)
-            j = self.node(closed, lam, body)
+            j = self.node(self.closed, lam, body)
             if j.type is None:
                 continue
             if j.type != arrow:
@@ -318,7 +325,9 @@ class _Interpreter:
                 sub = self._substituted(body, v_deriv, sub_memo)
                 try:
                     b_sub = sub.bound if sub.type is not None else self.synth_bound(sub.term)
-                    result = evaluate(sub.term, self.enum.deltas)
+                    result = results.get(id(sub.term))
+                    if result is None:
+                        result = results[id(sub.term)] = evaluate(sub.term, self.enum.deltas)
                 except (TypingError, EvalError) as exc:
                     tab.expect(False, lambda: f"{pretty(lam)} on {pretty(v)}: {exc}")
                     admissible = False
@@ -364,8 +373,8 @@ class _Interpreter:
         if isinstance(d.term, Var):
             out = v
         else:
-            kids = tuple(self._substituted(k, v, memo) for k in d.children)
-            out = self.node(Context(), rebuild(d.term, [k.term for k in kids]), *kids)
+            kids = [self._substituted(k, v, memo) for k in d.children]
+            out = self.node(self.closed, rebuild(d.term, [k.term for k in kids]), *kids)
         memo[id(d)] = out
         return out
 
@@ -379,8 +388,11 @@ class _Interpreter:
         nodes, by induction over the productions: `box` adds one node per
         box layer, `unbox` needs an inner body with one more layer, and
         variables, literals, pairs and `if` meet the bound outright. Below
-        it the list is empty without being enumerated."""
-        if size < _boxes(goal) - max((_boxes(ty) for _, ty in ctx), default=0) + 1:
+        it the list is empty without being enumerated. `unbox`'s inner goal
+        `Box(s, goal)` has one box more than goal whatever the grade s, so
+        its prune is tested once, above the loop over grades."""
+        least = _boxes(goal) - max((_boxes(ty) for _, ty in ctx), default=0) + 1
+        if size < least:
             return []
         key = (ctx, goal, size)
         if key in self.body_memo:
@@ -408,9 +420,10 @@ class _Interpreter:
                 case Box(grade, body_ty):
                     for body in self._bodies(ctx, body_ty, size - 1):
                         out.append(node(at, BoxT(grade, body.term), body))
-            for s in self.els:
-                for inner in self._bodies(ctx, Box(s, goal), size - 1):
-                    out.append(node(at, Unbox(inner.term), inner))
+            if size - 1 >= least + 1:
+                for s in self.els:
+                    for inner in self._bodies(ctx, Box(s, goal), size - 1):
+                        out.append(node(at, Unbox(inner.term), inner))
             for cs in range(1, size - 2):
                 for ts in range(1, size - 1 - cs):
                     es = size - 1 - cs - ts

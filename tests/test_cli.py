@@ -342,12 +342,17 @@ class TestGoldenReports:
             (["model", "--lattice-file", "DATA/diamond.lat", "--delta-app", "a", "--delta-if", "a",
               "--delta-unbox", "a", "--delta-proj", "a", "--format", "json"],
              "015f93aee94c7d22cb7e39b1392cd52f5b3c05e98b8b065cebc153de6ae0599f"),
+            (["model", "--lattice", "sat5", "--format", "json"],
+             "c6b263303d79886b93034bd040f28385c3dec0609708f6b3060847ecb09b5c1a"),
+            (["model", "--lattice-file", "DATA/chain3.lat", "--format", "json"],
+             "2c702e72cd04b4e0bfd14ccbff8043e244b5e1bb4833841d6aaaf128a77053f7"),
             (["laws", "--lattice", "triple", "--sample", "0..6", "--format", "json"],
              "3532086b65e6e76ab4a923d399290eaa3bef99f32927d1de37c41b934c23c092"),
             (["laws", "--lattice-file", "DATA/diamond.lat", "--format", "json"],
              "fb19a56b790c2783c6ef894ef0773fea925c0e7aec07ad8ce3fa26ff537f6e56"),
         ],
-        ids=["fuzz-triple", "hunt-paper", "model-sat2", "model-diamond", "laws-triple", "laws-diamond"],
+        ids=["fuzz-triple", "hunt-paper", "model-sat2", "model-diamond", "model-sat5", "model-chain3", "laws-triple",
+             "laws-diamond"],
     )
     def test_report_digest(self, capsys, data_dir, argv, digest):
         main([a.replace("DATA", str(data_dir)) for a in argv])
@@ -681,10 +686,13 @@ class TestInputErrors:
             ("join:\n", "join:\nlow mid -> mid\n", "line 24: duplicate join entry for low mid"),
             ("elements: low mid high\n", "", "table declares no elements"),
             ("bottom: low\n", "", "table declares no bottom"),
+            # names a program cannot write as a literal: a natural, a keyword
+            ("elements: low mid high", "elements: 0 1", "line 2: element name '0' is not an identifier"),
+            ("elements: low mid high", "elements: lo tt", "line 2: element name 'tt' is not an identifier"),
         ],
         ids=["duplicate element", "unknown in leq", "unknown in combine", "entry before header", "bottom twice",
              "bad leq entry", "entry without arrow", "malformed entry", "duplicate entry", "no elements",
-             "no bottom"],
+             "no bottom", "numeral element", "keyword element"],
     )
     def test_malformed_lattice_file_is_one_error_line(self, data_dir, tmp_path, capsys, old, new, message):
         text = (data_dir / "chain3.lat").read_text()

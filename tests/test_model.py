@@ -320,6 +320,36 @@ class TestBodyEnumerator:
         assert run_model_checks(sat(3)).passed
         assert 0 < len(values) == len(set(values)) <= 10
 
+    def test_each_substituted_body_is_evaluated_once(self, monkeypatch):
+        # 3,748 evaluations before the arrow family kept an evaluation memo:
+        # a body without x substitutes to itself for every argument
+        calls = 0
+        real = model.evaluate
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return real(*args)
+
+        monkeypatch.setattr(model, "evaluate", counted)
+        assert run_model_checks(sat(3)).passed
+        assert 0 < calls <= 3748 * 60 // 100
+
+    def test_unbox_goals_are_pruned_once_per_size(self, monkeypatch):
+        # 19,867 calls before the size prune of `unbox`'s inner goal was
+        # tested once, above the loop over grades, instead of once per grade
+        calls = 0
+        real = model._Interpreter._bodies
+
+        def counted(self, *args):
+            nonlocal calls
+            calls += 1
+            return real(self, *args)
+
+        monkeypatch.setattr(model._Interpreter, "_bodies", counted)
+        assert run_model_checks(sat(8)).passed
+        assert 0 < calls <= 19867 // 3
+
 
 class TestSectionFamilyChecks:
     def test_all_pass_on_saturating(self):
