@@ -18,10 +18,16 @@ pickles by value. Each instance shares one element per payload for its
 bottom and the first `SHARED_ELEMENTS` payloads it yields, so `sat<N>` and
 table lattices build each element once and `nat` each small cost. A later
 payload or a pickled element is a copy, `==` to the shared one: callers
-compare elements with `==`. Every operation runs its payload hook (`_leq`,
-`_combine`, `_join`), the one definition of the lattice; `bottom` returns
-the element of `_bottom`'s payload that the instance shares at construction,
-without running the hook again.
+compare elements with `==`. `bottom` returns the element of `_bottom`'s
+payload that the instance shares at construction.
+
+A lattice class declares each payload operation once, as its `_leq`,
+`_combine` or `_join`: a `str.format` template of one expression over
+`{a}`, `{b}` and `{self}`, such as `nat`'s `{a} + {b}`. Defining the class
+generates its hooks from its templates in one `exec`, as `record` does a
+record's methods, so a patch on the class reaches them. A product formats
+each component's templates over its own coordinate and generates its hooks
+once per instance, so a nested product inlines every leaf's expression.
 
 Every payload is plain data (a natural, an element name, or a product's
 tuple of component payloads), and is its literal: `format` prints it, and
@@ -136,6 +142,14 @@ def _literal(payload: Any) -> str:
     return f"({','.join([_literal(p) if p.__class__ is tuple else str(p) for p in payload])})"
 
 
+def _generate(templates: dict[str, str], params: str, env: dict) -> dict[str, Any]:
+    """The functions of hook templates over `{a}`, `{b}` and `{self}`, from one
+    `exec` in env, each named by its hook."""
+    exec("\n".join(f"def {hook}({params}):\n    return {t.format(a='a', b='b', self='self')}"
+                   for hook, t in templates.items()), env)
+    return {hook: env[hook] for hook in templates}
+
+
 class LatticeInstance:
     """Base class for concrete lattices. Instances compare by identity;
     elements are only usable with the instance that created them.
@@ -143,9 +157,9 @@ class LatticeInstance:
     `leq`, `combine` and `join` test each operand once: an element of
     exactly `LatticeElement` whose `instance` is this one. Any other operand
     goes to `_own`, which raises the error. The four operations are defined
-    here alone. Each call of the first three runs the subclass's `_leq`,
-    `_combine` or `_join` hook, the one definition of the lattice, on
-    payloads. Results are shared elements up to `SHARED_ELEMENTS` payloads
+    here alone. Each call of the first three runs the `_leq`, `_combine` or
+    `_join` hook generated from the subclass's template (module docstring)
+    on payloads. Results are shared elements up to `SHARED_ELEMENTS` payloads
     and copies past them, so callers compare elements with `==`. A subclass
     sets its fields, then calls `LatticeInstance.__init__`, which runs
     `_bottom` once and shares its element first; `bottom` returns that
@@ -153,6 +167,14 @@ class LatticeInstance:
     """
 
     name: str
+    _templates: dict[str, str] = {}
+
+    def __init_subclass__(cls):
+        declared = {h: t for h in ("_leq", "_combine", "_join") if isinstance(t := cls.__dict__.get(h), str)}
+        if declared:  # a class that declares none, such as the triple, gets no attribute
+            cls._templates = {**cls._templates, **declared}
+            for hook, fn in _generate(declared, "self, a, b", {}).items():
+                setattr(cls, hook, fn)
 
     def __init__(self):
         self._shared: dict[Any, LatticeElement] = {}
@@ -164,6 +186,10 @@ class LatticeInstance:
         if len(self._shared) < SHARED_ELEMENTS:
             self._shared[payload] = el
         return el
+
+    def _intern(self, payload: Any) -> LatticeElement:
+        """The element of a valid payload: the shared one, or else a new one."""
+        return self._shared.get(payload) or self._new(payload)
 
     def _own(self, el: LatticeElement) -> Any:
         if el.__class__ is not LatticeElement or el.instance is not self:
@@ -179,8 +205,7 @@ class LatticeInstance:
     def element(self, payload: Any) -> LatticeElement:
         """The element of a payload, which `_check_payload` validates: the one
         constructor from data, surface literals included."""
-        p = self._check_payload(payload)
-        return self._shared.get(p) or self._new(p)
+        return self._intern(self._check_payload(payload))
 
     def _check_payload(self, payload: Any) -> Any:
         raise NotImplementedError
@@ -204,15 +229,6 @@ class LatticeInstance:
 
     def bottom(self) -> LatticeElement:
         return self._bot
-
-    def _leq(self, a: Any, b: Any) -> bool:
-        raise NotImplementedError
-
-    def _combine(self, a: Any, b: Any) -> Any:
-        raise NotImplementedError
-
-    def _join(self, a: Any, b: Any) -> Any:
-        raise NotImplementedError
 
     def _bottom(self) -> Any:
         raise NotImplementedError
@@ -271,14 +287,9 @@ class NatLattice(LatticeInstance):
             raise LatticeError(f"{self.name}: expected a natural, got {payload!r}")
         return payload
 
-    def _leq(self, a, b):
-        return a <= b
-
-    def _combine(self, a, b):
-        return a + b
-
-    def _join(self, a, b):
-        return a if a >= b else b  # max(a, b), without the builtin's call
+    _leq = "{a} <= {b}"
+    _combine = "{a} + {b}"
+    _join = "{a} if {a} >= {b} else {b}"  # max(a, b), without the builtin's call
 
     def _bottom(self):
         return 0
@@ -308,9 +319,7 @@ class SaturatingNatLattice(NatLattice):
             raise LatticeError(f"{self.name}: expected 0..{self.cap}, got {payload!r}")
         return payload
 
-    def _combine(self, a, b):
-        c = a + b
-        return c if c <= self.cap else self.cap  # min(a + b, cap), without the builtin's call
+    _combine = "c if (c := {a} + {b}) <= {self}.cap else {self}.cap"  # min(a + b, cap), without the builtin's call
 
     def size(self):
         return self.cap + 1
@@ -392,14 +401,9 @@ class FiniteLattice(LatticeInstance):
             raise LatticeError(f"{self.name}: unknown element {payload!r}")
         return payload
 
-    def _leq(self, a, b):
-        return self.leq_rows[a][b]
-
-    def _combine(self, a, b):
-        return self.combine_rows[a][b]
-
-    def _join(self, a, b):
-        return self.join_rows[a][b]
+    _leq = "{self}.leq_rows[{a}][{b}]"
+    _combine = "{self}.combine_rows[{a}][{b}]"
+    _join = "{self}.join_rows[{a}][{b}]"
 
     def _bottom(self):
         return self.bottom_name
@@ -425,32 +429,32 @@ class FiniteLattice(LatticeInstance):
 
 class ProductLattice(LatticeInstance):
     """Componentwise product of lattices. A payload is the tuple of its
-    components' payloads, and each operation applies the components' payload
-    hooks coordinate by coordinate."""
+    components' payloads. Its templates join the components' ones, the i-th
+    over `{a}[i]`, `{b}[i]` and `{self}.components[i]`, into an `and` chain
+    (`_leq`) or a tuple (`_combine`, `_join`). Its generated hooks do not
+    pickle, so a product that is not a builtin pickles as its class applied
+    to its components and name."""
 
     def __init__(self, components: Sequence[LatticeInstance], name: str | None = None):
         if not components:
             raise LatticeError("product lattice needs at least one component")
         self.components = list(components)
         self.name = name or "product({})".format(",".join(c.name for c in components))
+        coords = [{h: t.format(a=f"{{a}}[{i}]", b=f"{{b}}[{i}]", self=f"{{self}}.components[{i}]")
+                   for h, t in c._templates.items()} for i, c in enumerate(self.components)]
+        self._templates = {"_leq": " and ".join(f"({t['_leq']})" for t in coords),
+                           "_combine": f"({', '.join(t['_combine'] for t in coords)},)",
+                           "_join": f"({', '.join(t['_join'] for t in coords)},)"}
+        self._leq, self._combine, self._join = _generate(self._templates, "a, b", {"self": self}).values()
         super().__init__()
+
+    def __reduce__(self):
+        return self.__class__, (self.components, self.name)
 
     def _check_payload(self, payload):
         if not isinstance(payload, tuple) or len(payload) != len(self.components):
             raise LatticeError(f"{self.name}: expected a {len(self.components)}-tuple, got {payload!r}")
         return tuple([c._check_payload(x) for c, x in zip(self.components, payload)])
-
-    def _leq(self, a, b):
-        for c, x, y in zip(self.components, a, b):
-            if not c._leq(x, y):
-                return False
-        return True
-
-    def _combine(self, a, b):
-        return tuple([c._combine(x, y) for c, x, y in zip(self.components, a, b)])
-
-    def _join(self, a, b):
-        return tuple([c._join(x, y) for c, x, y in zip(self.components, a, b)])
 
     def _bottom(self):
         return tuple([c._bottom() for c in self.components])
@@ -463,27 +467,28 @@ class ProductLattice(LatticeInstance):
         if not self.is_finite:
             raise LatticeError(f"lattice {self.name!r} is not finite")
         parts = [[el.payload for el in c.enumerate()] for c in self.components]
-        return [self.element(combo) for combo in itertools.product(*parts)]
+        return [self._intern(combo) for combo in itertools.product(*parts)]
 
     def top(self):
         tops = [c.top() for c in self.components]
-        return None if None in tops else self.element(tuple([t.payload for t in tops]))
+        return None if None in tops else self._intern(tuple([t.payload for t in tops]))
 
     def unit_step(self):  # bottom but one step in the first component, as the triple's time tick
-        return self.element((self.components[0].unit_step().payload, *self._bot.payload[1:]))
+        return self._intern((self.components[0].unit_step().payload, *self._bot.payload[1:]))
 
     def random_element(self, rng):
-        return self.element(tuple([c.random_element(rng).payload for c in self.components]))
+        return self._intern(tuple([c.random_element(rng).payload for c in self.components]))
 
     def large_budget(self):
-        return self.element(tuple([c.large_budget().payload for c in self.components]))
+        return self._intern(tuple([c.large_budget().payload for c in self.components]))
 
 
 NAT = NatLattice("nat")
 
 
 class TripleLattice(ProductLattice):
-    """(time, memory, depth): the product of three `nat`s, one hook call per operation."""
+    """(time, memory, depth): the product of three `nat`s, with the product's
+    generated hooks; it keeps only its error text and its 0..3 draw."""
 
     def __init__(self):
         super().__init__([NAT, NAT, NAT], "triple")
@@ -493,19 +498,6 @@ class TripleLattice(ProductLattice):
             return super()._check_payload(payload)
         except LatticeError:
             raise LatticeError(f"{self.name}: expected a triple of naturals, got {payload!r}") from None
-
-    def _leq(self, a, b):
-        return a[0] <= b[0] and a[1] <= b[1] and a[2] <= b[2]
-
-    def _combine(self, a, b):
-        return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
-
-    def _join(self, a, b):
-        return (
-            a[0] if a[0] >= b[0] else b[0],
-            a[1] if a[1] >= b[1] else b[1],
-            a[2] if a[2] >= b[2] else b[2],
-        )
 
     def random_element(self, rng):  # 0..3 in each coordinate, not nat's 0..6
         return self.element((rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 3)))

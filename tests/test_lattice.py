@@ -20,6 +20,7 @@ from rblam.lattice import (
     NatLattice,
     ProductLattice,
     SaturatingNatLattice,
+    TripleLattice,
     builtin_lattice,
     check_laws,
     load_lattice,
@@ -173,8 +174,9 @@ class TestElementContract:
             with pytest.raises(LatticeError):
                 inst2.leq(els[0], els2[0])
 
-    def test_product_element_pickles_alone(self):
-        # the instance is pickled by value, its builtin components by name
+    def test_product_element_pickles_alone(self, data_dir):
+        # the instance is pickled as its class applied to its components and
+        # name, its builtin components by name and a table component by value
         prod = ProductLattice([NAT, TRIPLE])
         el = pickle.loads(pickle.dumps(parse_literal_text("(1,(0,2,0))", prod)))
         inst = el.instance
@@ -182,6 +184,21 @@ class TestElementContract:
         assert repr(el) == "<product(nat,triple):(1,(0,2,0))>"
         assert inst.combine(el, el) == parse_literal_text("(2,(0,4,0))", inst)
         assert inst.join(el, inst.unit_step()) == el and inst.leq(inst.bottom(), el)
+        chain3 = load_lattice(str(data_dir / "chain3.lat"))
+        for prod, text in [
+            (ProductLattice([builtin_lattice("sat3"), ProductLattice([NAT, TRIPLE])]), "(2,(1,(0,2,0)))"),
+            (ProductLattice([chain3, NAT], "chain3*nat"), "(mid,3)"),
+        ]:
+            orig = parse_literal_text(text, prod)
+            el = pickle.loads(pickle.dumps(orig))
+            inst = el.instance
+            assert inst is not prod and type(inst) is ProductLattice and repr(el) == f"<{prod.name}:{text}>"
+            assert [c.name for c in inst.components] == [c.name for c in prod.components]
+            assert [c is d for c, d in zip(inst.components, prod.components)] == \
+                [d in (NAT, builtin_lattice("sat3")) for d in prod.components]
+            assert inst.combine(el, el) == inst.element(prod.combine(orig, orig).payload) != el
+            assert inst.join(el, inst.top() or el) == inst.element(prod.join(orig, prod.top() or orig).payload)
+            assert inst.leq(inst.bottom(), el) and not inst.leq(inst.combine(el, el), el)
 
     @pytest.mark.parametrize("name", ["nat", "gas", "triple", "sat3"])
     def test_builtin_elements_unpickle_equal(self, name):
@@ -301,6 +318,11 @@ class TestTripleIsTheProductOfThreeNats:
             assert TRIPLE.combine(a, b).payload == g.combine(ga, gb).payload
             assert TRIPLE.join(a, b).payload == g.join(ga, gb).payload
 
+    def test_the_triple_defines_only_its_payload_check_and_draw(self):
+        # besides the class's dunder metadata: the hooks come from the product
+        own = {n for n, v in vars(TripleLattice).items() if callable(v) or not (n[:2] == n[-2:] == "__")}
+        assert own == {"__init__", "_check_payload", "random_element"}
+
     def test_laws_count_the_same_cases(self):
         g = self.GENERIC
         reports = [check_laws(inst, [inst.element(p) for p in self.PAYLOADS]) for inst in (TRIPLE, g)]
@@ -313,6 +335,32 @@ class TestTripleIsTheProductOfThreeNats:
         with pytest.raises(LatticeError) as exc:
             TRIPLE.element(payload)
         assert str(exc.value) == f"triple: expected a triple of naturals, got {payload!r}"
+
+
+def by_coordinates(inst, op, x, y):
+    """op on payloads x and y, from the leaf lattices' public operations"""
+    if not isinstance(inst, ProductLattice):
+        r = getattr(inst, op)(inst.element(x), inst.element(y))
+        return r if op == "leq" else r.payload
+    rs = [by_coordinates(c, op, xi, yi) for c, xi, yi in zip(inst.components, x, y)]
+    return all(rs) if op == "leq" else tuple(rs)
+
+
+class TestProductsComposeTheirComponents:
+    """A product's generated hooks agree, coordinate by coordinate, with its
+    components' own operations, down to the leaves of a nested product."""
+
+    def test_hooks_agree_coordinate_by_coordinate(self, data_dir):
+        chain3, diamond = (load_lattice(str(data_dir / f)) for f in ("chain3.lat", "diamond.lat"))
+        prod = ProductLattice([builtin_lattice("sat3"), chain3, ProductLattice([NAT, diamond])])
+        sample = [(s, c, (n, d)) for s in (0, 2, 3) for c in chain3.names for n in (0, 5) for d in diamond.names]
+        els = [prod.element(p) for p in sample]
+        assert len(els) == 72
+        for x, ex in zip(sample, els):
+            for y, ey in zip(sample, els):
+                assert prod.leq(ex, ey) == by_coordinates(prod, "leq", x, y)
+                assert prod.combine(ex, ey).payload == by_coordinates(prod, "combine", x, y)
+                assert prod.join(ex, ey).payload == by_coordinates(prod, "join", x, y)
 
 
 class TestLawChecker:
