@@ -363,6 +363,8 @@ def _sample_from_range(inst: LatticeInstance, spec: str):
     if hi < lo:
         raise LatticeError(f"bad sample range {spec!r}")
     if isinstance(inst, SaturatingNatLattice):  # a sat<cap>'s sample stops at the cap
+        if lo > inst.cap:
+            raise LatticeError(f"bad sample range {spec!r}; {inst.name} holds 0..{inst.cap}")
         hi = min(hi, inst.cap)
     if isinstance(inst, NatLattice):  # counted before any element is built
         check_element_count(f"sample {spec!r}", hi - lo + 1)

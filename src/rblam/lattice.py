@@ -18,8 +18,9 @@ pickles by value. Each instance shares one element per payload for its
 bottom and the first `SHARED_ELEMENTS` payloads it yields, so `sat<N>` and
 table lattices build each element once and `nat` each small cost. A later
 payload or a pickled element is a copy, `==` to the shared one: callers
-compare elements with `==`. `bottom` returns the element of `_bottom`'s
-payload that the instance shares at construction.
+compare elements with `==`. An instance states its bottom, unit step,
+large budget and top once, as payloads; `bottom` returns the element that
+it shares at construction, and the others are interned when asked for.
 
 A lattice class declares each payload operation once, as its `_leq`,
 `_combine` or `_join`: a `str.format` template of one expression over
@@ -161,9 +162,12 @@ class LatticeInstance:
     `_join` hook generated from the subclass's template (module docstring)
     on payloads. Results are shared elements up to `SHARED_ELEMENTS` payloads
     and copies past them, so callers compare elements with `==`. A subclass
-    sets its fields, then calls `LatticeInstance.__init__`, which runs
-    `_bottom` once and shares its element first; `bottom` returns that
-    element.
+    sets its fields, then calls `LatticeInstance.__init__` with its bottom,
+    unit-step, large-budget and top payloads (top None if there is no unique
+    one), and defines `_draw(rng)`, a random payload; a finite one also
+    defines `size` and `_payloads`, its payloads in order. Elements are made
+    here alone, bottom's at construction and the others when asked for; no
+    payload of the instance's own goes through `_check_payload`.
     """
 
     name: str
@@ -176,9 +180,10 @@ class LatticeInstance:
             for hook, fn in _generate(declared, "self, a, b", {}).items():
                 setattr(cls, hook, fn)
 
-    def __init__(self):
+    def __init__(self, bottom: Any, unit: Any, large: Any, top: Any = None):
         self._shared: dict[Any, LatticeElement] = {}
-        self._bot = self._new(self._bottom())
+        self._bot = self._new(bottom)
+        self._unit, self._large, self._top = unit, large, top
 
     def _new(self, payload: Any) -> LatticeElement:
         """A new element of a valid payload, shared while the table has room."""
@@ -230,9 +235,6 @@ class LatticeInstance:
     def bottom(self) -> LatticeElement:
         return self._bot
 
-    def _bottom(self) -> Any:
-        raise NotImplementedError
-
     @property
     def is_finite(self) -> bool:
         return self.size() is not None
@@ -243,11 +245,15 @@ class LatticeInstance:
         return None
 
     def enumerate(self) -> list[LatticeElement]:
+        return [self._intern(p) for p in self._payloads()]
+
+    def _payloads(self) -> Iterable[Any]:
+        """Every payload, in order; a finite subclass defines it."""
         raise LatticeError(f"lattice {self.name!r} is not finite")
 
     def top(self) -> LatticeElement | None:
         """Greatest element, if the instance has a unique one."""
-        return None
+        return None if self._top is None else self._intern(self._top)
 
     def format(self, el: LatticeElement) -> str:
         """Render an element as a surface literal, printed from its payload."""
@@ -256,15 +262,16 @@ class LatticeInstance:
     def unit_step(self) -> LatticeElement:
         """Smallest nonzero step where one exists; bottom otherwise.
         Used as the default per-operation cost."""
-        return self.bottom()
+        return self._intern(self._unit)
 
     def random_element(self, rng) -> LatticeElement:
-        """A small random element, for fuzzing grades and budgets."""
-        raise NotImplementedError
+        """A small random element, for fuzzing grades and budgets: the
+        element of the subclass's `_draw(rng)`."""
+        return self._intern(self._draw(rng))
 
     def large_budget(self) -> LatticeElement:
         """A budget comfortably above any bound the fuzzer can synthesize."""
-        raise NotImplementedError
+        return self._intern(self._large)
 
     def __reduce_ex__(self, protocol):
         if _BUILTINS.get(self.name) is self:
@@ -280,7 +287,7 @@ class NatLattice(LatticeInstance):
 
     def __init__(self, name: str = "nat"):
         self.name = name
-        super().__init__()
+        super().__init__(0, 1, 10**6)
 
     def _check_payload(self, payload):
         if type(payload) is not int or payload < 0:  # not a bool, which would share 0 and 1
@@ -291,17 +298,8 @@ class NatLattice(LatticeInstance):
     _combine = "{a} + {b}"
     _join = "{a} if {a} >= {b} else {b}"  # max(a, b), without the builtin's call
 
-    def _bottom(self):
-        return 0
-
-    def unit_step(self):
-        return self.element(1)
-
-    def random_element(self, rng):
-        return self.element(rng.randint(0, 6))
-
-    def large_budget(self):
-        return self.element(10**6)
+    def _draw(self, rng):
+        return rng.randint(0, 6)
 
 
 class SaturatingNatLattice(NatLattice):
@@ -312,7 +310,8 @@ class SaturatingNatLattice(NatLattice):
         if cap < 0:
             raise LatticeError("saturating cap must be a natural")
         self.cap = cap
-        super().__init__(f"sat{cap}")
+        self.name = f"sat{cap}"
+        LatticeInstance.__init__(self, 0, min(1, cap), cap, cap)
 
     def _check_payload(self, payload):
         if type(payload) is not int or not (0 <= payload <= self.cap):
@@ -324,20 +323,11 @@ class SaturatingNatLattice(NatLattice):
     def size(self):
         return self.cap + 1
 
-    def enumerate(self):
-        return [self.element(i) for i in range(self.cap + 1)]
+    def _payloads(self):
+        return range(self.cap + 1)
 
-    def top(self):
-        return self.element(self.cap)
-
-    def unit_step(self):
-        return self.element(min(1, self.cap))
-
-    def random_element(self, rng):
-        return self.element(rng.randint(0, self.cap))
-
-    def large_budget(self):
-        return self.element(self.cap)
+    def _draw(self, rng):
+        return rng.randint(0, self.cap)
 
 
 class FiniteLattice(LatticeInstance):
@@ -385,16 +375,14 @@ class FiniteLattice(LatticeInstance):
         leq = self.leq_rows = {a: {b: (a, b) in pairs for b in names} for a in names}
         self.combine_rows = {a: {b: combine_table[a, b] for b in names} for a in names}
         self.join_rows = {a: {b: join_table[a, b] for b in names} for a in names}
-        self.bottom_name = bottom_name
         # the unique top or None; the unique atom or bottom; the top or the first maximal element
         tops = [n for n in names if all(leq[m][n] for m in names)]
-        self._top = tops[0] if len(tops) == 1 else None
+        top = tops[0] if len(tops) == 1 else None
         above = [n for n in names if n != bottom_name and leq[bottom_name][n]]
         atoms = [n for n in above if not any(m != n and leq[m][n] for m in above)]
-        self._unit = atoms[0] if len(atoms) == 1 else bottom_name
         maximal = (n for n in names if not any(m != n and leq[n][m] for m in names))
-        self._large = self._top if self._top is not None else next(maximal, names[-1])
-        super().__init__()
+        large = top if top is not None else next(maximal, names[-1])
+        super().__init__(bottom_name, atoms[0] if len(atoms) == 1 else bottom_name, large, top)
 
     def _check_payload(self, payload):
         if not isinstance(payload, str) or payload not in self.leq_rows:
@@ -405,35 +393,26 @@ class FiniteLattice(LatticeInstance):
     _combine = "{self}.combine_rows[{a}][{b}]"
     _join = "{self}.join_rows[{a}][{b}]"
 
-    def _bottom(self):
-        return self.bottom_name
-
     def size(self):
         return len(self.names)
 
-    def enumerate(self):
-        return [self.element(n) for n in self.names]
+    def _payloads(self):
+        return self.names
 
-    def top(self):
-        return None if self._top is None else self.element(self._top)
-
-    def unit_step(self):
-        return self.element(self._unit)
-
-    def random_element(self, rng):
-        return self.element(rng.choice(self.names))
-
-    def large_budget(self):
-        return self.element(self._large)
+    def _draw(self, rng):
+        return rng.choice(self.names)
 
 
 class ProductLattice(LatticeInstance):
     """Componentwise product of lattices. A payload is the tuple of its
     components' payloads. Its templates join the components' ones, the i-th
     over `{a}[i]`, `{b}[i]` and `{self}.components[i]`, into an `and` chain
-    (`_leq`) or a tuple (`_combine`, `_join`). Its generated hooks do not
-    pickle, so a product that is not a builtin pickles as its class applied
-    to its components and name."""
+    (`_leq`) or a tuple (`_combine`, `_join`). Its bottom, large budget, top
+    and draw are the tuples of its components' (no top if one has none),
+    its unit step is the first one's over the others' bottoms, as the
+    triple's time tick, and its payloads are the product of theirs. Its
+    generated hooks do not pickle, so a product that is not a builtin
+    pickles as its class applied to its components and name."""
 
     def __init__(self, components: Sequence[LatticeInstance], name: str | None = None):
         if not components:
@@ -446,7 +425,10 @@ class ProductLattice(LatticeInstance):
                            "_combine": f"({', '.join(t['_combine'] for t in coords)},)",
                            "_join": f"({', '.join(t['_join'] for t in coords)},)"}
         self._leq, self._combine, self._join = _generate(self._templates, "a, b", {"self": self}).values()
-        super().__init__()
+        bottoms = tuple([c._bot.payload for c in self.components])
+        tops = tuple([c._top for c in self.components])
+        super().__init__(bottoms, (self.components[0]._unit, *bottoms[1:]),
+                         tuple([c._large for c in self.components]), None if None in tops else tops)
 
     def __reduce__(self):
         return self.__class__, (self.components, self.name)
@@ -456,31 +438,17 @@ class ProductLattice(LatticeInstance):
             raise LatticeError(f"{self.name}: expected a {len(self.components)}-tuple, got {payload!r}")
         return tuple([c._check_payload(x) for c, x in zip(self.components, payload)])
 
-    def _bottom(self):
-        return tuple([c._bottom() for c in self.components])
-
     def size(self):
         sizes = [c.size() for c in self.components]
         return None if None in sizes else math.prod(sizes)
 
-    def enumerate(self):
-        if not self.is_finite:
-            raise LatticeError(f"lattice {self.name!r} is not finite")
-        parts = [[el.payload for el in c.enumerate()] for c in self.components]
-        return [self._intern(combo) for combo in itertools.product(*parts)]
+    def _payloads(self):
+        if not self.is_finite:  # named by the product, not by its infinite component
+            return super()._payloads()
+        return itertools.product(*[c._payloads() for c in self.components])
 
-    def top(self):
-        tops = [c.top() for c in self.components]
-        return None if None in tops else self._intern(tuple([t.payload for t in tops]))
-
-    def unit_step(self):  # bottom but one step in the first component, as the triple's time tick
-        return self._intern((self.components[0].unit_step().payload, *self._bot.payload[1:]))
-
-    def random_element(self, rng):
-        return self._intern(tuple([c.random_element(rng).payload for c in self.components]))
-
-    def large_budget(self):
-        return self._intern(tuple([c.large_budget().payload for c in self.components]))
+    def _draw(self, rng):
+        return tuple([c._draw(rng) for c in self.components])
 
 
 NAT = NatLattice("nat")
@@ -488,7 +456,7 @@ NAT = NatLattice("nat")
 
 class TripleLattice(ProductLattice):
     """(time, memory, depth): the product of three `nat`s, with the product's
-    generated hooks; it keeps only its error text and its 0..3 draw."""
+    hooks and payloads; it keeps only its error text and its 0..3 `_draw`."""
 
     def __init__(self):
         super().__init__([NAT, NAT, NAT], "triple")
@@ -499,8 +467,8 @@ class TripleLattice(ProductLattice):
         except LatticeError:
             raise LatticeError(f"{self.name}: expected a triple of naturals, got {payload!r}") from None
 
-    def random_element(self, rng):  # 0..3 in each coordinate, not nat's 0..6
-        return self.element((rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 3)))
+    def _draw(self, rng):  # 0..3 in each coordinate, not nat's 0..6
+        return (rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 3))
 
 
 GAS = NatLattice("gas")

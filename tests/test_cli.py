@@ -413,6 +413,12 @@ class TestLaws:
         captured = capsys.readouterr()
         assert captured.err == "error: bad sample range '5..3'\n" and captured.out == ""
 
+    @pytest.mark.parametrize("spec", ["4..4", "5..9"])
+    def test_range_wholly_above_a_saturating_cap(self, capsys, spec):
+        assert main(["laws", "--lattice", "sat3", "--sample", spec]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: bad sample range {spec!r}; sat3 holds 0..3\n" and captured.out == ""
+
     def test_infinite_without_sample(self, capsys):
         assert main(["laws", "--lattice", "nat"]) == 2
 
@@ -711,5 +717,7 @@ class TestInputErrors:
 
 def test_readme_library_example_runs():
     readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
-    [example] = re.findall(r"```python\n(.*?)```", readme, re.DOTALL)
-    exec(compile(example, "README.md", "exec"), {})
+    examples = re.findall(r"```python\n(.*?)```", readme, re.DOTALL)
+    assert len(examples) == 2
+    for example in examples:
+        exec(compile(example, "README.md", "exec"), {})

@@ -2,6 +2,8 @@ import ast
 import itertools
 import pathlib
 import pickle
+import random
+import re
 import time
 
 import pytest
@@ -321,7 +323,7 @@ class TestTripleIsTheProductOfThreeNats:
     def test_the_triple_defines_only_its_payload_check_and_draw(self):
         # besides the class's dunder metadata: the hooks come from the product
         own = {n for n, v in vars(TripleLattice).items() if callable(v) or not (n[:2] == n[-2:] == "__")}
-        assert own == {"__init__", "_check_payload", "random_element"}
+        assert own == {"__init__", "_check_payload", "_draw"}
 
     def test_laws_count_the_same_cases(self):
         g = self.GENERIC
@@ -698,6 +700,114 @@ class TestFiniteLatticeFacts:
         assert laws.name == "lattice-laws" and not laws.ok
         assert all(c.ok for c in families)
         assert all(c.checked > 0 for c in families if "->" in c.name)
+
+
+class TestEveryLatticeFacts:
+    """One table of each lattice's distinguished elements: the payloads of
+    bottom, unit_step, large_budget and top, and size; the payloads of
+    enumerate, in order, where the lattice is finite; and the first 20
+    payloads that random_element draws from random.Random(7)."""
+
+    @staticmethod
+    def lattices(data_dir):
+        sat1, diamond = SaturatingNatLattice(1), load_lattice(str(data_dir / "diamond.lat"))
+        return {
+            "nat": NAT, "gas": GAS, "sat0": builtin_lattice("sat0"), "sat3": builtin_lattice("sat3"),
+            "triple": TRIPLE, "chain3": load_lattice(str(data_dir / "chain3.lat")), "diamond": diamond,
+            "fork": TestFiniteLatticeFacts.no_unique_top(),
+            "sat1*diamond": ProductLattice([sat1, diamond]),
+            "nat*triple": ProductLattice([NAT, TRIPLE]),
+            "sat1*(sat1*diamond)": ProductLattice([sat1, ProductLattice([sat1, diamond])]),
+        }
+
+    # name: ((bottom, unit_step, large_budget, top, size), enumerate, draws)
+    FACTS = {
+        "nat": (
+            (0, 1, 1000000, None, None),
+            None,
+            [2, 1, 3, 5, 0, 0, 6, 4, 0, 2, 4, 0, 4, 1, 0, 0, 3, 3, 0, 1],
+        ),
+        "gas": (
+            (0, 1, 1000000, None, None),
+            None,
+            [2, 1, 3, 5, 0, 0, 6, 4, 0, 2, 4, 0, 4, 1, 0, 0, 3, 3, 0, 1],
+        ),
+        "sat0": (
+            (0, 0, 0, 0, 1),
+            [0],
+            [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+        ),
+        "sat3": (
+            (0, 1, 3, 3, 4),
+            [0, 1, 2, 3],
+            [2, 1, 3, 0, 0, 0, 2, 0, 1, 0, 0, 3, 3, 0, 1, 0, 3, 0, 0, 1],
+        ),
+        "triple": (
+            ((0, 0, 0), (1, 0, 0), (1000000, 1000000, 1000000), None, None),
+            None,
+            [(2, 1, 3), (0, 0, 0), (2, 0, 1), (0, 0, 3), (3, 0, 1), (0, 3, 0), (0, 1, 0), (3, 0, 1), (0, 1, 2),
+             (3, 1, 0), (2, 1, 0), (1, 2, 0), (0, 0, 1), (3, 3, 2), (3, 3, 2), (2, 1, 1), (1, 0, 2), (3, 2, 3),
+             (2, 0, 0), (3, 1, 2)],
+        ),
+        "chain3": (
+            ("low", "mid", "high", "high", 3),
+            ["low", "mid", "high"],
+            ["mid", "low", "mid", "high", "low", "low", "high", "low", "mid", "high", "low", "high", "low", "low",
+             "low", "mid", "mid", "low", "low", "low"],
+        ),
+        "diamond": (
+            ("bot", "bot", "top", "top", 4),
+            ["bot", "a", "b", "top"],
+            ["b", "a", "top", "bot", "bot", "bot", "b", "bot", "a", "bot", "bot", "top", "top", "bot", "a", "bot",
+             "top", "bot", "bot", "a"],
+        ),
+        "fork": (
+            ("z", "z", "a", None, 3),
+            ["z", "a", "b"],
+            ["a", "z", "a", "b", "z", "z", "b", "z", "a", "b", "z", "b", "z", "z", "z", "a", "a", "z", "z", "z"],
+        ),
+        "sat1*diamond": (
+            ((0, "bot"), (1, "bot"), (1, "top"), (1, "top"), 8),
+            [(0, "bot"), (0, "a"), (0, "b"), (0, "top"), (1, "bot"), (1, "a"), (1, "b"), (1, "top")],
+            [(1, "a"), (1, "bot"), (0, "bot"), (1, "bot"), (0, "bot"), (0, "top"), (1, "bot"), (0, "bot"),
+             (1, "bot"), (0, "a"), (0, "top"), (0, "a"), (0, "a"), (1, "top"), (0, "bot"), (1, "a"), (0, "a"),
+             (1, "bot"), (0, "bot"), (0, "top")],
+        ),
+        "nat*triple": (
+            ((0, (0, 0, 0)), (1, (0, 0, 0)), (1000000, (1000000, 1000000, 1000000)), None, None),
+            None,
+            [(2, (1, 3, 0)), (0, (0, 2, 0)), (4, (1, 0, 0)), (3, (3, 0, 1)), (0, (3, 0, 0)), (1, (0, 3, 0)),
+             (1, (0, 1, 2)), (3, (1, 0, 2)), (4, (1, 0, 1)), (2, (0, 0, 0)), (4, (1, 3, 3)), (6, (2, 3, 3)),
+             (2, (2, 1, 1)), (5, (1, 0, 2)), (4, (3, 2, 3)), (2, (0, 0, 3)), (1, (2, 1, 3)), (3, (0, 0, 2)),
+             (2, (2, 3, 3)), (0, (0, 2, 3))],
+        ),
+        "sat1*(sat1*diamond)": (
+            ((0, (0, "bot")), (1, (0, "bot")), (1, (1, "top")), (1, (1, "top")), 16),
+            [(0, (0, "bot")), (0, (0, "a")), (0, (0, "b")), (0, (0, "top")), (0, (1, "bot")), (0, (1, "a")),
+             (0, (1, "b")), (0, (1, "top")), (1, (0, "bot")), (1, (0, "a")), (1, (0, "b")), (1, (0, "top")),
+             (1, (1, "bot")), (1, (1, "a")), (1, (1, "b")), (1, (1, "top"))],
+            [(1, (0, "top")), (0, (0, "bot")), (1, (0, "a")), (0, (0, "top")), (1, (0, "a")), (0, (1, "bot")),
+             (0, (0, "bot")), (1, (0, "a")), (0, (0, "b")), (1, (0, "bot")), (1, (0, "bot")), (0, (1, "bot")),
+             (0, (0, "a")), (1, (1, "b")), (1, (1, "b")), (1, (0, "a")), (0, (0, "b")), (1, (1, "top")),
+             (1, (0, "bot")), (1, (0, "b"))],
+        ),
+    }
+
+    @pytest.mark.parametrize("name", list(FACTS))
+    def test_facts(self, data_dir, name):
+        inst = self.lattices(data_dir)[name]
+        facts, payloads, draws = self.FACTS[name]
+        top = inst.top()
+        assert (inst.bottom().payload, inst.unit_step().payload, inst.large_budget().payload,
+                top and top.payload, inst.size()) == facts
+        if payloads is None:
+            assert not inst.is_finite
+            with pytest.raises(LatticeError, match=f"^lattice {re.escape(repr(inst.name))} is not finite$"):
+                inst.enumerate()
+        else:
+            assert [el.payload for el in inst.enumerate()] == payloads
+        rng = random.Random(7)
+        assert [inst.random_element(rng).payload for _ in range(20)] == draws
 
 
 class TestCheckedElementLimit:
