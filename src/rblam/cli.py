@@ -36,6 +36,7 @@ from rblam.lattice import (
 )
 from rblam.syntax import (
     ParseError,
+    free_vars,
     parse,
     parse_literal_text,
     pretty,
@@ -254,6 +255,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     term = _load_program(args.file, session)
     inst = session.lattice
     j = None if args.unsafe_eval else _synthesize(term, session)
+    if args.unsafe_eval and (unbound := free_vars(term)):  # worded as the evaluator's stuck variable
+        raise InputError(f"stuck: unbound variable {min(unbound)!r}: term is not closed")
     try:
         if args.trace:
             result, trace = evaluate_trace(term, session.deltas, session.fuel)
@@ -346,8 +349,8 @@ def cmd_model(args: argparse.Namespace) -> int:
         _print_json(docs)
     else:
         print(report)
-        for doc in docs[1:]:
-            _print_json(doc)
+        if args.interp_corpus:
+            print(f"  {cp}")
     return OK if ok else VIOLATION
 
 
@@ -409,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--trace", action="store_true", help="print the evaluation derivation")
     p_eval.add_argument(
         "--unsafe-eval", action="store_true",
-        help="evaluate without typechecking (stuck terms become input errors)",
+        help="evaluate without typechecking (an open program or a stuck term is an input error)",
     )
     _session_flags(p_eval)
     p_eval.set_defaults(handler=cmd_eval)

@@ -2,7 +2,9 @@
 
 Values are the terms for which `is_value` holds, and each evaluates to
 itself at cost bottom; results are built as `Pair` and `BoxT` terms, so no
-value is converted back into a term. Application substitutes the argument
+value is converted back into a term. `evaluate` takes a closed term:
+typing refuses a free variable, and `rblam eval --unsafe-eval` refuses an
+open program before evaluating it. Application substitutes the argument
 value into the lambda body. The value is closed, so substitution shares
 every subterm that does not mention the parameter: one application rebuilds
 only the paths down to the parameter's occurrences, and a chain of nested

@@ -1,12 +1,13 @@
 """Surface syntax for the resource-bounded lambda calculus: type and term
 ASTs, a recursive-descent parser, a printer that round-trips through the
-parser, capture-avoiding substitution, and alpha-equivalence. Values are the
+parser, substitution of closed values, and alpha-equivalence. Values are the
 terms in normal form (`is_value`); there is no separate value AST.
 
 The structure-only walks (free variables, substitution, alpha-equivalence,
 renaming, size) visit subterms through one `children`/`rebuild` pair, read
 off each node class's dataclass fields once at import, and keep only their
-`Var` and `Lam` binder cases.
+`Var` and `Lam` binder cases; substitution needs no `Lam` case, since it
+substitutes only closed values.
 
 Terms, types and the typing and evaluation records built over them are
 `record`s (`lattice.record`): frozen dataclasses with slots. Each keeps the
@@ -27,11 +28,11 @@ behind (`dataclass(slots=True)` would).
 Terms are immutable and may share subterms. Each node keeps its free
 variables once computed, in its `_fv` slot, and a term or a type keeps its
 hash once computed, in its `_hash` slot; neither is a field, so a pickled
-node carries neither. Substituting a closed value shares every subterm
-where the name is not free, so it rebuilds only the paths down to the
-name's occurrences. A printer of many terms that share subterms (the
-evaluation and derivation traces) passes one memo to `pretty` and prints
-each node once.
+node carries neither. Substitution takes only closed values and shares
+every subterm where the name is not free, so it rebuilds only the paths
+down to the name's occurrences. A printer of many terms that share
+subterms (the evaluation and derivation traces) passes one memo to
+`pretty` and prints each node once.
 
 Lexical rules: an identifier is a letter or `_`, then letters, digits or
 `_`, in any script, and the keywords are reserved. A natural is decimal
@@ -291,44 +292,24 @@ def _union(a: frozenset[str], b: frozenset[str]) -> frozenset[str]:
     return a if b <= a else b if a <= b else a | b
 
 
-def fresh_name(base: str, avoid: frozenset[str] | set[str]) -> str:
-    if base not in avoid:
-        return base
-    stem = base.rstrip("0123456789").rstrip("_") or "x"
-    i = 1
-    while f"{stem}_{i}" in avoid:
-        i += 1
-    return f"{stem}_{i}"
-
-
 def substitute(t: Term, name: str, v: Term) -> Term:
-    """Capture-avoiding substitution t[name := v]. Binders shadowing `name`
-    block the substitution; binders that would capture a free variable of v
-    are renamed (unreachable for closed v, kept for safety). A closed v
-    leaves every subterm without a free `name` in place: the result shares
-    it instead of copying it, so only the paths down to `name` are rebuilt."""
-    return _subst(t, name, v, free_vars(v))
+    """t[name := v] for a closed value v; t may be open. Evaluation of a
+    closed program substitutes only closed values, so no binder can capture
+    a variable of v, and a lambda in which `name` is free does not bind it.
+    Every subterm without a free `name` is shared, not copied: only
+    the paths down to `name`'s occurrences are rebuilt. An open v raises
+    ValueError."""
+    if free_vars(v):
+        raise ValueError(f"substitute needs a closed value, got {pretty(v)}")
+    return _subst(t, name, v)
 
 
-def _subst(t: Term, x: str, r: Term, fv_r: frozenset[str]) -> Term:
-    # An open r renames capturing binders even where x does not occur.
-    if not fv_r and x not in free_vars(t):
+def _subst(t: Term, x: str, v: Term) -> Term:
+    if x not in free_vars(t):
         return t
-    match t:
-        case Var(name):
-            return r if name == x else t
-        case Lam(name, annot, body):
-            if name == x:
-                return t
-            if name in fv_r:
-                renamed = fresh_name(name, fv_r | free_vars(body) | {x})
-                body = _subst(body, name, Var(renamed), frozenset({renamed}))
-                name = renamed
-            return Lam(name, annot, _subst(body, x, r, fv_r))
-    kids = []
-    for kid in children(t):
-        kids.append(_subst(kid, x, r, fv_r))
-    return rebuild(t, kids)
+    if t.__class__ is Var:  # x is free in it, so it is x
+        return v
+    return rebuild(t, [_subst(kid, x, v) for kid in children(t)])
 
 
 def alpha_eq(a: Term, b: Term) -> bool:
@@ -363,8 +344,8 @@ def _aeq(a: Term, b: Term, enva: dict[str, int], envb: dict[str, int], depth: in
     return True
 
 
-def rename_binders(t: Term, prefix: str = "v") -> Term:
-    """Rename every binder to prefix+index, preorder. Structure-preserving
+def rename_binders(t: Term) -> Term:
+    """Rename every binder to v1, v2, ..., preorder. Structure-preserving
     alpha-renaming; only safe on closed terms."""
     if free_vars(t):
         raise ValueError("rename_binders needs a closed term")
@@ -376,7 +357,7 @@ def rename_binders(t: Term, prefix: str = "v") -> Term:
                 return Var(env[name])
             case Lam(name, annot, body):
                 counter[0] += 1
-                new = f"{prefix}{counter[0]}"
+                new = f"v{counter[0]}"
                 env2 = dict(env)
                 env2[name] = new
                 return Lam(new, annot, go(body, env2))

@@ -8,10 +8,10 @@ import sys
 
 import pytest
 
-from rblam import cli, interp, model
+from rblam import cli, harness, interp, model
 from rblam.cli import main
 from rblam.lattice import MAX_CHECKED_ELEMENTS, SaturatingNatLattice
-from rblam.syntax import BoxT
+from rblam.syntax import BoxT, free_vars, pretty, substitute
 
 IF_EXAMPLE = "if tt then ff else tt\n"
 APP_EXAMPLE = "(lam x : Bool . if x then ff else tt) tt\n"
@@ -113,6 +113,17 @@ class TestEval:
         assert code == 2
         assert "stuck" in captured.err
 
+    @pytest.mark.parametrize(
+        "source",
+        ["lam z : Bool . y", "(lam f : Bool -> Bool . f) (lam z : Bool . y)", "(lam x : Bool . y) tt"],
+        ids=["open value", "open argument", "open body"],
+    )
+    def test_unsafe_eval_refuses_an_open_program(self, program, capsys, source):
+        code = main(["eval", program(source), "--lattice", "nat", "--unsafe-eval"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: stuck: unbound variable 'y': term is not closed\n"
+
     def test_typed_term_that_gets_stuck_is_an_internal_failure(self, program, monkeypatch, capsys):
         # an evaluator whose box rule drops the box: the typed unbox gets
         # stuck, which is the evaluator's fault, not the input's
@@ -127,6 +138,32 @@ class TestEval:
         out = capsys.readouterr().out
         assert code == 0
         assert "App +1" in out and "IfT +1" in out
+
+
+class TestSubstitutedValues:
+    def test_every_substituted_value_is_closed(self, monkeypatch, capsys):
+        # evaluation, the substitution suite and the model substitute only
+        # closed values, so `substitute` needs no capture-avoiding path
+        calls, open_values = [0], []
+
+        def spy(t, name, v):
+            calls[0] += 1
+            if free_vars(v):
+                open_values.append(pretty(v))
+            return substitute(t, name, v)
+
+        for module in (interp, harness, model):
+            monkeypatch.setattr(module, "substitute", spy)
+        runs = [
+            ["fuzz", "--count", "60", "--seed", "7"],
+            ["fuzz", "--count", "60", "--seed", "7", "--lattice", "triple"],
+            ["fuzz", "--hunt", "--mode", "paper", "--fn-var-reuse", "--count", "200"],
+            ["model", "--lattice", "sat2", "--interp-corpus", "50"],
+        ]
+        assert [main(argv) for argv in runs] == [0, 0, 0, 0]
+        capsys.readouterr()
+        assert calls[0] > 1000
+        assert open_values == []
 
 
 class TestParserReuse:
@@ -228,6 +265,13 @@ class TestModel:
         assert code == 0
         assert docs[0]["passed"] is True
         assert docs[1]["cost_preservation"]["ok"] is True
+
+    def test_text_report_with_interp_corpus_is_text(self, capsys):
+        code = main(["model", "--lattice", "sat2", "--interp-corpus", "30"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert not [line for line in lines if line.startswith("{")]
+        assert lines[-1] == "  cost-preservation[sound]: pass (90 cases)"
 
     def test_interp_corpus_uses_session_lattice_and_deltas(self, monkeypatch, capsys):
         seen = []
