@@ -9,8 +9,8 @@ written (as by `| head -1`). Commands raise input errors; `main` alone
 prints each as one `error:` line and returns 2, and turns a closed stdout
 into 141 without a traceback.
 
-Each command loads its own layers when it runs: `harness` only for `fuzz`
-and `model --interp-corpus`, `model` only for `model`.
+Each command takes the session flags it reads and loads the layers it uses:
+`harness` only for `fuzz` and `model --interp-corpus`, `model` for `model`.
 """
 
 from __future__ import annotations
@@ -140,11 +140,11 @@ def _setting_texts(args: argparse.Namespace) -> dict[str, tuple[str, object]]:
 
 class Session:
     """Resolved lattice, deltas, budget, mode, fuel, and output format. A
-    command that charges costs refuses to run on the default deltas where
-    they are all bottom although the lattice has elements above it: a table
-    lattice with no unique atom would otherwise check no cost at all."""
+    command with delta flags charges costs: it refuses the default deltas
+    where they are all bottom although the lattice has elements above it,
+    as a table lattice with no unique atom would check no cost at all."""
 
-    def __init__(self, args: argparse.Namespace, charges: bool = True):
+    def __init__(self, args: argparse.Namespace):
         texts = _setting_texts(args)
         parsers = {flag: parse for flag, _, parse, _ in SETTINGS}
         lattice = None
@@ -162,7 +162,7 @@ class Session:
         self.lattice: LatticeInstance = lattice
         unit = lattice.unit_step()
         free = unit == lattice.bottom() != lattice.top()  # a bottom unit on a lattice of more than bottom
-        if charges and free and not any(flag.startswith("delta_") for flag in texts):
+        if free and hasattr(args, "delta_app") and not any(flag.startswith("delta_") for flag in texts):
             raise InputError(f"lattice {lattice.name!r} has no unique least step above bottom, so "
                              "every default delta is bottom; give --delta-app, --delta-if, "
                              "--delta-unbox and --delta-proj, or the delta.* config keys")
@@ -193,9 +193,10 @@ def _int_at_least(lo: int, hi: int | None = None):
     return parse_int
 
 
-def _session_flags(sub: argparse.ArgumentParser):
+def _session_flags(sub: argparse.ArgumentParser, *taken: str):
     for flag, _, _, options in SETTINGS:
-        sub.add_argument("--" + flag.replace("_", "-"), **options)
+        if flag in taken:
+            sub.add_argument("--" + flag.replace("_", "-"), **options)
     sub.add_argument("--config", help="key = value config file; flags override")
 
 
@@ -322,9 +323,6 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
 def cmd_model(args: argparse.Namespace) -> int:
     from rblam.model import DenModel, EnumBudget, check_cost_preservation, run_model_checks
 
-    if args.mode is not None:
-        raise InputError("model takes no --mode: it tabulates sections with the paper rules "
-                         "and checks --interp-corpus with the sound rules")
     session = Session(args)
     inst = session.lattice
     if not inst.is_finite:
@@ -380,7 +378,7 @@ def _sample_from_range(inst: LatticeInstance, spec: str):
 
 
 def cmd_laws(args: argparse.Namespace) -> int:
-    session = Session(args, charges=False)
+    session = Session(args)
     inst = session.lattice
     sample = _sample_from_range(inst, args.sample) if args.sample else None
     report = check_laws(inst, sample)
@@ -400,11 +398,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Resource-bounded lambda calculus toolchain",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # every command reads the lattice and the format; one that charges costs reads the deltas
+    every = ("lattice_file", "lattice", "format")
+    costs = every + ("delta_app", "delta_if", "delta_unbox", "delta_proj")
 
     p_check = sub.add_parser("check", help="typecheck and verify the bound against the budget")
     p_check.add_argument("file")
     p_check.add_argument("--trace", action="store_true", help="print the derivation tree")
-    _session_flags(p_check)
+    _session_flags(p_check, *costs, "mode", "budget")
     p_check.set_defaults(handler=cmd_check)
 
     p_eval = sub.add_parser("eval", help="typecheck then evaluate with cost accounting")
@@ -414,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--unsafe-eval", action="store_true",
         help="evaluate without typechecking (an open program or a stuck term is an input error)",
     )
-    _session_flags(p_eval)
+    _session_flags(p_eval, *costs, "mode", "fuel")
     p_eval.set_defaults(handler=cmd_eval)
 
     p_fuzz = sub.add_parser("fuzz", help="run metatheory property suites")
@@ -429,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="allow repeated use of function-typed variables")
     p_fuzz.add_argument("--hunt", action="store_true",
                         help="expect cost-soundness violations; exit 0 only if found")
-    _session_flags(p_fuzz)
+    _session_flags(p_fuzz, *costs, "mode")
     p_fuzz.set_defaults(handler=cmd_fuzz)
 
     p_model = sub.add_parser("model", help="finite-lattice semantic checks")
@@ -438,12 +439,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_model.add_argument("--interp-corpus", type=_int_at_least(0), default=0,
                          help="also check cost preservation on a generated corpus")
     p_model.add_argument("--seed", type=int, default=0)
-    _session_flags(p_model)
+    _session_flags(p_model, *costs)
     p_model.set_defaults(handler=cmd_model)
 
     p_laws = sub.add_parser("laws", help="check the lattice axioms over a sample")
     p_laws.add_argument("--sample", help="numeric sample range on nat, gas, sat<cap> or triple, e.g. 0..50")
-    _session_flags(p_laws)
+    _session_flags(p_laws, *every)
     p_laws.set_defaults(handler=cmd_laws)
 
     return parser

@@ -4,6 +4,7 @@ import io
 import json
 import pathlib
 import re
+import shlex
 import sys
 
 import pytest
@@ -328,11 +329,12 @@ class TestModel:
     @pytest.mark.parametrize("mode", ["paper", "sound"])
     def test_mode_is_an_input_error(self, capsys, mode):
         # the tabulation types in paper mode and --interp-corpus in sound
-        # mode whatever the flag says, so the flag is refused, not ignored
+        # mode whatever the flag says, so model takes no --mode: the flag is
+        # refused, not ignored
         code = main(["model", "--lattice", "sat2", "--mode", mode])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
-        assert captured.err.startswith("error: model takes no --mode") and captured.err.count("\n") == 1
+        assert "unrecognized arguments: --mode" in captured.err and "Traceback" not in captured.err
 
 
 class TestStartUp:
@@ -381,19 +383,19 @@ class TestGoldenReports:
               "--format", "json"],
              "bc28c03b6e58f865692c528a041c09fc5b4eabde840229b83718df3b4437be93"),
             (["model", "--lattice", "sat2", "--interp-corpus", "300", "--format", "json"],
-             "88e644dd7e286f623f5ea49704cd199ad5d0fb63db9dcf7d629fbc15d84ccf1f"),
+             "2c14537882ab452d42c156aeb624a00e841a84d9fd73f490d8b74597e63ef2d9"),
             # diamond has no unique atom, so its deltas are given: one atom, a
             (["model", "--lattice-file", "DATA/diamond.lat", "--delta-app", "a", "--delta-if", "a",
               "--delta-unbox", "a", "--delta-proj", "a", "--format", "json"],
-             "015f93aee94c7d22cb7e39b1392cd52f5b3c05e98b8b065cebc153de6ae0599f"),
+             "51a858978da663002851e67b553e62ab89e0c5c3ac80bf6da06dfcfce5725173"),
             (["model", "--lattice", "sat5", "--format", "json"],
-             "c6b263303d79886b93034bd040f28385c3dec0609708f6b3060847ecb09b5c1a"),
+             "caa0dbaef347f2f6b32d9c7bb6ea7fdf9efaf00c35131a424b9c83adce4e5bea"),
             (["model", "--lattice-file", "DATA/chain3.lat", "--format", "json"],
-             "2c702e72cd04b4e0bfd14ccbff8043e244b5e1bb4833841d6aaaf128a77053f7"),
+             "d9cfa95a5de662338e05cf50e0d50b358121a19c551729598623b88a81644b15"),
             (["laws", "--lattice", "triple", "--sample", "0..6", "--format", "json"],
-             "3532086b65e6e76ab4a923d399290eaa3bef99f32927d1de37c41b934c23c092"),
+             "fa8927672f8ebafee500abd9a4b6f27fbb474713d7c4bba901981e7db7c6d12e"),
             (["laws", "--lattice-file", "DATA/diamond.lat", "--format", "json"],
-             "fb19a56b790c2783c6ef894ef0773fea925c0e7aec07ad8ce3fa26ff537f6e56"),
+             "c752bb3f3b421e45c07b5cfd80486bb16c8bfaa7e9f4df677233213ef4ef3026"),
         ],
         ids=["fuzz-triple", "hunt-paper", "model-sat2", "model-diamond", "model-sat5", "model-chain3", "laws-triple",
              "laws-diamond"],
@@ -548,11 +550,87 @@ class TestConfigFile:
 class TestSettingsTable:
     def test_mode_and_format_flags_offer_what_the_config_accepts(self):
         sub = argparse.ArgumentParser()
-        cli._session_flags(sub)
+        cli._session_flags(sub, *(flag for flag, _, _, _ in cli.SETTINGS))
         flags = {action.dest: action for action in sub._actions}
         assert tuple(flags["mode"].choices) == cli.MODES == ("paper", "sound")
         assert tuple(flags["format"].choices) == cli.FORMATS == ("text", "json")
         assert all(flags[flag].help for flag, _, _, _ in cli.SETTINGS)
+
+
+# The session flags each command reads: every command the lattice and the
+# format, a command that charges costs the deltas, the commands that type a
+# program with chosen rules the mode, check the budget and eval the fuel.
+EVERY = {"lattice_file", "lattice", "format"}
+COSTS = EVERY | {"delta_app", "delta_if", "delta_unbox", "delta_proj"}
+SESSION_FLAGS = {
+    "check": COSTS | {"mode", "budget"},
+    "eval": COSTS | {"mode", "fuel"},
+    "fuzz": COSTS | {"mode"},
+    "model": COSTS,
+    "laws": EVERY,
+}
+UNREAD = [
+    ("check", "fuel"), ("eval", "budget"), ("fuzz", "budget"), ("fuzz", "fuel"),
+    ("model", "budget"), ("model", "fuel"), ("model", "mode"),
+    ("laws", "delta-app"), ("laws", "delta-if"), ("laws", "delta-unbox"), ("laws", "delta-proj"),
+    ("laws", "budget"), ("laws", "mode"), ("laws", "fuel"),
+]
+
+
+class TestSessionFlags:
+    """Each command takes only the session flags it reads; a config file is
+    shared by every command, so it may hold any session key."""
+
+    def test_each_command_offers_the_session_flags_it_reads(self):
+        [commands] = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        settings = {flag for flag, _, _, _ in cli.SETTINGS}
+        offered = {name: {a.dest for a in sub._actions} & settings for name, sub in commands.choices.items()}
+        assert offered == SESSION_FLAGS and sum(map(len, offered.values())) == 36
+        assert all("config" in {a.dest for a in sub._actions} for sub in commands.choices.values())
+        unread = {(name, flag.replace("_", "-")) for name in offered for flag in settings - offered[name]}
+        assert unread == set(UNREAD) and len(UNREAD) == 14
+
+    @pytest.mark.parametrize("command, flag", UNREAD, ids=lambda x: x)
+    def test_an_unread_flag_is_a_usage_error(self, program, capsys, command, flag):
+        value = {"fuel": "3", "budget": "1", "mode": "paper"}.get(flag, "1")
+        argv = [command] + {"check": [program(IF_EXAMPLE)], "eval": [program(IF_EXAMPLE)],
+                            "model": ["--lattice", "sat2"], "laws": ["--lattice", "sat3"]}.get(command, [])
+        code = main(argv + [f"--{flag}", value])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert f"unrecognized arguments: --{flag} {value}" in captured.err and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("lattice, budget", [("nat", "1000000"), ("sat2", "2")])
+    def test_a_config_of_every_key_changes_nothing_it_restates(self, program, tmp_path, data_dir, capsys,
+                                                               lattice, budget):
+        # every key at the value the command would use anyway; the lattice
+        # flag drops both lattice keys, so the table file is not loaded
+        cfg = tmp_path / "session.cfg"
+        cfg.write_text(f"lattice = {lattice}\nlattice_file = {data_dir / 'chain3.lat'}\n"
+                       "delta.app = 1\ndelta.if = 1\ndelta.unbox = 1\ndelta.proj = 1\n"
+                       f"budget = {budget}\nmode = sound\nfuel = 1000000\nformat = text\n")
+        assert sorted(line.split(" = ")[0] for line in cfg.read_text().splitlines()) == sorted(cli.CONFIG_KEYS)
+        for argv in (["check", program(APP_EXAMPLE)], ["eval", program(APP_EXAMPLE)],
+                     ["fuzz", "--count", "5"], ["model"], ["laws", "--sample", "0..5"]):
+            argv += ["--lattice", lattice]
+            runs = [(main(argv + extra), capsys.readouterr()) for extra in ([], ["--config", str(cfg)])]
+            assert runs[0] == runs[1], argv
+            assert runs[0][0] == (2 if argv[0] == "model" and lattice == "nat" else 0), argv
+
+    def test_laws_still_checks_a_config_key_it_does_not_read(self, tmp_path, capsys):
+        cfg = tmp_path / "session.cfg"
+        cfg.write_text("fuel = lots\n")
+        assert main(["laws", "--sample", "0..5", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: bad fuel 'lots'; expected a non-negative integer\n"
+
+    def test_readme_cli_examples_parse(self):
+        readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
+        examples = [shlex.split(line[2:], comments=True) for line in readme.splitlines()
+                    if line.startswith("$ rblam ")]
+        assert len(examples) >= 9
+        for argv in examples:
+            cli.build_parser().parse_args(argv[1:])  # argparse exits on a flag the command does not take
 
 
 class TestClosedStdout:
@@ -613,7 +691,7 @@ class TestInputErrors:
             ["model", "--lattice", "sat2", "--max-nat", "-1"],
             ["model", "--lattice", "sat2", "--max-term-size", "-1"],
             ["model", "--lattice", "sat2", "--interp-corpus", "-1"],
-            ["eval", "PROG", "--budget", "²"],
+            ["check", "PROG", "--budget", "²"],
             ["laws", "--lattice", "sat1_0"],
             ["laws", "--lattice", "sat 2"],
             ["laws", "--lattice", "sat+2"],

@@ -439,7 +439,7 @@ class TestRunModelChecks:
         assert report.passed, str(report)
         assert report.universe["exhaustive"] and report.universe["elements"] == 6
         assert {c.name: c.checked for c in report.checks} == {
-            "lattice-laws": 904,
+            "lattice-laws": 688,
             "sections[Bool]": 2,
             "sections[Nat]": 4,
             "sections[Bool * Bool]": 4,
