@@ -155,7 +155,7 @@ class Session:
             origin, text = texts[flag]
             try:
                 return parsers[flag](text, lattice)
-            except ParseError as exc:  # a literal's line:col is inside its own text
+            except (ParseError, InputError) as exc:  # name the origin: a literal's line:col is inside its own text
                 raise InputError(f"{origin}: {exc}") from exc
 
         lattice = pick("lattice_file") if "lattice_file" in texts else pick("lattice", NAT)
@@ -447,6 +447,8 @@ def build_parser() -> argparse.ArgumentParser:
     _session_flags(p_laws, *every)
     p_laws.set_defaults(handler=cmd_laws)
 
+    for command in sub.choices.values():  # main shows a command's own usage for an argument it does not take
+        command.set_defaults(command_parser=command)
     return parser
 
 
@@ -466,7 +468,9 @@ def _discard_stdout() -> None:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, rest = parser.parse_known_args(argv)
+        if rest:
+            args.command_parser.error(f"unrecognized arguments: {' '.join(rest)}")
         code = args.handler(args)
         sys.stdout.flush()  # a closed pipe shows here, not at exit
         return code

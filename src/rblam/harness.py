@@ -151,20 +151,14 @@ def concretize(
     mode: Mode = Mode.SOUND,
 ) -> Type:
     """Replace wildcard (absent) arrow latents with concrete elements:
-    bottom by default, sampled when an rng is supplied. Paper-mode types
-    carry no latents, so there the identity, as it is on a type without an
-    arrow."""
+    bottom by default, sampled when an rng is supplied, in preorder: an
+    arrow's latent before its own types. Paper-mode types carry no latents,
+    so there the identity, as it is on a type without an arrow."""
     if mode is Mode.PAPER or not type_contains_arrow(ty):
         return ty
-    match ty:
-        case Arrow(dom, cod, latent):
-            if latent is None:
-                latent = inst.random_element(rng) if rng is not None else inst.bottom()
-            return Arrow(concretize(dom, inst, rng), concretize(cod, inst, rng), latent)
-        case Prod(left, right):
-            return Prod(concretize(left, inst, rng), concretize(right, inst, rng))
-        case Box(grade, body):
-            return Box(grade, concretize(body, inst, rng))
+    if ty.__class__ is Arrow and ty.latent is None:
+        ty = Arrow(ty.dom, ty.cod, inst.random_element(rng) if rng is not None else inst.bottom())
+    return rebuild(ty, [concretize(kid, inst, rng) for kid in children(ty)])
 
 
 def goal_matches(syn: Type, goal: Type, inst: LatticeInstance, *, exact: bool = False) -> bool:

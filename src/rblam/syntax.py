@@ -3,11 +3,15 @@ ASTs, a recursive-descent parser, a printer that round-trips through the
 parser, substitution of closed values, and alpha-equivalence. Values are the
 terms in normal form (`is_value`); there is no separate value AST.
 
-The structure-only walks (free variables, substitution, alpha-equivalence,
-renaming, size) visit subterms through one `children`/`rebuild` pair, read
-off each node class's dataclass fields once at import, and keep only their
-`Var` and `Lam` binder cases; substitution needs no `Lam` case, since it
-substitutes only closed values.
+The structure-only walks visit children through one `children`/`rebuild`
+pair, generated from each node class's dataclass fields at import. A node's
+children are its fields of its own kind, so types are walked as terms are,
+and a `Lam`'s name and annotation, a grade or a latent is a label that
+`rebuild` keeps. Free variables, substitution, renaming and size keep only
+their `Var` and `Lam` binder cases (substitution, of closed values only,
+needs no `Lam` case); alpha-equivalence compares two canonical renamings;
+the type walks (`typecheck`'s and `harness.concretize`) keep only their
+`Arrow` case.
 
 Terms, types and the typing and evaluation records built over them are
 `record`s (`lattice.record`): frozen dataclasses with slots. Each keeps the
@@ -59,9 +63,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import fields
-from itertools import islice
-from operator import attrgetter
-from typing import Callable, Sequence, TypeVar
+from itertools import count, islice
+from typing import Callable, Iterator, Sequence, TypeVar
 
 from rblam.lattice import LatticeElement, LatticeError, LatticeInstance, record
 
@@ -197,40 +200,35 @@ KEYWORD_OF = {cls: word for word, cls in KEYWORD_FORMS.items()}
 
 
 # ---------------------------------------------------------------------------
-# One traversal: every node class lists its labels (name, annotation, grade,
-# literal) before its subterms, so its children and its rebuild are read off
-# its dataclass fields once, here.
+# One traversal of terms and types: a node's children are its fields of its
+# own kind, and its other fields (name, annotation, grade, literal, latent)
+# are labels. Each class's children and its fields over new children are
+# generated from its dataclass fields once, here. `rebuild` calls the class
+# itself, so a walk through it spends no more frames than a constructor call.
+
+_CHILDREN: dict[type, Callable] = {}  # class -> (node) -> its children
+_FIELDS: dict[type, Callable] = {}  # class -> (node, new children) -> the new node's fields
+for _kind in (Term, Type):
+    for _cls in _kind.__subclasses__():
+        _kids = [f.name for f in fields(_cls) if f.type in (_kind.__name__, _kind)]
+        _args = [f"k[{_kids.index(f.name)}]" if f.name in _kids else f"t.{f.name}" for f in fields(_cls)]
+        _env = {}
+        exec(f"def children(t): return ({''.join(f't.{n}, ' for n in _kids)})\n"
+             f"def fields_over(t, k): return ({''.join(f'{a}, ' for a in _args)})", _env)
+        _CHILDREN[_cls], _FIELDS[_cls] = _env["children"], _env["fields_over"]
 
 
-def _getter(names: Sequence[str]) -> Callable[[Term], tuple]:
-    if not names:
-        return lambda t: ()
-    if len(names) == 1:
-        get = attrgetter(names[0])
-        return lambda t: (get(t),)
-    return attrgetter(*names)
+def children(t: Term | Type) -> tuple:
+    """The children of t, in field order: a term's subterms, or a type's
+    component types. A `Lam`'s annotation is a label of the term, not a
+    child."""
+    return _CHILDREN[t.__class__](t)
 
 
-_LABELS: dict[type, Callable[[Term], tuple]] = {}
-_CHILDREN: dict[type, Callable[[Term], tuple[Term, ...]]] = {}
-for _cls in Term.__subclasses__():
-    _names = [f.name for f in fields(_cls)]
-    _kids = [f.name for f in fields(_cls) if f.type in ("Term", Term)]
-    _labels = _names[: len(_names) - len(_kids)]
-    if _labels + _kids != _names:
-        raise TypeError(f"{_cls.__name__} lists a label after a subterm")
-    _LABELS[_cls], _CHILDREN[_cls] = _getter(_labels), _getter(_kids)
-
-
-def children(t: Term) -> tuple[Term, ...]:
-    """The immediate subterms of t, in field order."""
-    return _CHILDREN[type(t)](t)
-
-
-def rebuild(t: Term, kids: Sequence[Term]) -> Term:
-    """t's node over new subterms, given in the order of children(t). A leaf
-    has none and is returned as it is."""
-    return type(t)(*_LABELS[type(t)](t), *kids) if kids else t
+def rebuild(t: Term | Type, kids: Sequence) -> Term | Type:
+    """t's node over new children, given in the order of children(t), with
+    every label of t kept. Given no children, t is returned as it is."""
+    return t.__class__(*_FIELDS[t.__class__](t, kids)) if kids else t
 
 
 class RuleTable(dict):
@@ -313,35 +311,11 @@ def _subst(t: Term, x: str, v: Term) -> Term:
 
 
 def alpha_eq(a: Term, b: Term) -> bool:
-    """Structural equality up to consistent renaming of bound variables.
-    Annotations and grades must match exactly."""
-    return _aeq(a, b, {}, {}, 0)
-
-
-def _aeq(a: Term, b: Term, enva: dict[str, int], envb: dict[str, int], depth: int) -> bool:
-    if type(a) is not type(b):
-        return False
-    match (a, b):
-        case (Var(x), Var(y)):
-            ia, ib = enva.get(x), envb.get(y)
-            if ia is None and ib is None:
-                return x == y
-            return ia == ib
-        case (Lam(x, ta, ba), Lam(y, tb, bb)):
-            if ta != tb:
-                return False
-            enva2 = dict(enva)
-            envb2 = dict(envb)
-            enva2[x] = depth
-            envb2[y] = depth
-            return _aeq(ba, bb, enva2, envb2, depth + 1)
-    labels = _LABELS[type(a)]
-    if labels(a) != labels(b):
-        return False
-    for ka, kb in zip(children(a), children(b)):
-        if not _aeq(ka, kb, enva, envb, depth):
-            return False
-    return True
+    """Structural equality up to consistent renaming of bound variables:
+    the two terms' canonical renamings are equal. A binder is renamed to
+    its preorder number, which no variable's name is, so a bound variable
+    never equals a free one. Annotations and grades must match exactly."""
+    return _renamed(a, {}, count(1)) == _renamed(b, {}, count(1))
 
 
 def rename_binders(t: Term) -> Term:
@@ -349,24 +323,22 @@ def rename_binders(t: Term) -> Term:
     alpha-renaming; only safe on closed terms."""
     if free_vars(t):
         raise ValueError("rename_binders needs a closed term")
-    counter = [0]
+    return _renamed(t, {}, map("v{}".format, count(1)))
 
-    def go(t: Term, env: dict[str, str]) -> Term:
-        match t:
-            case Var(name):
-                return Var(env[name])
-            case Lam(name, annot, body):
-                counter[0] += 1
-                new = f"v{counter[0]}"
-                env2 = dict(env)
-                env2[name] = new
-                return Lam(new, annot, go(body, env2))
-        kids = []
-        for kid in children(t):
-            kids.append(go(kid, env))
-        return rebuild(t, kids)
 
-    return go(t, {})
+def _renamed(t: Term, env: dict[str, object], names: Iterator) -> Term:
+    """t with its binders renamed to the next of `names`, in preorder, and
+    each occurrence a binder binds (`env`) renamed with it. A free variable
+    keeps its name."""
+    if t.__class__ is Var:
+        return Var(env.get(t.name, t.name))
+    if t.__class__ is Lam:
+        new = next(names)
+        return Lam(new, t.annot, _renamed(t.body, {**env, t.name: new}, names))
+    kids = []
+    for kid in children(t):  # a loop, not a comprehension, which would cost a frame per level
+        kids.append(_renamed(kid, env, names))
+    return rebuild(t, kids)
 
 
 def term_size(t: Term) -> int:

@@ -51,6 +51,7 @@ from rblam.syntax import (
     Type,
     Unbox,
     Var,
+    children,
     pretty,
     pretty_type,
 )
@@ -199,27 +200,18 @@ def type_lub(a: Type, b: Type, mode: Mode, inst: LatticeInstance) -> Type:
 
 
 def _reject_latents(ty: Type):
-    match ty:
-        case Arrow(dom, cod, latent):
-            if latent is not None:
-                raise TypingError("latent arrow annotations are not allowed in paper mode")
-            _reject_latents(dom)
-            _reject_latents(cod)
-        case Prod(left, right):
-            _reject_latents(left)
-            _reject_latents(right)
-        case Box(_, body):
-            _reject_latents(body)
+    if ty.__class__ is Arrow and ty.latent is not None:
+        raise TypingError("latent arrow annotations are not allowed in paper mode")
+    for kid in children(ty):
+        _reject_latents(kid)
 
 
 def type_contains_arrow(ty: Type) -> bool:
-    match ty:
-        case Arrow():
+    if ty.__class__ is Arrow:
+        return True
+    for kid in children(ty):
+        if type_contains_arrow(kid):
             return True
-        case Prod(left, right):
-            return type_contains_arrow(left) or type_contains_arrow(right)
-        case Box(_, body):
-            return type_contains_arrow(body)
     return False
 
 

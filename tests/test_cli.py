@@ -599,6 +599,14 @@ class TestSessionFlags:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert f"unrecognized arguments: --{flag} {value}" in captured.err and "Traceback" not in captured.err
+        # the usage shown is the command's, which lists the flags it does take
+        assert captured.err.startswith(f"usage: rblam {command} [-h]")
+
+    @pytest.mark.parametrize("argv", [[], ["nosuch", "--fuel", "3"]], ids=["missing", "unknown"])
+    def test_a_missing_or_unknown_command_prints_the_top_level_usage(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("usage: rblam [-h] {check,eval,fuzz,model,laws}")
 
     @pytest.mark.parametrize("lattice, budget", [("nat", "1000000"), ("sat2", "2")])
     def test_a_config_of_every_key_changes_nothing_it_restates(self, program, tmp_path, data_dir, capsys,
@@ -622,7 +630,8 @@ class TestSessionFlags:
         cfg.write_text("fuel = lots\n")
         assert main(["laws", "--sample", "0..5", "--config", str(cfg)]) == 2
         captured = capsys.readouterr()
-        assert captured.out == "" and captured.err == "error: bad fuel 'lots'; expected a non-negative integer\n"
+        assert captured.out == ""
+        assert captured.err == f"error: {cfg}: fuel: bad fuel 'lots'; expected a non-negative integer\n"
 
     def test_readme_cli_examples_parse(self):
         readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
@@ -761,19 +770,25 @@ class TestInputErrors:
         assert captured.err == f"error: --budget: 1:1: {message}\n"
 
     @pytest.mark.parametrize(
-        "line, flags, origin, message",
+        "command, line, flags, origin, message",
         [
-            ("budget = foo", [], "CFG: budget", "1:1: nat: expected a natural, got 'foo'"),
-            ("delta.if = (1,", [], "CFG: delta.if", "1:4: expected a lattice literal, found 'end of input'"),
-            ("budget = 100", ["--delta-if", "x"], "--delta-if", "1:1: nat: expected a natural, got 'x'"),
+            ("check", "budget = foo", [], "CFG: budget", "1:1: nat: expected a natural, got 'foo'"),
+            ("check", "delta.if = (1,", [], "CFG: delta.if", "1:4: expected a lattice literal, found 'end of input'"),
+            ("check", "budget = 100", ["--delta-if", "x"], "--delta-if", "1:1: nat: expected a natural, got 'x'"),
+            ("check", "fuel = lots", [], "CFG: fuel", "bad fuel 'lots'; expected a non-negative integer"),
+            ("check", "mode = fast", [], "CFG: mode", "bad mode 'fast'; expected paper or sound"),
+            ("check", "format = xml", [], "CFG: format", "bad format 'xml'; expected text or json"),
+            ("eval", "fuel = 5", ["--fuel", "-1"], "--fuel", "bad fuel '-1'; expected a non-negative integer"),
         ],
-        ids=["config budget", "config delta", "flag over config"],
+        ids=["config budget", "config delta", "flag over config", "config fuel", "config mode", "config format",
+             "flag fuel"],
     )
-    def test_literal_setting_error_names_its_origin(self, program, tmp_path, capsys, line, flags, origin, message):
-        # the line:col that follows is inside the setting's text, not the program
+    def test_literal_setting_error_names_its_origin(self, program, tmp_path, capsys, command, line, flags, origin,
+                                                    message):
+        # a literal's line:col that follows is inside the setting's text, not the program
         cfg = tmp_path / "session.cfg"
         cfg.write_text(line + "\n")
-        code = main(["check", program(IF_EXAMPLE), "--lattice", "nat", "--config", str(cfg)] + flags)
+        code = main([command, program(IF_EXAMPLE), "--lattice", "nat", "--config", str(cfg)] + flags)
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert captured.err == f"error: {origin.replace('CFG', str(cfg))}: {message}\n"

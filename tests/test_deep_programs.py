@@ -1,6 +1,7 @@
 """Deep programs through the CLI, trace text against a per-node reference
 printer, and the cost of evaluation and trace printing measured in calls."""
 
+import inspect
 import json
 import sys
 
@@ -246,6 +247,26 @@ for source in json.load(sys.stdin):
     assert a is not b and a == b and hash(a) == hash(b) and repr(a) == repr(b)
 """
     run = fresh_python(code, json.dumps([let_chain(246), nested_if(330)]))
+    assert run.returncode == 0, run.stderr[-2000:]
+
+
+def test_alpha_eq_and_rename_binders_at_the_deepest_programs(fresh_python):
+    # the deepest let-chain and nested if the parser takes, 246 and 328,
+    # built directly. alpha_eq compares two renamings with record `==`,
+    # which spends two recursion units per level; rename_binders spends one,
+    # so it also takes a nested if of 900. A fresh interpreter runs them, so
+    # pytest's own frames do not count
+    code = inspect.getsource(let_chain_term) + inspect.getsource(nested_if_term) + """
+import sys
+from rblam.syntax import App, Bool, FF, If, Lam, TT, Var, alpha_eq, rename_binders
+assert sys.getrecursionlimit() == 1000
+lets, ifs = let_chain_term(246), nested_if_term(328)
+assert alpha_eq(lets, rename_binders(lets)) and alpha_eq(ifs, rename_binders(ifs))
+assert not alpha_eq(lets, ifs)
+deepest = nested_if_term(900)
+assert rename_binders(deepest).cond == deepest.cond
+"""
+    run = fresh_python(code)
     assert run.returncode == 0, run.stderr[-2000:]
 
 

@@ -225,6 +225,62 @@ GENERATOR_WEIGHTS = [list(DEFAULT_TYPE_WEIGHTS.items())] + [
 ]
 
 
+def reference_concretize(ty, inst, rng=None, mode=Mode.SOUND):
+    """concretize as it was when it matched each type class by hand, kept
+    as the reference for the walk through `children` and `rebuild`."""
+    if mode is Mode.PAPER or not typecheck.type_contains_arrow(ty):
+        return ty
+    match ty:
+        case Arrow(dom, cod, latent):
+            if latent is None:
+                latent = inst.random_element(rng) if rng is not None else inst.bottom()
+            return Arrow(reference_concretize(dom, inst, rng), reference_concretize(cod, inst, rng), latent)
+        case Prod(left, right):
+            return Prod(reference_concretize(left, inst, rng), reference_concretize(right, inst, rng))
+        case Box(grade, body):
+            return Box(grade, reference_concretize(body, inst, rng))
+
+
+def some_latents_given(ty, inst, rng):
+    """ty with about half of its arrows given a latent, the rest left wildcards."""
+    match ty:
+        case Arrow(dom, cod, _):
+            latent = inst.random_element(rng) if rng.random() < 0.5 else None
+            return Arrow(some_latents_given(dom, inst, rng), some_latents_given(cod, inst, rng), latent)
+        case Prod(left, right):
+            return Prod(some_latents_given(left, inst, rng), some_latents_given(right, inst, rng))
+        case Box(grade, body):
+            return Box(grade, some_latents_given(body, inst, rng))
+    return ty
+
+
+class TestConcretize:
+    @pytest.mark.parametrize("mode", list(Mode))
+    @pytest.mark.parametrize("lattice", ["nat", "triple", "sat3"])
+    def test_matches_the_reference_in_result_and_draws(self, lattice, mode):
+        inst = builtin_lattice(lattice)
+        rng = random.Random(f"concretize {lattice}")
+        sampled = [sample_type(rng, 4, inst) for _ in range(200)]
+        types = sampled + [some_latents_given(ty, inst, rng) for ty in sampled]
+        assert sum(typecheck.type_contains_arrow(ty) for ty in sampled) > 50
+        for seeded in (False, True):
+            ours, theirs = random.Random(11), random.Random(11)
+            for ty in types:
+                got = concretize(ty, inst, ours if seeded else None, mode)
+                assert got == reference_concretize(ty, inst, theirs if seeded else None, mode), ty
+                assert ours.getstate() == theirs.getstate()
+        assert ours.getstate() != random.Random(11).getstate() or mode is Mode.PAPER
+
+    def test_latents_are_drawn_in_preorder(self):
+        inst = builtin_lattice("sat3")
+        ty = Arrow(Arrow(Bool(), Bool()), Prod(Arrow(Nat(), Bool()), Box(inst.element(2), Arrow(Bool(), Nat()))))
+        draws = random.Random(3)
+        expected = [inst.random_element(draws) for _ in range(4)]
+        got = concretize(ty, inst, random.Random(3))
+        assert [got.latent, got.dom.latent, got.cod.left.latent, got.cod.right.body.latent] == expected
+        assert got.cod.right.grade is inst.element(2)
+
+
 class TestWeightedDraws:
     def test_production_tables_are_the_candidate_lists(self):
         assert set(harness._PRODUCTIONS) == {

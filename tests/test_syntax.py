@@ -1,6 +1,7 @@
 import dataclasses
 import pathlib
 import pickle
+import random
 import re
 
 import pytest
@@ -307,6 +308,80 @@ def fresh_free_vars(t):
     return out
 
 
+def reference_alpha_eq(a, b, enva, envb, depth):
+    """alpha_eq as it was when it walked both terms at once, kept as the
+    reference for the comparison of canonical renamings: a bound variable is
+    its binder's nesting depth, and a free one its name."""
+    if type(a) is not type(b):
+        return False
+    match (a, b):
+        case (Var(x), Var(y)):
+            ia, ib = enva.get(x), envb.get(y)
+            if ia is None and ib is None:
+                return x == y
+            return ia == ib
+        case (Lam(x, ta, ba), Lam(y, tb, bb)):
+            if ta != tb:
+                return False
+            return reference_alpha_eq(ba, bb, {**enva, x: depth}, {**envb, y: depth}, depth + 1)
+    labels = [v for v in field_values(a) if not isinstance(v, Term)]
+    if labels != [v for v in field_values(b) if not isinstance(v, Term)]:
+        return False
+    kids = [v for v in field_values(a) if isinstance(v, Term)]
+    return all(reference_alpha_eq(ka, kb, enva, envb, depth)
+               for ka, kb in zip(kids, [v for v in field_values(b) if isinstance(v, Term)]))
+
+
+# free names and binder names, among them the names rename_binders gives
+NAMES = ["x", "y", "v1", "v2"]
+
+
+def random_open_term(rng, depth):
+    """A term over NAMES, open and with shadowed binders more often than not."""
+    if depth == 0 or rng.random() < 0.2:
+        return rng.choice([Var(rng.choice(NAMES)), Var(rng.choice(NAMES)), TT(), NatLit(rng.randrange(2))])
+    def sub():
+        return random_open_term(rng, depth - 1)
+
+    return rng.choice([
+        lambda: Lam(rng.choice(NAMES), rng.choice([Bool(), Nat()]), sub()),
+        lambda: Lam(rng.choice(NAMES), rng.choice([Bool(), Nat()]), sub()),
+        lambda: App(sub(), sub()),
+        lambda: Pair(sub(), sub()),
+        lambda: If(sub(), sub(), sub()),
+        lambda: BoxT(NAT.element(rng.randrange(3)), sub()),
+    ])()
+
+
+def rebind(t, rng, env=None):
+    """t with each binder renamed to a name drawn from NAMES, and each
+    occurrence it binds with it. A drawn name may capture a free variable,
+    so the result need not be alpha-equivalent to t."""
+    env = env or {}
+    match t:
+        case Var(x):
+            return Var(env.get(x, x))
+        case Lam(x, annot, body):
+            new = rng.choice(NAMES)
+            return Lam(new, annot, rebind(body, rng, {**env, x: new}))
+    return type(t)(*[rebind(v, rng, env) if isinstance(v, Term) else v for v in field_values(t)])
+
+
+def relabel(t):
+    """t with its first annotation or grade, in preorder, changed, and
+    nothing else; t itself if it has neither."""
+    match t:
+        case Lam(x, annot, body):
+            return Lam(x, Nat() if annot == Bool() else Bool(), body)
+        case BoxT(grade, body):
+            return BoxT(NAT.element(grade.payload + 1), body)
+    values = field_values(t)
+    for i, v in enumerate(values):
+        if isinstance(v, Term) and (new := relabel(v)) is not v:
+            return type(t)(*values[:i], new, *values[i + 1:])
+    return t
+
+
 class TestAlphaEq:
     def test_binder_names_ignored(self):
         a = parse("lam x : Bool . x", NAT)
@@ -329,6 +404,23 @@ class TestAlphaEq:
 
     def test_grades_matter(self):
         assert not alpha_eq(BoxT(NAT.element(1), TT()), BoxT(NAT.element(2), TT()))
+
+    def test_a_binder_never_captures_a_free_name_renaming_produces(self):
+        # rename_binders names binders v1, v2, ...; alpha_eq must not
+        assert not alpha_eq(Lam("x", Bool(), Var("x")), Lam("y", Bool(), Var("v1")))
+        assert not alpha_eq(Lam("v2", Bool(), Var("v1")), Lam("y", Bool(), Var("y")))
+
+    def test_verdicts_match_the_reference_on_generated_pairs(self):
+        rng = random.Random(36)
+        verdicts = {True: 0, False: 0}
+        for i in range(3000):
+            a = random_open_term(rng, 4)
+            b = [random_open_term(rng, 2), rebind(a, rng), relabel(rebind(a, rng))][i % 3]
+            verdict = alpha_eq(a, b)
+            assert verdict == reference_alpha_eq(a, b, {}, {}, 0), (a, b)
+            assert alpha_eq(b, a) == verdict
+            verdicts[verdict] += 1
+        assert min(verdicts.values()) > 500, verdicts
 
     def test_rename_binders_is_alpha_preserving(self):
         t = parse("(lam f : Bool -> Bool . (f tt, f tt)) (lam x : Bool . if x then ff else tt)", NAT)
@@ -368,11 +460,42 @@ EVERY_NODE_CLASS = [
 ]
 
 
+EVERY_TYPE_CLASS = [
+    Bool(),
+    Nat(),
+    Prod(Bool(), Nat()),
+    Arrow(Nat(), Bool(), NAT.element(3)),
+    Box(NAT.element(2), Nat()),
+]
+
+# Each class's child fields, stated here rather than read off the field
+# annotations as `syntax` reads them; every other field is a label.
+CHILD_FIELDS = {
+    Var: (), Lam: ("body",), App: ("fn", "arg"), Pair: ("fst", "snd"), Fst: ("arg",), Snd: ("arg",),
+    If: ("cond", "then", "other"), TT: (), FF: (), NatLit: (), BoxT: ("body",), Unbox: ("arg",),
+    Bool: (), Nat: (), Prod: ("left", "right"), Arrow: ("dom", "cod"), Box: ("body",),
+}
+
+
 class TestTraversal:
     def test_every_node_class_is_listed(self):
         assert {type(t) for t in EVERY_NODE_CLASS} == set(Term.__subclasses__())
+        assert {type(t) for t in EVERY_TYPE_CLASS} == set(Type.__subclasses__())
+        assert set(CHILD_FIELDS) == set(Term.__subclasses__()) | set(Type.__subclasses__())
 
-    @pytest.mark.parametrize("t", EVERY_NODE_CLASS, ids=lambda t: type(t).__name__)
+    @pytest.mark.parametrize("t", EVERY_NODE_CLASS + EVERY_TYPE_CLASS, ids=lambda t: type(t).__name__)
+    def test_rebuild_puts_each_child_in_its_field_and_keeps_every_label(self, t):
+        names = CHILD_FIELDS[type(t)]
+        assert children(t) == tuple(getattr(t, name) for name in names)
+        fresh = [NatLit(10 + i) if isinstance(t, Term) else Box(NAT.element(10 + i), Bool())
+                 for i in range(len(names))]
+        new = rebuild(t, fresh)
+        assert type(new) is type(t) and (new is t) == (not names)
+        for f in dataclasses.fields(t):
+            want = fresh[names.index(f.name)] if f.name in names else getattr(t, f.name)
+            assert getattr(new, f.name) is want, f.name
+
+    @pytest.mark.parametrize("t", EVERY_NODE_CLASS + EVERY_TYPE_CLASS, ids=lambda t: type(t).__name__)
     def test_rebuild_of_children_is_the_node(self, t):
         assert rebuild(t, children(t)) == t
 

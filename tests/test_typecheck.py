@@ -165,6 +165,16 @@ class TestErrors:
             synth("lam f : Bool -[1]-> Bool . f tt", mode=Mode.PAPER)
         assert "latent" in str(exc.value)
 
+    @pytest.mark.parametrize("annot", [
+        "(Bool -[1]-> Bool) -> Bool", "Bool -> Bool -[1]-> Bool", "Nat * (Bool -[1]-> Bool)",
+        "(Bool -[1]-> Bool) * Nat", "Box[2] (Bool -[1]-> Bool)",
+    ])
+    def test_latent_below_the_annotations_root_rejected_in_paper_mode(self, annot):
+        with pytest.raises(TypingError) as exc:
+            synth(f"lam f : {annot} . tt", mode=Mode.PAPER)
+        assert str(exc.value) == "latent arrow annotations are not allowed in paper mode"
+        synth(f"lam f : {annot} . tt", mode=Mode.SOUND)
+
     def test_latent_annotation_accepted_in_sound_mode(self):
         j = synth("lam f : Bool -[1]-> Bool . f tt", mode=Mode.SOUND)
         assert j.bound == NAT.element(0)
