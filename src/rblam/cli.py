@@ -21,7 +21,7 @@ import json
 import os
 import sys
 
-from rblam.interp import DEFAULT_FUEL, EvalError, Stuck, evaluate, evaluate_trace, format_trace, format_tree
+from rblam.interp import DEFAULT_FUEL, EvalError, Stuck, evaluate, evaluate_trace, format_trace, format_tree, tree_rows
 from rblam.lattice import (
     NAT,
     LatticeError,
@@ -40,7 +40,6 @@ from rblam.syntax import (
     parse,
     parse_literal_text,
     pretty,
-    pretty_type,
 )
 from rblam.typecheck import Context, DeltaProfile, Mode, TypingError, synthesize
 
@@ -55,7 +54,7 @@ class InputError(Exception):
 
 def _read_text(path: str, what: str = "") -> str:
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:  # a byte-order mark is not part of the text
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {what}{path}: {exc}") from exc
@@ -212,6 +211,13 @@ def _emit(doc: dict, session: Session) -> None:
             print(f"{key}: {value}")
 
 
+def _json_trace(root, key: str, inst: LatticeInstance) -> list[dict]:
+    """An evaluation trace or a typing derivation as JSON: one object per
+    node in preorder, with its depth, rule, term and `key` field."""
+    return [{"depth": depth, "rule": node.rule, "term": term, key: inst.format(getattr(node, key))}
+            for depth, node, term in tree_rows(root)]
+
+
 def _load_program(path: str, session: Session):
     source = _read_text(path)
     try:
@@ -234,13 +240,15 @@ def cmd_check(args: argparse.Namespace) -> int:
     j = _synthesize(term, session)
     verdict = "OK" if j.within_budget else "BUDGET-EXCEEDED"
     doc = {
-        "type": pretty_type(j.type),
+        "type": pretty(j.type),
         "bound": inst.format(j.bound),
         "budget": inst.format(j.budget),
         "verdict": verdict,
     }
+    if args.trace and session.format == "json":
+        doc["trace"] = _json_trace(j.trace, "bound", inst)
     _emit(doc, session)
-    if args.trace:
+    if args.trace and session.format == "text":
         print(format_tree(j.trace, lambda node: f"{node.rule} [{inst.format(node.bound)}] "))
     if not j.within_budget:
         print(
@@ -271,6 +279,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
         raise InputError(f"stuck: {exc}") from exc
     except EvalError as exc:
         raise InputError(f"evaluation error: {exc}") from exc
+    except RecursionError as exc:  # a typed program too deep for the limit still raises (ROADMAP defect 1)
+        if not args.unsafe_eval:
+            raise
+        raise InputError("evaluation error: nesting passed the recursion limit; the program may diverge") from exc
     doc = {"value": pretty(result.value), "cost": inst.format(result.cost)}
     code = OK
     if j is not None:
@@ -280,8 +292,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
         else:
             doc["cost_within_bound"] = "SOUNDNESS-VIOLATION"
             code = VIOLATION
+    if trace is not None and session.format == "json":
+        doc["trace"] = _json_trace(trace, "contribution", inst)
     _emit(doc, session)
-    if trace is not None:
+    if trace is not None and session.format == "text":
         print(format_trace(trace, inst))
     return code
 

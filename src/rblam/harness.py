@@ -78,7 +78,6 @@ from rblam.syntax import (
     children,
     free_vars,
     pretty,
-    pretty_type,
     rebuild,
     rename_binders,
     substitute,
@@ -845,7 +844,7 @@ def _check_preservation(cfg: GenConfig, trial: int) -> None:
         j2 = synthesize(Context(), r.value, inst.large_budget(), cfg.mode, cfg.deltas)
     if not is_subtype(j2.type, j.type, cfg.mode, inst):
         raise _Violation(term, "result type preserved up to grade subsumption",
-                         {"type": pretty_type(j.type), "result_type": pretty_type(j2.type)})
+                         {"type": pretty(j.type), "result_type": pretty(j2.type)})
     if not inst.leq(j2.bound, j.bound):
         raise _Violation(term, "result bound below original",
                          {"bound": inst.format(j.bound), "result_bound": inst.format(j2.bound)})
@@ -904,7 +903,7 @@ def _check_box_laws(cfg: GenConfig, trial: int) -> None:
     if not isinstance(jv.type, Box) or not is_subtype(jv.type, wider, cfg.mode, inst):
         raise _Violation(
             v.term, "grade monotone acceptance",
-            {"error": f"synthesized type {pretty_type(jv.type)} does not match expected {pretty_type(wider)}"},
+            {"error": f"synthesized type {pretty(jv.type)} does not match expected {pretty(wider)}"},
         )
 
     # grade bounds evaluation cost of the boxed term
@@ -955,7 +954,7 @@ def _check_substitution(cfg: GenConfig, trial: int) -> None:
     if j_closed.type != j_open.type or j_closed.bound != j_open.bound:
         raise _Violation(
             closed, "substitution preserves type and bound",
-            {"type": pretty_type(j_open.type), "sub_type": pretty_type(j_closed.type),
+            {"type": pretty(j_open.type), "sub_type": pretty(j_closed.type),
              "bound": inst.format(j_open.bound), "sub_bound": inst.format(j_closed.bound)},
         )
     if cfg.mode is Mode.SOUND:

@@ -12,7 +12,8 @@ applications evaluates in time linear in its size. Each rule charges the
 corresponding delta: application, conditionals, projections, and unboxing.
 Evaluation is deterministic and total on well-typed closed terms. Fuel
 does not end a divergent `--unsafe-eval` run: each application nests a
-frame, so the recursion limit does (exit 1, `RecursionError` traceback).
+frame, so the recursion limit does. `evaluate` raises `RecursionError`
+there, which `rblam eval --unsafe-eval` reports as an input error (exit 2).
 
 The rules live in one table, `RULES`: a handler per rule, called once per
 derivation node. It spends one unit of fuel first, `next(fuel)`, builds its
@@ -22,7 +23,7 @@ through `evaluate`, so a nesting level costs one Python frame.
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 from rblam.lattice import LatticeElement, LatticeInstance, record
 from rblam.syntax import (
@@ -188,18 +189,22 @@ def trace_cost(trace: EvalTrace, inst: LatticeInstance) -> LatticeElement:
     return total
 
 
-def format_tree(root, head: Callable[[Any], str]) -> str:
-    """One line per node of an evaluation trace or a typing derivation,
-    children indented below their parent: head(node), then the node's term.
-    Nodes share subterms, so one pretty memo serves the whole tree."""
+def tree_rows(root) -> Iterator[tuple[int, Any, str]]:
+    """Each node of an evaluation trace or a typing derivation in preorder,
+    with its depth and its term's text. Nodes share subterms, so one pretty
+    memo serves the whole tree."""
     memo: dict[int, str] = {}
-    lines: list[str] = []
     stack = [(root, 0)]
     while stack:
         node, depth = stack.pop()
-        lines.append(f"{'  ' * depth}{head(node)}{pretty(node.term, memo)}")
+        yield depth, node, pretty(node.term, memo)
         stack.extend((child, depth + 1) for child in reversed(node.children))
-    return "\n".join(lines)
+
+
+def format_tree(root, head: Callable[[Any], str]) -> str:
+    """One line per node of `tree_rows(root)`, children indented below their
+    parent: head(node), then the node's term."""
+    return "\n".join(f"{'  ' * depth}{head(node)}{term}" for depth, node, term in tree_rows(root))
 
 
 def format_trace(trace: EvalTrace, inst: LatticeInstance) -> str:

@@ -712,7 +712,7 @@ def load_lattice(path: str) -> FiniteLattice:
     """Load a finite lattice from a table file, run the law checker and
     refuse an unlawful table. `parse_lattice_table` reads one unchecked."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:  # a byte-order mark is not part of the table
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise LatticeError(f"cannot read {path}: {exc}") from exc

@@ -76,7 +76,6 @@ from rblam.syntax import (
     Var,
     free_vars,
     pretty,
-    pretty_type,
     rebuild,
     substitute,
 )
@@ -208,7 +207,7 @@ class _Interpreter:
         if ty in self.memo:
             return self.memo[ty]
         exhaustive = True
-        check = CheckReport(f"sections[{pretty_type(ty)}]")
+        check = CheckReport(f"sections[{pretty(ty)}]")
         inst = self.inst
         bot = inst.bottom()
 
@@ -234,7 +233,7 @@ class _Interpreter:
             case Arrow(dom, cod, None):
                 entries, exhaustive = self._arrow_sections(dom, cod, check)
             case _:
-                raise ValueError(f"cannot tabulate type {pretty_type(ty)}")
+                raise ValueError(f"cannot tabulate type {pretty(ty)}")
 
         if len(entries) > MAX_SECTIONS:
             exhaustive = False
@@ -260,7 +259,7 @@ class _Interpreter:
         check.expect(
             d.type == ty and d.bound == b,
             lambda: f"section judgment mismatch: ({pretty(v)}, {inst.format(b)}) retypes at "
-            f"({pretty_type(d.type)}, {inst.format(d.bound)})",
+            f"({pretty(d.type)}, {inst.format(d.bound)})",
         )
         return v, b, need, d
 
@@ -313,8 +312,8 @@ class _Interpreter:
             if j.type is None:
                 continue
             if j.type != arrow:
-                tab.expect(False, lambda: f"lambda synthesizes {pretty_type(j.type)}, "
-                           f"not {pretty_type(arrow)}: {pretty(lam)}")
+                tab.expect(False, lambda: f"lambda synthesizes {pretty(j.type)}, "
+                           f"not {pretty(arrow)}: {pretty(lam)}")
                 continue
             b_body = j.bound
             # the budget needed at a section: body bound, and for every
@@ -701,8 +700,8 @@ def run_model_checks(inst: LatticeInstance, enum: EnumBudget | None = None) -> M
 
     universe = {
         "elements": inst.size(),
-        "types": [pretty_type(t) for t in types],
-        "sections": {pretty_type(t): reps[t].section_count() for t in types},
+        "types": [pretty(t) for t in types],
+        "sections": {pretty(t): reps[t].section_count() for t in types},
         "exhaustive": all(reps[t].exhaustive for t in types),
     }
     return ModelReport(lattice=inst.name, checks=checks, universe=universe)

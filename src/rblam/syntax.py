@@ -3,6 +3,10 @@ ASTs, a recursive-descent parser, a printer that round-trips through the
 parser, substitution of closed values, and alpha-equivalence. Values are the
 terms in normal form (`is_value`); there is no separate value AST.
 
+One printer, `pretty`, prints terms and types, and one table, `_PREC`, sets
+every parenthesis: a child prints in parentheses when its class's precedence
+is below the one its position needs.
+
 The structure-only walks visit children through one `children`/`rebuild`
 pair, generated from each node class's dataclass fields at import. A node's
 children are its fields of its own kind, so types are walked as terms are,
@@ -191,7 +195,7 @@ class Unbox(Term):
 
 
 # Each one-keyword form by its keyword: the constants, the prefix forms over
-# an atom and the base types. The lexer, the parser and both printers read
+# an atom and the base types. The lexer, the parser and the printer read
 # this table; a rule's name in a derivation or trace is the class's name.
 KEYWORD_FORMS: dict[str, type] = {
     "tt": TT, "ff": FF, "fst": Fst, "snd": Snd, "unbox": Unbox, "Bool": Bool, "Nat": Nat,
@@ -351,47 +355,58 @@ def term_size(t: Term) -> int:
 # ---------------------------------------------------------------------------
 # Printing
 
+# Each class's precedence. An application's head needs 1; its argument, a
+# prefix form's operand and a box's body need 2; a product's left needs 2 and
+# its right 1; an arrow's domain needs 1; every other position needs 0.
+_PREC: dict[type, int] = {
+    Lam: 0, If: 0, Fst: 0, Snd: 0, Unbox: 0, BoxT: 0, App: 1, Var: 2, TT: 2, FF: 2, NatLit: 2, Pair: 2,
+    Arrow: 0, Prod: 1, Box: 2, Bool: 2, Nat: 2,
+}
 
-_ATOMIC = (Var, TT, FF, NatLit, Pair)
 
-
-def pretty(t: Term, memo: dict[int, str] | None = None) -> str:
-    """The source text of t. A printer that shows many terms sharing
-    subterms passes one `memo` (id of a term -> its text) to every call, so
-    each node is printed once; the caller keeps those terms alive."""
+def pretty(t: Term | Type, memo: dict[int, str] | None = None) -> str:
+    """The source text of a term or a type. A printer that shows many terms
+    sharing subterms passes one `memo` (id of a node -> its text) to every
+    call, so each node is printed once; the caller keeps those nodes alive."""
     if memo is not None and (s := memo.get(id(t))) is not None:
         return s
     match t:
         case Var(name):
             return name
-        case TT() | FF():
-            return KEYWORD_OF[type(t)]
+        case TT() | FF() | Bool() | Nat():
+            return KEYWORD_OF[t.__class__]
         case NatLit(n):
             return str(n)
         case Lam(name, annot, body):
-            s = f"lam {name} : {pretty_type(annot)} . {pretty(body, memo)}"
+            s = f"lam {name} : {pretty(annot, memo)} . {pretty(body, memo)}"
         case App(fn, arg):
-            fn_s = pretty(fn, memo) if isinstance(fn, (App,) + _ATOMIC) else _atom(fn, memo)
-            s = f"{fn_s} {_atom(arg, memo)}"
+            s = f"{_operand(fn, 1, memo)} {_operand(arg, 2, memo)}"
         case Pair(a, b):
             s = f"({pretty(a, memo)}, {pretty(b, memo)})"
         case Fst(arg) | Snd(arg) | Unbox(arg):
-            s = f"{KEYWORD_OF[type(t)]} {_atom(arg, memo)}"
+            s = f"{KEYWORD_OF[t.__class__]} {_operand(arg, 2, memo)}"
         case If(c, a, b):
             s = f"if {pretty(c, memo)} then {pretty(a, memo)} else {pretty(b, memo)}"
         case BoxT(grade, body):
-            s = f"box[{grade.instance.format(grade)}] {_atom(body, memo)}"
+            s = f"box[{grade.instance.format(grade)}] {_operand(body, 2, memo)}"
+        case Box(grade, body):
+            s = f"Box[{grade.instance.format(grade)}] {_operand(body, 2, memo)}"
+        case Prod(left, right):
+            s = f"{_operand(left, 2, memo)} * {_operand(right, 1, memo)}"
+        case Arrow(dom, cod, latent):
+            arrow = "->" if latent is None else f"-[{latent.instance.format(latent)}]->"
+            s = f"{_operand(dom, 1, memo)} {arrow} {pretty(cod, memo)}"
         case _:
-            raise TypeError(f"not a term: {t!r}")
+            raise TypeError(f"not a term or a type: {t!r}")
     if memo is not None:
         memo[id(t)] = s
     return s
 
 
-def _atom(t: Term, memo: dict[int, str] | None) -> str:
-    if isinstance(t, _ATOMIC):
-        return pretty(t, memo)
-    return f"({pretty(t, memo)})"
+def _operand(t: Term | Type, need: int, memo: dict[int, str] | None) -> str:
+    """t's text at a position that needs precedence `need`."""
+    s = pretty(t, memo)
+    return s if _PREC[t.__class__] >= need else f"({s})"
 
 
 def pretty_value(v: Term) -> str:
@@ -401,28 +416,6 @@ def pretty_value(v: Term) -> str:
     benchmark's tracer keys functions by identity and would then report
     every pretty call under this name."""
     return pretty(v)
-
-
-def pretty_type(ty: Type) -> str:
-    match ty:
-        case Bool() | Nat():
-            return KEYWORD_OF[type(ty)]
-        case Prod(left, right):
-            ls = _type_factor(left) if isinstance(left, (Prod, Arrow)) else pretty_type(left)
-            rs = _type_factor(right) if isinstance(right, Arrow) else pretty_type(right)
-            return f"{ls} * {rs}"
-        case Arrow(dom, cod, latent):
-            ds = _type_factor(dom) if isinstance(dom, Arrow) else pretty_type(dom)
-            arrow = "->" if latent is None else f"-[{latent.instance.format(latent)}]->"
-            return f"{ds} {arrow} {pretty_type(cod)}"
-        case Box(grade, body):
-            bs = pretty_type(body) if isinstance(body, (Bool, Nat, Box)) else _type_factor(body)
-            return f"Box[{grade.instance.format(grade)}] {bs}"
-    raise TypeError(f"not a type: {ty!r}")
-
-
-def _type_factor(ty: Type) -> str:
-    return f"({pretty_type(ty)})"
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,6 @@ from rblam.syntax import (
     Var,
     children,
     pretty,
-    pretty_type,
 )
 
 
@@ -195,7 +194,7 @@ def type_lub(a: Type, b: Type, mode: Mode, inst: LatticeInstance) -> Type:
                     inst.join(latent_of(a, inst), latent_of(b, inst)),
                 )
     raise TypingError(
-        f"branch types {pretty_type(a)} and {pretty_type(b)} do not unify"
+        f"branch types {pretty(a)} and {pretty(b)} do not unify"
     )
 
 
@@ -302,10 +301,10 @@ def _app(ctx, t, mode, d, inst, kids):
     fd = kids[0] if kids else RULES[t.fn.__class__](ctx, t.fn, mode, d, inst, ())
     fty = fd.type
     if not isinstance(fty, Arrow):
-        raise TypingError(f"cannot apply a term of type {pretty_type(fty)}: not an arrow")
+        raise TypingError(f"cannot apply a term of type {pretty(fty)}: not an arrow")
     ad = kids[1] if kids else RULES[t.arg.__class__](ctx, t.arg, mode, d, inst, ())
     if not is_subtype(ad.type, fty.dom, mode, inst):
-        raise TypingError(f"argument type {pretty_type(ad.type)} does not match domain {pretty_type(fty.dom)}")
+        raise TypingError(f"argument type {pretty(ad.type)} does not match domain {pretty(fty.dom)}")
     bound = inst.combine(inst.combine(fd.bound, ad.bound), d.app)
     if mode is Mode.SOUND:
         bound = inst.combine(bound, latent_of(fty, inst))
@@ -322,7 +321,7 @@ def _proj(ctx, t, mode, d, inst, kids):
     ad = kids[0] if kids else RULES[t.arg.__class__](ctx, t.arg, mode, d, inst, ())
     ty = ad.type
     if not isinstance(ty, Prod):
-        raise TypingError(f"{KEYWORD_OF[t.__class__]} of a non-pair type {pretty_type(ty)}")
+        raise TypingError(f"{KEYWORD_OF[t.__class__]} of a non-pair type {pretty(ty)}")
     part = ty.left if t.__class__ is Fst else ty.right
     return Derivation(t.__class__.__name__, t, part, inst.combine(ad.bound, d.proj), (ad,))
 
@@ -330,7 +329,7 @@ def _proj(ctx, t, mode, d, inst, kids):
 def _if(ctx, t, mode, d, inst, kids):
     cd = kids[0] if kids else RULES[t.cond.__class__](ctx, t.cond, mode, d, inst, ())
     if not isinstance(cd.type, Bool):
-        raise TypingError(f"condition has type {pretty_type(cd.type)}, expected Bool")
+        raise TypingError(f"condition has type {pretty(cd.type)}, expected Bool")
     td = kids[1] if kids else RULES[t.then.__class__](ctx, t.then, mode, d, inst, ())
     ed = kids[2] if kids else RULES[t.other.__class__](ctx, t.other, mode, d, inst, ())
     ty = type_lub(td.type, ed.type, mode, inst)
@@ -349,7 +348,7 @@ def _box(ctx, t, mode, d, inst, kids):
 def _unbox(ctx, t, mode, d, inst, kids):
     ad = kids[0] if kids else RULES[t.arg.__class__](ctx, t.arg, mode, d, inst, ())
     if not isinstance(ad.type, Box):
-        raise TypingError(f"unbox of a non-box type {pretty_type(ad.type)}")
+        raise TypingError(f"unbox of a non-box type {pretty(ad.type)}")
     return Derivation("Unbox", t, ad.type.body, inst.combine(ad.bound, d.unbox), (ad,))
 
 

@@ -17,7 +17,7 @@ from rblam.lattice import (
     load_lattice,
 )
 from rblam.model import DenModel, EnumBudget, check_cost_preservation, run_model_checks
-from rblam.syntax import alpha_eq, parse, pretty, pretty_type
+from rblam.syntax import alpha_eq, parse, pretty
 from rblam.typecheck import (
     Context,
     DeltaProfile,
@@ -209,7 +209,7 @@ def test_criterion_7_worked_goldens():
         ),
     ]:
         j = synthesize(Context(), parse(src, NAT), NAT.element(100), mode, D)
-        checks.append(pretty_type(j.type) == ty and j.bound == NAT.element(bound))
+        checks.append(pretty(j.type) == ty and j.bound == NAT.element(bound))
 
     # the box side-condition example is an error golden
     try:

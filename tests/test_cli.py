@@ -67,6 +67,16 @@ class TestCheck:
         assert code == 0
         assert "If" in out and "Const" in out
 
+    def test_json_trace_is_one_document_with_the_text_traces_rows(self, program, capsys):
+        path = program(WITNESS)
+        assert main(["check", path, "--mode", "paper", "--trace"]) == 0
+        text = capsys.readouterr().out.splitlines()[4:]
+        assert main(["check", path, "--mode", "paper", "--trace", "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["verdict"] == "OK" and len(doc["trace"]) == len(text) == 14
+        assert [f"{'  ' * row['depth']}{row['rule']} [{row['bound']}] {row['term']}" for row in doc["trace"]] == text
+        assert all(row.keys() == {"depth", "rule", "term", "bound"} for row in doc["trace"])
+
     def test_triple_lattice_budget_literal(self, program, capsys):
         code = main(
             ["check", program(IF_EXAMPLE), "--lattice", "triple", "--budget", "(2,2,2)"]
@@ -139,6 +149,33 @@ class TestEval:
         out = capsys.readouterr().out
         assert code == 0
         assert "App +1" in out and "IfT +1" in out
+
+    def test_json_trace_is_one_document_with_the_text_traces_rows(self, program, capsys):
+        path = program(WITNESS)
+        assert main(["eval", path, "--mode", "paper", "--trace"]) == 1
+        text = capsys.readouterr().out.splitlines()[4:]
+        assert main(["eval", path, "--mode", "paper", "--trace", "--format", "json"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["cost_within_bound"] == "SOUNDNESS-VIOLATION" and len(doc["trace"]) == len(text) > 10
+        assert [f"{'  ' * row['depth']}{row['rule']} +{row['contribution']}  {row['term']}"
+                for row in doc["trace"]] == text
+        assert all(row.keys() == {"depth", "rule", "term", "contribution"} for row in doc["trace"])
+
+    def test_unsafe_eval_of_a_divergent_program_is_an_input_error(self, program, capsys):
+        # fuel does not end the run; the recursion limit does
+        code = main(["eval", program("(lam x : Bool . x x) (lam x : Bool . x x)"), "--unsafe-eval"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: evaluation error: nesting passed the recursion limit; the program may diverge\n"
+
+    def test_a_typed_program_still_raises_past_the_recursion_limit(self, program, monkeypatch, capsys):
+        def too_deep(*args):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(cli, "evaluate", too_deep)
+        with pytest.raises(RecursionError):
+            main(["eval", program(IF_EXAMPLE)])
+        assert main(["eval", program(IF_EXAMPLE), "--unsafe-eval"]) == 2
 
 
 class TestSubstitutedValues:
@@ -813,6 +850,18 @@ class TestInputErrors:
         assert code == 2 and captured.out == ""
         assert captured.err.startswith("error: cannot read ") and captured.err.count("\n") == 1
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("kind", ["program", "config", "lattice table"])
+    def test_a_byte_order_mark_reads_as_no_mark(self, program, data_dir, capsys, kind):
+        text = {"program": IF_EXAMPLE, "config": "lattice = triple\nbudget = (1,0,0)\n",
+                "lattice table": (data_dir / "chain3.lat").read_text()}[kind]
+        outputs = []
+        for mark in ("", "\ufeff"):
+            path = program(mark + text, "chain3.lat" if kind == "lattice table" else "input")
+            argv = {"program": ["check", path], "config": ["check", program(IF_EXAMPLE), "--config", path],
+                    "lattice table": ["laws", "--lattice-file", path]}[kind]
+            outputs.append((main(argv), *capsys.readouterr()))
+        assert outputs[0] == outputs[1] and outputs[0][0] == 0 and outputs[0][2] == ""
 
     @pytest.mark.parametrize(
         "old, new, message",

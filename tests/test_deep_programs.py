@@ -27,7 +27,7 @@ from rblam.syntax import (
     Unbox,
     Var,
     parse,
-    pretty_type,
+    pretty,
 )
 from rblam.typecheck import Context, DeltaProfile, Mode, derive, synthesize
 
@@ -64,7 +64,7 @@ def ref_pretty(t):
         case Var(name):
             return name
         case Lam(name, annot, body):
-            return f"lam {name} : {pretty_type(annot)} . {ref_pretty(body)}"
+            return f"lam {name} : {pretty(annot)} . {ref_pretty(body)}"
         case App(fn, arg):
             fn_s = ref_pretty(fn) if isinstance(fn, (App,) + _ATOMIC) else ref_atom(fn)
             return f"{fn_s} {ref_atom(arg)}"

@@ -40,7 +40,7 @@ from rblam.syntax import (
     Var,
     is_value,
     parse,
-    pretty_type,
+    pretty,
     substitute,
 )
 from rblam.typecheck import Context, DeltaProfile, Mode, TypingError, synthesize
@@ -381,7 +381,7 @@ class TestSectionFamilyChecks:
         for ty in default_type_suite(inst):
             alone = interpret_types([ty], inst, enum)[ty].check
             together = suite[alone.name]
-            assert alone.name == f"sections[{pretty_type(ty)}]"
+            assert alone.name == f"sections[{pretty(ty)}]"
             assert (alone.checked, alone.counterexamples, alone.notes) == (
                 together.checked, together.counterexamples, together.notes), alone.name
 

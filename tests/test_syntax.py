@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rblam.harness import GenConfig, gen_typed_term
-from rblam.lattice import NAT, TRIPLE
+from rblam.harness import GenConfig, _generate, concretize, gen_typed_term, sample_type
+from rblam.lattice import NAT, TRIPLE, SaturatingNatLattice
 from rblam.syntax import (
     App,
     Arrow,
@@ -42,8 +42,8 @@ from rblam.syntax import (
     parse,
     parse_literal_text,
     parse_type,
+    _PREC,
     pretty,
-    pretty_type,
     rebuild,
     rename_binders,
     substitute,
@@ -192,8 +192,29 @@ class TestPrint:
         assert pretty(Lam("x", Bool(), Var("x"))) == "lam x : Bool . x"
 
     def test_type_printing(self):
-        assert pretty_type(Arrow(Prod(Bool(), Nat()), Bool(), None)) == "Bool * Nat -> Bool"
-        assert pretty_type(Arrow(Bool(), Bool(), NAT.element(1))) == "Bool -[1]-> Bool"
+        assert pretty(Arrow(Prod(Bool(), Nat()), Bool(), None)) == "Bool * Nat -> Bool"
+        assert pretty(Arrow(Bool(), Bool(), NAT.element(1))) == "Bool -[1]-> Bool"
+
+    def test_every_class_has_a_precedence(self):
+        assert set(_PREC) == set(Term.__subclasses__()) | set(Type.__subclasses__())
+
+    def test_output_matches_the_reference_printers_on_generated_terms_and_types(self):
+        # the lattices' grades print as a natural, a capped natural and a
+        # triple; paper mode has no latents, sound mode has them
+        # 5,100 generated terms and as many sampled types, and every subterm
+        # and subterm type of the terms' derivations
+        for inst in (NAT, TRIPLE, SaturatingNatLattice(3)):
+            for mode in Mode:
+                cfg = GenConfig(lattice=inst, seed=37, max_depth=5, mode=mode, allow_fn_var_reuse=True)
+                rng = random.Random(37)
+                for trial in range(850):
+                    memo = {}
+                    for d in derivation_nodes(_generate(cfg, trial=trial)):
+                        assert pretty(d.term, memo) == pretty(d.term) == reference_pretty(d.term)
+                        if d.type is not None:
+                            assert pretty(d.type) == reference_pretty_type(d.type)
+                    ty = concretize(sample_type(rng, 4, inst), inst, rng, mode)
+                    assert pretty(ty) == reference_pretty_type(ty)
 
     @pytest.mark.parametrize(
         "src",
@@ -222,7 +243,7 @@ class TestKeywords:
     def test_each_keyword_form_round_trips(self, word):
         cls = KEYWORD_FORMS[word]
         if issubclass(cls, Type):
-            assert parse_type(word, NAT) == cls() and pretty_type(cls()) == word
+            assert parse_type(word, NAT) == cls() and pretty(cls()) == word
         elif cls.__match_args__:  # a prefix form over an atom
             node = cls(Var("p"))
             assert parse(f"{word} p", NAT) == node and pretty(node) == f"{word} p"
@@ -583,6 +604,102 @@ def test_print_parse_round_trip(term):
 def test_term_size_positive_and_stable(term):
     assert term_size(term) >= 1
     assert term_size(term) == term_size(parse(pretty(term), NAT))
+
+
+def derivation_nodes(d):
+    """Every node of a derivation, the root first."""
+    stack = [d]
+    while stack:
+        d = stack.pop()
+        yield d
+        stack.extend(d.children)
+
+
+# The term printer and the type printer as they were before one precedence
+# table set every parenthesis, kept as the reference for `pretty`.
+_REFERENCE_ATOMIC = (Var, TT, FF, NatLit, Pair)
+
+
+def reference_pretty(t):
+    match t:
+        case Var(name):
+            return name
+        case TT():
+            return "tt"
+        case FF():
+            return "ff"
+        case NatLit(n):
+            return str(n)
+        case Lam(name, annot, body):
+            return f"lam {name} : {reference_pretty_type(annot)} . {reference_pretty(body)}"
+        case App(fn, arg):
+            fn_s = reference_pretty(fn) if isinstance(fn, (App,) + _REFERENCE_ATOMIC) else reference_atom(fn)
+            return f"{fn_s} {reference_atom(arg)}"
+        case Pair(a, b):
+            return f"({reference_pretty(a)}, {reference_pretty(b)})"
+        case Fst(arg):
+            return f"fst {reference_atom(arg)}"
+        case Snd(arg):
+            return f"snd {reference_atom(arg)}"
+        case Unbox(arg):
+            return f"unbox {reference_atom(arg)}"
+        case If(c, a, b):
+            return f"if {reference_pretty(c)} then {reference_pretty(a)} else {reference_pretty(b)}"
+        case BoxT(grade, body):
+            return f"box[{grade.instance.format(grade)}] {reference_atom(body)}"
+    raise TypeError(f"not a term: {t!r}")
+
+
+def reference_atom(t):
+    return reference_pretty(t) if isinstance(t, _REFERENCE_ATOMIC) else f"({reference_pretty(t)})"
+
+
+def reference_pretty_type(ty):
+    match ty:
+        case Bool():
+            return "Bool"
+        case Nat():
+            return "Nat"
+        case Prod(left, right):
+            ls = reference_factor(left) if isinstance(left, (Prod, Arrow)) else reference_pretty_type(left)
+            rs = reference_factor(right) if isinstance(right, Arrow) else reference_pretty_type(right)
+            return f"{ls} * {rs}"
+        case Arrow(dom, cod, latent):
+            ds = reference_factor(dom) if isinstance(dom, Arrow) else reference_pretty_type(dom)
+            arrow = "->" if latent is None else f"-[{latent.instance.format(latent)}]->"
+            return f"{ds} {arrow} {reference_pretty_type(cod)}"
+        case Box(grade, body):
+            bs = reference_pretty_type(body) if isinstance(body, (Bool, Nat, Box)) else reference_factor(body)
+            return f"Box[{grade.instance.format(grade)}] {bs}"
+    raise TypeError(f"not a type: {ty!r}")
+
+
+def reference_factor(ty):
+    return f"({reference_pretty_type(ty)})"
+
+
+def types_over(grades):
+    """Types whose grades and latents are drawn from `grades`; an arrow's
+    latent is absent about half the time."""
+    return st.recursive(
+        st.sampled_from([Bool(), Nat()]),
+        lambda kids: st.one_of(
+            st.builds(Prod, kids, kids),
+            st.builds(Box, grades, kids),
+            st.builds(Arrow, kids, kids, st.none() | grades),
+        ),
+        max_leaves=12,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.tuples(st.just(NAT), types_over(st.integers(0, 5).map(NAT.element))),
+    st.tuples(st.just(TRIPLE), types_over(st.tuples(*[st.integers(0, 3)] * 3).map(TRIPLE.element))),
+))
+def test_type_print_parse_round_trip(inst_and_type):
+    inst, ty = inst_and_type
+    assert parse_type(pretty(ty), inst) == ty
 
 
 # ---------------------------------------------------------------------------
