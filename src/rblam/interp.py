@@ -64,24 +64,20 @@ class FuelExhausted(EvalError):
     """Derivation exceeded the fuel limit."""
 
 
-@record
-class CostedResult:
-    __slots__ = ("value", "cost")
+class CostedResult(metaclass=record):
     value: Term
     cost: LatticeElement
 
 
-@record(children=())
-class EvalTrace:
+class EvalTrace(metaclass=record):
     """Derivation-shaped log: one node per rule application, carrying the
     delta that node contributed. Folding contributions with combine yields
     the root cost."""
 
-    __slots__ = ("rule", "term", "contribution", "children")
     rule: str
     term: Term
     contribution: LatticeElement
-    children: tuple["EvalTrace", ...]
+    children: tuple["EvalTrace", ...] = ()
 
 
 def evaluate(term: Term, deltas: DeltaProfile, fuel: int = DEFAULT_FUEL) -> CostedResult:

@@ -35,8 +35,12 @@ tuple of component payloads), and is its literal: `format` prints it, and
 `element`, which validates a parsed one, is the one constructor from data.
 
 Elements are `record`s, the frozen slot classes that the term, type and
-derivation classes of the other modules are built from too; a record has
-one constructor, its class call.
+derivation classes of the other modules are built from too. A record class
+is declared `class C(B, metaclass=record)` with annotations only: they are
+its fields and its slots, and a value written after one is its default.
+`record` makes the class once and generates its methods in one `exec`,
+keeping any that the body defines; a record has one constructor, its class
+call, and a slot that a base declares is a cache that it sets to None.
 """
 
 from __future__ import annotations
@@ -60,31 +64,17 @@ def _frozen_delattr(self, name):
     raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
-def record(cls: type | None = None, /, **defaults):
-    """Make cls a frozen record with slots: `@record`, or `@record(f=v)` to
-    give trailing fields defaults. The class body declares `__slots__` as
-    its annotated fields, in order. One `exec` generates the class's
-    methods: `__init__`, which writes each slot through its descriptor,
-    past the refusing `__setattr__`, so the class call is a record's one
-    constructor; `__eq__`, which checks the class and then compares field
-    by field, each by identity first; `__hash__`, the hash of the field
-    tuple; `__repr__`, dataclass's text without its recursion guard, since
-    records are acyclic; and `__reduce__`, the class applied to the fields.
-    `__setattr__` and `__delattr__` raise `FrozenInstanceError` with
-    dataclass's messages. A method that the class body defines itself is
-    kept. Slots that a base class declares are caches, which `__init__`
-    sets to None; a class that inherits a `_hash` slot computes its hash
-    once and keeps it there. `dataclass` then supplies only `fields`,
-    `__match_args__`, `replace` and the docstring."""
-    if cls is None:
-        return lambda cls: record(cls, **defaults)
-    names = tuple(cls.__dict__.get("__annotations__", ()))
-    if cls.__dict__.get("__slots__") != names:
-        raise TypeError(f"{cls.__name__}.__slots__ must be its fields {names}")
-    if set(defaults) - set(names) or any(
-        n not in defaults for n in names[len(names) - len(defaults):]
-    ):
-        raise TypeError(f"{cls.__name__}: defaults must name trailing fields")
+def record(name: str, bases: tuple[type, ...], ns: dict[str, Any]) -> type:
+    """The metaclass of a frozen record with slots, `class C(B, metaclass=record)`:
+    the body's annotations are the fields, in order, and a value written
+    after one is its default. It is a function that calls `type`, since the
+    slots must exist when the class is made, and a class of exactly `type`
+    keeps `isinstance` on the interpreter's fast path."""
+    names = tuple(ns.get("__annotations__", ()))
+    defaults = {n: ns[n] for n in names if n in ns}
+    if any(n not in defaults for n in names[len(names) - len(defaults):]):
+        raise TypeError(f"{name}: a field without a default follows one with a default")
+    cls = type(name, bases, {**{k: v for k, v in ns.items() if k not in defaults}, "__slots__": names})
     caches = [n for base in cls.__mro__[1:] for n in base.__dict__.get("__slots__", ())]
     env = {f"_set_{n}": getattr(cls, n).__set__ for n in names + tuple(caches)}
     env.update({f"_default_{n}": v for n, v in defaults.items()})
@@ -102,15 +92,15 @@ def record(cls: type | None = None, /, **defaults):
         "__repr__": ("self", [f'return f"{{self.__class__.__qualname__}}({text})"']),
         "__reduce__": ("self", [f"return self.__class__, {values}"]),
     }
-    exec("\n".join(f"def {name}({args}):\n    " + "\n    ".join(body)
-                   for name, (args, body) in methods.items()), env)
-    for name in methods:
-        env[name].__qualname__ = f"{cls.__qualname__}.{name}"
-    env["__init__"].__annotations__ = dict(cls.__dict__.get("__annotations__", {}))
+    exec("\n".join(f"def {method}({args}):\n    " + "\n    ".join(body)
+                   for method, (args, body) in methods.items()), env)
+    for method in methods:
+        env[method].__qualname__ = f"{cls.__qualname__}.{method}"
+    env["__init__"].__annotations__ = dict(ns.get("__annotations__", {}))
     env.update(__setattr__=_frozen_setattr, __delattr__=_frozen_delattr)
-    for name in [*methods, "__setattr__", "__delattr__"]:
-        if cls.__dict__.get(name) is None:  # a body's `__eq__` alone leaves `__hash__` None
-            setattr(cls, name, env[name])
+    for method in [*methods, "__setattr__", "__delattr__"]:
+        if cls.__dict__.get(method) is None:  # a body's `__eq__` alone leaves `__hash__` None
+            setattr(cls, method, env[method])
     # after __init__: the dataclass docstring is read off its signature
     dataclass(init=False, repr=False, eq=False)(cls)
     for f in fields(cls):
@@ -119,12 +109,10 @@ def record(cls: type | None = None, /, **defaults):
     return cls
 
 
-@record
-class LatticeElement:
+class LatticeElement(metaclass=record):
     """An immutable cost value owned by a specific lattice instance. Only
     its instance builds one (`element`, `leq`/`combine`/`join`, `bottom`)."""
 
-    __slots__ = ("instance", "payload")
     instance: "LatticeInstance"
     payload: Any
 

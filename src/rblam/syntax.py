@@ -29,9 +29,13 @@ class call is a record's one constructor: its `__init__` writes each slot
 through the slot's descriptor, which costs about half of a frozen
 dataclass's `object.__setattr__` per field. `==` compares field by field,
 each by identity first, and `repr` has no recursion guard, so both spend
-one frame per nesting level. The class body declares `__slots__` itself,
-so the decorator changes the class in place and leaves no second class
-behind (`dataclass(slots=True)` would).
+one frame per nesting level. A node class names its fields once, as the
+annotations of a `class C(Term, metaclass=record)` body, with a default
+written after its field (`latent: LatticeElement | None = None`). `record`
+is a function: it calls `type` once, with the fields as `__slots__`, since
+slots must exist when the class is made, so no second class is left behind
+(`dataclass(slots=True)` would leave one), and every node class is a plain
+`type`, which keeps the `isinstance` tests of the rules' matches fast.
 
 Terms are immutable and may share subterms. Each node keeps its free
 variables once computed, in its `_fv` slot, and a term or a type keeps its
@@ -81,34 +85,26 @@ class Type:
     __slots__ = ("_hash",)
 
 
-@record
-class Bool(Type):
-    __slots__ = ()
+class Bool(Type, metaclass=record):
+    pass
 
 
-@record
-class Nat(Type):
-    __slots__ = ()
+class Nat(Type, metaclass=record):
+    pass
 
 
-@record
-class Prod(Type):
-    __slots__ = ("left", "right")
+class Prod(Type, metaclass=record):
     left: Type
     right: Type
 
 
-@record(latent=None)
-class Arrow(Type):
-    __slots__ = ("dom", "cod", "latent")
+class Arrow(Type, metaclass=record):
     dom: Type
     cod: Type
-    latent: LatticeElement | None
+    latent: LatticeElement | None = None
 
 
-@record
-class Box(Type):
-    __slots__ = ("grade", "body")
+class Box(Type, metaclass=record):
     grade: LatticeElement
     body: Type
 
@@ -117,80 +113,58 @@ class Term:
     __slots__ = ("_fv", "_hash")
 
 
-@record
-class Var(Term):
-    __slots__ = ("name",)
+class Var(Term, metaclass=record):
     name: str
 
 
-@record
-class Lam(Term):
-    __slots__ = ("name", "annot", "body")
+class Lam(Term, metaclass=record):
     name: str
     annot: Type
     body: Term
 
 
-@record
-class App(Term):
-    __slots__ = ("fn", "arg")
+class App(Term, metaclass=record):
     fn: Term
     arg: Term
 
 
-@record
-class Pair(Term):
-    __slots__ = ("fst", "snd")
+class Pair(Term, metaclass=record):
     fst: Term
     snd: Term
 
 
-@record
-class Fst(Term):
-    __slots__ = ("arg",)
+class Fst(Term, metaclass=record):
     arg: Term
 
 
-@record
-class Snd(Term):
-    __slots__ = ("arg",)
+class Snd(Term, metaclass=record):
     arg: Term
 
 
-@record
-class If(Term):
-    __slots__ = ("cond", "then", "other")
+class If(Term, metaclass=record):
     cond: Term
     then: Term
     other: Term
 
 
-@record
-class TT(Term):
-    __slots__ = ()
+class TT(Term, metaclass=record):
+    pass
 
 
-@record
-class FF(Term):
-    __slots__ = ()
+class FF(Term, metaclass=record):
+    pass
 
 
-@record
-class NatLit(Term):
-    __slots__ = ("value",)
+class NatLit(Term, metaclass=record):
     value: int
 
 
-@record
-class BoxT(Term):
-    __slots__ = ("grade", "body")
+class BoxT(Term, metaclass=record):
     grade: LatticeElement
     body: Term
 
 
-@record
-class Unbox(Term):
-    __slots__ = ("arg",)
+class Unbox(Term, metaclass=record):
     arg: Term
 
 

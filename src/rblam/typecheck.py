@@ -108,10 +108,8 @@ def check_deltas(deltas: DeltaProfile, lattice: LatticeInstance) -> None:
         raise ValueError(f"delta profile belongs to {other}, not to {lattice.name!r}")
 
 
-@record(bindings=())
-class Context:
-    __slots__ = ("bindings",)
-    bindings: tuple[tuple[str, Type], ...]
+class Context(metaclass=record):
+    bindings: tuple[tuple[str, Type], ...] = ()
 
     def extend(self, name: str, ty: Type) -> "Context":
         return Context(self.bindings + ((name, ty),))
@@ -123,19 +121,15 @@ class Context:
         return None
 
 
-@record(children=())
-class Derivation:
-    __slots__ = ("rule", "term", "type", "bound", "children")
+class Derivation(metaclass=record):
     rule: str
     term: Term
     type: Type
     bound: LatticeElement
-    children: tuple["Derivation", ...]
+    children: tuple["Derivation", ...] = ()
 
 
-@record
-class Judgment:
-    __slots__ = ("subject", "type", "bound", "budget", "within_budget", "trace")
+class Judgment(metaclass=record):
     subject: Term
     type: Type
     bound: LatticeElement

@@ -115,6 +115,16 @@ class TestEval:
         out = capsys.readouterr().out
         assert code == 0 and "cost: 5" in out and "bound: 5" in out
 
+    def test_default_mode_reads_a_bare_arrow_as_latent_bottom(self, program, capsys):
+        # the README's two sound-mode runs of the witness, without --mode
+        assert main(["eval", program(WITNESS)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: type error: argument type Bool -[1]-> Bool does not match domain Bool -> Bool\n"
+        annotated = WITNESS.replace("lam f : Bool -> Bool", "lam f : Bool -[1]-> Bool")
+        assert main(["eval", program(annotated)]) == 0
+        assert capsys.readouterr().out == "value: (ff, ff)\ncost: 5\nbound: 5\ncost_within_bound: yes\n"
+
     def test_refuses_ill_typed(self, program, capsys):
         assert main(["eval", program("fst tt"), "--lattice", "nat"]) == 2
 

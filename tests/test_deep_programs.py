@@ -12,24 +12,10 @@ from rblam.cli import main
 from rblam.harness import GenConfig, gen_typed_term, minimize
 from rblam.interp import CostedResult, evaluate, evaluate_trace, format_trace, format_tree
 from rblam.lattice import NAT, TRIPLE
-from rblam.syntax import (
-    App,
-    Bool,
-    BoxT,
-    FF,
-    Fst,
-    If,
-    Lam,
-    NatLit,
-    Pair,
-    Snd,
-    TT,
-    Unbox,
-    Var,
-    parse,
-    pretty,
-)
+from rblam.syntax import App, Bool, FF, If, Lam, TT, Var, parse
 from rblam.typecheck import Context, DeltaProfile, Mode, derive, synthesize
+
+from reference_printers import reference_pretty
 
 N = 225  # the largest let-chain the recursive parser and evaluator take
 
@@ -54,50 +40,11 @@ def nested_if(n):
 FAMILIES = {"let": (let_chain, "tt"), "if": (nested_if, "ff")}
 
 
-# A printer that prints every node afresh, kept as the reference for the
-# trace text.
-_ATOMIC = (Var, TT, FF, NatLit, Pair)
-
-
-def ref_pretty(t):
-    match t:
-        case Var(name):
-            return name
-        case Lam(name, annot, body):
-            return f"lam {name} : {pretty(annot)} . {ref_pretty(body)}"
-        case App(fn, arg):
-            fn_s = ref_pretty(fn) if isinstance(fn, (App,) + _ATOMIC) else ref_atom(fn)
-            return f"{fn_s} {ref_atom(arg)}"
-        case Pair(a, b):
-            return f"({ref_pretty(a)}, {ref_pretty(b)})"
-        case Fst(arg):
-            return f"fst {ref_atom(arg)}"
-        case Snd(arg):
-            return f"snd {ref_atom(arg)}"
-        case If(c, a, b):
-            return f"if {ref_pretty(c)} then {ref_pretty(a)} else {ref_pretty(b)}"
-        case TT():
-            return "tt"
-        case FF():
-            return "ff"
-        case NatLit(n):
-            return str(n)
-        case BoxT(grade, body):
-            return f"box[{grade.instance.format(grade)}] {ref_atom(body)}"
-        case Unbox(arg):
-            return f"unbox {ref_atom(arg)}"
-    raise TypeError(f"not a term: {t!r}")
-
-
-def ref_atom(t):
-    return ref_pretty(t) if isinstance(t, _ATOMIC) else f"({ref_pretty(t)})"
-
-
 def ref_lines(root, label):
     lines, stack = [], [(root, 0)]
     while stack:
         node, depth = stack.pop()
-        lines.append("  " * depth + f"{label(node)}{ref_pretty(node.term)}")
+        lines.append("  " * depth + f"{label(node)}{reference_pretty(node.term)}")
         stack.extend((c, depth + 1) for c in reversed(node.children))
     return "\n".join(lines) + "\n"
 

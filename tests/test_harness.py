@@ -100,7 +100,7 @@ class TestGenerator:
 
         monkeypatch.setattr(harness, "_gen", recorded)
         cfg = GenConfig(lattice=inst, seed=31, max_depth=6, mode=mode, allow_fn_var_reuse=reuse)
-        deltas = cfg.resolved_deltas()
+        deltas = cfg.deltas
         for i in range(500):
             term = gen_typed_term(cfg, trial=i)
             ctx, deriv = built[-1]  # the outermost call returns last
@@ -380,7 +380,7 @@ class TestValues:
         for _ in range(150):
             ty = sample_type(rng, 2, inst)
             v = gen_value(cfg, ty, rng, 3)
-            assert v == synthesize(Context(), v.term, inst.large_budget(), mode, cfg.resolved_deltas()).trace
+            assert v == synthesize(Context(), v.term, inst.large_budget(), mode, cfg.deltas).trace
 
     def test_minimal_inhabitants_cost_nothing(self):
         rng = random.Random(3)
@@ -505,7 +505,7 @@ class TestMinimizer:
         # that often does not type, re-derived along its spine must give the
         # derivation of the replaced term, and fail exactly where it fails
         cfg = GenConfig(lattice=inst, seed=23, max_depth=5, mode=mode, allow_fn_var_reuse=reuse)
-        deltas = cfg.resolved_deltas()
+        deltas = cfg.deltas
         state = harness._GenState(cfg, None)
         tt = derive(Context(), TT(), mode, deltas, inst)
         outcomes = set()

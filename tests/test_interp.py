@@ -235,7 +235,7 @@ def _trace_nodes(trace):
 def test_traced_and_untraced_evaluation_agree(cfg):
     # one unit of fuel per derivation node, traced or not: both succeed with
     # exactly the trace's node count and both run out one unit below it
-    deltas = cfg.resolved_deltas()
+    deltas = cfg.deltas
     for i in range(200):
         term = gen_typed_term(cfg, trial=i)
         result, trace = evaluate_trace(term, deltas)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rblam import cli, harness, interp, lattice, model, syntax, typecheck
 from rblam.harness import GenConfig, _generate, concretize, gen_typed_term, sample_type
 from rblam.lattice import NAT, TRIPLE, SaturatingNatLattice
 from rblam.syntax import (
@@ -50,6 +51,8 @@ from rblam.syntax import (
     term_size,
 )
 from rblam.typecheck import Context, DeltaProfile, Mode, derive
+
+from reference_printers import reference_pretty, reference_pretty_type
 
 
 class TestParse:
@@ -531,7 +534,40 @@ class TestTraversal:
 
 class TestRecords:
     """Terms, types and derivations are frozen records with slots: fields,
-    match arguments, structural equality and repr, and no assignment."""
+    match arguments, structural equality and repr, and no assignment. A
+    record class is a plain class, declared once by its annotations."""
+
+    def test_every_record_class_is_a_plain_class_whose_slots_are_its_fields(self):
+        classes = {cls for module in (cli, harness, interp, lattice, model, syntax, typecheck)
+                   for cls in vars(module).values()
+                   if isinstance(cls, type) and cls.__module__ == module.__name__
+                   and cls.__dict__.get("__setattr__") is lattice._frozen_setattr}
+        assert len(classes) == 23
+        for cls in classes:
+            assert type(cls) is type
+            assert cls.__slots__ == tuple(f.name for f in dataclasses.fields(cls))
+
+    def test_each_node_class_is_made_once(self):
+        for base, names in [(Term, "Var Lam App Pair Fst Snd If TT FF NatLit BoxT Unbox"),
+                            (Type, "Bool Nat Prod Arrow Box")]:
+            assert base.__subclasses__() == [getattr(syntax, name) for name in names.split()]
+
+    def test_a_default_in_the_class_body_is_the_fields_default(self):
+        assert Arrow(Bool(), Nat()).latent is None
+        assert Context().bindings == ()
+
+        class Point(metaclass=lattice.record):
+            x: int
+            y: int = 0
+
+        assert Point(1) == Point(1, 0) != Point(1, 2)
+        assert Point.__slots__ == ("x", "y") and dataclasses.fields(Point)[1].default == 0
+
+    def test_a_default_before_a_field_without_one_is_refused(self):
+        with pytest.raises(TypeError, match="^Bad: a field without a default follows one with a default$"):
+            class Bad(metaclass=lattice.record):
+                x: int = 0
+                y: int
 
     def test_assignment_is_refused(self):
         deriv = derive(Context(), TT(), Mode.SOUND, DeltaProfile.default(NAT), NAT)
@@ -613,69 +649,6 @@ def derivation_nodes(d):
         d = stack.pop()
         yield d
         stack.extend(d.children)
-
-
-# The term printer and the type printer as they were before one precedence
-# table set every parenthesis, kept as the reference for `pretty`.
-_REFERENCE_ATOMIC = (Var, TT, FF, NatLit, Pair)
-
-
-def reference_pretty(t):
-    match t:
-        case Var(name):
-            return name
-        case TT():
-            return "tt"
-        case FF():
-            return "ff"
-        case NatLit(n):
-            return str(n)
-        case Lam(name, annot, body):
-            return f"lam {name} : {reference_pretty_type(annot)} . {reference_pretty(body)}"
-        case App(fn, arg):
-            fn_s = reference_pretty(fn) if isinstance(fn, (App,) + _REFERENCE_ATOMIC) else reference_atom(fn)
-            return f"{fn_s} {reference_atom(arg)}"
-        case Pair(a, b):
-            return f"({reference_pretty(a)}, {reference_pretty(b)})"
-        case Fst(arg):
-            return f"fst {reference_atom(arg)}"
-        case Snd(arg):
-            return f"snd {reference_atom(arg)}"
-        case Unbox(arg):
-            return f"unbox {reference_atom(arg)}"
-        case If(c, a, b):
-            return f"if {reference_pretty(c)} then {reference_pretty(a)} else {reference_pretty(b)}"
-        case BoxT(grade, body):
-            return f"box[{grade.instance.format(grade)}] {reference_atom(body)}"
-    raise TypeError(f"not a term: {t!r}")
-
-
-def reference_atom(t):
-    return reference_pretty(t) if isinstance(t, _REFERENCE_ATOMIC) else f"({reference_pretty(t)})"
-
-
-def reference_pretty_type(ty):
-    match ty:
-        case Bool():
-            return "Bool"
-        case Nat():
-            return "Nat"
-        case Prod(left, right):
-            ls = reference_factor(left) if isinstance(left, (Prod, Arrow)) else reference_pretty_type(left)
-            rs = reference_factor(right) if isinstance(right, Arrow) else reference_pretty_type(right)
-            return f"{ls} * {rs}"
-        case Arrow(dom, cod, latent):
-            ds = reference_factor(dom) if isinstance(dom, Arrow) else reference_pretty_type(dom)
-            arrow = "->" if latent is None else f"-[{latent.instance.format(latent)}]->"
-            return f"{ds} {arrow} {reference_pretty_type(cod)}"
-        case Box(grade, body):
-            bs = reference_pretty_type(body) if isinstance(body, (Bool, Nat, Box)) else reference_factor(body)
-            return f"Box[{grade.instance.format(grade)}] {bs}"
-    raise TypeError(f"not a type: {ty!r}")
-
-
-def reference_factor(ty):
-    return f"({reference_pretty_type(ty)})"
 
 
 def types_over(grades):
